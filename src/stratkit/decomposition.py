@@ -12,6 +12,37 @@ where each rung is characterized several independent ways. Every
 characterization is computed separately and the results are asserted
 equal: a disagreement raises InternalInvariantError, since it can only
 mean a defect in this library, never bad input.
+
+``classify`` stays polynomial in the number of strata k. Two stratum-level
+relations are computed once from k open hulls and k closures:
+``_reach[t]``, the strata meeting the open hull of stratum t, and
+``_down[t]``, the strata meeting its closure. A set J of strata has an
+open preimage iff ``_reach[t]`` lies in J for each t in J, and a closed
+preimage iff the same holds for ``_down``. So the quotient topology is the
+up-set topology of the reflexive-transitive closure of ``_reach`` (the
+quotient of a finite space is always Alexandrov), the closed saturations
+are the closures of ``_down``, and the quotient map is continuous into the
+order topology of a preorder R exactly when ``_reach`` lies inside R row by
+row. What runs in ``classify``:
+
+* Alexandrov: the fixpoint rows have open preimages; the preorder's
+  up-sets equal the quotient's minimal opens; the quotient map is
+  continuous into the preorder's order topology (a point-level map check).
+* frontier: closure containment, closures as closed saturations, the
+  preorder against closure containment, and openness of the quotient map.
+* poset-stratified: the preorder is antisymmetric with a continuous map,
+  strata are open in their minimal closed saturations, and for k <= 4 the
+  search over every labeled partial order.
+* semicontinuity: saturations of minimal opens and of point closures by
+  the stratum-level test, against the quotient map's openness and
+  closedness.
+
+The definitional routes that enumerate all 2**k sets of strata --
+``quotient_open_family``, ``quotient_space_by_subset_filter`` and the
+comparison of the filtered family with the up-set family -- run only in
+the exhaustive sweep of ``oracle.py``, which checks them against the
+polynomial ones on every small instance. They are guarded by
+``topology.MAX_POINTS``, read at call time.
 """
 
 from __future__ import annotations
@@ -20,9 +51,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .order import Poset, Proset, alexandrov_space, specialization_preorder
-from .topology import MAX_POINTS, FiniteSpace, SpaceMap, Verdict, iter_bits
+from .topology import FiniteSpace, SpaceMap, Verdict, iter_bits, min_open_rows
 
 #: The decomposition preorder is an ordinary preorder on stratum ids.
 DecompositionPreorder = Proset
@@ -103,6 +135,19 @@ class OrderCheck:
     openness_witness: object = None
 
 
+def _reflexive_transitive_closure(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Closure of a reflexive relation on k indices given as bit rows."""
+    out = []
+    for row in rows:
+        acc, done = row, 0
+        while acc != done:
+            todo, done = acc & ~done, acc
+            for t in iter_bits(todo):
+                acc |= rows[t]
+        out.append(acc)
+    return tuple(out)
+
+
 def _agree(labels, values, witnesses=()) -> AgreementReport:
     if len(set(values)) > 1:
         detail = ", ".join(f"{l}={v}" for l, v in zip(labels, values))
@@ -166,13 +211,18 @@ class Decomposition:
 
     # -- basic accessors -------------------------------------------------
 
+    # Per-stratum tuples are built from lists: tuple() over a generator
+    # grows the tuple by resizing, and every such tuple leaves one more
+    # block in the interpreter's tuple free list, which a long run of
+    # classify calls fills to its cap (about 2 MB at 11 to 15 strata).
+
     @cached_property
     def ids(self) -> tuple[str, ...]:
-        return tuple(sid for sid, _ in self.strata)
+        return tuple([sid for sid, _ in self.strata])
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        return tuple(mask for _, mask in self.strata)
+        return tuple([mask for _, mask in self.strata])
 
     @property
     def k(self) -> int:
@@ -209,6 +259,40 @@ class Decomposition:
             out |= self.masks[t]
         return out
 
+    # -- stratum-level relations ---------------------------------------------
+
+    @cached_property
+    def _hulls(self) -> tuple[int, ...]:
+        """Open hull of each stratum, as a point mask."""
+        return tuple([self.space.open_hull_mask(mask) for mask in self.masks])
+
+    @cached_property
+    def _closures(self) -> tuple[int, ...]:
+        """Closure of each stratum, as a point mask."""
+        return tuple([self.space.closure_mask(mask) for mask in self.masks])
+
+    @cached_property
+    def _reach(self) -> tuple[int, ...]:
+        """``_reach[t]``: the strata meeting the open hull of stratum t."""
+        return tuple([self._strata_meeting_mask(hull) for hull in self._hulls])
+
+    @cached_property
+    def _down(self) -> tuple[int, ...]:
+        """``_down[t]``: the strata meeting the closure of stratum t."""
+        return tuple([self._strata_meeting_mask(closure) for closure in self._closures])
+
+    def _preimage_is_open(self, idx_mask: int) -> bool:
+        """Whether the union of the strata in ``idx_mask`` is open: every
+        point of stratum t has its minimal open inside the union iff the
+        open hull of t meets only strata of the set."""
+        reach = self._reach
+        return all(not (reach[t] & ~idx_mask) for t in iter_bits(idx_mask))
+
+    def _preimage_is_closed(self, idx_mask: int) -> bool:
+        """Whether the union of the strata in ``idx_mask`` is closed."""
+        down = self._down
+        return all(not (down[t] & ~idx_mask) for t in iter_bits(idx_mask))
+
     # -- quotient topology -------------------------------------------------
 
     @cached_property
@@ -216,31 +300,20 @@ class Decomposition:
         """The stratum set with the quotient topology.
 
         The minimal open around stratum i is the least id-set J containing
-        i whose preimage is open, reached by saturation: while some point
-        of the preimage has a neighborhood escaping it, add the strata that
-        neighborhood meets. The least such J exists because sets with open
+        i whose preimage is open: the reflexive-transitive closure of
+        ``_reach`` at i. The least such J exists because sets with open
         preimage are closed under intersection.
         """
-        rows = []
-        for i in range(self.k):
-            j_mask = 1 << i
-            while True:
-                pre = self._preimage_mask(j_mask)
-                hull = self.space.open_hull_mask(pre)
-                grown = self._strata_meeting_mask(hull)
-                if grown == j_mask:
-                    break
-                j_mask = grown
-            rows.append(j_mask)
-        return FiniteSpace(self.ids, tuple(rows))
+        return FiniteSpace(self.ids, _reflexive_transitive_closure(self._reach))
 
     def quotient_open_family(self, max_points: int | None = None) -> tuple[int, ...]:
         """All id-sets with open preimage, by brute 2**k filtering.
 
         This is the definition of the quotient topology; the fixpoint route
-        in ``quotient_space`` must induce exactly this family.
+        in ``quotient_space`` must induce exactly this family. Oracle only:
+        the size guard is ``topology.MAX_POINTS`` at call time.
         """
-        limit = MAX_POINTS if max_points is None else max_points
+        limit = topology.MAX_POINTS if max_points is None else max_points
         if self.k > limit:
             raise ValidationError(
                 f"quotient family needs 2**{self.k} candidates; guard is {limit} strata"
@@ -251,16 +324,7 @@ class Decomposition:
 
     def quotient_space_by_subset_filter(self) -> FiniteSpace:
         """Quotient space built from the filtered open family (oracle route)."""
-        family = self.quotient_open_family()
-        full = (1 << self.k) - 1
-        rows = []
-        for i in range(self.k):
-            acc = full
-            for j in family:
-                if (j >> i) & 1:
-                    acc &= j
-            rows.append(acc)
-        return FiniteSpace(self.ids, tuple(rows))
+        return FiniteSpace(self.ids, min_open_rows(self.k, self.quotient_open_family()))
 
     @cached_property
     def pi_map(self) -> SpaceMap:
@@ -268,16 +332,11 @@ class Decomposition:
 
     # -- decomposition preorder ---------------------------------------------
 
-    def _closed_saturation(self, t: int) -> int:
-        """Least id-set containing stratum t whose preimage is closed."""
-        j_mask = 1 << t
-        while True:
-            pre = self._preimage_mask(j_mask)
-            grown = self._strata_meeting_mask(self.space.closure_mask(pre))
-            if grown == j_mask:
-                break
-            j_mask = grown
-        return j_mask
+    @cached_property
+    def _closed_saturations(self) -> tuple[int, ...]:
+        """Least id-set containing each stratum whose preimage is closed:
+        the reflexive-transitive closure of ``_down``."""
+        return _reflexive_transitive_closure(self._down)
 
     @cached_property
     def preorder(self) -> DecompositionPreorder:
@@ -289,7 +348,7 @@ class Decomposition:
         """
         p = specialization_preorder(self.quotient_space)
         for j in range(self.k):
-            saturation = self._closed_saturation(j)
+            saturation = self._closed_saturations[j]
             if saturation != p.down[j]:
                 raise InternalInvariantError(
                     "decomposition preorder: closed saturation disagrees with down-set"
@@ -308,50 +367,48 @@ class Decomposition:
     def locally_finite(self) -> bool:
         """Each point has an open neighborhood meeting finitely many strata.
 
-        The minimal open neighborhood witnesses this for every point of a
-        finite space, so the check is real but never fails here; it is kept
-        so the stratification test states all of its clauses.
+        The minimal open neighborhood of a point lies in the open hull of
+        its stratum, which meets the strata of one ``_reach`` row, so the
+        check is real but never fails here; it is kept so the
+        stratification test states all of its clauses.
         """
-        for i in range(len(self.space.points)):
-            meeting = self._strata_meeting_mask(self.space.min_open[i])
-            if meeting.bit_count() > self.k:  # unreachable on finite data
-                return False
-        return True
+        return all(row.bit_count() <= self.k for row in self._reach)
 
     def locally_closed_strata(self) -> tuple[tuple[str, Verdict], ...]:
-        return tuple(
-            (sid, self.space.is_locally_closed(self.space.names_of(mask)))
-            for sid, mask in self.strata
-        )
+        """Per stratum, whether it is its open hull intersected with its
+        closure (see ``FiniteSpace.is_locally_closed``); the witness is the
+        hull."""
+        return self._locally_closed
+
+    @cached_property
+    def _locally_closed(self) -> tuple[tuple[str, Verdict], ...]:
+        out = []
+        for sid, mask, hull, closure in zip(self.ids, self.masks, self._hulls, self._closures):
+            holds = (hull & closure) == mask
+            out.append((sid, Verdict(holds, witness=self.space.names_of(hull) if holds else None)))
+        return tuple(out)
+
+    @cached_property
+    def _pi_open(self) -> Verdict:
+        return self.pi_map.is_open()
 
     def alexandrov_equivalences(self) -> AgreementReport:
         """Three characterizations of the quotient being an Alexandrov space.
 
-        (1) every stratum has a minimal open neighborhood in the filtered
-        quotient family, (2) that family coincides with the up-set topology
-        of the decomposition preorder, (3) the quotient map is continuous
-        into the preorder topology. All three hold for finite inputs; the
-        point of the operation is their agreement.
+        (1) the fixpoint rows of ``quotient_space`` have open preimages, so
+        each is the minimal open of its stratum, (2) the up-sets of the
+        decomposition preorder equal those minimal opens, so its up-set
+        topology is the quotient topology, (3) the quotient map is
+        continuous into the preorder topology, checked point by point. All
+        three hold for finite inputs; the point of the operation is their
+        agreement. The oracle compares them with the 2**k subset filter.
         """
-        family = self.quotient_open_family()
-        family_set = frozenset(family)
-        full = (1 << self.k) - 1
-        has_min_open = True
-        for i in range(self.k):
-            acc = full
-            for j in family:
-                if (j >> i) & 1:
-                    acc &= j
-            if acc not in family_set:
-                has_min_open = False
-                break
-        p = self.preorder
-        up_family = frozenset(
-            j
-            for j in range(1 << self.k)
-            if all(not (p.up[i] & ~j) for i in iter_bits(j))
+        rows = self.quotient_space.min_open
+        has_min_open = all(
+            (row >> i) & 1 and self._preimage_is_open(row) for i, row in enumerate(rows)
         )
-        same_topology = family_set == up_family
+        p = self.preorder
+        same_topology = p.up == rows
         continuous = bool(
             SpaceMap(self.space, alexandrov_space(p), self._point_to_stratum).is_continuous()
         )
@@ -373,7 +430,11 @@ class Decomposition:
         containment, (4) the quotient map is open. Witnesses name the
         lexicographically first counterexample.
         """
-        closures = [self.space.closure_mask(mask) for mask in self.masks]
+        return self._frontier
+
+    @cached_property
+    def _frontier(self) -> AgreementReport:
+        closures = self._closures
         witnesses = []
 
         frontier = True
@@ -422,7 +483,7 @@ class Decomposition:
             if not order_matches:
                 break
 
-        open_verdict = self.pi_map.is_open()
+        open_verdict = self._pi_open
         if not open_verdict:
             witnesses.append(
                 (
@@ -444,11 +505,13 @@ class Decomposition:
 
     def _pi_continuous_rows(self, up_rows: tuple[int, ...]) -> bool:
         """Continuity of the quotient map into the order topology of up_rows
-        (masks over stratum indices)."""
-        for s in range(self.k):
-            if not self.space.is_open_mask(self._preimage_mask(up_rows[s])):
-                return False
-        return True
+        (the up-set masks of a preorder on the stratum indices).
+
+        Each up-set must have an open preimage, i.e. contain the ``_reach``
+        row of each of its members; as up_rows is reflexive and transitive,
+        that holds iff ``_reach[t]`` lies inside ``up_rows[t]`` for every t.
+        """
+        return all(not (reach & ~up) for reach, up in zip(self._reach, up_rows))
 
     def _pi_open_rows(self, up_rows: tuple[int, ...]) -> bool:
         """Openness of the quotient map into the order topology of up_rows."""
@@ -471,13 +534,17 @@ class Decomposition:
         value is true, every order found by the search must contain the
         decomposition preorder (the preorder is initial).
         """
+        return self._poset_stratified
+
+    @cached_property
+    def _poset_stratified(self) -> AgreementReport:
         p = self.preorder
         continuous = self._pi_continuous_rows(p.up)
         cond2 = bool(p.is_poset()) and continuous
 
         cond3 = True
         for i in range(self.k):
-            around = self._preimage_mask(self._closed_saturation(i))
+            around = self._preimage_mask(self._closed_saturations[i])
             for x in iter_bits(self.masks[i]):
                 if self.space.min_open[x] & around & ~self.masks[i]:
                     cond3 = False
@@ -534,7 +601,7 @@ class Decomposition:
 
         all_lc = all(v.holds for _, v in locally_closed)
         combined = all_lc and frontier_report.value
-        other = self.poset_stratified_equivalences().value and bool(self.pi_map.is_open())
+        other = self.poset_stratified_equivalences().value and self._pi_open.holds
         if combined != other:
             raise InternalInvariantError(
                 "locally closed strata + frontier condition disagrees with "
@@ -585,10 +652,11 @@ class Decomposition:
             merged[members[0]] = mask
         poset, _ = p.reflection()
 
+        saturations = self._closed_saturations
         for i in range(self.k):
             for j in range(self.k):
                 same_class = bool(p.up[i] & (1 << j)) and bool(p.up[j] & (1 << i))
-                same_saturation = self._closed_saturation(i) == self._closed_saturation(j)
+                same_saturation = saturations[i] == saturations[j]
                 if same_class != same_saturation:
                     raise InternalInvariantError(
                         "coarsening classes disagree with closed saturations"
@@ -603,23 +671,20 @@ class Decomposition:
         """Saturation formulas versus quotient-map properties.
 
         Saturation (preimage of image) commutes with unions, so it is
-        enough to saturate the minimal opens and the point closures. Each
-        saturation formula must agree with its map-side counterpart.
+        enough to saturate the minimal opens and the point closures. The
+        saturation of a set is the preimage of the strata it meets, so its
+        openness and closedness are stratum-level tests. Each saturation
+        formula must agree with its map-side counterpart.
         """
-        sat_open_open = True
-        for basic in set(self.space.min_open):
-            sat = self._preimage_mask(self._strata_meeting_mask(basic))
-            if not self.space.is_open_mask(sat):
-                sat_open_open = False
-                break
-        sat_closed_closed = True
-        for i in range(len(self.space.points)):
-            basic = self.space.closure_mask(1 << i)
-            sat = self._preimage_mask(self._strata_meeting_mask(basic))
-            if not self.space.is_closed_mask(sat):
-                sat_closed_closed = False
-                break
-        pi_open = bool(self.pi_map.is_open())
+        sat_open_open = all(
+            self._preimage_is_open(self._strata_meeting_mask(basic))
+            for basic in set(self.space.min_open)
+        )
+        sat_closed_closed = all(
+            self._preimage_is_closed(self._strata_meeting_mask(basic))
+            for basic in set(self.space.point_closures)
+        )
+        pi_open = self._pi_open.holds
         pi_closed = bool(self.pi_map.is_closed())
         if sat_open_open != pi_open:
             raise InternalInvariantError("open saturation disagrees with quotient map openness")
@@ -710,7 +775,7 @@ def as_poset_stratified(d: Decomposition) -> PosetStratification:
     p = d.preorder
     if not p.is_poset():
         raise InternalInvariantError("stratification produced a non-antisymmetric preorder")
-    closures = [d.space.closure_mask(mask) for mask in d.masks]
+    closures = d._closures
     for i in range(d.k):
         for j in range(d.k):
             contained = not (d.masks[i] & ~closures[j])
@@ -897,11 +962,16 @@ class ClassificationReport:
 
 
 def classify(d: Decomposition) -> ClassificationReport:
-    """Run every classification check and collect the results."""
+    """Run every classification check and collect the results.
+
+    Polynomial in the size of the space and the number of strata; the
+    frontier and poset-stratified groups are memoised on ``d``, so
+    ``is_stratification`` reuses them instead of recomputing.
+    """
     return ClassificationReport(
         alexandrov=d.alexandrov_equivalences(),
         locally_finite=d.locally_finite(),
-        locally_closed=tuple((sid, v.holds) for sid, v in d.locally_closed_strata()),
+        locally_closed=tuple([(sid, v.holds) for sid, v in d.locally_closed_strata()]),
         frontier=d.frontier_equivalences(),
         poset_stratified=d.poset_stratified_equivalences(),
         stratification=d.is_stratification(),

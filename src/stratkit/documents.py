@@ -14,6 +14,11 @@ One document per value, dispatched on a "kind" key:
     symbolic-family  {"kind": "symbolic-family", "tag": ...} plus the
                       catalog answers
 
+Loading is strict about types: point, element and stratum lists must be
+JSON lists of strings, and names and tags must be strings, so a malformed
+value is a ValidationError rather than a TypeError or a silently split
+string.
+
 Saving is canonical: keys sorted, point and element lists sorted, the
 subbasis form normalized to min_open, relations written as their
 non-reflexive pairs with close=true. Structurally equal values therefore
@@ -123,11 +128,13 @@ def _space_from(payload: dict) -> FiniteSpace:
         table = payload["min_open"]
         if not isinstance(table, dict):
             raise ValidationError("min_open must be an object mapping points to point lists")
-        return FiniteSpace.from_min_open(points, {k: tuple(v) for k, v in table.items()})
+        return FiniteSpace.from_min_open(
+            points, {k: _strings(v, f"min_open entry for {k!r}") for k, v in table.items()}
+        )
     gens = payload["subbasis"]
     if not isinstance(gens, list):
         raise ValidationError("subbasis must be a list of point lists")
-    return FiniteSpace.from_subbasis(points, [tuple(g) for g in gens])
+    return FiniteSpace.from_subbasis(points, [_strings(g, "subbasis entry") for g in gens])
 
 
 # -- relations ------------------------------------------------------------------
@@ -151,9 +158,10 @@ def _relation_from(payload: dict, kind: str) -> Proset:
         raise ValidationError("leq_pairs must be a list of element pairs")
     pairs = []
     for item in raw:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
+        if not isinstance(item, list) or len(item) != 2:
             raise ValidationError(f"leq_pairs entries must be pairs, got {item!r}")
-        pairs.append((item[0], item[1]))
+        a, b = _strings(item, "leq_pairs entry")
+        pairs.append((a, b))
     close = payload.get("close", True)
     if not isinstance(close, bool):
         raise ValidationError("close must be a boolean")
@@ -179,6 +187,8 @@ def _decomposition_from(payload: dict) -> Decomposition:
     if isinstance(ref, dict) and set(ref) == {"fixture"}:
         from .fixtures import fixture
 
+        if not isinstance(ref["fixture"], str):
+            raise ValidationError("fixture reference must be a fixture name")
         value = fixture(ref["fixture"]).document.value
         if isinstance(value, Decomposition):
             space = value.space
@@ -195,9 +205,11 @@ def _decomposition_from(payload: dict) -> Decomposition:
     else:
         raise ValidationError("decomposition needs a space object or a fixture reference")
     strata = payload.get("strata")
-    if not isinstance(strata, dict) or not all(isinstance(v, list) for v in strata.values()):
+    if not isinstance(strata, dict):
         raise ValidationError("strata must map stratum ids to point lists")
-    return Decomposition.from_strata(space, {k: tuple(v) for k, v in strata.items()})
+    return Decomposition.from_strata(
+        space, {k: _strings(v, f"stratum {k!r}") for k, v in strata.items()}
+    )
 
 
 # -- maps --------------------------------------------------------------------------
@@ -218,7 +230,9 @@ def _map_from(payload: dict) -> SpaceMap:
     source = _space_from({"kind": "space", **_subobject(payload, "source")})
     target = _space_from({"kind": "space", **_subobject(payload, "target")})
     assignment = payload.get("assignment")
-    if not isinstance(assignment, dict):
+    if not isinstance(assignment, dict) or not all(
+        isinstance(v, str) for v in assignment.values()
+    ):
         raise ValidationError("assignment must map source points to target points")
     return SpaceMap.from_names(source, target, assignment)
 
@@ -239,6 +253,8 @@ def _symbolic_payload(fam: SymbolicFamily) -> dict:
 
 def _symbolic_from(payload: dict) -> SymbolicFamily:
     tag = payload.get("tag")
+    if not isinstance(tag, str):
+        raise ValidationError(f"symbolic family tag must be a string, got {tag!r}")
     fam = SYMBOLIC_FAMILIES.get(tag)
     if fam is None:
         raise ValidationError(f"unknown symbolic family tag: {tag!r}")
@@ -251,11 +267,16 @@ def _symbolic_from(payload: dict) -> SymbolicFamily:
 # -- shared helpers --------------------------------------------------------------------
 
 
-def _string_list(payload: dict, key: str) -> tuple[str, ...]:
-    value = payload.get(key)
+def _strings(value: object, what: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; anything else is a ValidationError
+    (a bare string is not read as a list of its characters)."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ValidationError(f"{key} must be a list of strings")
+        raise ValidationError(f"{what} must be a list of strings, got {value!r}")
     return tuple(value)
+
+
+def _string_list(payload: dict, key: str) -> tuple[str, ...]:
+    return _strings(payload.get(key), key)
 
 
 def _subobject(payload: dict, key: str) -> dict:

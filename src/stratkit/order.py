@@ -285,7 +285,7 @@ def specialization_preorder(space: FiniteSpace) -> Proset:
     n = len(space.points)
     via_closure = [0] * n
     for j in range(n):
-        col = space.closure_mask(1 << j)
+        col = space.point_closures[j]
         for i in iter_bits(col):
             via_closure[i] |= 1 << j
     direct = list(space.min_open)

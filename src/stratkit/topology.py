@@ -213,6 +213,20 @@ class FiniteSpace:
         """The smallest open set containing the point."""
         return self.names_of(self.min_open[self.point_index(name)])
 
+    @cached_property
+    def point_closures(self) -> tuple[int, ...]:
+        """Closure of each single point as a mask, computed once per space.
+
+        closure({x}) is the set of y with x in U_y, so this is the
+        transpose of ``min_open``.
+        """
+        cols = [0] * len(self.points)
+        for i, row in enumerate(self.min_open):
+            bit = 1 << i
+            for j in iter_bits(row):
+                cols[j] |= bit
+        return tuple(cols)
+
     def closure_mask(self, mask: int) -> int:
         # x lies in the closure of S exactly when U_x meets S
         out = 0
@@ -288,6 +302,12 @@ class FiniteSpace:
         return len(set(self.min_open)) == len(self.min_open)
 
 
+def _first_occurrences(masks: Sequence[int], order: Iterable[int]) -> Iterator[int]:
+    """The masks at the given indices, each distinct value once, in that
+    order; checking a basic set twice cannot change the first failure."""
+    return iter(dict.fromkeys(masks[i] for i in order))
+
+
 @dataclass(frozen=True, repr=False)
 class SpaceMap:
     """A point map between finite spaces; no continuity assumed until checked."""
@@ -354,8 +374,7 @@ class SpaceMap:
         a union of them and preimages commute with unions. The witness on
         failure is an open target set whose preimage is not open.
         """
-        for t in self.target._lex_indices:
-            basic = self.target.min_open[t]
+        for basic in _first_occurrences(self.target.min_open, self.target._lex_indices):
             if not self.source.is_open_mask(self.preimage_mask(basic)):
                 return Verdict(
                     False,
@@ -366,8 +385,7 @@ class SpaceMap:
 
     def is_open(self) -> Verdict:
         """Image of every open set is open (checked on the minimal opens)."""
-        for s in self.source._lex_indices:
-            basic = self.source.min_open[s]
+        for basic in _first_occurrences(self.source.min_open, self.source._lex_indices):
             if not self.target.is_open_mask(self.image_mask(basic)):
                 return Verdict(
                     False,
@@ -383,8 +401,7 @@ class SpaceMap:
         union of closed sets stays closed here, so the point closures
         suffice.
         """
-        for s in self.source._lex_indices:
-            basic = self.source.closure_mask(1 << s)
+        for basic in _first_occurrences(self.source.point_closures, self.source._lex_indices):
             if not self.target.is_closed_mask(self.image_mask(basic)):
                 return Verdict(
                     False,
@@ -402,6 +419,18 @@ class SpaceMap:
         if mode == "closed":
             return self.is_closed()
         raise ValidationError(f"unknown map-check mode: {mode!r}")
+
+
+def min_open_rows(n: int, opens: Iterable[int]) -> tuple[int, ...]:
+    """Minimal open of each of n points from an open family given as masks:
+    the intersection of the members containing the point, or all n points
+    when none does."""
+    full = (1 << n) - 1
+    rows = [full] * n
+    for mask in opens:
+        for i in iter_bits(mask):
+            rows[i] &= mask
+    return tuple(rows)
 
 
 def continuity_by_closure_inclusion(f: SpaceMap, max_points: int | None = None) -> bool:
@@ -470,17 +499,9 @@ def final_topology(
                 out |= 1 << i
         return out
 
-    opens = [
+    opens = (
         mask
         for mask in range(1 << n)
         if all(src.is_open_mask(preimage(mask, asg)) for src, asg in prepared)
-    ]
-    full = (1 << n) - 1
-    rows = []
-    for i in range(n):
-        acc = full
-        for mask in opens:
-            if (mask >> i) & 1:
-                acc &= mask
-        rows.append(acc)
-    return FiniteSpace(pts, tuple(rows))
+    )
+    return FiniteSpace(pts, min_open_rows(n, opens))

@@ -7,8 +7,8 @@ polynomial production paths it is used to check.
 
 from __future__ import annotations
 
-from stratkit import FiniteSpace
-from stratkit.oracle import labeled_preorder_rows
+from stratkit import FiniteSpace, SpaceMap, specialization_preorder
+from stratkit.oracle import alexandrov_by_subset_filter, labeled_preorder_rows
 
 
 def all_spaces(max_n: int):
@@ -75,3 +75,97 @@ def brute_saturations(dec) -> tuple[bool, bool]:
             sat_closed = False
             break
     return sat_open, sat_closed
+
+
+def subset_filter_report(dec) -> dict:
+    """``classify(dec).to_json_dict()`` without its witnesses, rebuilt from
+    the 2**k filtered quotient family and point-level map checks."""
+    space = dec.space
+    k = dec.k
+    family = frozenset(dec.quotient_open_family())
+    quotient = dec.quotient_space_by_subset_filter()
+    p = specialization_preorder(quotient)
+    pi = SpaceMap(space, quotient, dec._point_to_stratum)
+    closures = [space.closure_mask(mask) for mask in dec.masks]
+
+    alexandrov = alexandrov_by_subset_filter(dec)
+    locally_closed = {
+        sid: space.is_locally_closed(space.names_of(mask)).holds for sid, mask in dec.strata
+    }
+    frontier_condition = all(
+        not (si & cj) or not (si & ~cj) for si in dec.masks for cj in closures
+    )
+    closure_is_saturation = all(
+        closures[j] == dec._preimage_mask(p.down[j]) for j in range(k)
+    )
+    order_matches = all(
+        (not (dec.masks[i] & ~closures[j])) == bool((p.up[i] >> j) & 1)
+        for i in range(k)
+        for j in range(k)
+    )
+    pi_open, pi_closed = bool(pi.is_open()), bool(pi.is_closed())
+    # continuity into the preorder topology: every up-set has an open preimage
+    poset_stratified = bool(p.is_poset()) and all(row in family for row in p.up)
+
+    def saturation(mask: int) -> int:
+        return dec._preimage_mask(dec._strata_meeting_mask(mask))
+
+    sat_open = all(space.is_open_mask(saturation(u)) for u in space.min_open)
+    sat_closed = all(
+        space.is_closed_mask(saturation(space.closure_mask(1 << x)))
+        for x in range(len(space.points))
+    )
+    reasons = [
+        f"stratum {sid!r} is not locally closed" for sid, lc in locally_closed.items() if not lc
+    ]
+    if not frontier_condition:
+        reasons.append("frontier condition fails")
+    if not reasons:
+        verdict = "stratification"
+    elif poset_stratified:
+        verdict = "poset-stratified"
+    else:
+        verdict = "alexandrov" if all(alexandrov) else "decomposition"
+    label = {
+        (True, True): "continuous",
+        (True, False): "lower-semicontinuous",
+        (False, True): "upper-semicontinuous",
+        (False, False): "neither",
+    }[pi_open, pi_closed]
+    return {
+        "alexandrov": dict(
+            zip(
+                (
+                    "quotient_has_minimal_opens",
+                    "preorder_topology_equals_quotient_topology",
+                    "map_to_preorder_space_continuous",
+                ),
+                alexandrov,
+            )
+        ),
+        "locally_finite": True,
+        "locally_closed": locally_closed,
+        "frontier": {
+            "frontier_condition": frontier_condition,
+            "closure_is_minimal_closed_saturation": closure_is_saturation,
+            "preorder_equals_closure_containment": order_matches,
+            "quotient_map_open": pi_open,
+        },
+        "poset_stratified": dict.fromkeys(
+            (
+                "stratified_over_some_partial_order",
+                "preorder_is_partial_order_and_map_continuous",
+                "strata_open_in_minimal_closed_saturation",
+            ),
+            poset_stratified,
+        ),
+        "stratification": {"holds": not reasons, "reasons": reasons},
+        "semicontinuity": {
+            "sat_open_open": sat_open,
+            "sat_closed_closed": sat_closed,
+            "pi_open": pi_open,
+            "pi_closed": pi_closed,
+            "label": label,
+        },
+        "verdict": verdict,
+    }

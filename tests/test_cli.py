@@ -80,6 +80,37 @@ class TestExitCodes:
         assert code == 1
         assert "frontier condition fails" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind":"space","points":["a"],"subbasis":["a",3]}',
+            '{"kind":"symbolic-family","tag":[]}',
+            '{"kind":"space","points":["a"],"min_open":{"a":"a"}}',
+            '{"kind":"poset","elements":["a","b"],"leq_pairs":[["a",["b"]]]}',
+            '{"kind":"decomposition","space":{"fixture":[]},"strata":{}}',
+            '{"kind":"decomposition","space":{"fixture":"line_3"},'
+            '"strata":{"S":[["m"]],"T":["z","p"]}}',
+            '{"kind":"map","source":{"points":["a"],"min_open":{"a":["a"]}},'
+            '"target":{"points":["b"],"min_open":{"b":["b"]}},"assignment":{"a":["b"]}}',
+        ],
+        ids=[
+            "subbasis-non-list-entry",
+            "symbolic-tag-list",
+            "min-open-bare-string",
+            "leq-pair-nested-list",
+            "fixture-reference-list",
+            "stratum-nested-list",
+            "map-assignment-list",
+        ],
+    )
+    def test_mistyped_document_values_are_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "mistyped.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["check", str(path), "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "expected a decomposition" not in err  # refused while loading
+
     def test_bad_env_override_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("STRATKIT_MAX_POINTS", "many")
         code, _, err = run(capsys, ["fixture", "list"])
@@ -213,6 +244,21 @@ class TestSubcommands:
         code, out, _ = run(capsys, ["export-dot", str(path)])
         assert code == 0
         assert '"0" -> "1";' in out and '"0" -> "2";' not in out
+
+    def test_export_dot_octahedron_pointwise(self, capsys, tmp_path):
+        # 26 strata: beyond any 2**k enumeration guard
+        from stratkit import Decomposition, face_poset_model
+
+        # one vertex from each antipodal pair {a, f}, {b, c}, {d, e}
+        octahedron = face_poset_model(
+            [(a, b, c) for a in "af" for b in "bc" for c in "de"]
+        )
+        doc = Document("decomposition", Decomposition.pointwise(octahedron.space))
+        path = tmp_path / "octahedron.json"
+        path.write_text(save(doc), encoding="utf-8")
+        code, out, _ = run(capsys, ["export-dot", str(path)])
+        assert code == 0
+        assert 'label="verdict: stratification";' in out
 
     def test_verify_json(self, capsys):
         code, out, _ = run(

@@ -14,10 +14,13 @@ from stratkit import (
     as_poset_stratified,
     classify,
     compatible_orders,
+    face_poset_model,
+    generate,
     order_restricted_to_nonempty,
     strict_refinements_never_open,
     stratification_from_open_map,
 )
+from stratkit import topology
 from stratkit.oracle import labeled_preorder_rows, set_partitions
 
 
@@ -353,3 +356,55 @@ class TestClassify:
             report = classify(dec)
             for group in (report.alexandrov, report.frontier, report.poset_stratified):
                 assert len(set(group.values)) == 1
+
+
+def generated_decomposition(n: int, density: float, blocks: int, seed: int) -> Decomposition:
+    space = alexandrov_space(generate("preorder", n, {"density": density}, seed).value)
+    return generate("partition", n, {"space": space, "blocks": blocks}, seed + 1).value
+
+
+class TestStratumKernel:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_classify_matches_the_subset_filter_reference(self, seed):
+        # k from 2 to 12 on 6 to 18 points; dense seeds give proper preorders
+        k = 2 + seed % 11
+        n = k + seed % 7
+        density = (0.05, 0.12, 0.3)[seed % 3]
+        dec = generated_decomposition(n, density, k, 500 + 2 * seed)
+        report = classify(dec).to_json_dict()
+        witnesses = report.pop("witnesses")
+        assert report == helpers.subset_filter_report(dec)
+        failing = {label for label, value in report["frontier"].items() if not value}
+        assert set(witnesses) == failing
+
+    def test_octahedron_pointwise_is_a_stratification(self):
+        # 26 strata: one vertex from each antipodal pair {a, f}, {b, c}, {d, e}
+        model = face_poset_model([(a, b, c) for a in "af" for b in "bc" for c in "de"])
+        dec = Decomposition.pointwise(model.space)
+        assert dec.k == 26
+        report = classify(dec)
+        assert report.verdict() == "stratification"
+        assert report.semicontinuity.label == "continuous"
+
+    def test_sixty_four_strata_on_a_thousand_points_under_a_second(self):
+        import time
+
+        dec = generated_decomposition(1000, 0.5 / 1000, 64, 4242)
+        assert dec.k == 64
+        started = time.perf_counter()
+        report = classify(dec)
+        assert time.perf_counter() - started < 1.0
+        assert report.alexandrov.value
+
+    def test_subset_filter_guard_is_read_at_call_time(self, quadrant_4, monkeypatch):
+        monkeypatch.setattr(topology, "MAX_POINTS", 3)
+        with pytest.raises(ValidationError, match="guard is 3 strata"):
+            quadrant_4.quotient_open_family()
+        # the polynomial kernel has no guard
+        assert classify(quadrant_4).verdict() == "stratification"
+
+    def test_groups_are_computed_once(self, line_3):
+        assert line_3.frontier_equivalences() is line_3.frontier_equivalences()
+        assert (
+            line_3.poset_stratified_equivalences() is line_3.poset_stratified_equivalences()
+        )
