@@ -313,6 +313,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # the override holds for this invocation only, not for later in-process calls
+    max_points = topology.MAX_POINTS
     try:
         override = _max_points_override()
         if args.command == "check":
@@ -352,6 +354,8 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
+    finally:
+        topology.MAX_POINTS = max_points
 
 
 if __name__ == "__main__":

@@ -53,7 +53,13 @@ from typing import Iterable, Mapping
 
 from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
-from .order import Poset, Proset, alexandrov_space, specialization_preorder
+from .order import (
+    Poset,
+    Proset,
+    alexandrov_space,
+    reflexive_transitive_closure,
+    specialization_preorder,
+)
 from .topology import FiniteSpace, SpaceMap, Verdict, iter_bits, min_open_rows
 
 #: The decomposition preorder is an ordinary preorder on stratum ids.
@@ -133,19 +139,6 @@ class OrderCheck:
     open: bool
     continuity_witness: object = None
     openness_witness: object = None
-
-
-def _reflexive_transitive_closure(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Closure of a reflexive relation on k indices given as bit rows."""
-    out = []
-    for row in rows:
-        acc, done = row, 0
-        while acc != done:
-            todo, done = acc & ~done, acc
-            for t in iter_bits(todo):
-                acc |= rows[t]
-        out.append(acc)
-    return tuple(out)
 
 
 def _agree(labels, values, witnesses=()) -> AgreementReport:
@@ -304,7 +297,7 @@ class Decomposition:
         ``_reach`` at i. The least such J exists because sets with open
         preimage are closed under intersection.
         """
-        return FiniteSpace(self.ids, _reflexive_transitive_closure(self._reach))
+        return FiniteSpace(self.ids, reflexive_transitive_closure(self._reach))
 
     def quotient_open_family(self, max_points: int | None = None) -> tuple[int, ...]:
         """All id-sets with open preimage, by brute 2**k filtering.
@@ -336,7 +329,7 @@ class Decomposition:
     def _closed_saturations(self) -> tuple[int, ...]:
         """Least id-set containing each stratum whose preimage is closed:
         the reflexive-transitive closure of ``_down``."""
-        return _reflexive_transitive_closure(self._down)
+        return reflexive_transitive_closure(self._down)
 
     @cached_property
     def preorder(self) -> DecompositionPreorder:

@@ -109,12 +109,13 @@ def payload_of(value: object, kind: str | None = None) -> dict:
 
 def _space_payload(space: FiniteSpace) -> dict:
     pts = sorted(space.points)
+    # points sharing a minimal open (a strongly connected class) share one
+    # sorted name list
+    names = {row: sorted(space.names_of(row)) for row in set(space.min_open)}
     return {
         "kind": "space",
         "points": pts,
-        "min_open": {
-            p: sorted(space.names_of(space.min_open[space.point_index(p)])) for p in pts
-        },
+        "min_open": {p: names[space.min_open[space.point_index(p)]] for p in pts},
     }
 
 

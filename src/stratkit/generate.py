@@ -4,19 +4,43 @@ Determinism contract: generate() is a pure function of (kind, n, params,
 seed), stable across releases. All randomness flows from the splitmix64
 generator below, fully specified here rather than borrowed from the
 standard library so the byte stream can never drift.
+
+``SplitMix64.next_u64`` is the specification. Preorder generation draws a
+whole row of the relation at once with ``SplitMix64.next_flags``, which
+runs the same mix on many states packed into one integer; it is
+bit-identical to one ``next_float()`` comparison per pair, and
+``tests/test_documents.py::TestGenerate::test_batched_flags_match_scalar_draws``
+and the digests in ``tests/test_generate_golden.py`` pin that.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Mapping
 
 from .decomposition import Decomposition
 from .documents import Document
 from .errors import ValidationError
-from .order import Proset
+from .order import Proset, reflexive_transitive_closure
 from .topology import FiniteSpace
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 flag bytes as binary digits
+
+
+@lru_cache(maxsize=4)
+def _lanes(m: int) -> tuple[int, int, int]:
+    """Constants for m 128-bit lanes of one int: 1 in every lane, 2**64 - 1
+    in every lane, and (i + 1) * gamma mod 2**64 in lane i."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * m, "little")
+    low64 = int.from_bytes((b"\xff" * 8 + bytes(8)) * m, "little")
+    steps = int.from_bytes(
+        b"".join(((i * _GAMMA) & _MASK64).to_bytes(16, "little") for i in range(1, m + 1)),
+        "little",
+    )
+    return ones, low64, steps
 
 
 class SplitMix64:
@@ -31,7 +55,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -40,6 +64,33 @@ class SplitMix64:
     def next_float(self) -> float:
         """Uniform in [0, 1): the top 53 bits scaled by 2**-53."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_flags(self, m: int, density: float) -> bytes:
+        """The next m draws compared with ``density``, one 0/1 byte each.
+
+        Equal to ``bytes(self.next_float() < density for _ in range(m))``
+        and leaves the same state. Lane i (128 bits) of one int holds the
+        state s + (i + 1) * gamma; each step of the mix is then one big-int
+        operation. A lane's value stays below 2**64 after masking, so a
+        multiply by a 64-bit constant cannot carry into the next lane, and
+        the bits a right shift pulls in from the next lane land above bit
+        63, where the mask clears them. next_float() < density exactly when
+        z < ceil(density * 2**53) * 2**11: the scalings by powers of two
+        are exact. That test is one add per lane: bit 64 of
+        z + 2**64 - threshold is set exactly when z >= threshold.
+        """
+        if m <= 0:
+            return b""
+        ones, low64, steps = _lanes(m)
+        z = (self._state * ones + steps) & low64
+        self._state = (self._state + m * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) & low64) * 0xBF58476D1CE4E5B9 & low64
+        z = ((z ^ (z >> 27)) & low64) * 0x94D049BB133111EB & low64
+        z = (z ^ (z >> 31)) & low64
+        # clamped so that densities outside [0, 1] compare as the floats do
+        threshold = math.ceil(min(max(density, 0), 1) * 2**53) << 11
+        at_least = ((z + ((1 << 64) - threshold) * ones) >> 64) & ones
+        return (at_least ^ ones).to_bytes(16 * m, "little")[::16]
 
     def next_below(self, bound: int) -> int:
         """Uniform-ish in [0, bound) by modulo; bias is irrelevant here."""
@@ -82,15 +133,14 @@ def _gen_preorder(n: int, params: Mapping, rng: SplitMix64) -> Document:
     density = params.get("density", 0.5)
     if not isinstance(density, (int, float)) or not 0.0 <= density <= 1.0:
         raise ValidationError("density must lie in [0, 1]")
-    elements = tuple(str(i) for i in range(n))
-    pairs = []
+    # one row of n - 1 draws at a time, pairs (i, j != i) in row-major
+    # order; bit j of row i is the draw for (i, j), and the diagonal is set
+    rows = []
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if rng.next_float() < density:
-                pairs.append((elements[i], elements[j]))
-    return Document("proset", Proset.from_pairs(elements, pairs, close=True))
+        digits = rng.next_flags(n - 1, density).translate(_DIGITS)
+        rows.append(int((digits[:i] + b"1" + digits[i:])[::-1], 2))
+    elements = tuple(map(str, range(n)))
+    return Document("proset", Proset(elements, reflexive_transitive_closure(rows)))
 
 
 def _resolve_space(n: int, params: Mapping) -> FiniteSpace:

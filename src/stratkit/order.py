@@ -19,6 +19,24 @@ from .errors import InternalInvariantError, ValidationError
 from .topology import FiniteSpace, Verdict, checked_names, iter_bits
 
 
+def reflexive_transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
+    """Reflexive-transitive closure of a relation given as bit rows
+    (bit j of row i: i relates to j), by Warshall's algorithm: after step
+    k every row reaching k also reaches all that k reaches, so n**2 mask
+    tests suffice, with no re-scan until nothing changes. A step changes
+    nothing when k reaches only itself, or when no other row reaches k
+    (no step can make one reach it, as only rows holding k pass k on)."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    reached = 0
+    for i, row in enumerate(rows):
+        reached |= row & ~(1 << i)
+    for k in iter_bits(reached):
+        via, bit = rows[k], 1 << k
+        if via != bit:
+            rows = [row | via if row & bit else row for row in rows]
+    return tuple(rows)
+
+
 @dataclass(frozen=True, repr=False)
 class Proset:
     """A finite preordered set.
@@ -45,11 +63,14 @@ class Proset:
                 raise ValidationError(f"relation row out of range at {els[i]!r}")
             if not (row >> i) & 1:
                 raise ValidationError(f"relation not reflexive: ({els[i]!r}, {els[i]!r}) missing")
-        for i, row in enumerate(rows):
+        # transitivity depends on the row value only: each distinct value is
+        # checked once, in order of first occurrence, which is where a scan
+        # of every row fails first
+        for row in dict.fromkeys(rows):
             for j in iter_bits(row):
                 extra = rows[j] & ~row
                 if extra:
-                    k = next(iter_bits(extra))
+                    i, k = rows.index(row), next(iter_bits(extra))
                     raise ValidationError(
                         f"relation not transitive: ({els[i]!r}, {els[k]!r}) missing "
                         f"(given ({els[i]!r}, {els[j]!r}) and ({els[j]!r}, {els[k]!r}))"
@@ -75,20 +96,7 @@ class Proset:
             if b not in index:
                 raise ValidationError(f"pair mentions unknown element: {b!r}")
             rows[index[a]] |= 1 << index[b]
-        if close:
-            for i in range(n):
-                rows[i] |= 1 << i
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n):
-                    acc = rows[i]
-                    for j in iter_bits(rows[i]):
-                        acc |= rows[j]
-                    if acc != rows[i]:
-                        rows[i] = acc
-                        changed = True
-        return cls(els, tuple(rows))
+        return cls(els, reflexive_transitive_closure(rows) if close else tuple(rows))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -84,9 +84,13 @@ class FiniteSpace:
                 raise ValidationError(f"min_open mask out of range for point {pts[i]!r}")
             if not (row >> i) & 1:
                 raise ValidationError(f"min_open violates reflexivity at {pts[i]!r}")
-        for i, row in enumerate(rows):
+        # the check depends on the row value only: each distinct value is
+        # checked once, in order of first occurrence, which is where a scan
+        # of every row fails first
+        for row in dict.fromkeys(rows):
             for j in iter_bits(row):
                 if rows[j] & ~row:
+                    i = rows.index(row)
                     raise ValidationError(
                         f"min_open violates transitivity at ({pts[i]!r}, {pts[j]!r})"
                     )
@@ -104,14 +108,19 @@ class FiniteSpace:
             if key not in index:
                 raise ValidationError(f"min_open mentions unknown point: {key!r}")
         rows = []
+        masks: dict[tuple, int] = {}  # each distinct name list is read once
         for p in pts:
             if p not in neighborhoods:
                 raise ValidationError(f"min_open missing entry for point {p!r}")
-            mask = 0
-            for q in neighborhoods[p]:
-                if q not in index:
-                    raise ValidationError(f"min_open mentions unknown point: {q!r}")
-                mask |= 1 << index[q]
+            names = tuple(neighborhoods[p])
+            mask = masks.get(names)
+            if mask is None:
+                mask = 0
+                for q in names:
+                    if q not in index:
+                        raise ValidationError(f"min_open mentions unknown point: {q!r}")
+                    mask |= 1 << index[q]
+                masks[names] = mask
             rows.append(mask)
         return cls(pts, tuple(rows))
 
@@ -220,11 +229,13 @@ class FiniteSpace:
         closure({x}) is the set of y with x in U_y, so this is the
         transpose of ``min_open``.
         """
-        cols = [0] * len(self.points)
+        members: dict[int, int] = {}  # row value -> points with that row
         for i, row in enumerate(self.min_open):
-            bit = 1 << i
+            members[row] = members.get(row, 0) | 1 << i
+        cols = [0] * len(self.points)
+        for row, points in members.items():
             for j in iter_bits(row):
-                cols[j] |= bit
+                cols[j] |= points
         return tuple(cols)
 
     def closure_mask(self, mask: int) -> int:

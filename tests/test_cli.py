@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from stratkit import fixture, load, save
+from stratkit import fixture, load, save, topology
 from stratkit.cli import main
 from stratkit.documents import Document
 
@@ -110,6 +110,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
         assert "expected a decomposition" not in err  # refused while loading
+
+    def test_env_override_ends_with_the_invocation(self, capsys, monkeypatch, quadrant_4):
+        default = topology.MAX_POINTS
+        monkeypatch.setattr(topology, "MAX_POINTS", default)  # undone even if this fails
+        monkeypatch.setenv("STRATKIT_MAX_POINTS", "2")
+        assert run(capsys, ["fixture", "list"])[0] == 0
+        monkeypatch.delenv("STRATKIT_MAX_POINTS")
+        assert topology.MAX_POINTS == default
+        assert len(quadrant_4.quotient_open_family()) > 0  # k = 4 is within the guard again
 
     def test_bad_env_override_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("STRATKIT_MAX_POINTS", "many")

@@ -13,6 +13,7 @@ from stratkit import (
     Poset,
     Proset,
     SpaceMap,
+    SplitMix64,
     ValidationError,
     classify,
     export_dot,
@@ -228,6 +229,15 @@ class TestGenerate:
             assert isinstance(doc.value, Proset)
             doc = generate("partition", 5, {}, seed)
             assert isinstance(doc.value, Decomposition)
+
+    @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025])
+    @pytest.mark.parametrize("density", [0, 1, 0.5, 0.3, 2 / 1024, 1e-300, 5e-324])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 3**41])
+    def test_batched_flags_match_scalar_draws(self, count, density, seed):
+        batched, scalar = SplitMix64(seed), SplitMix64(seed)
+        flags = batched.next_flags(count, density)
+        assert flags == bytes(scalar.next_float() < density for _ in range(count))
+        assert batched.next_u64() == scalar.next_u64()
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 5))
     @settings(max_examples=50, deadline=None)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,14 @@ from stratkit import (
     ValidationError,
     adjunction_roundtrips,
     alexandrov_space,
+    load,
     singleton_local_closure_check,
     specialization_preorder,
     symbolic_local_finiteness,
 )
 from stratkit.oracle import enumerate_prosets
+from stratkit.order import reflexive_transitive_closure
+from stratkit.topology import iter_bits
 
 
 def diamond() -> Poset:
@@ -73,6 +78,27 @@ class TestConstruction:
     def test_poset_constructor_rejects_cycles(self):
         with pytest.raises(ValidationError, match="not antisymmetric"):
             Poset.from_pairs(("i", "j"), [("i", "j"), ("j", "i")])
+
+    # rows a = b and c = d repeat; the first violation sits in the repeated
+    # row of c, and the message is the one a check of every row gives
+    REPEATED_ROWS_NOT_TRANSITIVE = (0b00011, 0b00011, 0b11100, 0b11100, 0b10001)
+    REPEATED_ROWS_MESSAGE = (
+        "relation not transitive: ('c', 'a') missing (given ('c', 'e') and ('e', 'a'))"
+    )
+
+    def test_repeated_rows_report_the_first_violation(self):
+        with pytest.raises(ValidationError) as exc:
+            Proset(tuple("abcde"), self.REPEATED_ROWS_NOT_TRANSITIVE)
+        assert str(exc.value) == self.REPEATED_ROWS_MESSAGE
+
+    def test_repeated_rows_in_a_document_report_the_first_violation(self):
+        pairs = [["a", "b"], ["b", "a"], ["c", "d"], ["d", "c"], ["c", "e"], ["d", "e"],
+                 ["e", "a"]] + [[x, x] for x in "abcde"]
+        text = json.dumps({"kind": "proset", "elements": list("abcde"), "leq_pairs": pairs,
+                           "close": False})
+        with pytest.raises(ValidationError) as exc:
+            load(text)
+        assert str(exc.value) == self.REPEATED_ROWS_MESSAGE
 
 
 class TestOrderTopology:
@@ -283,6 +309,51 @@ class TestSymbolicFamilies:
                 assert len(p.up_set(e)) < 10**9
                 for f in p.elements:
                     assert len(p.up_set(e) & p.down_set(f)) < 10**9
+
+
+def fixpoint_closure(rows: list[int]) -> tuple[int, ...]:
+    """Reflexive-transitive closure by re-scanning every row until nothing changes."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            acc = row
+            for j, other in enumerate(rows):
+                if (row >> j) & 1:
+                    acc |= other
+            if acc != row:
+                rows[i], changed = acc, True
+    return tuple(rows)
+
+
+@st.composite
+def relation_rows(draw, max_elements: int = 12) -> list[int]:
+    n = draw(st.integers(0, max_elements))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    return [sum(1 << j for j in range(n) if draw(st.floats(0, 1)) < density)
+            for _ in range(n)]
+
+
+class TestClosure:
+    @given(relation_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_warshall_equals_fixpoint(self, rows):
+        assert reflexive_transitive_closure(rows) == fixpoint_closure(rows)
+
+    @given(relation_rows(), st.sampled_from(["proset", "poset"]))
+    @settings(max_examples=100, deadline=None)
+    def test_loaded_documents_are_closed_as_before(self, rows, kind):
+        elements = [f"e{i}" for i in range(len(rows))]
+        pairs = [[a, elements[j]] for a, row in zip(elements, rows) for j in iter_bits(row)]
+        text = json.dumps({"kind": kind, "elements": elements, "leq_pairs": pairs,
+                           "close": True})
+        expected = fixpoint_closure(rows)
+        if kind == "poset" and not Proset(tuple(elements), expected).is_poset():
+            with pytest.raises(ValidationError, match="not antisymmetric"):
+                load(text)
+        else:
+            assert load(text).value.up == expected
 
 
 class TestRandomizedLaws:

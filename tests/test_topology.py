@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from stratkit import FiniteSpace, SpaceMap, ValidationError, final_topology
+from stratkit import FiniteSpace, SpaceMap, ValidationError, final_topology, load
 from stratkit.topology import (
     continuity_by_closure_inclusion,
     openness_by_closure_inclusion,
@@ -66,6 +68,31 @@ class TestConstruction:
         # b in U_a but U_b escapes U_a
         with pytest.raises(ValidationError, match="transitivity"):
             FiniteSpace(("a", "b", "c"), (0b011, 0b110, 0b100))
+
+    # U_a = U_b and U_c = U_d repeat; the first violation is in the repeated
+    # row of c, and the message is the one a check of every row gives
+    REPEATED_ROWS = {"a": ["a", "b"], "b": ["b", "a"], "c": ["c", "d", "e"],
+                     "d": ["d", "e", "c"], "e": ["e", "a"]}
+
+    def test_repeated_rows_report_the_first_violation(self):
+        message = "min_open violates transitivity at ('c', 'e')"
+        with pytest.raises(ValidationError) as exc:
+            FiniteSpace(tuple("abcde"), (0b00011, 0b00011, 0b11100, 0b11100, 0b10001))
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            FiniteSpace.from_min_open("abcde", self.REPEATED_ROWS)
+        assert str(exc.value) == message
+        text = json.dumps({"kind": "space", "points": list("abcde"),
+                           "min_open": self.REPEATED_ROWS})
+        with pytest.raises(ValidationError) as exc:
+            load(text)
+        assert str(exc.value) == message
+
+    def test_unknown_point_in_a_repeated_list_rejected(self):
+        table = {"a": ["a", "b", "zz"], "b": ["a", "b", "zz"]}
+        with pytest.raises(ValidationError) as exc:
+            FiniteSpace.from_min_open(("a", "b"), table)
+        assert str(exc.value) == "min_open mentions unknown point: 'zz'"
 
     def test_empty_space_is_legal(self):
         s = FiniteSpace.empty()
