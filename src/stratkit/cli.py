@@ -13,7 +13,6 @@ subset-enumerating operations and on ``verify --points``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -25,7 +24,7 @@ from .decomposition import (
     classify,
     stratification_from_open_map,
 )
-from .documents import Document, load, payload_of, save
+from .documents import Document, canonical_json, load, payload_of, save
 from .dot import export_dot
 from .errors import InternalInvariantError, ParseError, PreconditionError, ValidationError
 from .fixtures import fixture, fixture_names
@@ -121,10 +120,6 @@ def _as_order(doc: Document) -> Poset:
     return doc.value
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
@@ -168,7 +163,7 @@ def _report_text(report) -> str:
 def _cmd_check(args) -> int:
     report = classify(_as_decomposition(_read_document(args.document)))
     if args.format == "json":
-        _emit(_dump_json(report.to_json_dict()))
+        _emit(canonical_json(report.to_json_dict()))
     else:
         _emit(_report_text(report))
     return 0
@@ -209,7 +204,7 @@ def _cmd_coarsen(args) -> int:
     dec = _as_decomposition(_read_document(args.document))
     merged, ps = dec.coarsen()
     _emit(
-        _dump_json(
+        canonical_json(
             {
                 "decomposition": payload_of(merged),
                 "order": payload_of(ps.order, kind="order-on-strata"),

@@ -23,12 +23,24 @@ Saving is canonical: keys sorted, point and element lists sorted, the
 subbasis form normalized to min_open, relations written as their
 non-reflexive pairs with close=true. Structurally equal values therefore
 serialize identically, and load(save(x)) returns x for loaded documents.
+
+The text is the layout of ``json.dumps(payload, sort_keys=True, indent=2)``
+plus a newline, written directly by ``canonical_json`` (CPython serves any
+``indent`` with its pure-Python encoder): strings go through the C string
+encoder, and the text of a list shared by several keys, such as the
+minimal open of a strongly connected class, is built once per depth. The
+output is byte-identical to ``json.dumps``; tests/test_save_golden.py pins
+``save`` for every document kind and tests/test_documents.py checks the
+writer against ``json.dumps`` on arbitrary JSON trees. The CLI's JSON
+reports and the oracle's sweep report use the same writer.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .decomposition import Decomposition
 from .errors import ParseError, ValidationError
@@ -62,12 +74,76 @@ def load(text: str) -> Document:
             line=exc.lineno,
             column=exc.colno,
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal longer than int() converts, or nesting deeper
+        # than the recursion limit
+        raise ParseError(f"parse error: {exc}") from None
     return from_payload(payload)
 
 
 def save(doc: Document) -> str:
     """Serialize one document canonically."""
-    return json.dumps(payload_of(doc.value, kind=doc.kind), sort_keys=True, indent=2) + "\n"
+    return canonical_json(payload_of(doc.value, kind=doc.kind))
+
+
+def canonical_json(value: object) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, written directly.
+
+    ``value`` is a JSON tree of dicts with string keys, lists, tuples,
+    strings, numbers, booleans and None (a list may be referenced more
+    than once, but not contain itself); anything else is a TypeError.
+    """
+    out: list[str] = []
+    _write(value, 0, out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: object, depth: int, out: list, lists: dict) -> None:
+    """Append the text of ``value`` at ``depth`` to ``out``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        # a list's text depends only on its depth: build each one once
+        key = (id(value), depth)
+        text = lists.get(key)
+        if text is None:
+            text = lists[key] = _list_text(value, depth, lists)
+        out.append(text)
+    elif isinstance(value, dict):
+        _write_dict(value, depth, out, lists)
+    else:
+        out.append(json.dumps(value))  # None, booleans, numbers; TypeError for the rest
+
+
+def _list_text(items: list | tuple, depth: int, lists: dict) -> str:
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    if all(map(isinstance, items, repeat(str))):
+        return ("[" + inner + ("," + inner).join(map(encode_basestring_ascii, items))
+                + "\n" + "  " * depth + "]")
+    out: list[str] = []
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        _write(item, depth + 1, out, lists)
+        sep = "," + inner
+    out.append("\n" + "  " * depth + "]")
+    return "".join(out)
+
+
+def _write_dict(table: dict, depth: int, out: list, lists: dict) -> None:
+    if not table:
+        out.append("{}")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    sep = "{" + inner
+    for key in sorted(table):
+        out += (sep, encode_basestring_ascii(key), ": ")
+        _write(table[key], depth + 1, out, lists)
+        sep = "," + inner
+    out.append("\n" + "  " * depth + "}")
 
 
 def from_payload(payload: object) -> Document:
@@ -260,6 +336,8 @@ def _symbolic_from(payload: dict) -> SymbolicFamily:
     if fam is None:
         raise ValidationError(f"unknown symbolic family tag: {tag!r}")
     for key in ("locally_finite_space", "locally_finite_poset"):
+        if key in payload and not isinstance(payload[key], bool):
+            raise ValidationError(f"{key} must be a boolean")
         if key in payload and payload[key] != getattr(fam, key):
             raise ValidationError(f"symbolic family {tag!r} disagrees with the catalog on {key}")
     return fam
@@ -271,7 +349,7 @@ def _symbolic_from(payload: dict) -> SymbolicFamily:
 def _strings(value: object, what: str) -> tuple[str, ...]:
     """A JSON list of strings as a tuple; anything else is a ValidationError
     (a bare string is not read as a list of its characters)."""
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise ValidationError(f"{what} must be a list of strings, got {value!r}")
     return tuple(value)
 

@@ -13,12 +13,12 @@ document bundle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .decomposition import Decomposition, as_poset_stratified
+from .documents import canonical_json, payload_of
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .order import (
     Poset,
@@ -236,7 +236,7 @@ class SweepReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_json_dict())
 
 
 def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
@@ -252,8 +252,6 @@ def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
         slot = counts.setdefault(name, [0, 0])
         slot[0 if ok else 1] += 1
         if not ok and first_cex[0] is None:
-            from .documents import payload_of
-
             bundle = {"check": name}
             if context is not None:
                 space, dec = context

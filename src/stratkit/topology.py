@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
 #: Ceiling for operations that enumerate all 2**n candidate subsets.
 MAX_POINTS = 20
+
+# maps the ASCII digits of bin() to 0/1 bytes, selectors for compress()
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -202,7 +206,8 @@ class FiniteSpace:
         return mask
 
     def names_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.points[i] for i in iter_bits(mask))
+        # bin() reversed, without its "0b", lists the bits lowest first
+        return frozenset(compress(self.points, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
 
     # -- open and closed sets --------------------------------------------
 

@@ -1,14 +1,64 @@
-"""Brute-force reference implementations used only by the tests.
+"""Brute-force reference implementations used only by the tests, the
+face-poset decompositions the golden tests share, and an in-process CLI
+runner.
 
 Everything here decides properties straight from the definitions by
 enumerating whole families of sets, so it stays independent of the
-polynomial production paths it is used to check.
+polynomial production paths it is used to check. It needs only the
+standard library, like the golden modules that run as scripts.
 """
 
 from __future__ import annotations
 
-from stratkit import FiniteSpace, SpaceMap, specialization_preorder
+import contextlib
+import io
+import sys
+
+from stratkit import (
+    Decomposition,
+    FiniteSpace,
+    SpaceMap,
+    face_poset_model,
+    specialization_preorder,
+)
+from stratkit.cli import main
 from stratkit.oracle import alexandrov_by_subset_filter, labeled_preorder_rows
+
+# facets of three simplicial complexes
+FACE_MODELS = {
+    "tetrahedron": (("a", "b", "c", "d"),),
+    "octahedron": (
+        ("a", "b", "c"), ("a", "b", "d"), ("a", "c", "e"), ("a", "d", "e"),
+        ("f", "b", "c"), ("f", "b", "d"), ("f", "c", "e"), ("f", "d", "e"),
+    ),
+    "circle": (("a", "b"), ("b", "c"), ("a", "c")),
+}
+# each model's pointwise and skeleton decomposition, except the
+# octahedron's pointwise one (26 strata, beyond the old 2**k guard)
+FACE_DECOMPOSITIONS = tuple(
+    f"{model}/{how}" for model in FACE_MODELS for how in ("pointwise", "skeleton")
+    if not (model == "octahedron" and how == "pointwise")
+)
+
+
+def face_decomposition(name: str) -> Decomposition:
+    """The decomposition ``model/pointwise`` or ``model/skeleton``."""
+    model, _, how = name.partition("/")
+    fm = face_poset_model(FACE_MODELS[model])
+    return Decomposition.pointwise(fm.space) if how == "pointwise" else fm.skeleton()
+
+
+def run_main(argv: list[str], stdin: str) -> tuple[int, str, str]:
+    """``stratkit.cli.main(argv)`` reading ``stdin``: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def all_spaces(max_n: int):

@@ -11,30 +11,19 @@ with at most 20 strata. Re-capture (a deliberate output change) with
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from stratkit import Decomposition, face_poset_model, fixture, fixture_names, generate, save
-from stratkit.cli import main
+from helpers import FACE_DECOMPOSITIONS, face_decomposition, run_main
+from stratkit import fixture, fixture_names, generate, save
 from stratkit.documents import Document
 from stratkit.order import alexandrov_space
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "check_json_golden.json"
-
-FACE_MODELS = {
-    "tetrahedron": (("a", "b", "c", "d"),),
-    "octahedron": (
-        ("a", "b", "c"), ("a", "b", "d"), ("a", "c", "e"), ("a", "d", "e"),
-        ("f", "b", "c"), ("f", "b", "d"), ("f", "c", "e"), ("f", "d", "e"),
-    ),
-    "circle": (("a", "b"), ("b", "c"), ("a", "c")),
-}
 
 # (points, preorder density, blocks, seed); dense small spaces give proper
 # preorders and cycles among strata, sparse larger ones give wide k
@@ -52,10 +41,7 @@ def document_text(doc_id: str) -> str:
     if kind == "fixture":
         return save(fixture(name).document)
     if kind == "face":
-        model, _, how = name.partition("/")
-        fm = face_poset_model(FACE_MODELS[model])
-        dec = Decomposition.pointwise(fm.space) if how == "pointwise" else fm.skeleton()
-        return save(Document("decomposition", dec))
+        return save(Document("decomposition", face_decomposition(name)))
     n, density, blocks, seed = GENERATED[int(name)]
     space = alexandrov_space(generate("preorder", n, {"density": density}, seed).value)
     return save(generate("partition", n, {"space": space, "blocks": blocks}, seed + 1000))
@@ -63,22 +49,14 @@ def document_text(doc_id: str) -> str:
 
 def doc_ids() -> list[str]:
     ids = [f"fixture:{name}" for name in fixture_names()]
-    ids += [f"face:{model}/{how}" for model in FACE_MODELS for how in ("pointwise", "skeleton")
-            if not (model == "octahedron" and how == "pointwise")]  # 26 strata
+    ids += [f"face:{name}" for name in FACE_DECOMPOSITIONS]
     ids += [f"generated:{i}" for i in range(len(GENERATED))]
     return ids
 
 
 def run_check(text: str) -> tuple[int, bytes]:
-    out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", "-", "--format", "json"])
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue().encode()
+    code, out, _ = run_main(["check", "-", "--format", "json"], text)
+    return code, out.encode()
 
 
 def sha256(data: bytes) -> str:

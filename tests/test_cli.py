@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stratkit import fixture, load, save, topology
+from helpers import run_main
+from stratkit import Decomposition, face_poset_model, fixture, fixture_names, load, save, topology
 from stratkit.cli import main
-from stratkit.documents import Document
+from stratkit.documents import KINDS, Document
 
 
 def run(capsys, argv, stdin: str | None = None, monkeypatch=None) -> tuple[int, str, str]:
@@ -300,3 +304,93 @@ class TestDeterminism:
         code_a, out_a, _ = run(capsys, ["preorder", path])
         code_b, out_b, _ = run(capsys, ["preorder", "-"], stdin=text, monkeypatch=monkeypatch)
         assert (code_a, out_a) == (code_b, out_b)
+
+
+# -- exit-code contract under arbitrary input ---------------------------------------
+
+FUZZ_COMMANDS = (
+    ["check", "-"], ["check", "-", "--format", "json"], ["classify", "-"], ["quotient", "-"],
+    ["preorder", "-", "--dot"], ["coarsen", "-"], ["export-dot", "-"], ["theorem-a", "-"],
+)
+DOCUMENT_KEYS = ("kind", "points", "min_open", "subbasis", "elements", "leq_pairs", "close",
+                 "space", "strata", "fixture", "source", "target", "assignment", "tag",
+                 "locally_finite_space", "locally_finite_poset")
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from(("a", "b", "m", "0", "S0", "")) | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(DOCUMENT_KEYS) | st.text(max_size=3), kids,
+                                    max_size=4)),
+    max_leaves=12,
+)
+# an object that names a document kind reaches the per-kind loaders
+DOCUMENT_LIKE = st.builds(lambda kind, rest: {**rest, "kind": kind}, st.sampled_from(KINDS),
+                          st.dictionaries(st.sampled_from(DOCUMENT_KEYS), JSON_VALUES, max_size=4))
+
+
+def _seed_payloads() -> list:
+    docs = [fixture(name).document for name in fixture_names()]
+    docs.append(Document("decomposition", face_poset_model((("a", "b"), ("b", "c"))).skeleton()))
+    docs.append(Document("decomposition", Decomposition.pointwise(
+        fixture("sierpinski").document.value)))
+    payloads = [json.loads(save(doc)) for doc in docs]
+    payloads.append({"kind": "decomposition", "space": {"fixture": "quadrant_4"},
+                     "strata": {"A": ["0", "1"], "B": ["2", "3"]}})
+    return payloads
+
+
+SEED_PAYLOADS = _seed_payloads()
+
+
+def _mutated(data, payload: dict) -> dict:
+    """payload with one to three values replaced, dropped, copied or added,
+    mostly deep inside (its kind is left alone: arbitrary values cover that)."""
+    payload = copy.deepcopy(payload)
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = payload
+        while True:
+            keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+            if node is payload:
+                keys.remove("kind")
+            if not keys:
+                break
+            key = data.draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.integers(0, 3)):
+                node = child
+                continue
+            action = data.draw(st.sampled_from(("replace", "drop", "copy", "add")))
+            if action == "replace":
+                node[key] = data.draw(JSON_VALUES)
+            elif action == "drop":
+                del node[key]
+            elif action == "copy":
+                node[key] = copy.deepcopy(node[data.draw(st.sampled_from(keys))])
+            elif isinstance(node, dict):
+                node[data.draw(st.sampled_from(DOCUMENT_KEYS) | st.text(max_size=3))] = \
+                    copy.deepcopy(child)
+            else:
+                node.insert(key, copy.deepcopy(child))
+            break
+    return payload
+
+
+def assert_contract(argv: list[str], text: str) -> None:
+    # an exception escaping main fails the test with its traceback
+    code, _, err = run_main(argv, text)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+
+
+class TestExitCodeFuzz:
+    @given(st.sampled_from(FUZZ_COMMANDS), JSON_VALUES | DOCUMENT_LIKE)
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_json_values(self, argv, value):
+        assert_contract(argv, json.dumps(value))
+
+    @given(st.sampled_from(FUZZ_COMMANDS), st.sampled_from(SEED_PAYLOADS), st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_mutated_documents(self, argv, payload, data):
+        assert_contract(argv, json.dumps(_mutated(data, payload)))

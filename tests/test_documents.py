@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratkit import (
@@ -24,7 +24,7 @@ from stratkit import (
     load,
     save,
 )
-from stratkit.documents import Document
+from stratkit.documents import Document, canonical_json
 
 
 class TestRoundTrips:
@@ -124,6 +124,98 @@ class TestErrors:
                     }
                 )
             )
+
+    @pytest.mark.parametrize("key", ["locally_finite_space", "locally_finite_poset"])
+    @pytest.mark.parametrize("convert", [int, float, str, lambda b: None, lambda b: [b]],
+                             ids=["int", "float", "str", "null", "list"])
+    def test_symbolic_family_answers_must_be_booleans(self, key, convert):
+        # NatUsual: locally_finite_space false, locally_finite_poset true;
+        # 0 and 1 compare equal to the catalog's answers but are not booleans
+        payload = {"kind": "symbolic-family", "tag": "NatUsual"}
+        catalog = load(json.dumps(payload)).value
+        payload[key] = convert(getattr(catalog, key))
+        with pytest.raises(ValidationError, match=f"^{key} must be a boolean$"):
+            load(json.dumps(payload))
+        payload[key] = getattr(catalog, key)
+        assert load(json.dumps(payload)).value is catalog
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"kind": "space", "points": "ab", "min_open": {}},
+             "points must be a list of strings, got 'ab'"),
+            ({"kind": "space", "points": ["a"], "min_open": {"a": {"a": 1}}},
+             "min_open entry for 'a' must be a list of strings, got {'a': 1}"),
+            ({"kind": "space", "points": ["a"], "subbasis": [7]},
+             "subbasis entry must be a list of strings, got 7"),
+            ({"kind": "poset", "elements": [None]},
+             "elements must be a list of strings, got [None]"),
+            ({"kind": "space", "points": ["a"], "min_open": {"a": ["a", True]}},
+             "min_open entry for 'a' must be a list of strings, got ['a', True]"),
+            ({"kind": "decomposition", "space": {"points": ["a"], "min_open": {"a": ["a"]}},
+              "strata": {"S": [3]}},
+             "stratum 'S' must be a list of strings, got [3]"),
+            ({"kind": "space", "points": ["a"], "subbasis": [[["a"]]]},
+             "subbasis entry must be a list of strings, got [['a']]"),
+            ({"kind": "space", "points": ["a", 3.5], "min_open": {}},
+             "points must be a list of strings, got ['a', 3.5]"),
+        ],
+        ids=["bare-string", "object", "number", "null", "bool", "int", "nested-list", "float"],
+    )
+    def test_string_lists_reject_other_values(self, payload, message):
+        # the messages are the ones the element-by-element check gave
+        with pytest.raises(ValidationError) as exc:
+            load(json.dumps(payload))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"kind": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["integer-too-long", "nesting-too-deep"],
+    )
+    def test_texts_json_cannot_decode_are_parse_errors(self, text):
+        with pytest.raises(ParseError, match="^parse error: "):
+            load(text)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _json_dumps_layout(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+class TestCanonicalWriter:
+    @given(_TREES)
+    @settings(max_examples=200, deadline=None)
+    @example([])
+    @example({})
+    @example(())
+    @example({"é": ["日本", "\U0001f600", '"', "\\", "\x00\n\x7f\u2028"], "a": [1.5, -0.0, 1e300]})
+    @example({"nan": [float("nan"), float("inf"), -float("inf")], "t": (1, ("x",), [])})
+    def test_matches_json_dumps(self, tree):
+        assert canonical_json(tree) == _json_dumps_layout(tree)
+
+    @given(st.lists(st.text(max_size=4), max_size=5) | st.lists(_TREES, max_size=3), _TREES)
+    @settings(max_examples=100, deadline=None)
+    def test_shared_list_at_two_depths_and_keys(self, shared, other):
+        # one list object under two keys, at depths 1 and 3, next to a
+        # list with the same items that is a different object
+        tree = {"a": shared, "b": shared, "c": [{"d": shared, "e": other}], "f": list(shared)}
+        assert canonical_json(tree) == _json_dumps_layout(tree)
+
+    @pytest.mark.parametrize("tree", [{"a": [object()]}, {"a": {1: "x"}}, [{None: 0}]],
+                             ids=["object", "int-key", "null-key"])
+    def test_other_values_raise_type_error(self, tree):
+        with pytest.raises(TypeError):
+            canonical_json(tree)
 
 
 class TestFixtureCatalog:

@@ -135,6 +135,14 @@ class TestPointSetOperations:
                         assert not c & ~space.closure_mask(t)  # monotone
                 assert space.interior_mask(s) == full & ~space.closure_mask(full & ~s)
 
+    @given(st.integers(0, 200), st.data())
+    def test_names_of_lists_the_set_bits(self, n, data):
+        space = FiniteSpace.discrete(tuple(f"p{i}" for i in range(n)))
+        mask = data.draw(st.integers(0, space.full_mask))
+        names = space.names_of(mask)
+        assert names == {space.points[i] for i in range(n) if mask >> i & 1}
+        assert space.mask_of(names) == mask
+
     def test_frontier(self):
         assert line_3_space().frontier(("p",)) == {"z"}
 
