@@ -6,8 +6,9 @@ equivalence disagreement (a library defect, never bad input). Document
 arguments are file paths, with ``-`` meaning stdin. Output carries no
 timestamps, so identical invocations are byte-identical.
 
-The environment variable STRATKIT_MAX_POINTS raises the guards on the
-subset-enumerating operations and on ``verify --points``.
+The environment variable STRATKIT_MAX_POINTS raises the bound on
+``verify --points``; it never reaches the library guard
+``topology.MAX_POINTS``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import os
 import sys
 
-from . import topology
 from .decomposition import (
     Decomposition,
     PosetStratification,
@@ -135,7 +135,7 @@ def _report_text(report) -> str:
             f"{label}={str(value).lower()}" for label, value in zip(group.labels, group.values)
         )
         lines.append(f"{group_name}: {flags}")
-    lines.append(f"locally_finite: {str(report.locally_finite).lower()}")
+    lines.append("locally_finite: true")  # every finite decomposition is locally finite
     lines.append(
         "locally_closed: "
         + " ".join(f"{sid}={str(v).lower()}" for sid, v in report.locally_closed)
@@ -232,14 +232,12 @@ def _cmd_theorem_b(args) -> int:
             "non-open preimage)\n"
         )
         return 1
-    report = stratification_from_open_map(PosetStratification(dec, order))
-    _emit("stratification confirmed\n")
+    stratification_from_open_map(PosetStratification(dec, order))
     _emit(
-        "order space locally finite: "
-        f"{str(report.order_space_locally_finite).lower()}\n"
-        f"quotient map open: {str(report.pi_open).lower()}\n"
-        "supplied order refines the decomposition preorder: "
-        f"{str(report.order_refines_decomposition_preorder).lower()}\n"
+        "stratification confirmed\n"
+        "order space locally finite: true\n"
+        "quotient map open: true\n"
+        "supplied order refines the decomposition preorder: true\n"
     )
     return 0
 
@@ -298,7 +296,6 @@ def _max_points_override() -> int | None:
         raise ValidationError("STRATKIT_MAX_POINTS must be an integer") from None
     if value < 0:
         raise ValidationError("STRATKIT_MAX_POINTS must be nonnegative")
-    topology.MAX_POINTS = value
     return value
 
 
@@ -308,8 +305,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # the override holds for this invocation only, not for later in-process calls
-    max_points = topology.MAX_POINTS
     try:
         override = _max_points_override()
         if args.command == "check":
@@ -349,8 +344,6 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    finally:
-        topology.MAX_POINTS = max_points
 
 
 if __name__ == "__main__":

@@ -30,19 +30,23 @@ row. What runs in ``classify``:
   continuous into the preorder's order topology (a point-level map check).
 * frontier: closure containment, closures as closed saturations, the
   preorder against closure containment, and openness of the quotient map.
-* poset-stratified: the preorder is antisymmetric with a continuous map,
-  strata are open in their minimal closed saturations, and for k <= 4 the
-  search over every labeled partial order.
+* poset-stratified: the preorder is antisymmetric (some partial order
+  makes the quotient map continuous exactly when the preorder, the least
+  candidate, is one), antisymmetric with a continuous map, and strata open
+  in their minimal closed saturations.
 * semicontinuity: saturations of minimal opens and of point closures by
   the stratum-level test, against the quotient map's openness and
   closedness.
 
 The definitional routes that enumerate all 2**k sets of strata --
 ``quotient_open_family``, ``quotient_space_by_subset_filter`` and the
-comparison of the filtered family with the up-set family -- run only in
-the exhaustive sweep of ``oracle.py``, which checks them against the
-polynomial ones on every small instance. They are guarded by
-``topology.MAX_POINTS``, read at call time.
+comparison of the filtered family with the up-set family -- and the
+search over every labeled partial order on the strata run only in
+``oracle.py``: the exhaustive sweep checks them against the polynomial
+ones on every small instance, and ``compatible_orders`` and
+``strict_refinements_never_open`` enumerate orders for a given
+decomposition. The subset routes are guarded by ``topology.MAX_POINTS``,
+read at call time.
 """
 
 from __future__ import annotations
@@ -135,7 +139,6 @@ class OrderCheck:
     """How the quotient map behaves against a supplied partial order."""
 
     continuous: bool
-    surjective: bool
     open: bool
     continuity_witness: object = None
     openness_witness: object = None
@@ -299,14 +302,14 @@ class Decomposition:
         """
         return FiniteSpace(self.ids, reflexive_transitive_closure(self._reach))
 
-    def quotient_open_family(self, max_points: int | None = None) -> tuple[int, ...]:
+    def quotient_open_family(self) -> tuple[int, ...]:
         """All id-sets with open preimage, by brute 2**k filtering.
 
         This is the definition of the quotient topology; the fixpoint route
         in ``quotient_space`` must induce exactly this family. Oracle only:
         the size guard is ``topology.MAX_POINTS`` at call time.
         """
-        limit = topology.MAX_POINTS if max_points is None else max_points
+        limit = topology.MAX_POINTS
         if self.k > limit:
             raise ValidationError(
                 f"quotient family needs 2**{self.k} candidates; guard is {limit} strata"
@@ -356,16 +359,6 @@ class Decomposition:
         return p
 
     # -- classification rungs -------------------------------------------------
-
-    def locally_finite(self) -> bool:
-        """Each point has an open neighborhood meeting finitely many strata.
-
-        The minimal open neighborhood of a point lies in the open hull of
-        its stratum, which meets the strata of one ``_reach`` row, so the
-        check is real but never fails here; it is kept so the
-        stratification test states all of its clauses.
-        """
-        return all(row.bit_count() <= self.k for row in self._reach)
 
     def locally_closed_strata(self) -> tuple[tuple[str, Verdict], ...]:
         """Per stratum, whether it is its open hull intersected with its
@@ -519,21 +512,23 @@ class Decomposition:
         """Three characterizations of being poset-stratified.
 
         (1) some partial order on the stratum ids makes the quotient map
-        continuous into its order topology (decided by exhaustive search
-        for at most four strata, used as a cross-check of the others), (2)
-        the decomposition preorder is a partial order and the quotient map
-        is continuous into its order topology, (3) every stratum is open in
-        the preimage of its minimal closed stratum-set. When the common
-        value is true, every order found by the search must contain the
-        decomposition preorder (the preorder is initial).
+        continuous into its order topology, (2) the decomposition preorder
+        is a partial order and the quotient map is continuous into its
+        order topology, (3) every stratum is open in the preimage of its
+        minimal closed stratum-set. The map is continuous into the order
+        topology of R exactly when the preorder lies inside R, so (1) holds
+        exactly when the preorder is antisymmetric. The exhaustive sweep in
+        ``oracle.py`` checks (1) against a search over every labeled partial
+        order, and that each order it finds contains the preorder (the
+        preorder is initial).
         """
         return self._poset_stratified
 
     @cached_property
     def _poset_stratified(self) -> AgreementReport:
         p = self.preorder
-        continuous = self._pi_continuous_rows(p.up)
-        cond2 = bool(p.is_poset()) and continuous
+        cond1 = bool(p.is_poset())
+        cond2 = cond1 and self._pi_continuous_rows(p.up)
 
         cond3 = True
         for i in range(self.k):
@@ -545,19 +540,7 @@ class Decomposition:
             if not cond3:
                 break
 
-        valid_orders: list[tuple[int, ...]] = []
-        if self.k <= 4:
-            from .oracle import labeled_poset_rows
-
-            for rows in labeled_poset_rows(self.k):
-                if self._pi_continuous_rows(rows):
-                    valid_orders.append(rows)
-            cond1 = bool(valid_orders)
-        else:
-            # search is infeasible; fall back to the direct characterization
-            cond1 = cond2
-
-        report = _agree(
+        return _agree(
             (
                 "stratified_over_some_partial_order",
                 "preorder_is_partial_order_and_map_continuous",
@@ -565,24 +548,16 @@ class Decomposition:
             ),
             (cond1, cond2, cond3),
         )
-        if report.value:
-            for rows in valid_orders:
-                if any(p.up[i] & ~rows[i] for i in range(self.k)):
-                    raise InternalInvariantError(
-                        "decomposition preorder not contained in a valid partial order"
-                    )
-        return report
 
     def is_stratification(self) -> StratificationVerdict:
-        """Local finiteness, locally closed strata, and the frontier condition.
+        """Locally closed strata and the frontier condition. (Local
+        finiteness, the third clause, holds for every finite decomposition.)
 
         Also cross-checks the combination law: locally closed strata plus
         the frontier condition must coincide with being poset-stratified
         with an open quotient map.
         """
         reasons = []
-        if not self.locally_finite():
-            reasons.append("decomposition is not locally finite")
         locally_closed = self.locally_closed_strata()
         for sid, verdict in locally_closed:
             if not verdict:
@@ -617,11 +592,8 @@ class Decomposition:
         )
         cont = f.is_continuous()
         opn = f.is_open()
-        # every order element is a stratum id and strata are nonempty
-        surjective = True
         return OrderCheck(
             continuous=cont.holds,
-            surjective=surjective,
             open=opn.holds,
             continuity_witness=None if cont else cont.witness,
             openness_witness=None if opn else opn.witness,
@@ -756,9 +728,12 @@ def as_poset_stratified(d: Decomposition) -> PosetStratification:
     """View a stratification as poset-stratified over its frontier order.
 
     Requires ``is_stratification``; the failed clauses are reported
-    otherwise. The resulting order is the decomposition preorder, which is
-    asserted to be antisymmetric, to coincide with closure containment of
-    strata, and to make the quotient map continuous.
+    otherwise. The resulting order is the decomposition preorder. That it
+    coincides with closure containment of strata (the frontier label
+    ``preorder_equals_closure_containment``) and is antisymmetric (the
+    combination law, via poset-stratified) is asserted by
+    ``is_stratification``; ``Poset`` checks antisymmetry again, and
+    ``PosetStratification`` asserts the quotient map continuous.
     """
     verdict = d.is_stratification()
     if not verdict:
@@ -766,50 +741,22 @@ def as_poset_stratified(d: Decomposition) -> PosetStratification:
             "input decomposition is not a stratification", reasons=verdict.reasons
         )
     p = d.preorder
-    if not p.is_poset():
-        raise InternalInvariantError("stratification produced a non-antisymmetric preorder")
-    closures = d._closures
-    for i in range(d.k):
-        for j in range(d.k):
-            contained = not (d.masks[i] & ~closures[j])
-            if contained != bool((p.up[i] >> j) & 1):
-                raise InternalInvariantError(
-                    "stratification order differs from closure containment"
-                )
-    order = Poset(p.elements, p.up)
-    try:
-        return PosetStratification(d, order)
-    except ValidationError as exc:  # guaranteed continuous for stratifications
+    try:  # a stratification's preorder is a partial order the map is continuous into
+        return PosetStratification(d, Poset(p.elements, p.up))
+    except ValidationError as exc:
         raise InternalInvariantError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class OpenMapStratificationReport:
-    """Outcome of confirming a stratification from an open quotient map."""
-
-    order_space_locally_finite: bool
-    pi_open: bool
-    stratification: bool
-    order_refines_decomposition_preorder: bool
-
-
-def stratification_from_open_map(ps: PosetStratification) -> OpenMapStratificationReport:
+def stratification_from_open_map(ps: PosetStratification) -> None:
     """A poset-stratified space over a locally finite order topology with an
     open quotient map decomposes into a stratification.
 
-    The hypotheses are checked and reported (failure raises
-    PreconditionError naming the failed one; local finiteness always holds
-    at finite scale). The conclusion and the refinement property of the
-    supplied order are asserted.
+    Finite order topologies are locally finite, so openness of the quotient
+    map is the one hypothesis checked (failure raises PreconditionError).
+    The conclusion and the refinement property of the supplied order are
+    asserted; returning at all confirms both.
     """
     d = ps.dec
-    order_space = alexandrov_space(ps.order)
-    locally_finite = all(
-        order_space.min_open[i].bit_count() < (1 << len(order_space.points))
-        for i in range(len(order_space.points))
-    )
-    if not locally_finite:  # unreachable on finite data
-        raise PreconditionError("order topology is not locally finite")
     open_verdict = ps.pi_into_order.is_open()
     if not open_verdict:
         raise PreconditionError(
@@ -829,75 +776,6 @@ def stratification_from_open_map(ps: PosetStratification) -> OpenMapStratificati
                 raise InternalInvariantError(
                     "supplied order does not refine the decomposition preorder"
                 )
-    return OpenMapStratificationReport(
-        order_space_locally_finite=True,
-        pi_open=True,
-        stratification=True,
-        order_refines_decomposition_preorder=True,
-    )
-
-
-@dataclass(frozen=True)
-class CompatibleOrdersReport:
-    """All partial orders on the stratum ids that make the quotient map
-    continuous; the decomposition preorder is contained in each."""
-
-    orders: tuple[Poset, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.orders)
-
-
-def compatible_orders(d: Decomposition, bound: int = 4) -> CompatibleOrdersReport:
-    """Enumerate the partial orders a poset-stratified decomposition works
-    over, asserting the decomposition preorder is initial among them."""
-    if not d.poset_stratified_equivalences().value:
-        raise PreconditionError("decomposition is not poset-stratified")
-    if d.k > bound:
-        raise ValidationError(f"stratum count {d.k} exceeds the enumeration bound {bound}")
-    from .oracle import labeled_poset_rows
-
-    p = d.preorder
-    found = []
-    for rows in labeled_poset_rows(d.k):
-        if d._pi_continuous_rows(rows):
-            if any(p.up[i] & ~rows[i] for i in range(d.k)):
-                raise InternalInvariantError(
-                    "decomposition preorder not contained in a compatible order"
-                )
-            found.append(Poset(d.ids, rows))
-    return CompatibleOrdersReport(tuple(found))
-
-
-@dataclass(frozen=True)
-class RefinementReport:
-    refinements_tested: int
-
-
-def strict_refinements_never_open(d: Decomposition, bound: int = 4) -> RefinementReport:
-    """Over every strict refinement of the frontier order of a
-    stratification, the quotient map stays continuous but is never open."""
-    verdict = d.is_stratification()
-    if not verdict:
-        raise PreconditionError(
-            "input decomposition is not a stratification", reasons=verdict.reasons
-        )
-    if d.k > bound:
-        raise ValidationError(f"stratum count {d.k} exceeds the enumeration bound {bound}")
-    from .oracle import labeled_poset_rows
-
-    base = d.preorder.up
-    tested = 0
-    for rows in labeled_poset_rows(d.k):
-        if rows == base or any(base[i] & ~rows[i] for i in range(d.k)):
-            continue
-        tested += 1
-        if not d._pi_continuous_rows(rows):
-            raise InternalInvariantError("refinement broke continuity of the quotient map")
-        if d._pi_open_rows(rows):
-            raise InternalInvariantError("quotient map became open over a strict refinement")
-    return RefinementReport(tested)
 
 
 # -- the aggregated report -----------------------------------------------------
@@ -908,7 +786,6 @@ class ClassificationReport:
     """Every classification rung for one decomposition, with witnesses."""
 
     alexandrov: AgreementReport
-    locally_finite: bool
     locally_closed: tuple[tuple[str, bool], ...]
     frontier: AgreementReport
     poset_stratified: AgreementReport
@@ -932,7 +809,8 @@ class ClassificationReport:
     def to_json_dict(self) -> dict:
         return {
             "alexandrov": dict(zip(self.alexandrov.labels, self.alexandrov.values)),
-            "locally_finite": self.locally_finite,
+            # a clause of the stratification test that every finite input meets
+            "locally_finite": True,
             "locally_closed": dict(self.locally_closed),
             "frontier": dict(zip(self.frontier.labels, self.frontier.values)),
             "poset_stratified": dict(
@@ -963,7 +841,6 @@ def classify(d: Decomposition) -> ClassificationReport:
     """
     return ClassificationReport(
         alexandrov=d.alexandrov_equivalences(),
-        locally_finite=d.locally_finite(),
         locally_closed=tuple([(sid, v.holds) for sid, v in d.locally_closed_strata()]),
         frontier=d.frontier_equivalences(),
         poset_stratified=d.poset_stratified_equivalences(),

@@ -9,12 +9,19 @@ filter all 2**k sets of strata, and checks the order-level statements
 against every labeled partial order on the stratum set. A correct build
 reports zero failures; the first failure is captured as a serializable
 document bundle.
+
+This module is the one home of the search over labeled partial orders on
+the strata (``_orders_by_continuity``). The sweep checks the production
+poset-stratified value, decided by antisymmetry of the decomposition
+preorder, against it; ``compatible_orders`` and
+``strict_refinements_never_open`` run it for one decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .decomposition import Decomposition, as_poset_stratified
@@ -174,6 +181,77 @@ def enumerate_partitions(n: int, max_n: int = MAX_PARTITION_ELEMENTS) -> Iterato
     yield from set_partitions(_default_elements(n))
 
 
+# -- the labeled-order search -------------------------------------------------
+
+
+def _orders_by_continuity(
+    dec: Decomposition,
+) -> tuple[tuple[tuple[int, ...], ...], list[bool]]:
+    """Every labeled partial order on the stratum indices, as up-set rows,
+    and for each whether the quotient map is continuous into its order
+    topology."""
+    orders = labeled_poset_rows(dec.k)
+    return orders, list(map(dec._pi_continuous_rows, orders))
+
+
+@dataclass(frozen=True)
+class CompatibleOrdersReport:
+    """All partial orders on the stratum ids that make the quotient map
+    continuous; the decomposition preorder is contained in each."""
+
+    orders: tuple[Poset, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.orders)
+
+
+def compatible_orders(d: Decomposition, bound: int = 4) -> CompatibleOrdersReport:
+    """Enumerate the partial orders a poset-stratified decomposition works
+    over, asserting the decomposition preorder is initial among them."""
+    if not d.poset_stratified_equivalences().value:
+        raise PreconditionError("decomposition is not poset-stratified")
+    if d.k > bound:
+        raise ValidationError(f"stratum count {d.k} exceeds the enumeration bound {bound}")
+    p = d.preorder
+    found = []
+    for rows in compress(*_orders_by_continuity(d)):
+        if any(p.up[i] & ~rows[i] for i in range(d.k)):
+            raise InternalInvariantError(
+                "decomposition preorder not contained in a compatible order"
+            )
+        found.append(Poset(d.ids, rows))
+    return CompatibleOrdersReport(tuple(found))
+
+
+@dataclass(frozen=True)
+class RefinementReport:
+    refinements_tested: int
+
+
+def strict_refinements_never_open(d: Decomposition, bound: int = 4) -> RefinementReport:
+    """Over every strict refinement of the frontier order of a
+    stratification, the quotient map stays continuous but is never open."""
+    verdict = d.is_stratification()
+    if not verdict:
+        raise PreconditionError(
+            "input decomposition is not a stratification", reasons=verdict.reasons
+        )
+    if d.k > bound:
+        raise ValidationError(f"stratum count {d.k} exceeds the enumeration bound {bound}")
+    base = d.preorder.up
+    tested = 0
+    for rows, continuous in zip(*_orders_by_continuity(d)):
+        if rows == base or any(base[i] & ~rows[i] for i in range(d.k)):
+            continue
+        tested += 1
+        if not continuous:
+            raise InternalInvariantError("refinement broke continuity of the quotient map")
+        if d._pi_open_rows(rows):
+            raise InternalInvariantError("quotient map became open over a strict refinement")
+    return RefinementReport(tested)
+
+
 # -- the sweep ----------------------------------------------------------------
 
 
@@ -324,18 +402,24 @@ def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
                 ok = False
             record("alexandrov_triple_agreement", ok, ctx)
 
-            group_values = {}
-            for name, call in (
-                ("frontier_quadruple_agreement", dec.frontier_equivalences),
-                ("poset_stratified_triple_agreement", dec.poset_stratified_equivalences),
-            ):
-                try:
-                    group_values[name] = call().value
-                    ok = True
-                except InternalInvariantError:
-                    group_values[name] = None
-                    ok = False
-                record(name, ok, ctx)
+            try:
+                frontier = dec.frontier_equivalences().value
+                ok = True
+            except InternalInvariantError:
+                frontier = None
+                ok = False
+            record("frontier_quadruple_agreement", ok, ctx)
+
+            # the search: some labeled partial order makes the map continuous
+            orders, continuous = _orders_by_continuity(dec)
+            order_pairs += len(orders)
+            try:
+                poset_strat = dec.poset_stratified_equivalences().value
+                ok = poset_strat == any(continuous)
+            except InternalInvariantError:
+                poset_strat = None
+                ok = False
+            record("poset_stratified_triple_agreement", ok, ctx)
 
             try:
                 dec.semicontinuity()
@@ -345,8 +429,6 @@ def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
             record("semicontinuity_pairings", ok, ctx)
 
             locally_closed = all(v.holds for _, v in dec.locally_closed_strata())
-            frontier = group_values["frontier_quadruple_agreement"]
-            poset_strat = group_values["poset_stratified_triple_agreement"]
             pi_open = bool(dec.pi_map.is_open())
             if frontier is not None and poset_strat is not None:
                 record(
@@ -378,11 +460,7 @@ def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
 
             base = dec.preorder.up
             k = dec.k
-            for orows in labeled_poset_rows(k):
-                order_pairs += 1
-                cont = dec._pi_continuous_rows(orows)
-                if not cont:
-                    continue
+            for orows in compress(orders, continuous):
                 record(
                     "compatible_orders_contain_decomposition_preorder",
                     not any(base[i] & ~orows[i] for i in range(k)),
@@ -396,7 +474,7 @@ def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
                 if strat and orows != base and not any(base[i] & ~orows[i] for i in range(k)):
                     record(
                         "strict_refinement_is_continuous_never_open",
-                        cont and not opn,
+                        not opn,
                         ctx,
                     )
 

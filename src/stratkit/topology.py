@@ -288,13 +288,12 @@ class FiniteSpace:
         holds = (hull & self.closure_mask(mask)) == mask
         return Verdict(holds, witness=self.names_of(hull) if holds else None)
 
-    def open_family(self, max_points: int | None = None) -> tuple[int, ...]:
+    def open_family(self) -> tuple[int, ...]:
         """All open sets as masks, ascending. Exponential; size guarded."""
-        limit = MAX_POINTS if max_points is None else max_points
         n = len(self.points)
-        if n > limit:
+        if n > MAX_POINTS:
             raise ValidationError(
-                f"open-family enumeration needs 2**{n} candidates; guard is {limit} points"
+                f"open-family enumeration needs 2**{n} candidates; guard is {MAX_POINTS} points"
             )
         return tuple(m for m in range(1 << n) if self.is_open_mask(m))
 
@@ -449,17 +448,16 @@ def min_open_rows(n: int, opens: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def continuity_by_closure_inclusion(f: SpaceMap, max_points: int | None = None) -> bool:
+def continuity_by_closure_inclusion(f: SpaceMap) -> bool:
     """Alternative continuity criterion, quantified over all target subsets.
 
     f is continuous iff closure(f^-1(B)) lies inside f^-1(closure(B)) for
     every subset B of the target. Exponential in the target size; used to
     cross-check the direct definition.
     """
-    limit = MAX_POINTS if max_points is None else max_points
     n = len(f.target.points)
-    if n > limit:
-        raise ValidationError(f"criterion needs 2**{n} subsets; guard is {limit} points")
+    if n > MAX_POINTS:
+        raise ValidationError(f"criterion needs 2**{n} subsets; guard is {MAX_POINTS} points")
     for b in range(1 << n):
         pre = f.preimage_mask(b)
         if f.source.closure_mask(pre) & ~f.preimage_mask(f.target.closure_mask(b)):
@@ -467,12 +465,11 @@ def continuity_by_closure_inclusion(f: SpaceMap, max_points: int | None = None) 
     return True
 
 
-def openness_by_closure_inclusion(f: SpaceMap, max_points: int | None = None) -> bool:
+def openness_by_closure_inclusion(f: SpaceMap) -> bool:
     """Alternative openness criterion: f^-1(closure(B)) inside closure(f^-1(B))."""
-    limit = MAX_POINTS if max_points is None else max_points
     n = len(f.target.points)
-    if n > limit:
-        raise ValidationError(f"criterion needs 2**{n} subsets; guard is {limit} points")
+    if n > MAX_POINTS:
+        raise ValidationError(f"criterion needs 2**{n} subsets; guard is {MAX_POINTS} points")
     for b in range(1 << n):
         if f.preimage_mask(f.target.closure_mask(b)) & ~f.source.closure_mask(f.preimage_mask(b)):
             return False
@@ -482,7 +479,6 @@ def openness_by_closure_inclusion(f: SpaceMap, max_points: int | None = None) ->
 def final_topology(
     target_points: Iterable[str],
     family: Sequence[tuple[FiniteSpace, Mapping[str, str]]],
-    max_points: int | None = None,
 ) -> FiniteSpace:
     """Finest topology making every map of the family continuous.
 
@@ -492,9 +488,10 @@ def final_topology(
     """
     pts = checked_names(target_points)
     n = len(pts)
-    limit = MAX_POINTS if max_points is None else max_points
-    if n > limit:
-        raise ValidationError(f"final topology needs 2**{n} candidates; guard is {limit} points")
+    if n > MAX_POINTS:
+        raise ValidationError(
+            f"final topology needs 2**{n} candidates; guard is {MAX_POINTS} points"
+        )
     index = {p: i for i, p in enumerate(pts)}
     prepared = []
     for source, mapping in family:

@@ -124,6 +124,14 @@ class TestExitCodes:
         assert topology.MAX_POINTS == default
         assert len(quadrant_4.quotient_open_family()) > 0  # k = 4 is within the guard again
 
+    def test_env_override_lifts_only_the_verify_bound(self, capsys, monkeypatch):
+        monkeypatch.delenv("STRATKIT_MAX_POINTS", raising=False)
+        argv = ["verify", "--exhaustive", "--points", "3"]
+        code, plain, _ = run(capsys, argv)
+        assert code == 0
+        monkeypatch.setenv("STRATKIT_MAX_POINTS", "2")  # below the sweep's own bound of 4
+        assert run(capsys, argv) == (0, plain, "")
+
     def test_bad_env_override_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("STRATKIT_MAX_POINTS", "many")
         code, _, err = run(capsys, ["fixture", "list"])

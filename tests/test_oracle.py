@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stratkit import ValidationError, exhaustive_verify
+from stratkit import AgreementReport, Decomposition, ValidationError, exhaustive_verify
 from stratkit.oracle import (
     PARTITION_COUNTS,
     POSET_COUNTS,
@@ -106,6 +106,21 @@ class TestSweep:
     def test_guard(self):
         with pytest.raises(ValidationError, match="bound"):
             exhaustive_verify(5)
+
+    def test_search_catches_a_wrong_poset_stratified_value(self, monkeypatch):
+        # production decides the group by antisymmetry alone; only the
+        # sweep's search over labeled partial orders can catch a wrong value
+        decide = Decomposition.poset_stratified_equivalences
+
+        def flipped(self):
+            report = decide(self)
+            return AgreementReport(report.labels, tuple(not v for v in report.values))
+
+        monkeypatch.setattr(Decomposition, "poset_stratified_equivalences", flipped)
+        report = exhaustive_verify(3)
+        tally = dict(report.tallies)["poset_stratified_triple_agreement"]
+        assert (tally.passed, tally.failed) == (0, report.instances)
+        assert report.first_counterexample["check"] == "poset_stratified_triple_agreement"
 
     def test_report_serializes(self):
         report = exhaustive_verify(2)
