@@ -1,110 +1,109 @@
 """stratkit: finite topological spaces, preorders, and decomposition
-classification, verified by exhaustive brute force on small instances."""
+classification, verified by exhaustive brute force on small instances.
 
-from .decomposition import (
-    AgreementReport,
-    ClassificationReport,
-    Decomposition,
-    DecompositionPreorder,
-    OrderCheck,
-    PosetStratification,
-    SemicontinuityReport,
-    StratificationVerdict,
-    as_poset_stratified,
-    classify,
-    order_restricted_to_nonempty,
-    stratification_from_open_map,
-)
-from .documents import Document, load, save
-from .errors import InternalInvariantError, ParseError, PreconditionError, ValidationError
-from .fixtures import FaceModel, Fixture, face_poset_model, fixture, fixture_names
-from .generate import SplitMix64, generate
-from .dot import export_dot
-from .oracle import (
-    CompatibleOrdersReport,
-    RefinementReport,
-    SweepReport,
-    compatible_orders,
-    enumerate_partitions,
-    enumerate_posets,
-    enumerate_prosets,
-    exhaustive_verify,
-    strict_refinements_never_open,
-)
-from .order import (
-    AdjunctionReport,
-    MonotoneMap,
-    Poset,
-    Proset,
-    SymbolicFamily,
-    adjunction_roundtrips,
-    alexandrov_space,
-    singleton_local_closure_check,
-    specialization_preorder,
-    symbolic_local_finiteness,
-)
-from .topology import (
-    FiniteSpace,
-    SpaceMap,
-    Verdict,
-    continuity_by_closure_inclusion,
-    final_topology,
-    openness_by_closure_inclusion,
-)
+Exports resolve lazily (PEP 562): ``import stratkit`` loads no submodule,
+and the first access to a name imports its defining module and caches the
+value here. A command that never touches the oracle, the generator, the
+fixture catalog or the DOT writer never compiles them.
+"""
+
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjunctionReport",
-    "AgreementReport",
-    "ClassificationReport",
-    "CompatibleOrdersReport",
-    "Decomposition",
-    "DecompositionPreorder",
-    "Document",
-    "FaceModel",
-    "FiniteSpace",
-    "Fixture",
-    "InternalInvariantError",
-    "MonotoneMap",
-    "OrderCheck",
-    "ParseError",
-    "Poset",
-    "PosetStratification",
-    "PreconditionError",
-    "Proset",
-    "RefinementReport",
-    "SemicontinuityReport",
-    "SpaceMap",
-    "SplitMix64",
-    "StratificationVerdict",
-    "SweepReport",
-    "SymbolicFamily",
-    "ValidationError",
-    "Verdict",
-    "adjunction_roundtrips",
-    "alexandrov_space",
-    "as_poset_stratified",
-    "classify",
-    "compatible_orders",
-    "continuity_by_closure_inclusion",
-    "enumerate_partitions",
-    "enumerate_posets",
-    "enumerate_prosets",
-    "exhaustive_verify",
-    "export_dot",
-    "face_poset_model",
-    "final_topology",
-    "fixture",
-    "fixture_names",
-    "generate",
-    "load",
-    "openness_by_closure_inclusion",
-    "order_restricted_to_nonempty",
-    "save",
-    "singleton_local_closure_check",
-    "specialization_preorder",
-    "strict_refinements_never_open",
-    "stratification_from_open_map",
-    "symbolic_local_finiteness",
-]
+# exported name -> defining submodule; __all__ keeps this order
+_EXPORTS = {
+    "AdjunctionReport": "order",
+    "AgreementReport": "decomposition",
+    "ClassificationReport": "decomposition",
+    "CompatibleOrdersReport": "oracle",
+    "Decomposition": "decomposition",
+    "DecompositionPreorder": "decomposition",
+    "Document": "documents",
+    "FaceModel": "fixtures",
+    "FiniteSpace": "topology",
+    "Fixture": "fixtures",
+    "InternalInvariantError": "errors",
+    "MonotoneMap": "order",
+    "OrderCheck": "decomposition",
+    "ParseError": "errors",
+    "Poset": "order",
+    "PosetStratification": "decomposition",
+    "PreconditionError": "errors",
+    "Proset": "order",
+    "RefinementReport": "oracle",
+    "SemicontinuityReport": "decomposition",
+    "SpaceMap": "topology",
+    "SplitMix64": "generate",
+    "StratificationVerdict": "decomposition",
+    "SweepReport": "oracle",
+    "SymbolicFamily": "order",
+    "ValidationError": "errors",
+    "Verdict": "topology",
+    "adjunction_roundtrips": "order",
+    "alexandrov_space": "order",
+    "as_poset_stratified": "decomposition",
+    "classify": "decomposition",
+    "compatible_orders": "oracle",
+    "continuity_by_closure_inclusion": "topology",
+    "enumerate_partitions": "oracle",
+    "enumerate_posets": "oracle",
+    "enumerate_prosets": "oracle",
+    "exhaustive_verify": "oracle",
+    "export_dot": "dot",
+    "face_poset_model": "fixtures",
+    "final_topology": "topology",
+    "fixture": "fixtures",
+    "fixture_names": "fixtures",
+    "generate": "generate",
+    "load": "documents",
+    "openness_by_closure_inclusion": "topology",
+    "order_restricted_to_nonempty": "decomposition",
+    "save": "documents",
+    "singleton_local_closure_check": "order",
+    "specialization_preorder": "order",
+    "strict_refinements_never_open": "oracle",
+    "stratification_from_open_map": "decomposition",
+    "symbolic_local_finiteness": "order",
+}
+# submodules reachable as attributes without importing them first, as when
+# the exports were imported eagerly (``stratkit.topology.MAX_POINTS``)
+_SUBMODULES = ("decomposition", "documents", "dot", "errors", "fixtures", "oracle", "order",
+               "topology")
+
+__all__ = list(_EXPORTS)
+
+
+def _submodule(name: str) -> types.ModuleType:
+    # __import__ rather than importlib.import_module, which -X importtime does not report
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(_submodule(_EXPORTS[name]), name)
+    elif name in _SUBMODULES:
+        value = _submodule(name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))
+
+
+class _Package(types.ModuleType):
+    """Importing the submodule ``stratkit.generate`` would bind it over the
+    exported function of the same name; the function keeps the name."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _EXPORTS and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

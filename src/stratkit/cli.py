@@ -9,6 +9,13 @@ timestamps, so identical invocations are byte-identical.
 The environment variable STRATKIT_MAX_POINTS raises the bound on
 ``verify --points``; it never reaches the library guard
 ``topology.MAX_POINTS``.
+
+Imports are per command: this module loads only the classification core
+(topology, order, decomposition, documents), and the oracle, generator,
+fixture catalog and DOT writer are imported inside the commands that run
+them (``verify``, ``gen``, ``fixture``, ``preorder --dot`` and
+``export-dot``). The package's own exports are lazy (PEP 562), so
+``import stratkit`` loads nothing by itself.
 """
 
 from __future__ import annotations
@@ -25,11 +32,7 @@ from .decomposition import (
     stratification_from_open_map,
 )
 from .documents import Document, canonical_json, load, payload_of, save
-from .dot import export_dot
 from .errors import InternalInvariantError, ParseError, PreconditionError, ValidationError
-from .fixtures import fixture, fixture_names
-from .generate import generate
-from .oracle import exhaustive_verify
 from .order import Poset, Proset
 
 LADDER = ("decomposition", "alexandrov", "poset-stratified", "stratification")
@@ -101,9 +104,14 @@ def _read_document(path: str) -> Document:
         return load(sys.stdin.read())
     try:
         with open(path, encoding="utf-8") as handle:
-            return load(handle.read())
+            text = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"parse error: {path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return load(text)
 
 
 def _as_decomposition(doc: Document) -> Decomposition:
@@ -194,6 +202,8 @@ def _cmd_quotient(args) -> int:
 def _cmd_preorder(args) -> int:
     dec = _as_decomposition(_read_document(args.document))
     if args.dot:
+        from .dot import export_dot
+
         _emit(export_dot(dec.preorder))
     else:
         _emit(save(Document("proset", dec.preorder)))
@@ -243,6 +253,8 @@ def _cmd_theorem_b(args) -> int:
 
 
 def _cmd_verify(args, max_points_override: int | None) -> int:
+    from .oracle import exhaustive_verify
+
     max_n = 4 if max_points_override is None else max(4, max_points_override)
     report = exhaustive_verify(args.points, max_n=max_n)
     if args.format == "json":
@@ -255,6 +267,8 @@ def _cmd_verify(args, max_points_override: int | None) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import generate
+
     params = {}
     if args.density is not None:
         params["density"] = args.density
@@ -268,6 +282,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
+    from .fixtures import fixture, fixture_names
+
     if args.action == "list":
         for name in fixture_names():
             _emit(name + "\n")
@@ -279,6 +295,8 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    from .dot import export_dot
+
     doc = _read_document(args.document)
     if not isinstance(doc.value, (Decomposition, Proset)):
         raise ValidationError(f"cannot render document kind {doc.kind!r} as DOT")

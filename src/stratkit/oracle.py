@@ -122,14 +122,21 @@ def naive_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _check_size(n: int, max_n: int, what: str, unit: str) -> None:
+    """Refuse a size outside 0..max_n: a negative size is not the empty case."""
+    if n < 0:
+        raise ValidationError(f"{what} size must be nonnegative, got {n}")
+    if n > max_n:
+        raise ValidationError(f"{what} bound is {max_n} {unit}")
+
+
 def _default_elements(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
 def enumerate_prosets(n: int, max_n: int = MAX_ORDER_ELEMENTS) -> Iterator[Proset]:
     """All labeled preorders on elements "0".."n-1", deterministic order."""
-    if n > max_n:
-        raise ValidationError(f"preorder enumeration bound is {max_n} elements")
+    _check_size(n, max_n, "preorder enumeration", "elements")
     elements = _default_elements(n)
     for rows in labeled_preorder_rows(n):
         yield Proset(elements, rows)
@@ -137,8 +144,7 @@ def enumerate_prosets(n: int, max_n: int = MAX_ORDER_ELEMENTS) -> Iterator[Prose
 
 def enumerate_posets(n: int, max_n: int = MAX_ORDER_ELEMENTS) -> Iterator[Poset]:
     """All labeled partial orders on elements "0".."n-1"."""
-    if n > max_n:
-        raise ValidationError(f"poset enumeration bound is {max_n} elements")
+    _check_size(n, max_n, "poset enumeration", "elements")
     elements = _default_elements(n)
     for rows in labeled_poset_rows(n):
         yield Poset(elements, rows)
@@ -176,8 +182,7 @@ def enumerate_partitions(n: int, max_n: int = MAX_PARTITION_ELEMENTS) -> Iterato
     tuple[tuple[str, ...], ...]
 ]:
     """All partitions of points "0".."n-1"."""
-    if n > max_n:
-        raise ValidationError(f"partition enumeration bound is {max_n} elements")
+    _check_size(n, max_n, "partition enumeration", "elements")
     yield from set_partitions(_default_elements(n))
 
 
@@ -320,8 +325,7 @@ class SweepReport:
 def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
     """Recheck every order-and-decomposition statement on all instances of
     size n. See the module docstring for what one instance contributes."""
-    if n > max_n:
-        raise ValidationError(f"exhaustive sweep bound is {max_n} points")
+    _check_size(n, max_n, "exhaustive sweep", "points")
 
     counts: dict[str, list[int]] = {}
     first_cex: list[dict | None] = [None]

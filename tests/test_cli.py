@@ -72,6 +72,18 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read" in err
 
+    def test_non_utf8_file_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff\xfe{"kind":"space"}')
+        code, out, err = run(capsys, ["check", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parse error") and "UTF-8" in err
+
+    def test_negative_verify_size_is_exit_2(self, capsys):
+        code, out, err = run(capsys, ["verify", "--exhaustive", "--points", "-1"])
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
+
     def test_wrong_document_kind_is_exit_2(self, capsys, tmp_path):
         path = write_fixture(tmp_path, "sierpinski")
         code, _, err = run(capsys, ["classify", path])

@@ -1,0 +1,156 @@
+"""Import contract: each CLI command imports only the modules it runs, and
+the package's lazy exports (PEP 562) behave as eager ones did.
+
+Every check runs in a fresh interpreter, since this process has imported
+the whole package long before these tests run.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stratkit
+from stratkit import fixture, save
+
+SRC = str(Path(stratkit.__file__).resolve().parents[1])
+# the modules that no command of the check family runs
+OPTIONAL = ("stratkit.dot", "stratkit.fixtures", "stratkit.generate", "stratkit.oracle")
+EXPORTS = [
+    "AdjunctionReport", "AgreementReport", "ClassificationReport", "CompatibleOrdersReport",
+    "Decomposition", "DecompositionPreorder", "Document", "FaceModel", "FiniteSpace", "Fixture",
+    "InternalInvariantError", "MonotoneMap", "OrderCheck", "ParseError", "Poset",
+    "PosetStratification", "PreconditionError", "Proset", "RefinementReport",
+    "SemicontinuityReport", "SpaceMap", "SplitMix64", "StratificationVerdict", "SweepReport",
+    "SymbolicFamily", "ValidationError", "Verdict", "adjunction_roundtrips", "alexandrov_space",
+    "as_poset_stratified", "classify", "compatible_orders", "continuity_by_closure_inclusion",
+    "enumerate_partitions", "enumerate_posets", "enumerate_prosets", "exhaustive_verify",
+    "export_dot", "face_poset_model", "final_topology", "fixture", "fixture_names", "generate",
+    "load", "openness_by_closure_inclusion", "order_restricted_to_nonempty", "save",
+    "singleton_local_closure_check", "specialization_preorder", "strict_refinements_never_open",
+    "stratification_from_open_map", "symbolic_local_finiteness",
+]
+
+# ``python -m stratkit ARGS`` with its stdout swallowed; prints the exit
+# code and the OPTIONAL modules the run left loaded
+RUN_CLI = f"""
+import contextlib, io, json, runpy, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("stratkit", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m in {OPTIONAL!r})]))
+"""
+
+
+def fresh_python(code: str, *args: str):
+    """Run ``code`` in a new interpreter; the JSON value it prints last."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("STRATKIT_MAX_POINTS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def quadrant_doc(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("imports") / "quadrant_4.json"
+    path.write_text(save(fixture("quadrant_4").document), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["check", "{doc}"], []),
+        (["check", "{doc}", "--format", "json"], []),
+        (["classify", "{doc}", "--expect", "stratification"], []),
+        (["quotient", "{doc}"], []),
+        (["preorder", "{doc}"], []),
+        (["coarsen", "{doc}"], []),
+        (["preorder", "{doc}", "--dot"], ["stratkit.dot"]),
+        (["export-dot", "{doc}"], ["stratkit.dot"]),
+    ],
+    ids=["check", "check-json", "classify-expect", "quotient", "preorder", "coarsen",
+         "preorder-dot", "export-dot"],
+)
+def test_commands_import_only_what_they_run(quadrant_doc, argv, loaded):
+    args = [a.format(doc=quadrant_doc) for a in argv]
+    assert fresh_python(RUN_CLI, *args) == [0, loaded]
+
+
+def test_all_is_unchanged():
+    assert stratkit.__all__ == EXPORTS
+
+
+def test_import_loads_no_submodule():
+    code = """
+import json, sys, stratkit
+print(json.dumps([m for m in sys.modules if m.startswith("stratkit.")]))
+"""
+    assert fresh_python(code) == []
+
+
+def test_exports_are_the_defining_modules_objects():
+    code = """
+import importlib, json, stratkit
+print(json.dumps([
+    name for name, module in stratkit._EXPORTS.items()
+    if getattr(stratkit, name) is not getattr(importlib.import_module(f"stratkit.{module}"), name)
+]))
+"""
+    assert fresh_python(code) == []
+
+
+def test_generate_stays_the_function_after_its_submodule_is_imported():
+    code = """
+import json, sys
+import stratkit.generate
+import stratkit
+print(json.dumps(stratkit.generate is sys.modules["stratkit.generate"].generate))
+"""
+    assert fresh_python(code) is True
+
+
+def test_dir_lists_every_export_before_first_use():
+    code = "import json, stratkit; print(json.dumps(dir(stratkit)))"
+    assert set(EXPORTS) <= set(fresh_python(code))
+
+
+def test_star_import_binds_every_export():
+    code = """
+import json
+namespace = {}
+exec("from stratkit import *", namespace)
+print(json.dumps(sorted(set(namespace) - {"__builtins__"})))
+"""
+    assert fresh_python(code) == sorted(EXPORTS)
+
+
+def test_submodules_import_and_resolve_as_attributes():
+    code = """
+import json
+import stratkit.oracle
+import stratkit
+print(json.dumps([
+    stratkit.oracle.exhaustive_verify is stratkit.exhaustive_verify,
+    stratkit.topology.MAX_POINTS,
+]))
+"""
+    assert fresh_python(code) == [True, 20]
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'stratkit' has no attribute 'nope'$"):
+        stratkit.nope  # noqa: B018
+    with pytest.raises(ImportError):
+        from stratkit import nope  # noqa: F401

@@ -73,6 +73,21 @@ class TestEnumerations:
         with pytest.raises(ValidationError, match="bound"):
             list(enumerate_partitions(7))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: list(enumerate_prosets(-2)),
+            lambda: list(enumerate_posets(-2)),
+            lambda: list(enumerate_partitions(-2)),
+            lambda: exhaustive_verify(-3),
+        ],
+        ids=["prosets", "posets", "partitions", "sweep"],
+    )
+    def test_negative_sizes_are_refused(self, run):
+        # not the empty case: n = -2 used to enumerate the one empty structure
+        with pytest.raises(ValidationError, match="nonnegative"):
+            run()
+
     def test_partition_blocks_cover_without_overlap(self):
         points = ("0", "1", "2", "3")
         for partition in set_partitions(points):
