@@ -46,7 +46,6 @@ _EXPORTS = {
     "as_poset_stratified": "decomposition",
     "classify": "decomposition",
     "compatible_orders": "oracle",
-    "continuity_by_closure_inclusion": "topology",
     "enumerate_partitions": "oracle",
     "enumerate_posets": "oracle",
     "enumerate_prosets": "oracle",
@@ -58,8 +57,6 @@ _EXPORTS = {
     "fixture_names": "fixtures",
     "generate": "generate",
     "load": "documents",
-    "openness_by_closure_inclusion": "topology",
-    "order_restricted_to_nonempty": "decomposition",
     "save": "documents",
     "singleton_local_closure_check": "order",
     "specialization_preorder": "order",

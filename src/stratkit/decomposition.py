@@ -8,45 +8,52 @@ ladder
 
     decomposition  ->  Alexandrov  ->  poset-stratified  ->  stratification
 
-where each rung is characterized several independent ways. Every
-characterization is computed separately and the results are asserted
-equal: a disagreement raises InternalInvariantError, since it can only
-mean a defect in this library, never bad input.
+where each rung is characterized several independent ways.
 
-``classify`` stays polynomial in the number of strata k. Two stratum-level
-relations are computed once from k open hulls and k closures:
-``_reach[t]``, the strata meeting the open hull of stratum t, and
-``_down[t]``, the strata meeting its closure. A set J of strata has an
-open preimage iff ``_reach[t]`` lies in J for each t in J, and a closed
-preimage iff the same holds for ``_down``. So the quotient topology is the
-up-set topology of the reflexive-transitive closure of ``_reach`` (the
-quotient of a finite space is always Alexandrov), the closed saturations
-are the closures of ``_down``, and the quotient map is continuous into the
-order topology of a preorder R exactly when ``_reach`` lies inside R row by
-row. What runs in ``classify``:
+``classify`` stays polynomial in the number of strata k and computes each
+value it reports once, from one stratum-level relation and the stratum
+closures. ``_reach[t]`` is the set of strata meeting the open hull of
+stratum t. A set J of strata has an open preimage iff ``_reach[t]`` lies
+in J for each t in J, and a closed preimage iff its complement has an open
+one. So the quotient topology is the up-set topology of the
+reflexive-transitive closure of ``_reach`` (the quotient of a finite space
+is always Alexandrov), the decomposition preorder is its specialization
+preorder, and the quotient map is continuous into the order topology of a
+preorder R exactly when ``_reach`` lies inside R row by row. What runs in
+``classify``:
 
 * Alexandrov: the fixpoint rows have open preimages; the preorder's
-  up-sets equal the quotient's minimal opens; the quotient map is
-  continuous into the preorder's order topology (a point-level map check).
-* frontier: closure containment, closures as closed saturations, the
-  preorder against closure containment, and openness of the quotient map.
+  up-sets equal the quotient's minimal opens; ``_reach`` lies inside the
+  preorder (continuity into its order topology).
+* frontier: closure containment, closures as preimages of the preorder's
+  down-sets, the preorder against closure containment, and openness of
+  the quotient map.
 * poset-stratified: the preorder is antisymmetric (some partial order
   makes the quotient map continuous exactly when the preorder, the least
   candidate, is one), antisymmetric with a continuous map, and strata open
-  in their minimal closed saturations.
+  in the preimages of their down-sets.
 * semicontinuity: saturations of minimal opens and of point closures by
   the stratum-level test, against the quotient map's openness and
   closedness.
 
-The definitional routes that enumerate all 2**k sets of strata --
+Production asserts only agreements between values it reports: the labels
+of each of the three groups above, and each saturation formula against
+its map-side counterpart. A disagreement raises InternalInvariantError,
+since it can only mean a defect in this library, never bad input.
+
+Agreements whose outcome nothing reports are theorems on finite inputs,
+and only the exhaustive sweep in ``oracle.py`` tallies them: the preorder against
+the closed saturations built from the stratum closures
+(``closed_saturation_matches_preorder_down_sets``), the combination law
+for stratifications
+(``locally_closed_and_frontier_iff_poset_stratified_and_open``), the
+definitional routes that enumerate all 2**k sets of strata --
 ``quotient_open_family``, ``quotient_space_by_subset_filter`` and the
 comparison of the filtered family with the up-set family -- and the
-search over every labeled partial order on the strata run only in
-``oracle.py``: the exhaustive sweep checks them against the polynomial
-ones on every small instance, and ``compatible_orders`` and
-``strict_refinements_never_open`` enumerate orders for a given
-decomposition. The subset routes are guarded by ``topology.MAX_POINTS``,
-read at call time.
+search over every labeled partial order on the strata.
+``compatible_orders`` and ``strict_refinements_never_open`` enumerate
+orders for a given decomposition. The subset routes are guarded by
+``topology.MAX_POINTS``, read at call time.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from .order import (
     reflexive_transitive_closure,
     specialization_preorder,
 )
-from .topology import FiniteSpace, SpaceMap, Verdict, iter_bits, min_open_rows
+from .topology import FiniteSpace, SpaceMap, Verdict, iter_bits, min_open_rows, preimage_of
 
 #: The decomposition preorder is an ordinary preorder on stratum ids.
 DecompositionPreorder = Proset
@@ -249,12 +256,6 @@ class Decomposition:
                 out |= 1 << t
         return out
 
-    def _preimage_mask(self, idx_mask: int) -> int:
-        out = 0
-        for t in iter_bits(idx_mask):
-            out |= self.masks[t]
-        return out
-
     # -- stratum-level relations ---------------------------------------------
 
     @cached_property
@@ -272,22 +273,12 @@ class Decomposition:
         """``_reach[t]``: the strata meeting the open hull of stratum t."""
         return tuple([self._strata_meeting_mask(hull) for hull in self._hulls])
 
-    @cached_property
-    def _down(self) -> tuple[int, ...]:
-        """``_down[t]``: the strata meeting the closure of stratum t."""
-        return tuple([self._strata_meeting_mask(closure) for closure in self._closures])
-
     def _preimage_is_open(self, idx_mask: int) -> bool:
         """Whether the union of the strata in ``idx_mask`` is open: every
         point of stratum t has its minimal open inside the union iff the
         open hull of t meets only strata of the set."""
         reach = self._reach
         return all(not (reach[t] & ~idx_mask) for t in iter_bits(idx_mask))
-
-    def _preimage_is_closed(self, idx_mask: int) -> bool:
-        """Whether the union of the strata in ``idx_mask`` is closed."""
-        down = self._down
-        return all(not (down[t] & ~idx_mask) for t in iter_bits(idx_mask))
 
     # -- quotient topology -------------------------------------------------
 
@@ -315,7 +306,7 @@ class Decomposition:
                 f"quotient family needs 2**{self.k} candidates; guard is {limit} strata"
             )
         return tuple(
-            j for j in range(1 << self.k) if self.space.is_open_mask(self._preimage_mask(j))
+            j for j in range(1 << self.k) if self.space.is_open_mask(preimage_of(self.masks, j))
         )
 
     def quotient_space_by_subset_filter(self) -> FiniteSpace:
@@ -329,34 +320,16 @@ class Decomposition:
     # -- decomposition preorder ---------------------------------------------
 
     @cached_property
-    def _closed_saturations(self) -> tuple[int, ...]:
-        """Least id-set containing each stratum whose preimage is closed:
-        the reflexive-transitive closure of ``_down``."""
-        return reflexive_transitive_closure(self._down)
-
-    @cached_property
     def preorder(self) -> DecompositionPreorder:
         """Specialization preorder of the quotient: i <= j iff i in closure({j}).
 
-        Cross-checked against the direct description: the down-set of j
-        must equal the least stratum-set whose preimage is closed, and
-        i <= j must coincide with stratum i lying inside that preimage.
+        The up-set of i is the minimal open of i in the quotient. The
+        direct description -- the down-set of j is the least stratum-set
+        whose preimage is closed, and i <= j iff stratum i lies inside that
+        preimage -- is checked by the exhaustive sweep
+        (``oracle.preorder_matches_closed_saturations``), not here.
         """
-        p = specialization_preorder(self.quotient_space)
-        for j in range(self.k):
-            saturation = self._closed_saturations[j]
-            if saturation != p.down[j]:
-                raise InternalInvariantError(
-                    "decomposition preorder: closed saturation disagrees with down-set"
-                )
-            closed_union = self._preimage_mask(saturation)
-            for i in range(self.k):
-                inside = not (self.masks[i] & ~closed_union)
-                if inside != bool((p.up[i] >> j) & 1):
-                    raise InternalInvariantError(
-                        "decomposition preorder: containment description disagrees"
-                    )
-        return p
+        return specialization_preorder(self.quotient_space)
 
     # -- classification rungs -------------------------------------------------
 
@@ -385,9 +358,10 @@ class Decomposition:
         each is the minimal open of its stratum, (2) the up-sets of the
         decomposition preorder equal those minimal opens, so its up-set
         topology is the quotient topology, (3) the quotient map is
-        continuous into the preorder topology, checked point by point. All
-        three hold for finite inputs; the point of the operation is their
-        agreement. The oracle compares them with the 2**k subset filter.
+        continuous into the preorder topology (``_reach`` inside the
+        preorder). All three hold for finite inputs; the point of the
+        operation is their agreement. The oracle compares them with the
+        2**k subset filter.
         """
         rows = self.quotient_space.min_open
         has_min_open = all(
@@ -395,9 +369,7 @@ class Decomposition:
         )
         p = self.preorder
         same_topology = p.up == rows
-        continuous = bool(
-            SpaceMap(self.space, alexandrov_space(p), self._point_to_stratum).is_continuous()
-        )
+        continuous = self._pi_continuous_rows(p.up)
         return _agree(
             (
                 "quotient_has_minimal_opens",
@@ -442,7 +414,7 @@ class Decomposition:
         p = self.preorder
         closure_is_saturation = True
         for j in range(self.k):
-            if closures[j] != self._preimage_mask(p.down[j]):
+            if closures[j] != preimage_of(self.masks, p.down[j]):
                 closure_is_saturation = False
                 witnesses.append(
                     (
@@ -515,12 +487,12 @@ class Decomposition:
         continuous into its order topology, (2) the decomposition preorder
         is a partial order and the quotient map is continuous into its
         order topology, (3) every stratum is open in the preimage of its
-        minimal closed stratum-set. The map is continuous into the order
-        topology of R exactly when the preorder lies inside R, so (1) holds
-        exactly when the preorder is antisymmetric. The exhaustive sweep in
-        ``oracle.py`` checks (1) against a search over every labeled partial
-        order, and that each order it finds contains the preorder (the
-        preorder is initial).
+        down-set, the minimal closed stratum-set around it. The map is
+        continuous into the order topology of R exactly when the preorder
+        lies inside R, so (1) holds exactly when the preorder is
+        antisymmetric. The exhaustive sweep in ``oracle.py`` checks (1)
+        against a search over every labeled partial order, and that each
+        order it finds contains the preorder (the preorder is initial).
         """
         return self._poset_stratified
 
@@ -532,7 +504,7 @@ class Decomposition:
 
         cond3 = True
         for i in range(self.k):
-            around = self._preimage_mask(self._closed_saturations[i])
+            around = preimage_of(self.masks, p.down[i])
             for x in iter_bits(self.masks[i]):
                 if self.space.min_open[x] & around & ~self.masks[i]:
                     cond3 = False
@@ -553,37 +525,25 @@ class Decomposition:
         """Locally closed strata and the frontier condition. (Local
         finiteness, the third clause, holds for every finite decomposition.)
 
-        Also cross-checks the combination law: locally closed strata plus
-        the frontier condition must coincide with being poset-stratified
-        with an open quotient map.
+        The combination law -- the two clauses hold together exactly when
+        the decomposition is poset-stratified with an open quotient map --
+        is a theorem; the exhaustive sweep tallies it as
+        ``locally_closed_and_frontier_iff_poset_stratified_and_open``.
         """
         reasons = []
-        locally_closed = self.locally_closed_strata()
-        for sid, verdict in locally_closed:
+        for sid, verdict in self.locally_closed_strata():
             if not verdict:
                 reasons.append(f"stratum {sid!r} is not locally closed")
-        frontier_report = self.frontier_equivalences()
-        if not frontier_report.value:
+        if not self.frontier_equivalences().value:
             reasons.append("frontier condition fails")
-        holds = not reasons
-
-        all_lc = all(v.holds for _, v in locally_closed)
-        combined = all_lc and frontier_report.value
-        other = self.poset_stratified_equivalences().value and self._pi_open.holds
-        if combined != other:
-            raise InternalInvariantError(
-                "locally closed strata + frontier condition disagrees with "
-                "poset-stratified + open quotient map"
-            )
-        return StratificationVerdict(holds, tuple(reasons))
+        return StratificationVerdict(not reasons, tuple(reasons))
 
     def check_against_order(self, order: Poset) -> OrderCheck:
         """Behavior of the quotient map into the order topology of a given
         partial order on the stratum ids.
 
         Ids with no preimage cannot appear: the order elements must be
-        exactly the stratum ids (see ``order_restricted_to_nonempty`` for
-        the explicit filtering convenience).
+        exactly the stratum ids.
         """
         _require_matching_elements(self, order)
         target = alexandrov_space(order)
@@ -604,8 +564,8 @@ class Decomposition:
 
         The merged decomposition is poset-stratified over the reflection of
         the decomposition preorder; classes are named by their least member
-        id. Two strata land in the same class exactly when their minimal
-        closed stratum-unions coincide, which is asserted.
+        id. Two strata land in the same class exactly when their down-sets,
+        the minimal closed stratum-unions around them, coincide.
         """
         p = self.preorder
         classes = p.equivalence_classes()
@@ -616,17 +576,6 @@ class Decomposition:
                 mask |= self.masks[self.ids.index(sid)]
             merged[members[0]] = mask
         poset, _ = p.reflection()
-
-        saturations = self._closed_saturations
-        for i in range(self.k):
-            for j in range(self.k):
-                same_class = bool(p.up[i] & (1 << j)) and bool(p.up[j] & (1 << i))
-                same_saturation = saturations[i] == saturations[j]
-                if same_class != same_saturation:
-                    raise InternalInvariantError(
-                        "coarsening classes disagree with closed saturations"
-                    )
-
         dec = Decomposition(
             self.space, tuple(sorted((sid, mask) for sid, mask in merged.items()))
         )
@@ -639,14 +588,16 @@ class Decomposition:
         enough to saturate the minimal opens and the point closures. The
         saturation of a set is the preimage of the strata it meets, so its
         openness and closedness are stratum-level tests. Each saturation
-        formula must agree with its map-side counterpart.
+        formula must agree with its map-side counterpart. A union of strata
+        is closed iff the union of the other strata is open.
         """
         sat_open_open = all(
             self._preimage_is_open(self._strata_meeting_mask(basic))
             for basic in set(self.space.min_open)
         )
+        all_strata = (1 << self.k) - 1
         sat_closed_closed = all(
-            self._preimage_is_closed(self._strata_meeting_mask(basic))
+            self._preimage_is_open(all_strata & ~self._strata_meeting_mask(basic))
             for basic in set(self.space.point_closures)
         )
         pi_open = self._pi_open.holds
@@ -669,29 +620,6 @@ def _require_matching_elements(d: Decomposition, order: Poset) -> None:
     missing = set(d.ids) - set(order.elements)
     if missing:
         raise ValidationError(f"order is missing stratum id {sorted(missing)[0]!r}")
-
-
-def order_restricted_to_nonempty(d: Decomposition, order: Poset) -> Poset:
-    """Drop order elements with empty preimage, logging what was removed.
-
-    Convenience for orders indexing more strata than the decomposition
-    has; the strict constructors reject such orders outright.
-    """
-    import logging
-
-    keep = [e for e in order.elements if e in set(d.ids)]
-    dropped = [e for e in order.elements if e not in set(d.ids)]
-    if dropped:
-        logging.getLogger(__name__).info(
-            "dropping order elements with empty preimage: %s", ", ".join(sorted(dropped))
-        )
-    pairs = [
-        (a, b)
-        for a in keep
-        for b in keep
-        if a != b and order.leq(a, b)
-    ]
-    return Poset.from_pairs(keep, pairs, close=True)
 
 
 @dataclass(frozen=True, repr=False)
@@ -730,10 +658,11 @@ def as_poset_stratified(d: Decomposition) -> PosetStratification:
     Requires ``is_stratification``; the failed clauses are reported
     otherwise. The resulting order is the decomposition preorder. That it
     coincides with closure containment of strata (the frontier label
-    ``preorder_equals_closure_containment``) and is antisymmetric (the
-    combination law, via poset-stratified) is asserted by
-    ``is_stratification``; ``Poset`` checks antisymmetry again, and
-    ``PosetStratification`` asserts the quotient map continuous.
+    ``preorder_equals_closure_containment``) is asserted with the frontier
+    group. That it is antisymmetric is the combination law, which the
+    sweep tallies; here ``Poset`` checks antisymmetry and
+    ``PosetStratification`` the continuity of the quotient map, and a
+    failure of either raises InternalInvariantError.
     """
     verdict = d.is_stratification()
     if not verdict:
@@ -836,8 +765,8 @@ def classify(d: Decomposition) -> ClassificationReport:
     """Run every classification check and collect the results.
 
     Polynomial in the size of the space and the number of strata; the
-    frontier and poset-stratified groups are memoised on ``d``, so
-    ``is_stratification`` reuses them instead of recomputing.
+    frontier group is memoised on ``d``, so ``is_stratification`` reuses
+    it instead of recomputing.
     """
     return ClassificationReport(
         alexandrov=d.alexandrov_equivalences(),

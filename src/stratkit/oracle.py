@@ -5,10 +5,12 @@ points, so enumerating relations enumerates spaces. The sweep instantiates
 every (space, partition) pair up to a size bound, reruns every
 equivalence-group agreement from the decomposition module, compares the
 polynomial quotient and Alexandrov routes with the definitional ones that
-filter all 2**k sets of strata, and checks the order-level statements
-against every labeled partial order on the stratum set. A correct build
-reports zero failures; the first failure is captured as a serializable
-document bundle.
+filter all 2**k sets of strata, checks the theorems production does not
+assert (the decomposition preorder against the closed saturations, the
+combination law for stratifications), and checks the order-level
+statements against every labeled partial order on the stratum set. A
+correct build reports zero failures; the first failure is captured as a
+serializable document bundle.
 
 This module is the one home of the search over labeled partial orders on
 the strata (``_orders_by_continuity``). The sweep checks the production
@@ -32,9 +34,10 @@ from .order import (
     Proset,
     adjunction_roundtrips,
     alexandrov_space,
+    reflexive_transitive_closure,
     singleton_local_closure_check,
 )
-from .topology import FiniteSpace, final_topology, iter_bits, min_open_rows
+from .topology import final_topology, iter_bits, min_open_rows, preimage_of
 
 #: Known totals, re-derived independently by the tests via the naive filter.
 PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
@@ -279,6 +282,28 @@ def alexandrov_by_subset_filter(dec: Decomposition) -> tuple[bool, bool, bool]:
     return has_min_open, family == up_family, up_family <= family
 
 
+def preorder_matches_closed_saturations(dec: Decomposition) -> bool:
+    """The decomposition preorder against its direct description.
+
+    The least set of strata around stratum j whose preimage is closed is
+    the reflexive-transitive closure, at j, of "meets the closure of"
+    between strata. It must be the down-set of j, and i <= j must hold
+    exactly when stratum i lies inside its preimage.
+    """
+    p = dec.preorder
+    saturations = reflexive_transitive_closure(
+        [dec._strata_meeting_mask(closure) for closure in dec._closures]
+    )
+    for j, saturation in enumerate(saturations):
+        if saturation != p.down[j]:
+            return False
+        closed_union = preimage_of(dec.masks, saturation)
+        for i, mask in enumerate(dec.masks):
+            if (not (mask & ~closed_union)) != bool((p.up[i] >> j) & 1):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class Tally:
     passed: int
@@ -393,8 +418,7 @@ def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
             )
 
             try:
-                dec.preorder
-                ok = True
+                ok = preorder_matches_closed_saturations(dec)
             except InternalInvariantError:
                 ok = False
             record("closed_saturation_matches_preorder_down_sets", ok, ctx)
@@ -433,7 +457,7 @@ def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
             record("semicontinuity_pairings", ok, ctx)
 
             locally_closed = all(v.holds for _, v in dec.locally_closed_strata())
-            pi_open = bool(dec.pi_map.is_open())
+            pi_open = dec._pi_open.holds
             if frontier is not None and poset_strat is not None:
                 record(
                     "locally_closed_and_frontier_iff_poset_stratified_and_open",

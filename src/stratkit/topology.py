@@ -317,6 +317,15 @@ class FiniteSpace:
         return len(set(self.min_open)) == len(self.min_open)
 
 
+def preimage_of(fibers: Sequence[int], target_mask: int) -> int:
+    """Preimage of a target mask under a map given by its fibers (the
+    preimage of each target point): the union of the fibers it selects."""
+    out = 0
+    for t in iter_bits(target_mask):
+        out |= fibers[t]
+    return out
+
+
 def _first_occurrences(masks: Sequence[int], order: Iterable[int]) -> Iterator[int]:
     """The masks at the given indices, each distinct value once, in that
     order; checking a basic set twice cannot change the first failure."""
@@ -375,12 +384,16 @@ class SpaceMap:
             out |= 1 << self.assignment[i]
         return out
 
-    def preimage_mask(self, target_mask: int) -> int:
-        out = 0
+    @cached_property
+    def _fibers(self) -> tuple[int, ...]:
+        """Preimage of each target point, as a source mask."""
+        fibers = [0] * len(self.target.points)
         for i, t in enumerate(self.assignment):
-            if (target_mask >> t) & 1:
-                out |= 1 << i
-        return out
+            fibers[t] |= 1 << i
+        return tuple(fibers)
+
+    def preimage_mask(self, target_mask: int) -> int:
+        return preimage_of(self._fibers, target_mask)
 
     def is_continuous(self) -> Verdict:
         """Preimage of every open set is open.
@@ -448,34 +461,6 @@ def min_open_rows(n: int, opens: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def continuity_by_closure_inclusion(f: SpaceMap) -> bool:
-    """Alternative continuity criterion, quantified over all target subsets.
-
-    f is continuous iff closure(f^-1(B)) lies inside f^-1(closure(B)) for
-    every subset B of the target. Exponential in the target size; used to
-    cross-check the direct definition.
-    """
-    n = len(f.target.points)
-    if n > MAX_POINTS:
-        raise ValidationError(f"criterion needs 2**{n} subsets; guard is {MAX_POINTS} points")
-    for b in range(1 << n):
-        pre = f.preimage_mask(b)
-        if f.source.closure_mask(pre) & ~f.preimage_mask(f.target.closure_mask(b)):
-            return False
-    return True
-
-
-def openness_by_closure_inclusion(f: SpaceMap) -> bool:
-    """Alternative openness criterion: f^-1(closure(B)) inside closure(f^-1(B))."""
-    n = len(f.target.points)
-    if n > MAX_POINTS:
-        raise ValidationError(f"criterion needs 2**{n} subsets; guard is {MAX_POINTS} points")
-    for b in range(1 << n):
-        if f.preimage_mask(f.target.closure_mask(b)) & ~f.source.closure_mask(f.preimage_mask(b)):
-            return False
-    return True
-
-
 def final_topology(
     target_points: Iterable[str],
     family: Sequence[tuple[FiniteSpace, Mapping[str, str]]],
@@ -495,26 +480,19 @@ def final_topology(
     index = {p: i for i, p in enumerate(pts)}
     prepared = []
     for source, mapping in family:
-        asg = []
-        for p in source.points:
+        fibers = [0] * n
+        for i, p in enumerate(source.points):
             if p not in mapping:
                 raise ValidationError(f"assignment missing source point {p!r}")
             q = mapping[p]
             if q not in index:
                 raise ValidationError(f"assignment lands outside the target: {q!r}")
-            asg.append(index[q])
-        prepared.append((source, tuple(asg)))
-
-    def preimage(mask: int, asg: tuple[int, ...]) -> int:
-        out = 0
-        for i, t in enumerate(asg):
-            if (mask >> t) & 1:
-                out |= 1 << i
-        return out
+            fibers[index[q]] |= 1 << i
+        prepared.append((source, fibers))
 
     opens = (
         mask
         for mask in range(1 << n)
-        if all(src.is_open_mask(preimage(mask, asg)) for src, asg in prepared)
+        if all(src.is_open_mask(preimage_of(fibers, mask)) for src, fibers in prepared)
     )
     return FiniteSpace(pts, min_open_rows(n, opens))

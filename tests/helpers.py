@@ -23,6 +23,7 @@ from stratkit import (
 )
 from stratkit.cli import main
 from stratkit.oracle import alexandrov_by_subset_filter, labeled_preorder_rows
+from stratkit.topology import preimage_of
 
 # facets of three simplicial complexes
 FACE_MODELS = {
@@ -114,13 +115,13 @@ def brute_saturations(dec) -> tuple[bool, bool]:
     space = dec.space
     sat_open = True
     for u in open_masks(space):
-        sat = dec._preimage_mask(dec._strata_meeting_mask(u))
+        sat = preimage_of(dec.masks, dec._strata_meeting_mask(u))
         if not space.is_open_mask(sat):
             sat_open = False
             break
     sat_closed = True
     for c in closed_masks(space):
-        sat = dec._preimage_mask(dec._strata_meeting_mask(c))
+        sat = preimage_of(dec.masks, dec._strata_meeting_mask(c))
         if not space.is_closed_mask(sat):
             sat_closed = False
             break
@@ -146,7 +147,7 @@ def subset_filter_report(dec) -> dict:
         not (si & cj) or not (si & ~cj) for si in dec.masks for cj in closures
     )
     closure_is_saturation = all(
-        closures[j] == dec._preimage_mask(p.down[j]) for j in range(k)
+        closures[j] == preimage_of(dec.masks, p.down[j]) for j in range(k)
     )
     order_matches = all(
         (not (dec.masks[i] & ~closures[j])) == bool((p.up[i] >> j) & 1)
@@ -158,7 +159,7 @@ def subset_filter_report(dec) -> dict:
     poset_stratified = bool(p.is_poset()) and all(row in family for row in p.up)
 
     def saturation(mask: int) -> int:
-        return dec._preimage_mask(dec._strata_meeting_mask(mask))
+        return preimage_of(dec.masks, dec._strata_meeting_mask(mask))
 
     sat_open = all(space.is_open_mask(saturation(u)) for u in space.min_open)
     sat_closed = all(

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import time
@@ -38,6 +39,12 @@ EQUIVALENCE_GROUPS = (
     "locally_closed_and_frontier_iff_poset_stratified_and_open",
     "semicontinuity_pairings",
 )
+
+# sha256 of ``exhaustive_verify(n).to_json()``, the bytes ``perfbench/golden.json`` pins too
+SWEEP_JSON_SHA256 = {
+    3: "925b8dfde5268f186ada34a30380d176d125679df582274c646f24f95407166f",
+    4: "9d5dfe89d32e04fec33da77bf3332f33deefc8f3d00e4ce601ddab6f646d6666",
+}
 
 
 def report_line(number: int, ok: bool, detail: str) -> None:
@@ -103,6 +110,14 @@ def test_criterion_2_exhaustive_sweep_n4(sweep4):
         f"{report.instances} instances, {report.order_pairs} order pairs, "
         f"{report.failures} failures, {seconds:.2f}s",
     )
+
+
+def test_sweep_reports_are_byte_identical(sweep3, sweep4):
+    # every tally, not only the counts: a check moved between production
+    # and the sweep must keep its name and its passes
+    for n, (report, _) in ((3, sweep3), (4, sweep4)):
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == SWEEP_JSON_SHA256[n], f"n = {n}"
 
 
 def test_criterion_3_fixture_verdicts():

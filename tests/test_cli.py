@@ -84,6 +84,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "nonnegative" in err
 
+    def test_disagreeing_labels_are_exit_3(self, monkeypatch):
+        # a library defect: one printed Alexandrov label disagrees with the
+        # other two, so the group's agreement check must refuse the report
+        monkeypatch.setattr(Decomposition, "_pi_continuous_rows", lambda self, rows: False)
+        code, out, err = run_main(["check", "-"], save(fixture("line_3").document))
+        assert (code, out) == (3, "")
+        assert "equivalent conditions disagree" in err
+        assert "map_to_preorder_space_continuous=False" in err
+        assert "Traceback" not in err
+
     def test_wrong_document_kind_is_exit_2(self, capsys, tmp_path):
         path = write_fixture(tmp_path, "sierpinski")
         code, _, err = run(capsys, ["classify", path])

@@ -16,7 +16,6 @@ from stratkit import (
     compatible_orders,
     face_poset_model,
     generate,
-    order_restricted_to_nonempty,
     strict_refinements_never_open,
     stratification_from_open_map,
 )
@@ -181,15 +180,6 @@ class TestCheckAgainstOrder:
         order = Poset.from_pairs(("S0",), [])
         with pytest.raises(ValidationError, match="missing stratum id"):
             line_3.check_against_order(order)
-
-    def test_restriction_convenience_drops_empty_ids(self, line_3, caplog):
-        order = Poset.from_pairs(("S0", "S1", "S9"), [("S0", "S9"), ("S0", "S1")])
-        with caplog.at_level("INFO"):
-            restricted = order_restricted_to_nonempty(line_3, order)
-        assert set(restricted.elements) == {"S0", "S1"}
-        assert restricted.leq("S0", "S1")
-        assert "S9" in caplog.text
-        line_3.check_against_order(restricted)
 
 
 class TestPosetStratificationType:

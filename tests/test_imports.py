@@ -28,10 +28,9 @@ EXPORTS = [
     "PosetStratification", "PreconditionError", "Proset", "RefinementReport",
     "SemicontinuityReport", "SpaceMap", "SplitMix64", "StratificationVerdict", "SweepReport",
     "SymbolicFamily", "ValidationError", "Verdict", "adjunction_roundtrips", "alexandrov_space",
-    "as_poset_stratified", "classify", "compatible_orders", "continuity_by_closure_inclusion",
-    "enumerate_partitions", "enumerate_posets", "enumerate_prosets", "exhaustive_verify",
-    "export_dot", "face_poset_model", "final_topology", "fixture", "fixture_names", "generate",
-    "load", "openness_by_closure_inclusion", "order_restricted_to_nonempty", "save",
+    "as_poset_stratified", "classify", "compatible_orders", "enumerate_partitions",
+    "enumerate_posets", "enumerate_prosets", "exhaustive_verify", "export_dot",
+    "face_poset_model", "final_topology", "fixture", "fixture_names", "generate", "load", "save",
     "singleton_local_closure_check", "specialization_preorder", "strict_refinements_never_open",
     "stratification_from_open_map", "symbolic_local_finiteness",
 ]

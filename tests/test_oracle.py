@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from stratkit import AgreementReport, Decomposition, ValidationError, exhaustive_verify
+from stratkit import (
+    AgreementReport,
+    Decomposition,
+    Proset,
+    ValidationError,
+    Verdict,
+    exhaustive_verify,
+)
 from stratkit.oracle import (
     PARTITION_COUNTS,
     POSET_COUNTS,
@@ -136,6 +143,33 @@ class TestSweep:
         tally = dict(report.tallies)["poset_stratified_triple_agreement"]
         assert (tally.passed, tally.failed) == (0, report.instances)
         assert report.first_counterexample["check"] == "poset_stratified_triple_agreement"
+
+    def test_sweep_catches_a_wrong_decomposition_preorder(self, monkeypatch):
+        # production reads the preorder off the quotient; only the sweep
+        # compares it with the closed saturations of the strata
+        monkeypatch.setattr(
+            "stratkit.decomposition.specialization_preorder",
+            lambda space: Proset(space.points, space.point_closures),  # the opposite order
+        )
+        report = exhaustive_verify(3)
+        tally = dict(report.tallies)["closed_saturation_matches_preorder_down_sets"]
+        assert tally.failed > 0 and tally.passed > 0
+        check = report.first_counterexample["check"]
+        assert check == "closed_saturation_matches_preorder_down_sets"
+
+    def test_sweep_catches_a_broken_combination_law(self, monkeypatch):
+        # production does not assert the combination law; a wrong
+        # locally-closed clause must show in the sweep's tally
+        monkeypatch.setattr(
+            Decomposition,
+            "locally_closed_strata",
+            lambda self: tuple((sid, Verdict(True)) for sid in self.ids),
+        )
+        report = exhaustive_verify(3)
+        law = "locally_closed_and_frontier_iff_poset_stratified_and_open"
+        tally = dict(report.tallies)[law]
+        assert tally.failed > 0 and tally.passed > 0
+        assert report.first_counterexample["check"] == law
 
     def test_report_serializes(self):
         report = exhaustive_verify(2)
