@@ -59,7 +59,7 @@ orders for a given decomposition. The subset routes are guarded by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping
 
 from . import topology
@@ -195,9 +195,7 @@ class Decomposition:
     def from_strata(
         cls, space: FiniteSpace, strata: Mapping[str, Iterable[str]]
     ) -> "Decomposition":
-        items = tuple(
-            (sid, space.mask_of(strata[sid])) for sid in sorted(strata)
-        )
+        items = tuple((sid, space.mask_of(strata[sid])) for sid in sorted(strata))
         return cls(space, items)
 
     @classmethod
@@ -265,8 +263,9 @@ class Decomposition:
 
     @cached_property
     def _closures(self) -> tuple[int, ...]:
-        """Closure of each stratum, as a point mask."""
-        return tuple([self.space.closure_mask(mask) for mask in self.masks])
+        """Closure of each stratum, as a point mask: the union of its points' closures."""
+        pc = self.space.point_closures
+        return tuple([reduce(int.__or__, map(pc.__getitem__, iter_bits(m))) for m in self.masks])
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:

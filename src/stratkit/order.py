@@ -285,23 +285,10 @@ def alexandrov_space(p: Proset) -> FiniteSpace:
 
 
 def specialization_preorder(space: FiniteSpace) -> Proset:
-    """Specialization preorder of a finite space: x <= y iff x in closure({y}).
-
-    Computed twice, via singleton closures and via minimal-open membership
-    (x <= y iff y in U_x); the two must agree.
-    """
-    n = len(space.points)
-    via_closure = [0] * n
-    for j in range(n):
-        col = space.point_closures[j]
-        for i in iter_bits(col):
-            via_closure[i] |= 1 << j
-    direct = list(space.min_open)
-    if tuple(via_closure) != tuple(direct):
-        raise InternalInvariantError(
-            "specialization preorder: closure route disagrees with minimal-open route"
-        )
-    return Proset(space.points, tuple(direct))
+    """Specialization preorder of a finite space: x <= y iff x in closure({y}),
+    that is iff y lies in U_x, so the up-sets are the minimal-open rows.
+    ``adjunction_roundtrips`` checks the rows against the closure route."""
+    return Proset(space.points, space.min_open)
 
 
 @dataclass(frozen=True)
@@ -313,7 +300,16 @@ class AdjunctionReport:
 
 
 def adjunction_roundtrips(p: Proset, x: FiniteSpace) -> AdjunctionReport:
-    """Check both round-trips exactly; failure is a library defect."""
+    """Check both round-trips exactly, and the specialization preorder of
+    ``x`` against its point closures; failure is a library defect."""
+    via_closure = [0] * len(x.points)
+    for j, col in enumerate(x.point_closures):
+        for i in iter_bits(col):
+            via_closure[i] |= 1 << j
+    if tuple(via_closure) != specialization_preorder(x).up:
+        raise InternalInvariantError(
+            "specialization preorder: closure route disagrees with minimal-open route"
+        )
     unit = specialization_preorder(alexandrov_space(p)) == Proset(p.elements, p.up)
     counit = alexandrov_space(specialization_preorder(x)) == x
     if not unit:

@@ -17,12 +17,19 @@ import sys
 from stratkit import (
     Decomposition,
     FiniteSpace,
+    Proset,
     SpaceMap,
     face_poset_model,
     specialization_preorder,
 )
 from stratkit.cli import main
-from stratkit.oracle import alexandrov_by_subset_filter, labeled_preorder_rows
+from stratkit.oracle import (
+    Sweep,
+    SweepReport,
+    alexandrov_by_subset_filter,
+    labeled_preorder_rows,
+    set_partitions,
+)
 from stratkit.topology import preimage_of
 
 # facets of three simplicial complexes
@@ -68,6 +75,20 @@ def all_spaces(max_n: int):
         points = tuple(str(i) for i in range(n))
         for rows in labeled_preorder_rows(n):
             yield FiniteSpace(points, rows)
+
+
+def labeled_sweep(n: int) -> SweepReport:
+    """The sweep's own space and instance checks run once on every labeled
+    (preorder, partition) pair, each with weight 1: the reference the
+    orbit-weighted ``exhaustive_verify`` must reproduce."""
+    points = tuple(str(i) for i in range(n))
+    partitions = tuple(set_partitions(points))
+    sweep = Sweep(n)
+    for rows in labeled_preorder_rows(n):
+        space = sweep.check_space(Proset(points, rows), 1)
+        for partition in partitions:
+            sweep.check_instance(space, partition, 1)
+    return sweep.report()
 
 
 def open_masks(space: FiniteSpace) -> list[int]:

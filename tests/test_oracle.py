@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from itertools import permutations
+from math import factorial
+from pathlib import Path
 
 import pytest
+
+import helpers
 
 from stratkit import (
     AgreementReport,
@@ -22,8 +28,34 @@ from stratkit.oracle import (
     labeled_poset_rows,
     labeled_preorder_rows,
     naive_preorder_rows,
+    partition_orbits,
+    preorder_orbits,
     set_partitions,
 )
+from stratkit.topology import FiniteSpace
+
+SWEEP5_SHA256 = Path(__file__).parent / "data" / "sweep5_json.sha256"
+
+# sha256 of repr(labeled_preorder_rows(n)), captured from the 2**(n*n - n)
+# filter that enumerated them before one-point extension: the order is pinned
+LABELED_PREORDER_ROWS_SHA256 = {
+    0: "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8",
+    1: "8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c",
+    2: "3531ccaec6c2faed67136894b4f5284797249b9e50e7e20f3f3fdd73d9ee1716",
+    3: "7f4a34cf272fda133bcc4da8bf16434132cf7d0dc210645bc6affd3ccb11ca1e",
+    4: "c2998e825367760be6497c79107b1d408bd9927af130d40e62148097b2c9df2f",
+    5: "48968b9f64012dc65c5ea1e6cfa908f357fe86735efd73f22dd78f422caa93a3",
+}
+
+
+def _relabeled(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The relation with element i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in range(len(rows)):
+            if (row >> j) & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return tuple(out)
 
 
 class TestCounts:
@@ -95,11 +127,66 @@ class TestEnumerations:
         with pytest.raises(ValidationError, match="nonnegative"):
             run()
 
+    def test_labeled_order_is_pinned(self):
+        for n, digest in LABELED_PREORDER_ROWS_SHA256.items():
+            assert hashlib.sha256(repr(labeled_preorder_rows(n)).encode()).hexdigest() == digest
+
     def test_partition_blocks_cover_without_overlap(self):
         points = ("0", "1", "2", "3")
         for partition in set_partitions(points):
             flat = [p for block in partition for p in block]
             assert sorted(flat) == sorted(points)
+
+
+class TestOrbits:
+    def test_orbit_counts(self):
+        # OEIS A001930: preorders on n unlabeled elements
+        assert [len(preorder_orbits(n)) for n in range(6)] == [1, 1, 3, 9, 33, 139]
+
+    def test_orbit_sizes_sum_to_the_labeled_count(self):
+        for n in range(6):
+            sizes = [factorial(n) // len(aut) for _, aut in preorder_orbits(n)]
+            assert sum(sizes) == PREORDER_COUNTS[n]
+
+    def test_orbits_match_brute_force_relabeling(self):
+        # every labeled preorder, relabeled all n! ways, lands on exactly
+        # one representative, and each representative's orbit has the size
+        # its automorphism count gives
+        for n in range(5):
+            perms = list(permutations(range(n)))
+            orbit_sizes: dict[tuple[int, ...], int] = {}
+            for rows in labeled_preorder_rows(n):
+                canonical = min(_relabeled(rows, perm) for perm in perms)
+                orbit_sizes[canonical] = orbit_sizes.get(canonical, 0) + 1
+            reps = preorder_orbits(n)
+            assert [rows for rows, _ in reps] == sorted(orbit_sizes)
+            for rows, aut in reps:
+                assert orbit_sizes[rows] == factorial(n) // len(aut)
+
+    def test_automorphisms_fix_the_representative(self):
+        for n in range(5):
+            for rows, aut in preorder_orbits(n):
+                for table in aut:
+                    # the up-set of each element maps onto the up-set of its image
+                    image = [0] * n
+                    for i, row in enumerate(rows):
+                        image[table[1 << i].bit_length() - 1] = table[row]
+                    assert tuple(image) == rows
+
+    def test_pair_orbit_counts(self):
+        for n, expected in ((3, 36), (4, 337), (5, 4323)):
+            partitions = tuple(set_partitions([str(i) for i in range(n)]))
+            count = labeled = 0
+            for _, aut in preorder_orbits(n):
+                for _, size in partition_orbits(partitions, aut):
+                    count += 1
+                    labeled += factorial(n) // len(aut) * size
+            assert count == expected
+            assert labeled == PREORDER_COUNTS[n] * PARTITION_COUNTS[n]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_weighted_sweep_matches_the_labeled_reference(self, n):
+        assert exhaustive_verify(n).to_json() == helpers.labeled_sweep(n).to_json()
 
 
 class TestSweep:
@@ -129,6 +216,11 @@ class TestSweep:
         with pytest.raises(ValidationError, match="bound"):
             exhaustive_verify(5)
 
+    def test_n5_report_bytes(self):
+        report = exhaustive_verify(5, max_n=5)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == SWEEP5_SHA256.read_text().strip()
+
     def test_search_catches_a_wrong_poset_stratified_value(self, monkeypatch):
         # production decides the group by antisymmetry alone; only the
         # sweep's search over labeled partial orders can catch a wrong value
@@ -156,6 +248,17 @@ class TestSweep:
         assert tally.failed > 0 and tally.passed > 0
         check = report.first_counterexample["check"]
         assert check == "closed_saturation_matches_preorder_down_sets"
+
+    def test_sweep_catches_wrong_point_closures(self, monkeypatch):
+        # production reads the specialization preorder off the minimal
+        # opens; only the sweep's round-trip check compares the closures
+        monkeypatch.setattr(
+            FiniteSpace, "point_closures", property(lambda space: space.min_open)
+        )
+        report = exhaustive_verify(3)
+        tally = dict(report.tallies)["adjunction_roundtrips"]
+        assert tally.failed > 0 and tally.passed > 0
+        assert report.first_counterexample["check"] == "adjunction_roundtrips"
 
     def test_sweep_catches_a_broken_combination_law(self, monkeypatch):
         # production does not assert the combination law; a wrong
