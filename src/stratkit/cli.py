@@ -100,11 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_document(path: str) -> Document:
-    if path == "-":
-        return load(sys.stdin.read())
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        if path == "-":
+            # stdin is decoded as strictly as a file, whatever its locale encoding
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

@@ -58,9 +58,8 @@ orders for a given decomposition. The subset routes are guarded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
@@ -71,14 +70,13 @@ from .order import (
     reflexive_transitive_closure,
     specialization_preorder,
 )
-from .topology import FiniteSpace, SpaceMap, Verdict, iter_bits, min_open_rows, preimage_of
+from .topology import FiniteSpace, SpaceMap, Value, Verdict, iter_bits, min_open_rows, preimage_of
 
 #: The decomposition preorder is an ordinary preorder on stratum ids.
 DecompositionPreorder = Proset
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Independently computed values of one equivalence group.
 
     The builder asserts all values equal before constructing the report,
@@ -98,8 +96,7 @@ class AgreementReport:
         return self.value
 
 
-@dataclass(frozen=True)
-class StratificationVerdict:
+class StratificationVerdict(NamedTuple):
     holds: bool
     reasons: tuple[str, ...] = ()
 
@@ -107,8 +104,7 @@ class StratificationVerdict:
         return self.holds
 
 
-@dataclass(frozen=True)
-class SemicontinuityReport:
+class SemicontinuityReport(NamedTuple):
     """Saturation formulas and quotient-map properties, evaluated separately.
 
     Saturating every open set to a union of strata yields opens iff the
@@ -141,8 +137,7 @@ class SemicontinuityReport:
         return "neither"
 
 
-@dataclass(frozen=True)
-class OrderCheck:
+class OrderCheck(NamedTuple):
     """How the quotient map behaves against a supplied partial order."""
 
     continuous: bool
@@ -158,8 +153,7 @@ def _agree(labels, values, witnesses=()) -> AgreementReport:
     return AgreementReport(tuple(labels), tuple(values), tuple(witnesses))
 
 
-@dataclass(frozen=True, repr=False)
-class Decomposition:
+class Decomposition(Value):
     """A finite space with a validated partition into named strata.
 
     ``strata`` holds (stratum id, point mask) pairs with the ids strictly
@@ -168,8 +162,12 @@ class Decomposition:
     stratum.
     """
 
-    space: FiniteSpace
-    strata: tuple[tuple[str, int], ...]
+    _fields = __match_args__ = ("space", "strata")
+
+    def __init__(self, space: FiniteSpace, strata: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "strata", strata)
+        self.__post_init__()
 
     def __post_init__(self):
         items = tuple(self.strata)
@@ -621,14 +619,17 @@ def _require_matching_elements(d: Decomposition, order: Poset) -> None:
         raise ValidationError(f"order is missing stratum id {sorted(missing)[0]!r}")
 
 
-@dataclass(frozen=True, repr=False)
-class PosetStratification:
+class PosetStratification(Value):
     """A decomposition together with a partial order on its stratum ids
     making the quotient map a continuous surjection onto the order
     topology. Both properties are validated at construction."""
 
-    dec: Decomposition
-    order: Poset
+    _fields = __match_args__ = ("dec", "order")
+
+    def __init__(self, dec: Decomposition, order: Poset):
+        object.__setattr__(self, "dec", dec)
+        object.__setattr__(self, "order", order)
+        self.__post_init__()
 
     def __post_init__(self):
         _require_matching_elements(self.dec, self.order)
@@ -709,8 +710,7 @@ def stratification_from_open_map(ps: PosetStratification) -> None:
 # -- the aggregated report -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Every classification rung for one decomposition, with witnesses."""
 
     alexandrov: AgreementReport

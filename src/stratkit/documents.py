@@ -38,9 +38,9 @@ reports and the oracle's sweep report use the same writer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .decomposition import Decomposition
 from .errors import ParseError, ValidationError
@@ -58,8 +58,7 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     kind: str
     value: object
 

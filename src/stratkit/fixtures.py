@@ -7,8 +7,8 @@ finite model stands for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .decomposition import Decomposition
 from .documents import Document
@@ -17,8 +17,7 @@ from .order import SYMBOLIC_FAMILIES, Poset, alexandrov_space
 from .topology import FiniteSpace
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     document: Document
     notes: str
@@ -129,8 +128,7 @@ def fixture_names() -> tuple[str, ...]:
 # -- simplicial input ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceModel:
+class FaceModel(NamedTuple):
     """Face poset of a simplicial complex and its order topology.
 
     Faces are named by their sorted comma-joined vertices and ordered by

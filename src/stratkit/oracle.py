@@ -34,11 +34,10 @@ preorder, against it; ``compatible_orders`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .decomposition import Decomposition, as_poset_stratified
 from .documents import canonical_json, payload_of
@@ -51,7 +50,7 @@ from .order import (
     reflexive_transitive_closure,
     singleton_local_closure_check,
 )
-from .topology import FiniteSpace, final_topology, iter_bits, min_open_rows, preimage_of
+from .topology import FiniteSpace, Value, final_topology, iter_bits, min_open_rows, preimage_of
 
 #: Known totals (OEIS A000798, A001035, A000110), checked by the tests.
 PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
@@ -288,8 +287,7 @@ def _orders_by_continuity(
     return orders, list(map(dec._pi_continuous_rows, orders))
 
 
-@dataclass(frozen=True)
-class CompatibleOrdersReport:
+class CompatibleOrdersReport(NamedTuple):
     """All partial orders on the stratum ids that make the quotient map
     continuous; the decomposition preorder is contained in each."""
 
@@ -297,6 +295,7 @@ class CompatibleOrdersReport:
 
     @property
     def count(self) -> int:
+        """The number of orders. This property shadows ``tuple.count``."""
         return len(self.orders)
 
 
@@ -318,8 +317,7 @@ def compatible_orders(d: Decomposition, bound: int = 4) -> CompatibleOrdersRepor
     return CompatibleOrdersReport(tuple(found))
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     refinements_tested: int
 
 
@@ -390,8 +388,7 @@ def preorder_matches_closed_saturations(dec: Decomposition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Tally:
+class Tally(NamedTuple):
     passed: int
     failed: int
 
@@ -400,14 +397,31 @@ class Tally:
         return self.passed + self.failed
 
 
-@dataclass(frozen=True, eq=False)
-class SweepReport:
-    n: int
-    spaces: int
-    instances: int
-    order_pairs: int
-    tallies: tuple[tuple[str, Tally], ...]
-    first_counterexample: dict | None
+class SweepReport(Value):
+    """Counts and per-check tallies of one sweep. It holds the first
+    counterexample as a dict, so it compares and hashes by identity."""
+
+    _fields = __match_args__ = (
+        "n", "spaces", "instances", "order_pairs", "tallies", "first_counterexample"
+    )
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self,
+        n: int,
+        spaces: int,
+        instances: int,
+        order_pairs: int,
+        tallies: tuple[tuple[str, Tally], ...],
+        first_counterexample: dict | None,
+    ):
+        values = (n, spaces, instances, order_pairs, tallies, first_counterexample)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"SweepReport({fields})"
 
     @property
     def failures(self) -> int:

@@ -11,12 +11,11 @@ that have no finite witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
-from .topology import FiniteSpace, Verdict, checked_names, iter_bits
+from .topology import FiniteSpace, Value, Verdict, checked_names, iter_bits
 
 
 def reflexive_transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
@@ -37,8 +36,7 @@ def reflexive_transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True, repr=False)
-class Proset:
+class Proset(Value):
     """A finite preordered set.
 
     The relation is stored row-compressed: ``up[i]`` is the bit mask of all
@@ -46,8 +44,12 @@ class Proset:
     reflexivity and transitivity.
     """
 
-    elements: tuple[str, ...]
-    up: tuple[int, ...]
+    _fields = __match_args__ = ("elements", "up")
+
+    def __init__(self, elements: tuple[str, ...], up: tuple[int, ...]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "up", up)
+        self.__post_init__()
 
     def __post_init__(self):
         els = checked_names(self.elements, "element")
@@ -191,7 +193,6 @@ class Proset:
         return poset, quotient
 
 
-@dataclass(frozen=True, repr=False)
 class Poset(Proset):
     """A proset whose relation is also antisymmetric."""
 
@@ -218,13 +219,16 @@ class Poset(Proset):
         return tuple(sorted(covers))
 
 
-@dataclass(frozen=True, repr=False)
-class MonotoneMap:
+class MonotoneMap(Value):
     """A map between prosets; monotonicity is a check, not an invariant."""
 
-    source: Proset
-    target: Proset
-    assignment: tuple[int, ...]  # source element index -> target element index
+    _fields = __match_args__ = ("source", "target", "assignment")
+
+    def __init__(self, source: Proset, target: Proset, assignment: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "assignment", assignment)  # source index -> target index
+        self.__post_init__()
 
     def __post_init__(self):
         asg = tuple(self.assignment)
@@ -291,8 +295,7 @@ def specialization_preorder(space: FiniteSpace) -> Proset:
     return Proset(space.points, space.min_open)
 
 
-@dataclass(frozen=True)
-class AdjunctionReport:
+class AdjunctionReport(NamedTuple):
     """Round-trip results for the order/space translations."""
 
     unit_is_identity: bool  # preorder -> space -> preorder returns the input
@@ -343,8 +346,7 @@ def singleton_local_closure_check(p: Proset) -> bool:
 # by a closed catalog of symbolic families with hard-coded analytic answers.
 
 
-@dataclass(frozen=True)
-class SymbolicFamily:
+class SymbolicFamily(NamedTuple):
     """An infinite order family with precomputed local-finiteness answers."""
 
     tag: str

@@ -10,14 +10,21 @@ a size guard.
 Point subsets cross the public API as frozensets of point names and are
 held internally as bit masks over the point list in insertion order. No
 result depends on the stored order.
+
+The validated types here and in ``order`` and ``decomposition`` subclass
+``Value``: an explicit ``__init__`` stores the fields named in ``_fields``
+and runs ``__post_init__``, which validates and normalizes them. Values
+compare and hash by class and fields and refuse assignment and deletion;
+``cached_property`` still memoises, as it writes to the instance
+``__dict__``. Report and record types are ``typing.NamedTuple``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -36,8 +43,32 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Value:
+    """Base of the validated types: equality and hashing by class and
+    ``_fields``, and no assignment or deletion after construction."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # the tuple of field values, read by one C call (each class has two or more fields)
+        cls._astuple = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Verdict(NamedTuple):
     """Boolean outcome plus an optional witness or counterexample."""
 
     holds: bool
@@ -61,8 +92,7 @@ def checked_names(names: Iterable[str], what: str = "point") -> tuple[str, ...]:
     return out
 
 
-@dataclass(frozen=True, repr=False)
-class FiniteSpace:
+class FiniteSpace(Value):
     """A finite topological space.
 
     ``min_open[i]`` is the bit mask of the minimal open neighborhood of
@@ -71,8 +101,12 @@ class FiniteSpace:
     (equivalently, each U_x is itself open).
     """
 
-    points: tuple[str, ...]
-    min_open: tuple[int, ...]
+    _fields = __match_args__ = ("points", "min_open")
+
+    def __init__(self, points: tuple[str, ...], min_open: tuple[int, ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "min_open", min_open)
+        self.__post_init__()
 
     def __post_init__(self):
         pts = checked_names(self.points)
@@ -332,13 +366,16 @@ def _first_occurrences(masks: Sequence[int], order: Iterable[int]) -> Iterator[i
     return iter(dict.fromkeys(masks[i] for i in order))
 
 
-@dataclass(frozen=True, repr=False)
-class SpaceMap:
+class SpaceMap(Value):
     """A point map between finite spaces; no continuity assumed until checked."""
 
-    source: FiniteSpace
-    target: FiniteSpace
-    assignment: tuple[int, ...]  # source point index -> target point index
+    _fields = __match_args__ = ("source", "target", "assignment")
+
+    def __init__(self, source: FiniteSpace, target: FiniteSpace, assignment: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "assignment", assignment)  # source index -> target index
+        self.__post_init__()
 
     def __post_init__(self):
         asg = tuple(self.assignment)

@@ -69,6 +69,24 @@ def run_main(argv: list[str], stdin: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_value_semantics(make, field: str, memo: str | None = None) -> None:
+    """Two values built alike by ``make`` are equal and hash alike, ``field``
+    can be neither assigned nor deleted, and the cached property ``memo`` is
+    computed once and then read from the instance."""
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    for attempt in (lambda: setattr(a, field, None), lambda: delattr(a, field)):
+        try:
+            attempt()
+        except AttributeError:
+            continue
+        raise AssertionError(f"{type(a).__name__}.{field} is writable")
+    if memo is not None:
+        first = getattr(a, memo)
+        assert vars(a)[memo] is first and getattr(a, memo) is first
+    assert a == b
+
+
 def all_spaces(max_n: int):
     """Every labeled space with at most max_n points (as order topologies)."""
     for n in range(max_n + 1):

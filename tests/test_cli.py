@@ -3,12 +3,17 @@ from __future__ import annotations
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import run_main
+import stratkit
 from stratkit import Decomposition, face_poset_model, fixture, fixture_names, load, save, topology
 from stratkit.cli import main
 from stratkit.documents import KINDS, Document
@@ -20,6 +25,17 @@ def run(capsys, argv, stdin: str | None = None, monkeypatch=None) -> tuple[int, 
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_piped(stdin: bytes, **env: str) -> subprocess.CompletedProcess:
+    """``python -m stratkit check -`` in a new interpreter, reading ``stdin``;
+    the stdin encoding follows ``env`` alone."""
+    base = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    base["PYTHONPATH"] = str(Path(stratkit.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "stratkit", "check", "-"],
+        input=stdin, env={**base, **env}, capture_output=True, timeout=60, check=False,
+    )
 
 
 def write_fixture(tmp_path, name: str) -> str:
@@ -78,6 +94,28 @@ class TestExitCodes:
         code, out, err = run(capsys, ["check", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("error: parse error") and "UTF-8" in err
+
+    def test_non_utf8_stdin_is_exit_2_with_strict_stdin(self):
+        proc = run_piped(b"\xff{", PYTHONIOENCODING="utf-8:strict")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (
+            b"error: parse error: '-' is not UTF-8 text (invalid start byte at byte 0)\n"
+        )
+
+    def test_non_utf8_stdin_is_exit_2_in_the_posix_locale(self, capsys, tmp_path):
+        # the POSIX locale reads stdin with surrogateescape, which would let
+        # a Latin-1 point name through that the same bytes in a file fail on
+        payload = {"kind": "decomposition",
+                   "space": {"points": ["\xff"], "min_open": {"\xff": ["\xff"]}},
+                   "strata": {"S": ["\xff"]}}
+        data = json.dumps(payload, ensure_ascii=False).encode("latin-1")
+        path = tmp_path / "latin.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["check", str(path)])
+        assert (code, out) == (2, "") and "is not UTF-8 text" in err
+        proc = run_piped(data, LC_ALL="C", LANG="C")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: parse error: '-' is not UTF-8 text")
 
     def test_negative_verify_size_is_exit_2(self, capsys):
         code, out, err = run(capsys, ["verify", "--exhaustive", "--points", "-1"])

@@ -4,11 +4,13 @@ import pytest
 
 import helpers
 from stratkit import (
+    AgreementReport,
     Decomposition,
     FiniteSpace,
     Poset,
     PosetStratification,
     PreconditionError,
+    StratificationVerdict,
     ValidationError,
     alexandrov_space,
     as_poset_stratified,
@@ -55,6 +57,81 @@ class TestConstruction:
         dec = Decomposition.from_strata(FiniteSpace.empty(), {})
         assert dec.quotient_space == FiniteSpace.empty()
         assert classify(dec).verdict() == "stratification"
+
+
+def quadrant() -> Decomposition:
+    """A fresh pointwise decomposition of the quadrant model each call."""
+    space = FiniteSpace.from_min_open("0123", {"0": "0123", "1": "13", "2": "23", "3": "3"})
+    return Decomposition.pointwise(space)
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize(
+        "make, field, memo",
+        [
+            (quadrant, "strata", "preorder"),
+            (lambda: Decomposition(space=FiniteSpace.discrete("ab"),
+                                   strata=(("A", 0b01), ("B", 0b10))), "space", "ids"),
+            (lambda: as_poset_stratified(quadrant()), "order", "pi_into_order"),
+        ],
+        ids=["Decomposition", "Decomposition-keywords", "PosetStratification"],
+    )
+    def test_equal_hashable_and_frozen(self, make, field, memo):
+        helpers.assert_value_semantics(make, field, memo)
+
+    def test_fields_decide_equality(self, line_3, sierpinski):
+        assert line_3 != Decomposition.pointwise(line_3.space)
+        assert Decomposition.pointwise(sierpinski) != Decomposition.pointwise(
+            FiniteSpace.discrete(sierpinski.points)
+        )
+
+    def test_construction_still_validates(self, sierpinski):
+        with pytest.raises(ValidationError, match=r"^stratum ids must be unique and sorted$"):
+            Decomposition(sierpinski, (("B", 0b01), ("A", 0b10)))
+        with pytest.raises(ValidationError, match=r"^strata do not cover the space$"):
+            Decomposition(sierpinski, (("A", 0b01),))
+
+    def test_report_reprs(self, line_3):
+        empty = classify(Decomposition.from_strata(FiniteSpace.empty(), {}))
+        assert repr(empty) == (
+            "ClassificationReport(alexandrov=AgreementReport(labels=("
+            "'quotient_has_minimal_opens', 'preorder_topology_equals_quotient_topology', "
+            "'map_to_preorder_space_continuous'), values=(True, True, True), witnesses=()), "
+            "locally_closed=(), frontier=AgreementReport(labels=('frontier_condition', "
+            "'closure_is_minimal_closed_saturation', 'preorder_equals_closure_containment', "
+            "'quotient_map_open'), values=(True, True, True, True), witnesses=()), "
+            "poset_stratified=AgreementReport(labels=('stratified_over_some_partial_order', "
+            "'preorder_is_partial_order_and_map_continuous', "
+            "'strata_open_in_minimal_closed_saturation'), values=(True, True, True), "
+            "witnesses=()), stratification=StratificationVerdict(holds=True, reasons=()), "
+            "semicontinuity=SemicontinuityReport(sat_open_open=True, sat_closed_closed=True, "
+            "pi_open=True, pi_closed=True))"
+        )
+        assert repr(AgreementReport(("x", "y"), (False, False), (("x", "why"),))) == (
+            "AgreementReport(labels=('x', 'y'), values=(False, False), "
+            "witnesses=(('x', 'why'),))"
+        )
+        assert repr(classify(line_3).stratification) == (
+            "StratificationVerdict(holds=False, reasons=('frontier condition fails',))"
+        )
+        assert repr(classify(line_3).semicontinuity) == (
+            "SemicontinuityReport(sat_open_open=False, sat_closed_closed=True, pi_open=False, "
+            "pi_closed=True)"
+        )
+        inverted = Poset.from_pairs(("S0", "S1"), [("S1", "S0")])
+        assert repr(line_3.check_against_order(inverted)) == (
+            "OrderCheck(continuous=False, open=False, continuity_witness=frozenset({'S0'}), "
+            "openness_witness=frozenset({'p'}))"
+        )
+        assert repr(face_poset_model([("a", "b")])) == (
+            "FaceModel(poset=Poset([a, a,b, b]; a<=a,b, b<=a,b), "
+            "space=FiniteSpace(a:{a,a,b}, a,b:{a,b}, b:{a,b,b}))"
+        )
+
+    def test_false_reports_are_false(self):
+        assert not StratificationVerdict(False) and StratificationVerdict(True)
+        assert not AgreementReport(("x", "y"), (False, False))
+        assert AgreementReport(("x",), (True,)) and AgreementReport((), ())
 
 
 class TestQuotient:
@@ -276,6 +353,14 @@ class TestCompatibleOrders:
         # the only freedom is how 1 and 2 compare: none, 1<=2, or 2<=1
         assert report.count == 3
 
+    def test_report_repr_and_count(self, two_point_discrete):
+        report = compatible_orders(two_point_discrete)
+        assert repr(report) == (
+            "CompatibleOrdersReport(orders=(Poset([0, 1]; ), Poset([0, 1]; 0<=1), "
+            "Poset([0, 1]; 1<=0)))"
+        )
+        assert report.count == 3  # the property, not tuple.count
+
     def test_not_poset_stratified_is_rejected(self, pseudo_circle_4):
         with pytest.raises(PreconditionError):
             compatible_orders(pseudo_circle_4)
@@ -290,7 +375,9 @@ class TestRefinements:
         assert strict_refinements_never_open(quadrant_4).refinements_tested == 2
 
     def test_total_order_has_none(self, chain_3):
-        assert strict_refinements_never_open(chain_3).refinements_tested == 0
+        report = strict_refinements_never_open(chain_3)
+        assert report.refinements_tested == 0
+        assert repr(report) == "RefinementReport(refinements_tested=0)"
 
     def test_non_stratification_rejected(self, line_3):
         with pytest.raises(PreconditionError):

@@ -248,6 +248,16 @@ class TestFixtureCatalog:
         for name in fixture_names():
             assert fixture(name).notes
 
+    def test_record_reprs(self):
+        assert repr(fixture("sierpinski")) == (
+            "Fixture(name='sierpinski', document=Document(kind='space', "
+            "value=FiniteSpace(c:{c,o}, o:{o})), notes='Two points, one of them open and dense; "
+            "the smallest non-discrete space.')"
+        )
+        assert repr(fixture("line_3").document) == (
+            "Document(kind='decomposition', value=Decomposition(S0={m,z}, S1={p}))"
+        )
+
 
 class TestFacePosets:
     def test_single_edge(self):

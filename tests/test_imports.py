@@ -36,15 +36,20 @@ EXPORTS = [
 ]
 
 # ``python -m stratkit ARGS`` with its stdout swallowed; prints the exit
-# code and the OPTIONAL modules the run left loaded
+# code, the OPTIONAL modules the run left loaded, and whether it loaded
+# ``dataclasses`` (judged against the modules loaded at interpreter start,
+# which ``site`` may have filled)
 RUN_CLI = f"""
-import contextlib, io, json, runpy, sys
+import sys
+start = set(sys.modules)
+import contextlib, io, json, runpy
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("stratkit", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m in {OPTIONAL!r})]))
+added = set(sys.modules) - start
+print(json.dumps([code, sorted(m for m in added if m in {OPTIONAL!r}), "dataclasses" in added]))
 """
 
 
@@ -78,13 +83,19 @@ def quadrant_doc(tmp_path_factory) -> str:
         (["coarsen", "{doc}"], []),
         (["preorder", "{doc}", "--dot"], ["stratkit.dot"]),
         (["export-dot", "{doc}"], ["stratkit.dot"]),
+        (["verify", "--exhaustive", "--points", "2"], ["stratkit.oracle"]),
+        (["fixture", "show", "line_3"], ["stratkit.fixtures"]),
+        (["gen", "--kind", "partition", "--n", "5", "--seed", "11", "--blocks", "2"],
+         ["stratkit.generate"]),
     ],
     ids=["check", "check-json", "classify-expect", "quotient", "preorder", "coarsen",
-         "preorder-dot", "export-dot"],
+         "preorder-dot", "export-dot", "verify", "fixture-show", "gen"],
 )
 def test_commands_import_only_what_they_run(quadrant_doc, argv, loaded):
+    """Each command loads only the optional modules it runs, and none loads
+    ``dataclasses``, which imports ``inspect``."""
     args = [a.format(doc=quadrant_doc) for a in argv]
-    assert fresh_python(RUN_CLI, *args) == [0, loaded]
+    assert fresh_python(RUN_CLI, *args) == [0, loaded, False]
 
 
 def test_all_is_unchanged():

@@ -22,6 +22,8 @@ from stratkit.oracle import (
     PARTITION_COUNTS,
     POSET_COUNTS,
     PREORDER_COUNTS,
+    SweepReport,
+    Tally,
     enumerate_partitions,
     enumerate_posets,
     enumerate_prosets,
@@ -211,6 +213,18 @@ class TestSweep:
         ):
             assert tallies[name].passed == 145 and tallies[name].failed == 0
         assert report.first_counterexample is None
+
+    def test_report_repr_and_identity_equality(self):
+        report = SweepReport(1, 1, 1, 0, (("x", Tally(1, 0)),), {"check": "x"})
+        assert repr(report) == (
+            "SweepReport(n=1, spaces=1, instances=1, order_pairs=0, "
+            "tallies=(('x', Tally(passed=1, failed=0)),), first_counterexample={'check': 'x'})"
+        )
+        # it holds a dict, so equal fields do not make equal reports
+        again = SweepReport(1, 1, 1, 0, (("x", Tally(1, 0)),), {"check": "x"})
+        assert report == report and report != again and hash(report) != hash(again)
+        with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+            report.n = 2
 
     def test_guard(self):
         with pytest.raises(ValidationError, match="bound"):

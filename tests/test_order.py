@@ -101,6 +101,49 @@ class TestConstruction:
         assert str(exc.value) == self.REPEATED_ROWS_MESSAGE
 
 
+class TestValueSemantics:
+    @pytest.mark.parametrize(
+        "make, field, memo",
+        [
+            (lambda: Proset.from_pairs("abc", [("a", "b"), ("b", "a")]), "up", "down"),
+            (diamond, "elements", "down"),
+            (lambda: Poset(elements=("a", "b"), up=(0b11, 0b10)), "up", "_index"),
+            (lambda: diamond().reflection()[1], "assignment", None),
+            (lambda: MonotoneMap(source=diamond(), target=diamond(), assignment=(0, 1, 2, 3)),
+             "source", None),
+        ],
+        ids=["Proset", "Poset", "Poset-keywords", "MonotoneMap", "MonotoneMap-keywords"],
+    )
+    def test_equal_hashable_and_frozen(self, make, field, memo):
+        helpers.assert_value_semantics(make, field, memo)
+
+    def test_the_class_is_part_of_the_value(self):
+        rows = (0b011, 0b010, 0b100)
+        proset, poset = Proset(tuple("abc"), rows), Poset(tuple("abc"), rows)
+        assert proset != poset and poset != proset
+        assert alexandrov_space(poset) != poset
+        assert Proset(tuple("abc"), rows) == proset and Poset(tuple("abc"), rows) == poset
+
+    def test_map_construction_still_validates(self):
+        p = diamond()
+        with pytest.raises(ValidationError, match=r"^assignment must cover every source element$"):
+            MonotoneMap(p, p, (0, 1))
+        with pytest.raises(ValidationError, match=r"^assignment for '3' lands outside the target$"):
+            MonotoneMap(p, p, (0, 1, 2, 4))
+
+    def test_report_reprs(self):
+        p = Proset.from_pairs("ab", [("a", "b")])
+        assert repr(adjunction_roundtrips(p, alexandrov_space(p))) == (
+            "AdjunctionReport(unit_is_identity=True, counit_is_identity=True)"
+        )
+        assert repr(symbolic_local_finiteness("NatUsual")) == (
+            "SymbolicFamily(tag='NatUsual', locally_finite_space=False, "
+            "locally_finite_poset=True, space_reason='the up-set [p, oo) of any p is infinite "
+            "in the usual order on the naturals', poset_reason='every interval [p, q] in the "
+            "usual order on the naturals is finite')"
+        )
+
+
 class TestOrderTopology:
     def test_chain_gives_sierpinski(self):
         p = Proset.from_pairs(("0", "1"), [("0", "1")])

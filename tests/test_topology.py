@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from stratkit import FiniteSpace, SpaceMap, ValidationError, final_topology, load
+from stratkit import FiniteSpace, SpaceMap, ValidationError, Verdict, final_topology, load
 
 
 def pseudo_circle_space() -> FiniteSpace:
@@ -94,6 +94,50 @@ class TestConstruction:
         s = FiniteSpace.empty()
         assert s.is_open(()) and s.is_closed(())
         assert s.closure(()) == frozenset()
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize(
+        "make, field, memo",
+        [
+            (line_3_space, "min_open", "point_closures"),
+            (lambda: FiniteSpace(points=("a", "b"), min_open=(0b11, 0b10)), "points", "_index"),
+            (lambda: SpaceMap.identity(line_3_space()), "assignment", "_fibers"),
+            (lambda: SpaceMap(source=line_3_space(), target=FiniteSpace.discrete("x"),
+                              assignment=(0, 0, 0)), "target", "_fibers"),
+        ],
+        ids=["FiniteSpace", "FiniteSpace-keywords", "SpaceMap", "SpaceMap-keywords"],
+    )
+    def test_equal_hashable_and_frozen(self, make, field, memo):
+        helpers.assert_value_semantics(make, field, memo)
+
+    def test_fields_decide_equality(self):
+        space = line_3_space()
+        assert space != pseudo_circle_space() and space != FiniteSpace.discrete(space.points)
+        assert space != (space.points, space.min_open)
+        to_line = SpaceMap.from_names(space, space, {"m": "m", "z": "z", "p": "z"})
+        assert to_line != SpaceMap.identity(space)
+
+    def test_assignment_messages(self):
+        space = line_3_space()
+        with pytest.raises(AttributeError, match=r"^cannot assign to field 'points'$"):
+            space.points = ()
+        with pytest.raises(AttributeError, match=r"^cannot delete field 'point_closures'$"):
+            del space.point_closures
+
+    def test_map_construction_still_validates(self):
+        space = line_3_space()
+        with pytest.raises(ValidationError, match=r"^assignment must cover every source point$"):
+            SpaceMap(space, space, (0, 1))
+        with pytest.raises(ValidationError, match=r"^assignment for 'p' lands outside the target$"):
+            SpaceMap(space, space, (0, 1, 3))
+
+    def test_verdict_repr_and_truth(self):
+        assert repr(Verdict(True)) == "Verdict(holds=True, witness=None, note='')"
+        assert repr(Verdict(False, witness=("a", "b"), note="two-cycle")) == (
+            "Verdict(holds=False, witness=('a', 'b'), note='two-cycle')"
+        )
+        assert not Verdict(False) and not Verdict(False, "w", "n") and Verdict(True)
 
 
 class TestPointSetOperations:
