@@ -47,41 +47,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="full classification report for a decomposition")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("document")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("classify", help="ladder verdict for a decomposition")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("document")
     p.add_argument("--expect", choices=LADDER)
 
     p = sub.add_parser("quotient", help="decomposition space as a space document")
+    p.set_defaults(run=_cmd_quotient)
     p.add_argument("document")
 
     p = sub.add_parser("preorder", help="decomposition preorder as a proset document")
+    p.set_defaults(run=_cmd_preorder)
     p.add_argument("document")
     p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("coarsen", help="merge strata along preorder equivalence classes")
+    p.set_defaults(run=_cmd_coarsen)
     p.add_argument("document")
 
     p = sub.add_parser(
         "theorem-a", help="frontier partial order of a stratification (errors if not one)"
     )
+    p.set_defaults(run=_cmd_theorem_a)
     p.add_argument("document")
 
     p = sub.add_parser(
         "theorem-b",
         help="confirm a stratification from an open quotient map over a given order",
     )
+    p.set_defaults(run=_cmd_theorem_b)
     p.add_argument("document")
     p.add_argument("order")
 
     p = sub.add_parser("verify", help="exhaustive sweep over all small instances")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--exhaustive", action="store_true", required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("gen", help="seeded random preorder or partition document")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--kind", choices=("preorder", "partition"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -90,10 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space")
 
     p = sub.add_parser("fixture", help="list the catalog or show one entry")
+    p.set_defaults(run=_cmd_fixture)
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
 
     p = sub.add_parser("export-dot", help="DOT rendering of an order or decomposition")
+    p.set_defaults(run=_cmd_export_dot)
     p.add_argument("document")
 
     return parser
@@ -255,10 +266,10 @@ def _cmd_theorem_b(args) -> int:
     return 0
 
 
-def _cmd_verify(args, max_points_override: int | None) -> int:
+def _cmd_verify(args) -> int:
     from .oracle import exhaustive_verify
 
-    max_n = 4 if max_points_override is None else max(4, max_points_override)
+    max_n = 4 if args.max_points is None else max(4, args.max_points)
     report = exhaustive_verify(args.points, max_n=max_n)
     if args.format == "json":
         _emit(report.to_json())
@@ -327,30 +338,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        override = _max_points_override()
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "quotient":
-            return _cmd_quotient(args)
-        if args.command == "preorder":
-            return _cmd_preorder(args)
-        if args.command == "coarsen":
-            return _cmd_coarsen(args)
-        if args.command == "theorem-a":
-            return _cmd_theorem_a(args)
-        if args.command == "theorem-b":
-            return _cmd_theorem_b(args)
-        if args.command == "verify":
-            return _cmd_verify(args, override)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "fixture":
-            return _cmd_fixture(args)
-        if args.command == "export-dot":
-            return _cmd_export_dot(args)
-        raise ValidationError(f"unknown command: {args.command!r}")
+        # read for every command, so a bad value is exit 2 everywhere
+        args.max_points = _max_points_override()
+        return args.run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,7 +58,7 @@ orders for a given decomposition. The subset routes are guarded by
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from . import topology
@@ -70,7 +70,9 @@ from .order import (
     reflexive_transitive_closure,
     specialization_preorder,
 )
-from .topology import FiniteSpace, SpaceMap, Value, Verdict, iter_bits, min_open_rows, preimage_of
+from .topology import (
+    FiniteSpace, SpaceMap, Value, Verdict, iter_bits, min_open_rows, preimage_of, rows_within
+)
 
 #: The decomposition preorder is an ordinary preorder on stratum ids.
 DecompositionPreorder = Proset
@@ -153,6 +155,14 @@ def _agree(labels, values, witnesses=()) -> AgreementReport:
     return AgreementReport(tuple(labels), tuple(values), tuple(witnesses))
 
 
+def _checked_ids(ids):
+    """The ids, each a nonempty string; checked before any sorting compares them."""
+    for sid in ids:
+        if not isinstance(sid, str) or not sid:
+            raise ValidationError(f"stratum ids must be nonempty strings, got {sid!r}")
+    return ids
+
+
 class Decomposition(Value):
     """A finite space with a validated partition into named strata.
 
@@ -172,12 +182,9 @@ class Decomposition(Value):
     def __post_init__(self):
         items = tuple(self.strata)
         object.__setattr__(self, "strata", items)
-        ids = [sid for sid, _ in items]
+        ids = _checked_ids([sid for sid, _ in items])
         if ids != sorted(ids) or len(set(ids)) != len(ids):
             raise ValidationError("stratum ids must be unique and sorted")
-        for sid in ids:
-            if not isinstance(sid, str) or not sid:
-                raise ValidationError(f"stratum ids must be nonempty strings, got {sid!r}")
         union = 0
         full = self.space.full_mask
         for sid, mask in items:
@@ -193,7 +200,7 @@ class Decomposition(Value):
     def from_strata(
         cls, space: FiniteSpace, strata: Mapping[str, Iterable[str]]
     ) -> "Decomposition":
-        items = tuple((sid, space.mask_of(strata[sid])) for sid in sorted(strata))
+        items = tuple((sid, space.mask_of(strata[sid])) for sid in sorted(_checked_ids(strata)))
         return cls(space, items)
 
     @classmethod
@@ -262,8 +269,7 @@ class Decomposition(Value):
     @cached_property
     def _closures(self) -> tuple[int, ...]:
         """Closure of each stratum, as a point mask: the union of its points' closures."""
-        pc = self.space.point_closures
-        return tuple([reduce(int.__or__, map(pc.__getitem__, iter_bits(m))) for m in self.masks])
+        return tuple([preimage_of(self.space.point_closures, mask) for mask in self.masks])
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
@@ -274,8 +280,7 @@ class Decomposition(Value):
         """Whether the union of the strata in ``idx_mask`` is open: every
         point of stratum t has its minimal open inside the union iff the
         open hull of t meets only strata of the set."""
-        reach = self._reach
-        return all(not (reach[t] & ~idx_mask) for t in iter_bits(idx_mask))
+        return not preimage_of(self._reach, idx_mask) & ~idx_mask
 
     # -- quotient topology -------------------------------------------------
 
@@ -466,15 +471,14 @@ class Decomposition(Value):
         row of each of its members; as up_rows is reflexive and transitive,
         that holds iff ``_reach[t]`` lies inside ``up_rows[t]`` for every t.
         """
-        return all(not (reach & ~up) for reach, up in zip(self._reach, up_rows))
+        return rows_within(self._reach, up_rows)
 
     def _pi_open_rows(self, up_rows: tuple[int, ...]) -> bool:
         """Openness of the quotient map into the order topology of up_rows."""
         for basic in set(self.space.min_open):
             image = self._strata_meeting_mask(basic)
-            for s in iter_bits(image):
-                if up_rows[s] & ~image:
-                    return False
+            if preimage_of(up_rows, image) & ~image:
+                return False
         return True
 
     def poset_stratified_equivalences(self) -> AgreementReport:
@@ -499,15 +503,11 @@ class Decomposition(Value):
         cond1 = bool(p.is_poset())
         cond2 = cond1 and self._pi_continuous_rows(p.up)
 
-        cond3 = True
-        for i in range(self.k):
-            around = preimage_of(self.masks, p.down[i])
-            for x in iter_bits(self.masks[i]):
-                if self.space.min_open[x] & around & ~self.masks[i]:
-                    cond3 = False
-                    break
-            if not cond3:
-                break
+        # the minimal opens of a stratum's points cover its open hull
+        cond3 = not any(
+            self._hulls[i] & preimage_of(self.masks, p.down[i]) & ~self.masks[i]
+            for i in range(self.k)
+        )
 
         return _agree(
             (

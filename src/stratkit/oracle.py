@@ -50,7 +50,10 @@ from .order import (
     reflexive_transitive_closure,
     singleton_local_closure_check,
 )
-from .topology import FiniteSpace, Value, final_topology, iter_bits, min_open_rows, preimage_of
+from .topology import (
+    FiniteSpace, Value, final_topology, iter_bits, min_open_rows, preimage_of, rows_within,
+    transpose,
+)
 
 #: Known totals (OEIS A000798, A001035, A000110), checked by the tests.
 PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
@@ -67,13 +70,10 @@ def _one_point_extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     down-set D with every member of D already below every member of U."""
     m = len(rows)
     bit = 1 << m
-    down = [0] * m  # down[j]: the elements below j
-    for i, row in enumerate(rows):
-        for j in iter_bits(row):
-            down[j] |= 1 << i
-    ups = [u for u in range(bit) if all(not rows[i] & ~u for i in iter_bits(u))]
+    down = transpose(rows)  # down[j]: the elements below j
+    ups = [u for u in range(bit) if not preimage_of(rows, u) & ~u]
     for d in range(bit):
-        if any(down[i] & ~d for i in iter_bits(d)):
+        if preimage_of(down, d) & ~d:
             continue
         meet = bit - 1
         for i in iter_bits(d):
@@ -104,20 +104,12 @@ def labeled_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def labeled_poset_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The antisymmetric members of ``labeled_preorder_rows``."""
-    out = []
-    for rows in labeled_preorder_rows(n):
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (rows[i] >> j) & 1 and (rows[j] >> i) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(rows)
-    return tuple(out)
+    """The antisymmetric members of ``labeled_preorder_rows``: those where
+    each element's up-set meets its down-set in the element alone."""
+    return tuple(
+        rows for rows in labeled_preorder_rows(n)
+        if all(up & down == 1 << i for i, (up, down) in enumerate(zip(rows, transpose(rows))))
+    )
 
 
 def naive_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
@@ -309,7 +301,7 @@ def compatible_orders(d: Decomposition, bound: int = 4) -> CompatibleOrdersRepor
     p = d.preorder
     found = []
     for rows in compress(*_orders_by_continuity(d)):
-        if any(p.up[i] & ~rows[i] for i in range(d.k)):
+        if not rows_within(p.up, rows):
             raise InternalInvariantError(
                 "decomposition preorder not contained in a compatible order"
             )
@@ -334,7 +326,7 @@ def strict_refinements_never_open(d: Decomposition, bound: int = 4) -> Refinemen
     base = d.preorder.up
     tested = 0
     for rows, continuous in zip(*_orders_by_continuity(d)):
-        if rows == base or any(base[i] & ~rows[i] for i in range(d.k)):
+        if rows == base or not rows_within(base, rows):
             continue
         tested += 1
         if not continuous:
@@ -360,9 +352,7 @@ def alexandrov_by_subset_filter(dec: Decomposition) -> tuple[bool, bool, bool]:
     family = frozenset(dec.quotient_open_family())
     has_min_open = all(row in family for row in min_open_rows(k, family))
     up = dec.preorder.up
-    up_family = frozenset(
-        j for j in range(1 << k) if all(not (up[i] & ~j) for i in iter_bits(j))
-    )
+    up_family = frozenset(j for j in range(1 << k) if not preimage_of(up, j) & ~j)
     return has_min_open, family == up_family, up_family <= family
 
 
@@ -599,17 +589,13 @@ class Sweep:
             )
 
         base = dec.preorder.up
-        k = dec.k
         for orows in compress(orders, continuous):
-            record(
-                "compatible_orders_contain_decomposition_preorder",
-                not any(base[i] & ~orows[i] for i in range(k)),
-                ctx,
-            )
+            contains_base = rows_within(base, orows)
+            record("compatible_orders_contain_decomposition_preorder", contains_base, ctx)
             opn = dec._pi_open_rows(orows)
             if opn and strat is not None:
                 record("continuous_open_order_implies_stratification", strat, ctx)
-            if strat and orows != base and not any(base[i] & ~orows[i] for i in range(k)):
+            if strat and orows != base and contains_base:
                 record("strict_refinement_is_continuous_never_open", not opn, ctx)
 
     def report(self) -> SweepReport:

@@ -15,7 +15,9 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
-from .topology import FiniteSpace, Value, Verdict, checked_names, iter_bits
+from .topology import (
+    FiniteSpace, Value, Verdict, checked_names, first_intransitive, iter_bits, names_at, transpose
+)
 
 
 def reflexive_transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
@@ -65,18 +67,13 @@ class Proset(Value):
                 raise ValidationError(f"relation row out of range at {els[i]!r}")
             if not (row >> i) & 1:
                 raise ValidationError(f"relation not reflexive: ({els[i]!r}, {els[i]!r}) missing")
-        # transitivity depends on the row value only: each distinct value is
-        # checked once, in order of first occurrence, which is where a scan
-        # of every row fails first
-        for row in dict.fromkeys(rows):
-            for j in iter_bits(row):
-                extra = rows[j] & ~row
-                if extra:
-                    i, k = rows.index(row), next(iter_bits(extra))
-                    raise ValidationError(
-                        f"relation not transitive: ({els[i]!r}, {els[k]!r}) missing "
-                        f"(given ({els[i]!r}, {els[j]!r}) and ({els[j]!r}, {els[k]!r}))"
-                    )
+        if bad := first_intransitive(rows):
+            i, j = bad
+            k = next(iter_bits(rows[j] & ~rows[i]))
+            raise ValidationError(
+                f"relation not transitive: ({els[i]!r}, {els[k]!r}) missing "
+                f"(given ({els[i]!r}, {els[j]!r}) and ({els[j]!r}, {els[k]!r}))"
+            )
 
     @classmethod
     def from_pairs(
@@ -119,11 +116,7 @@ class Proset(Value):
     @cached_property
     def down(self) -> tuple[int, ...]:
         """Column masks: ``down[j]`` is the set of i with i <= j."""
-        cols = [0] * len(self.elements)
-        for i, row in enumerate(self.up):
-            for j in iter_bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return transpose(self.up)
 
     def element_index(self, name: str) -> int:
         try:
@@ -136,11 +129,11 @@ class Proset(Value):
 
     def up_set(self, e: str) -> frozenset[str]:
         """All q with e <= q: the minimal open neighborhood in the order topology."""
-        return frozenset(self.elements[j] for j in iter_bits(self.up[self.element_index(e)]))
+        return frozenset(names_at(self.elements, self.up[self.element_index(e)]))
 
     def down_set(self, e: str) -> frozenset[str]:
         """All q with q <= e: the minimal closed neighborhood in the order topology."""
-        return frozenset(self.elements[i] for i in iter_bits(self.down[self.element_index(e)]))
+        return frozenset(names_at(self.elements, self.down[self.element_index(e)]))
 
     def is_poset(self) -> Verdict:
         """Antisymmetry check; the witness on failure is a two-cycle pair."""
@@ -162,7 +155,7 @@ class Proset(Value):
                 continue
             mask = self.up[i] & self.down[i]
             seen |= mask
-            classes.append(tuple(sorted(self.elements[j] for j in iter_bits(mask))))
+            classes.append(tuple(sorted(names_at(self.elements, mask))))
         return tuple(sorted(classes))
 
     def reflection(self) -> tuple["Poset", "MonotoneMap"]:

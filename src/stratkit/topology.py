@@ -11,6 +11,12 @@ Point subsets cross the public API as frozensets of point names and are
 held internally as bit masks over the point list in insertion order. No
 result depends on the stored order.
 
+A relation is held as bit rows too. The kernel below is the one place the
+per-bit loops over rows live, for spaces, orders, decompositions and the
+oracle alike: ``preimage_of`` (the union of the rows a mask selects, also
+openness, open hulls and closures), ``transpose``, ``first_intransitive``
+and ``rows_within``.
+
 The validated types here and in ``order`` and ``decomposition`` subclass
 ``Value``: an explicit ``__init__`` stores the fields named in ``_fields``
 and runs ``__post_init__``, which validates and normalizes them. Values
@@ -41,6 +47,57 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# -- the bit-row kernel --------------------------------------------------------
+
+
+def preimage_of(rows: Sequence[int], mask: int) -> int:
+    """The union of the rows that ``mask`` selects. For the fibers of a map
+    (the preimage of each target point) it is the preimage of the mask; a
+    mask m is up-closed under a relation exactly when
+    ``not preimage_of(rows, m) & ~m``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The column masks of a square relation: bit i of entry j is bit j of
+    ``rows[i]``. Rows with one value are scanned once, together."""
+    members: dict[int, int] = {}  # row value -> the indices with that row
+    for i, row in enumerate(rows):
+        members[row] = members.get(row, 0) | 1 << i
+    cols = [0] * len(rows)
+    for row, indices in members.items():
+        for j in iter_bits(row):
+            cols[j] |= indices
+    return tuple(cols)
+
+
+def first_intransitive(rows: Sequence[int]) -> tuple[int, int] | None:
+    """The first (i, j), rows in order and bits lowest first, with j in
+    ``rows[i]`` but ``rows[j]`` not inside it; None for a transitive
+    relation. Each distinct row value is tested once, at its first
+    occurrence, which is where a scan of every row fails first."""
+    for row in dict.fromkeys(rows):
+        if preimage_of(rows, row) & ~row:
+            return rows.index(row), next(j for j in iter_bits(row) if rows[j] & ~row)
+    return None
+
+
+def rows_within(rows: Iterable[int], bounds: Iterable[int]) -> bool:
+    """Whether each row lies inside the bound at its index."""
+    return not any(map(int.__and__, rows, map(int.__invert__, bounds)))
+
+
+def names_at(names: Sequence[str], mask: int) -> Iterator[str]:
+    """The names at the set bits of ``mask``, lowest bit first."""
+    # bin() reversed, without its "0b", lists the bits lowest first
+    return compress(names, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
 class Value:
@@ -122,16 +179,9 @@ class FiniteSpace(Value):
                 raise ValidationError(f"min_open mask out of range for point {pts[i]!r}")
             if not (row >> i) & 1:
                 raise ValidationError(f"min_open violates reflexivity at {pts[i]!r}")
-        # the check depends on the row value only: each distinct value is
-        # checked once, in order of first occurrence, which is where a scan
-        # of every row fails first
-        for row in dict.fromkeys(rows):
-            for j in iter_bits(row):
-                if rows[j] & ~row:
-                    i = rows.index(row)
-                    raise ValidationError(
-                        f"min_open violates transitivity at ({pts[i]!r}, {pts[j]!r})"
-                    )
+        if bad := first_intransitive(rows):
+            i, j = bad
+            raise ValidationError(f"min_open violates transitivity at ({pts[i]!r}, {pts[j]!r})")
 
     # -- construction --------------------------------------------------
 
@@ -240,13 +290,12 @@ class FiniteSpace(Value):
         return mask
 
     def names_of(self, mask: int) -> frozenset[str]:
-        # bin() reversed, without its "0b", lists the bits lowest first
-        return frozenset(compress(self.points, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
+        return frozenset(names_at(self.points, mask))
 
     # -- open and closed sets --------------------------------------------
 
     def is_open_mask(self, mask: int) -> bool:
-        return all(not (self.min_open[i] & ~mask) for i in iter_bits(mask))
+        return not preimage_of(self.min_open, mask) & ~mask
 
     def is_open(self, names: Iterable[str]) -> bool:
         return self.is_open_mask(self.mask_of(names))
@@ -268,22 +317,11 @@ class FiniteSpace(Value):
         closure({x}) is the set of y with x in U_y, so this is the
         transpose of ``min_open``.
         """
-        members: dict[int, int] = {}  # row value -> points with that row
-        for i, row in enumerate(self.min_open):
-            members[row] = members.get(row, 0) | 1 << i
-        cols = [0] * len(self.points)
-        for row, points in members.items():
-            for j in iter_bits(row):
-                cols[j] |= points
-        return tuple(cols)
+        return transpose(self.min_open)
 
     def closure_mask(self, mask: int) -> int:
-        # x lies in the closure of S exactly when U_x meets S
-        out = 0
-        for i, row in enumerate(self.min_open):
-            if row & mask:
-                out |= 1 << i
-        return out
+        # a closure is the union of the closures of its points
+        return preimage_of(self.point_closures, mask)
 
     def closure(self, names: Iterable[str]) -> frozenset[str]:
         """Smallest closed set containing the given points."""
@@ -304,10 +342,7 @@ class FiniteSpace(Value):
 
     def open_hull_mask(self, mask: int) -> int:
         """Smallest open set containing the mask (union of the U_x, x in S)."""
-        out = mask
-        for i in iter_bits(mask):
-            out |= self.min_open[i]
-        return out
+        return preimage_of(self.min_open, mask)
 
     def is_locally_closed(self, names: Iterable[str]) -> Verdict:
         """Whether S is an intersection of an open and a closed set.
@@ -349,15 +384,6 @@ class FiniteSpace(Value):
     def is_t0(self) -> bool:
         """No two distinct points share the same minimal open neighborhood."""
         return len(set(self.min_open)) == len(self.min_open)
-
-
-def preimage_of(fibers: Sequence[int], target_mask: int) -> int:
-    """Preimage of a target mask under a map given by its fibers (the
-    preimage of each target point): the union of the fibers it selects."""
-    out = 0
-    for t in iter_bits(target_mask):
-        out |= fibers[t]
-    return out
 
 
 def _first_occurrences(masks: Sequence[int], order: Iterable[int]) -> Iterator[int]:

@@ -4,7 +4,15 @@ The golden digests in ``data/check_json_golden.json`` were captured from
 the subset-filter implementation of ``classify``; the stratum-level kernel
 must reproduce its reports exactly. The documents are every fixture, a
 few face-poset models and a fixed list of seeded generated decompositions
-with at most 20 strata. Re-capture (a deliberate output change) with
+with at most 20 strata.
+
+This module needs only the standard library (pytest parametrizes the
+per-document test through ``pytest_generate_tests``), so the digests can be
+checked under any interpreter:
+
+    PYTHONPATH=src python tests/test_check_golden.py --check
+
+Re-capture (a deliberate output change) with
 
     PYTHONPATH=src python tests/test_check_golden.py --capture
 """
@@ -15,8 +23,6 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-
-import pytest
 
 from helpers import FACE_DECOMPOSITIONS, face_decomposition, run_main
 from stratkit import fixture, fixture_names, generate, save
@@ -76,22 +82,42 @@ def capture() -> dict:
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
 
 
+def mismatch(doc_id: str) -> str | None:
+    """What differs from the golden entry of one document, or None."""
+    text = document_text(doc_id)
+    entry = GOLDEN[doc_id]
+    if sha256(text.encode()) != entry["document_sha256"]:
+        return "input document drifted"
+    code, out = run_check(text)
+    if (code, sha256(out)) != (entry["exit"], entry["stdout_sha256"]):
+        return f"exit {code}, stdout sha256 {sha256(out)}"
+    return None
+
+
+def pytest_generate_tests(metafunc):
+    if "doc_id" in metafunc.fixturenames:
+        metafunc.parametrize("doc_id", doc_ids())
+
+
 def test_golden_covers_every_document():
     assert sorted(GOLDEN) == sorted(doc_ids())
 
 
-@pytest.mark.parametrize("doc_id", doc_ids())
 def test_check_json_is_byte_identical(doc_id):
-    text = document_text(doc_id)
-    entry = GOLDEN[doc_id]
-    assert sha256(text.encode()) == entry["document_sha256"], "input document drifted"
-    code, out = run_check(text)
-    assert (code, sha256(out)) == (entry["exit"], entry["stdout_sha256"])
+    assert mismatch(doc_id) is None
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--capture"]:
+    if sys.argv[1:] == ["--capture"]:
+        GOLDEN_PATH.parent.mkdir(exist_ok=True)
+        GOLDEN_PATH.write_text(json.dumps(capture(), indent=2, sort_keys=True) + "\n",
+                               encoding="utf-8")
+    elif sys.argv[1:] == ["--check"]:
+        test_golden_covers_every_document()
+        bad = [(doc_id, problem) for doc_id in doc_ids() if (problem := mismatch(doc_id))]
+        print(f"{len(doc_ids()) - len(bad)}/{len(doc_ids())} check --format json digests match")
+        for doc_id, problem in bad:
+            print(f"mismatch: {doc_id}: {problem}")
+        raise SystemExit(1 if bad else 0)
+    else:
         raise SystemExit(__doc__)
-    GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(capture(), indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")

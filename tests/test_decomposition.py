@@ -50,6 +50,15 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="do not cover"):
             Decomposition.from_strata(sierpinski, {"A": ("c",)})
 
+    def test_non_string_ids_rejected_by_the_constructor(self, sierpinski):
+        # the ids are type-checked before they are compared for sorting
+        with pytest.raises(ValidationError, match=r"^stratum ids must be nonempty strings, got 1$"):
+            Decomposition(sierpinski, ((1, 0b01), ("a", 0b10)))
+
+    def test_non_string_ids_rejected_by_from_strata(self, sierpinski):
+        with pytest.raises(ValidationError, match=r"^stratum ids must be nonempty strings, got 1$"):
+            Decomposition.from_strata(sierpinski, {1: ("c",), "a": ("o",)})
+
     def test_pi(self, line_3):
         assert line_3.pi("m") == "S0" and line_3.pi("p") == "S1"
 

@@ -368,3 +368,118 @@ class TestRandomizedLaws:
             assert space.is_locally_closed(
                 space.names_of(mask)
             ).holds == helpers.brute_locally_closed(space, mask)
+
+
+# -- the bit-row kernel against per-bit definitions ---------------------------
+#
+# The references below read one bit at a time and share nothing with the
+# kernel in ``topology`` (``preimage_of``, ``transpose``,
+# ``first_intransitive``) that the space and order operations call.
+
+
+def bit(mask: int, i: int) -> bool:
+    return bool(mask >> i & 1)
+
+
+def reference_is_open(rows, mask) -> bool:
+    n = len(rows)
+    return all(bit(mask, j) for i in range(n) if bit(mask, i) for j in range(n) if bit(rows[i], j))
+
+
+def reference_closure(rows, mask) -> int:
+    n = len(rows)
+    return sum(1 << x for x in range(n) if any(bit(rows[x], i) and bit(mask, i) for i in range(n)))
+
+
+def reference_open_hull(rows, mask) -> int:
+    n = len(rows)
+    return sum(1 << j for j in range(n) if any(bit(mask, i) and bit(rows[i], j) for i in range(n)))
+
+
+def reference_columns(rows) -> tuple[int, ...]:
+    n = len(rows)
+    return tuple(sum(1 << i for i in range(n) if bit(rows[i], j)) for j in range(n))
+
+
+def reference_first_intransitive(rows):
+    """The first (i, j), rows in order and bits lowest first, with j in
+    row i but row j not inside row i."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if bit(rows[i], j) and any(bit(rows[j], k) and not bit(rows[i], k) for k in range(n)):
+                return i, j
+    return None
+
+
+def assert_kernel_matches_definitions(rows, masks) -> None:
+    from stratkit import Proset
+
+    n = len(rows)
+    space = FiniteSpace(tuple(f"p{i}" for i in range(n)), rows)
+    columns = reference_columns(rows)
+    assert space.point_closures == columns
+    assert Proset(space.points, rows).down == columns
+    for mask in masks:
+        assert space.is_open_mask(mask) == reference_is_open(rows, mask)
+        assert space.closure_mask(mask) == reference_closure(rows, mask)
+        assert space.open_hull_mask(mask) == reference_open_hull(rows, mask)
+
+
+@st.composite
+def closed_relations(draw, max_points: int = 12) -> tuple[int, ...]:
+    """A random relation on up to 12 points, reflexively and transitively closed."""
+    from stratkit.order import reflexive_transitive_closure
+
+    n = draw(st.integers(0, max_points))
+    return reflexive_transitive_closure(
+        draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    )
+
+
+@st.composite
+def relations(draw, max_points: int = 12) -> tuple[int, ...]:
+    """A random relation on up to 12 points, reflexive or not."""
+    n = draw(st.integers(0, max_points))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [row | 1 << i for i, row in enumerate(rows)]
+    return tuple(rows)
+
+
+class TestBitRowKernel:
+    def test_every_preorder_up_to_4_points(self):
+        from stratkit.oracle import labeled_preorder_rows
+
+        for n in range(5):
+            for rows in labeled_preorder_rows(n):
+                assert_kernel_matches_definitions(rows, range(1 << n))
+
+    @given(closed_relations(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_preorders_up_to_12_points(self, rows, data):
+        full = (1 << len(rows)) - 1
+        drawn = data.draw(st.lists(st.integers(0, full), max_size=8))
+        assert_kernel_matches_definitions(rows, [0, full, *drawn])
+
+    def test_first_intransitive_on_every_small_relation(self):
+        from stratkit import topology
+
+        for n in range(4):
+            for code in range(1 << (n * n)):
+                rows = tuple(code >> (i * n) & ((1 << n) - 1) for i in range(n))
+                assert topology.first_intransitive(rows) == reference_first_intransitive(rows)
+
+    @given(relations())
+    @settings(max_examples=200, deadline=None)
+    def test_first_intransitive_on_random_relations(self, rows):
+        from stratkit import topology
+
+        assert topology.first_intransitive(rows) == reference_first_intransitive(rows)
+
+    @given(closed_relations())
+    @settings(max_examples=60, deadline=None)
+    def test_first_intransitive_is_none_on_transitive_relations(self, rows):
+        from stratkit import topology
+
+        assert topology.first_intransitive(rows) is None
