@@ -17,14 +17,24 @@ stratum t. A set J of strata has an open preimage iff ``_reach[t]`` lies
 in J for each t in J, and a closed preimage iff its complement has an open
 one. So the quotient topology is the up-set topology of the
 reflexive-transitive closure of ``_reach`` (the quotient of a finite space
-is always Alexandrov), the decomposition preorder is its specialization
-preorder, and the quotient map is continuous into the order topology of a
-preorder R exactly when ``_reach`` lies inside R row by row. What runs in
-``classify``:
+is always Alexandrov), and the decomposition preorder is its
+specialization preorder.
+
+The quotient map is decided at stratum level too, into the order topology
+of a preorder on the strata given by its rows: the quotient's own, a
+supplied ``Poset`` reindexed to the sorted ids, or an order the sweep
+searches. It is continuous iff ``_reach`` lies inside the up-sets, open
+iff the strata each minimal open meets form an up-set, and closed iff
+those each point closure meets form a down-set. Scanned in point-name
+order, these give the witness a point-level map check gives. ``classify``,
+``check`` and ``theorem-b`` build no point-level map: it is the sweep's
+reference, compared with these verdicts under ``semicontinuity_pairings``.
+
+What runs in ``classify``:
 
 * Alexandrov: the fixpoint rows have open preimages; the preorder's
-  up-sets equal the quotient's minimal opens; ``_reach`` lies inside the
-  preorder (continuity into its order topology).
+  up-sets equal the quotient's minimal opens; continuity into the
+  preorder topology.
 * frontier: closure containment, closures as preimages of the preorder's
   down-sets, the preorder against closure containment, and openness of
   the quotient map.
@@ -33,8 +43,8 @@ preorder R exactly when ``_reach`` lies inside R row by row. What runs in
   candidate, is one), antisymmetric with a continuous map, and strata open
   in the preimages of their down-sets.
 * semicontinuity: saturations of minimal opens and of point closures by
-  the stratum-level test, against the quotient map's openness and
-  closedness.
+  the ``_reach`` test, against the quotient map's openness and closedness
+  in the quotient space.
 
 Production asserts only agreements between values it reports: the labels
 of each of the three groups above, and each saturation formula against
@@ -42,36 +52,25 @@ its map-side counterpart. A disagreement raises InternalInvariantError,
 since it can only mean a defect in this library, never bad input.
 
 Agreements whose outcome nothing reports are theorems on finite inputs,
-and only the exhaustive sweep in ``oracle.py`` tallies them: the preorder against
-the closed saturations built from the stratum closures
-(``closed_saturation_matches_preorder_down_sets``), the combination law
-for stratifications
-(``locally_closed_and_frontier_iff_poset_stratified_and_open``), the
-definitional routes that enumerate all 2**k sets of strata --
-``quotient_open_family``, ``quotient_space_by_subset_filter`` and the
-comparison of the filtered family with the up-set family -- and the
-search over every labeled partial order on the strata.
-``compatible_orders`` and ``strict_refinements_never_open`` enumerate
-orders for a given decomposition. The subset routes are guarded by
-``topology.MAX_POINTS``, read at call time.
+and only the exhaustive sweep in ``oracle.py`` tallies them: the preorder
+against the closed saturations, the combination law for stratifications,
+the definitional routes that enumerate all 2**k sets of strata
+(``quotient_open_family``, ``quotient_space_by_subset_filter``, guarded by
+``topology.MAX_POINTS`` read at call time) and the search over every
+labeled partial order on the strata, which ``compatible_orders`` and
+``strict_refinements_never_open`` also run for one decomposition.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
-from .order import (
-    Poset,
-    Proset,
-    alexandrov_space,
-    reflexive_transitive_closure,
-    specialization_preorder,
-)
+from .order import Poset, Proset, reflexive_transitive_closure, specialization_preorder
 from .topology import (
-    FiniteSpace, SpaceMap, Value, Verdict, iter_bits, min_open_rows, preimage_of, rows_within
+    FiniteSpace, Value, Verdict, iter_bits, min_open_rows, names_at, preimage_of, rows_within
 )
 
 #: The decomposition preorder is an ordinary preorder on stratum ids.
@@ -153,6 +152,16 @@ def _agree(labels, values, witnesses=()) -> AgreementReport:
         detail = ", ".join(f"{l}={v}" for l, v in zip(labels, values))
         raise InternalInvariantError(f"equivalent conditions disagree: {detail}")
     return AgreementReport(tuple(labels), tuple(values), tuple(witnesses))
+
+
+def _closed_under(pairs, rows, names) -> Verdict:
+    """Whether the mask of each (key, mask) pair is closed under the relation
+    ``rows`` (no member relates to a non-member); the witness is the first
+    failing key, as a set of ``names``."""
+    for key, mask in pairs:
+        if preimage_of(rows, mask) & ~mask:
+            return Verdict(False, frozenset(names_at(names, key)))
+    return Verdict(True)
 
 
 def _checked_ids(ids):
@@ -315,10 +324,6 @@ class Decomposition(Value):
         """Quotient space built from the filtered open family (oracle route)."""
         return FiniteSpace(self.ids, min_open_rows(self.k, self.quotient_open_family()))
 
-    @cached_property
-    def pi_map(self) -> SpaceMap:
-        return SpaceMap(self.space, self.quotient_space, self._point_to_stratum)
-
     # -- decomposition preorder ---------------------------------------------
 
     @cached_property
@@ -348,10 +353,6 @@ class Decomposition(Value):
             holds = (hull & closure) == mask
             out.append((sid, Verdict(holds, witness=self.space.names_of(hull) if holds else None)))
         return tuple(out)
-
-    @cached_property
-    def _pi_open(self) -> Verdict:
-        return self.pi_map.is_open()
 
     def alexandrov_equivalences(self) -> AgreementReport:
         """Three characterizations of the quotient being an Alexandrov space.
@@ -397,60 +398,47 @@ class Decomposition(Value):
         closures = self._closures
         witnesses = []
 
-        frontier = True
-        for i in range(self.k):
-            for j in range(self.k):
-                if self.masks[i] & closures[j] and self.masks[i] & ~closures[j]:
-                    frontier = False
-                    witnesses.append(
-                        (
-                            "frontier_condition",
-                            f"stratum {self.ids[i]!r} meets the closure of "
-                            f"{self.ids[j]!r} without being contained in it",
-                        )
-                    )
-                    break
-            if not frontier:
-                break
+        bad = next((
+            (i, j) for i in range(self.k) for j in range(self.k)
+            if self.masks[i] & closures[j] and self.masks[i] & ~closures[j]
+        ), None)
+        frontier = bad is None
+        if not frontier:
+            witnesses.append((
+                "frontier_condition",
+                f"stratum {self.ids[bad[0]]!r} meets the closure of "
+                f"{self.ids[bad[1]]!r} without being contained in it",
+            ))
 
         p = self.preorder
-        closure_is_saturation = True
-        for j in range(self.k):
-            if closures[j] != preimage_of(self.masks, p.down[j]):
-                closure_is_saturation = False
-                witnesses.append(
-                    (
-                        "closure_is_minimal_closed_saturation",
-                        f"closure of stratum {self.ids[j]!r} is not a union of strata",
-                    )
-                )
-                break
+        bad = next(
+            (j for j in range(self.k) if closures[j] != preimage_of(self.masks, p.down[j])), None
+        )
+        closure_is_saturation = bad is None
+        if not closure_is_saturation:
+            witnesses.append((
+                "closure_is_minimal_closed_saturation",
+                f"closure of stratum {self.ids[bad]!r} is not a union of strata",
+            ))
 
-        order_matches = True
-        for i in range(self.k):
-            for j in range(self.k):
-                contained = not (self.masks[i] & ~closures[j])
-                if contained != bool((p.up[i] >> j) & 1):
-                    order_matches = False
-                    witnesses.append(
-                        (
-                            "preorder_equals_closure_containment",
-                            f"pair ({self.ids[i]!r}, {self.ids[j]!r}) ordered by only "
-                            "one of the two descriptions",
-                        )
-                    )
-                    break
-            if not order_matches:
-                break
+        bad = next((
+            (i, j) for i in range(self.k) for j in range(self.k)
+            if (not self.masks[i] & ~closures[j]) != bool((p.up[i] >> j) & 1)
+        ), None)
+        order_matches = bad is None
+        if not order_matches:
+            witnesses.append((
+                "preorder_equals_closure_containment",
+                f"pair ({self.ids[bad[0]]!r}, {self.ids[bad[1]]!r}) ordered by only "
+                "one of the two descriptions",
+            ))
 
-        open_verdict = self._pi_open
+        open_verdict = self._quotient_open
         if not open_verdict:
-            witnesses.append(
-                (
-                    "quotient_map_open",
-                    f"open set {sorted(open_verdict.witness)} has a non-open image",
-                )
-            )
+            witnesses.append((
+                "quotient_map_open",
+                f"open set {sorted(open_verdict.witness)} has a non-open image",
+            ))
 
         return _agree(
             (
@@ -463,23 +451,44 @@ class Decomposition(Value):
             witnesses,
         )
 
-    def _pi_continuous_rows(self, up_rows: tuple[int, ...]) -> bool:
-        """Continuity of the quotient map into the order topology of up_rows
-        (the up-set masks of a preorder on the stratum indices).
+    # -- the quotient map into an order topology ---------------------------
 
-        Each up-set must have an open preimage, i.e. contain the ``_reach``
-        row of each of its members; as up_rows is reflexive and transitive,
-        that holds iff ``_reach[t]`` lies inside ``up_rows[t]`` for every t.
-        """
+    # A target is a preorder on the stratum indices given by its up-set rows
+    # (or, for closedness, its down-set rows); its opens are the up-sets.
+
+    def _pi_continuous_rows(self, up_rows: tuple[int, ...]) -> bool:
+        """Continuity: each up-set contains the ``_reach`` row of each of
+        its members, which for reflexive transitive rows holds iff
+        ``_reach[t]`` lies inside ``up_rows[t]`` for every t."""
         return rows_within(self._reach, up_rows)
 
-    def _pi_open_rows(self, up_rows: tuple[int, ...]) -> bool:
-        """Openness of the quotient map into the order topology of up_rows."""
-        for basic in set(self.space.min_open):
-            image = self._strata_meeting_mask(basic)
-            if preimage_of(up_rows, image) & ~image:
-                return False
-        return True
+    def _continuous_into(self, up_rows: tuple[int, ...]) -> Verdict:
+        """Continuity; the witness is the first up-set, in id order, whose
+        preimage is not open."""
+        if self._pi_continuous_rows(up_rows):
+            return Verdict(True)
+        return _closed_under(zip(up_rows, up_rows), self._reach, self.ids)
+
+    def _images(self, basics: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+        """Each basic set with its image, the strata it meets, computed only
+        when reached: the verdicts stop at their first failure."""
+        return zip(basics, map(self._strata_meeting_mask, basics))
+
+    def _open_into(self, up_rows: tuple[int, ...]) -> Verdict:
+        """Openness: each minimal open has an up-closed image; the witness is
+        the first that has not."""
+        return _closed_under(self._images(self.space._open_basis), up_rows, self.space.points)
+
+    def _closed_into(self, down_rows: tuple[int, ...]) -> Verdict:
+        """Closedness: each point closure has a down-closed image; the
+        witness is the first that has not."""
+        return _closed_under(self._images(self.space._closed_basis), down_rows, self.space.points)
+
+    @cached_property
+    def _quotient_open(self) -> Verdict:
+        """Openness onto the quotient space, which the frontier group and
+        ``semicontinuity`` both report."""
+        return self._open_into(self.quotient_space.min_open)
 
     def poset_stratified_equivalences(self) -> AgreementReport:
         """Three characterizations of being poset-stratified.
@@ -542,19 +551,9 @@ class Decomposition(Value):
         Ids with no preimage cannot appear: the order elements must be
         exactly the stratum ids.
         """
-        _require_matching_elements(self, order)
-        target = alexandrov_space(order)
-        f = SpaceMap.from_names(
-            self.space, target, {p: self.pi(p) for p in self.space.points}
-        )
-        cont = f.is_continuous()
-        opn = f.is_open()
-        return OrderCheck(
-            continuous=cont.holds,
-            open=opn.holds,
-            continuity_witness=None if cont else cont.witness,
-            openness_witness=None if opn else opn.witness,
-        )
+        up_rows = _order_rows(self, order)
+        cont, opn = self._continuous_into(up_rows), self._open_into(up_rows)
+        return OrderCheck(cont.holds, opn.holds, cont.witness, opn.witness)
 
     def coarsen(self) -> tuple["Decomposition", "PosetStratification"]:
         """Merge strata along the equivalence classes of the preorder.
@@ -565,40 +564,34 @@ class Decomposition(Value):
         the minimal closed stratum-unions around them, coincide.
         """
         p = self.preorder
-        classes = p.equivalence_classes()
         merged: dict[str, int] = {}
-        for members in classes:
-            mask = 0
-            for sid in members:
-                mask |= self.masks[self.ids.index(sid)]
-            merged[members[0]] = mask
+        for members in p.equivalence_classes():
+            i = p.element_index(members[0])
+            merged[members[0]] = preimage_of(self.masks, p.up[i] & p.down[i])
         poset, _ = p.reflection()
-        dec = Decomposition(
-            self.space, tuple(sorted((sid, mask) for sid, mask in merged.items()))
-        )
+        dec = Decomposition(self.space, tuple(sorted(merged.items())))
         return dec, PosetStratification(dec, poset)
 
     def semicontinuity(self) -> SemicontinuityReport:
         """Saturation formulas versus quotient-map properties.
 
         Saturation (preimage of image) commutes with unions, so it is
-        enough to saturate the minimal opens and the point closures. The
-        saturation of a set is the preimage of the strata it meets, so its
-        openness and closedness are stratum-level tests. Each saturation
-        formula must agree with its map-side counterpart. A union of strata
-        is closed iff the union of the other strata is open.
+        enough to saturate the minimal opens and the point closures. A
+        saturation is open iff the image is closed under ``_reach``, and
+        closed iff the other strata are; each formula must agree with its
+        map-side counterpart, which tests the same image in the quotient.
         """
+        space = self.space
         sat_open_open = all(
-            self._preimage_is_open(self._strata_meeting_mask(basic))
-            for basic in set(self.space.min_open)
+            self._preimage_is_open(image) for _, image in self._images(space._open_basis)
         )
         all_strata = (1 << self.k) - 1
         sat_closed_closed = all(
-            self._preimage_is_open(all_strata & ~self._strata_meeting_mask(basic))
-            for basic in set(self.space.point_closures)
+            self._preimage_is_open(all_strata & ~image)
+            for _, image in self._images(space._closed_basis)
         )
-        pi_open = self._pi_open.holds
-        pi_closed = bool(self.pi_map.is_closed())
+        pi_open = self._quotient_open.holds
+        pi_closed = self._closed_into(self.preorder.down).holds
         if sat_open_open != pi_open:
             raise InternalInvariantError("open saturation disagrees with quotient map openness")
         if sat_closed_closed != pi_closed:
@@ -608,7 +601,9 @@ class Decomposition(Value):
         return SemicontinuityReport(sat_open_open, sat_closed_closed, pi_open, pi_closed)
 
 
-def _require_matching_elements(d: Decomposition, order: Poset) -> None:
+def _order_rows(d: Decomposition, order: Poset) -> tuple[int, ...]:
+    """The up-set rows of ``order`` reindexed to the sorted ``d.ids``; the
+    order elements must be exactly the stratum ids."""
     extra = set(order.elements) - set(d.ids)
     if extra:
         raise ValidationError(
@@ -617,6 +612,9 @@ def _require_matching_elements(d: Decomposition, order: Poset) -> None:
     missing = set(d.ids) - set(order.elements)
     if missing:
         raise ValidationError(f"order is missing stratum id {sorted(missing)[0]!r}")
+    position = {sid: 1 << i for i, sid in enumerate(d.ids)}
+    bits = [position[e] for e in order.elements]
+    return tuple([preimage_of(bits, order.up[order.element_index(sid)]) for sid in d.ids])
 
 
 class PosetStratification(Value):
@@ -632,18 +630,13 @@ class PosetStratification(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        _require_matching_elements(self.dec, self.order)
-        if not self.pi_into_order.is_continuous():
-            raise ValidationError(
-                "decomposition map is not continuous for the given order"
-            )
+        if not self.dec._pi_continuous_rows(self._up):
+            raise ValidationError("decomposition map is not continuous for the given order")
 
     @cached_property
-    def pi_into_order(self) -> SpaceMap:
-        target = alexandrov_space(self.order)
-        return SpaceMap.from_names(
-            self.dec.space, target, {p: self.dec.pi(p) for p in self.dec.space.points}
-        )
+    def _up(self) -> tuple[int, ...]:
+        """The order's up-set rows, indexed like ``dec.ids``."""
+        return _order_rows(self.dec, self.order)
 
     def __repr__(self) -> str:
         return f"PosetStratification({self.dec!r}, order={self.order!r})"
@@ -656,13 +649,11 @@ def as_poset_stratified(d: Decomposition) -> PosetStratification:
     """View a stratification as poset-stratified over its frontier order.
 
     Requires ``is_stratification``; the failed clauses are reported
-    otherwise. The resulting order is the decomposition preorder. That it
-    coincides with closure containment of strata (the frontier label
-    ``preorder_equals_closure_containment``) is asserted with the frontier
-    group. That it is antisymmetric is the combination law, which the
-    sweep tallies; here ``Poset`` checks antisymmetry and
-    ``PosetStratification`` the continuity of the quotient map, and a
-    failure of either raises InternalInvariantError.
+    otherwise. The order is the decomposition preorder, whose agreement
+    with closure containment the frontier group asserts. Its antisymmetry
+    (the combination law, which the sweep tallies) and the continuity of
+    the quotient map into it are checked here; a failure of either raises
+    InternalInvariantError.
     """
     verdict = d.is_stratification()
     if not verdict:
@@ -686,7 +677,7 @@ def stratification_from_open_map(ps: PosetStratification) -> None:
     asserted; returning at all confirms both.
     """
     d = ps.dec
-    open_verdict = ps.pi_into_order.is_open()
+    open_verdict = d._open_into(ps._up)
     if not open_verdict:
         raise PreconditionError(
             "decomposition map is not an open map for the supplied order",
@@ -698,13 +689,8 @@ def stratification_from_open_map(ps: PosetStratification) -> None:
             "open map over a locally finite order did not yield a stratification: "
             + "; ".join(verdict.reasons)
         )
-    p = d.preorder
-    for i, sid in enumerate(d.ids):
-        for j in iter_bits(p.up[i]):
-            if not ps.order.leq(sid, d.ids[j]):
-                raise InternalInvariantError(
-                    "supplied order does not refine the decomposition preorder"
-                )
+    if not rows_within(d.preorder.up, ps._up):
+        raise InternalInvariantError("supplied order does not refine the decomposition preorder")
 
 
 # -- the aggregated report -----------------------------------------------------

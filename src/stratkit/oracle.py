@@ -29,7 +29,10 @@ This module is the one home of the search over labeled partial orders on
 the strata (``_orders_by_continuity``). The sweep checks the production
 poset-stratified value, decided by antisymmetry of the decomposition
 preorder, against it; ``compatible_orders`` and
-``strict_refinements_never_open`` run it for one decomposition.
+``strict_refinements_never_open`` run it for one decomposition. It is also
+the one place the quotient map is built point by point, as a ``SpaceMap``
+(``classify``, ``check`` and ``theorem-b`` build none), the reference that
+``semicontinuity_pairings`` compares the stratum-level verdicts with.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from .order import (
     singleton_local_closure_check,
 )
 from .topology import (
-    FiniteSpace, Value, final_topology, iter_bits, min_open_rows, preimage_of, rows_within,
-    transpose,
+    FiniteSpace, SpaceMap, Value, final_topology, iter_bits, min_open_rows, preimage_of,
+    rows_within, transpose,
 )
 
 #: Known totals (OEIS A000798, A001035, A000110), checked by the tests.
@@ -331,7 +334,7 @@ def strict_refinements_never_open(d: Decomposition, bound: int = 4) -> Refinemen
         tested += 1
         if not continuous:
             raise InternalInvariantError("refinement broke continuity of the quotient map")
-        if d._pi_open_rows(rows):
+        if d._open_into(rows):
             raise InternalInvariantError("quotient map became open over a strict refinement")
     return RefinementReport(tested)
 
@@ -552,14 +555,19 @@ class Sweep:
         record("poset_stratified_triple_agreement", ok, ctx)
 
         try:
-            dec.semicontinuity()
-            ok = True
+            semi = dec.semicontinuity()
+            # the point-level map, the reference for the stratum-level verdicts
+            pi = SpaceMap(space, dec.quotient_space, dec._point_to_stratum)
+            opn = pi.is_open()
+            ok = (semi.pi_open, semi.pi_closed, dec._quotient_open.witness) == (
+                opn.holds, pi.is_closed().holds, opn.witness
+            )
         except InternalInvariantError:
             ok = False
         record("semicontinuity_pairings", ok, ctx)
 
         locally_closed = all(v.holds for _, v in dec.locally_closed_strata())
-        pi_open = dec._pi_open.holds
+        pi_open = dec._quotient_open.holds
         if frontier is not None and poset_strat is not None:
             record(
                 "locally_closed_and_frontier_iff_poset_stratified_and_open",
@@ -592,7 +600,7 @@ class Sweep:
         for orows in compress(orders, continuous):
             contains_base = rows_within(base, orows)
             record("compatible_orders_contain_decomposition_preorder", contains_base, ctx)
-            opn = dec._pi_open_rows(orows)
+            opn = dec._open_into(orows).holds
             if opn and strat is not None:
                 record("continuous_open_order_implies_stratification", strat, ctx)
             if strat and orows != base and contains_base:

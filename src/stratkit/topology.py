@@ -4,12 +4,13 @@ Every point x of a finite space has a smallest open set U_x containing it
 (the intersection of all opens through x), and the map x -> U_x determines
 the whole topology: a subset S is open exactly when U_x lies inside S for
 each x in S. Keeping only that map makes every point-set predicate run in
-polynomial time; the full open family is enumerated only on demand, behind
+polynomial time; only ``final_topology`` filters all 2**n subsets, behind
 a size guard.
 
 Point subsets cross the public API as frozensets of point names and are
 held internally as bit masks over the point list in insertion order. No
-result depends on the stored order.
+result depends on the stored order. The public ``*_mask`` methods refuse a
+negative mask or one with bits beyond the points (ValidationError).
 
 A relation is held as bit rows too. The kernel below is the one place the
 per-bit loops over rows live, for spaces, orders, decompositions and the
@@ -277,6 +278,17 @@ class FiniteSpace(Value):
         # point indices sorted by name; used to pick deterministic witnesses
         return tuple(sorted(range(len(self.points)), key=lambda i: self.points[i]))
 
+    @cached_property
+    def _open_basis(self) -> tuple[int, ...]:
+        """The distinct minimal opens by the name of their first point, the
+        order in which map checks scan them for a deterministic witness."""
+        return tuple(dict.fromkeys([self.min_open[i] for i in self._lex_indices]))
+
+    @cached_property
+    def _closed_basis(self) -> tuple[int, ...]:
+        """The distinct point closures, in the same order."""
+        return tuple(dict.fromkeys([self.point_closures[i] for i in self._lex_indices]))
+
     def point_index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -294,14 +306,20 @@ class FiniteSpace(Value):
 
     # -- open and closed sets --------------------------------------------
 
+    def _checked(self, mask: int) -> int:
+        """The mask, refused if negative or with a bit beyond the points."""
+        if mask < 0 or mask >> len(self.points):
+            raise ValidationError(f"point mask {mask} out of range for {len(self.points)} points")
+        return mask
+
     def is_open_mask(self, mask: int) -> bool:
-        return not preimage_of(self.min_open, mask) & ~mask
+        return not preimage_of(self.min_open, self._checked(mask)) & ~mask
 
     def is_open(self, names: Iterable[str]) -> bool:
         return self.is_open_mask(self.mask_of(names))
 
     def is_closed_mask(self, mask: int) -> bool:
-        return self.is_open_mask(self.full_mask & ~mask)
+        return self.is_open_mask(self.full_mask & ~self._checked(mask))
 
     def is_closed(self, names: Iterable[str]) -> bool:
         return self.is_closed_mask(self.mask_of(names))
@@ -321,7 +339,7 @@ class FiniteSpace(Value):
 
     def closure_mask(self, mask: int) -> int:
         # a closure is the union of the closures of its points
-        return preimage_of(self.point_closures, mask)
+        return preimage_of(self.point_closures, self._checked(mask))
 
     def closure(self, names: Iterable[str]) -> frozenset[str]:
         """Smallest closed set containing the given points."""
@@ -329,7 +347,7 @@ class FiniteSpace(Value):
 
     def interior_mask(self, mask: int) -> int:
         full = self.full_mask
-        return full & ~self.closure_mask(full & ~mask)
+        return full & ~self.closure_mask(full & ~self._checked(mask))
 
     def interior(self, names: Iterable[str]) -> frozenset[str]:
         """Largest open set contained in the given points."""
@@ -342,7 +360,7 @@ class FiniteSpace(Value):
 
     def open_hull_mask(self, mask: int) -> int:
         """Smallest open set containing the mask (union of the U_x, x in S)."""
-        return preimage_of(self.min_open, mask)
+        return preimage_of(self.min_open, self._checked(mask))
 
     def is_locally_closed(self, names: Iterable[str]) -> Verdict:
         """Whether S is an intersection of an open and a closed set.
@@ -356,15 +374,6 @@ class FiniteSpace(Value):
         hull = self.open_hull_mask(mask)
         holds = (hull & self.closure_mask(mask)) == mask
         return Verdict(holds, witness=self.names_of(hull) if holds else None)
-
-    def open_family(self) -> tuple[int, ...]:
-        """All open sets as masks, ascending. Exponential; size guarded."""
-        n = len(self.points)
-        if n > MAX_POINTS:
-            raise ValidationError(
-                f"open-family enumeration needs 2**{n} candidates; guard is {MAX_POINTS} points"
-            )
-        return tuple(m for m in range(1 << n) if self.is_open_mask(m))
 
     # -- derived spaces ----------------------------------------------------
 
@@ -384,12 +393,6 @@ class FiniteSpace(Value):
     def is_t0(self) -> bool:
         """No two distinct points share the same minimal open neighborhood."""
         return len(set(self.min_open)) == len(self.min_open)
-
-
-def _first_occurrences(masks: Sequence[int], order: Iterable[int]) -> Iterator[int]:
-    """The masks at the given indices, each distinct value once, in that
-    order; checking a basic set twice cannot change the first failure."""
-    return iter(dict.fromkeys(masks[i] for i in order))
 
 
 class SpaceMap(Value):
@@ -465,7 +468,7 @@ class SpaceMap(Value):
         a union of them and preimages commute with unions. The witness on
         failure is an open target set whose preimage is not open.
         """
-        for basic in _first_occurrences(self.target.min_open, self.target._lex_indices):
+        for basic in self.target._open_basis:
             if not self.source.is_open_mask(self.preimage_mask(basic)):
                 return Verdict(
                     False,
@@ -476,7 +479,7 @@ class SpaceMap(Value):
 
     def is_open(self) -> Verdict:
         """Image of every open set is open (checked on the minimal opens)."""
-        for basic in _first_occurrences(self.source.min_open, self.source._lex_indices):
+        for basic in self.source._open_basis:
             if not self.target.is_open_mask(self.image_mask(basic)):
                 return Verdict(
                     False,
@@ -492,7 +495,7 @@ class SpaceMap(Value):
         union of closed sets stays closed here, so the point closures
         suffice.
         """
-        for basic in _first_occurrences(self.source.point_closures, self.source._lex_indices):
+        for basic in self.source._closed_basis:
             if not self.target.is_closed_mask(self.image_mask(basic)):
                 return Verdict(
                     False,

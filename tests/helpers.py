@@ -17,8 +17,10 @@ import sys
 from stratkit import (
     Decomposition,
     FiniteSpace,
+    Poset,
     Proset,
     SpaceMap,
+    alexandrov_space,
     face_poset_model,
     specialization_preorder,
 )
@@ -147,6 +149,17 @@ def brute_map_checks(f) -> tuple[bool, bool, bool]:
     opn = all(f.image_mask(u) in tgt_open for u in src_open)
     cls = all(f.image_mask(c) in tgt_closed for c in src_closed)
     return cont, opn, cls
+
+
+def point_map(dec: Decomposition, order: Poset | None = None) -> SpaceMap:
+    """The quotient map of ``dec`` point by point: into the quotient space,
+    or into the order topology of ``order``, a partial order on the stratum
+    ids. The reference for the stratum-level verdicts of the library."""
+    if order is None:
+        return SpaceMap(dec.space, dec.quotient_space, dec._point_to_stratum)
+    return SpaceMap.from_names(
+        dec.space, alexandrov_space(order), {p: dec.pi(p) for p in dec.space.points}
+    )
 
 
 def brute_saturations(dec) -> tuple[bool, bool]:

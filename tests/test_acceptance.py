@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import helpers
 from stratkit import (
     Poset,
     adjunction_roundtrips,
@@ -134,7 +135,7 @@ def test_criterion_3_fixture_verdicts():
     line = fixture("line_3").document.value
     checks.append(line.poset_stratified_equivalences().value)
     checks.append(line.preorder.leq("S0", "S1") and not line.preorder.leq("S1", "S0"))
-    checks.append(not line.pi_map.is_open().holds)
+    checks.append(not helpers.point_map(line).is_open().holds)
     checks.append(not line.is_stratification().holds)
 
     quad = fixture("quadrant_4").document.value

@@ -6,10 +6,13 @@ import helpers
 from stratkit import (
     AgreementReport,
     Decomposition,
+    Document,
     FiniteSpace,
+    OrderCheck,
     Poset,
     PosetStratification,
     PreconditionError,
+    SpaceMap,
     StratificationVerdict,
     ValidationError,
     alexandrov_space,
@@ -17,12 +20,15 @@ from stratkit import (
     classify,
     compatible_orders,
     face_poset_model,
+    fixture,
+    fixture_names,
     generate,
+    save,
     strict_refinements_never_open,
     stratification_from_open_map,
 )
 from stratkit import topology
-from stratkit.oracle import labeled_preorder_rows, set_partitions
+from stratkit.oracle import labeled_poset_rows, labeled_preorder_rows, set_partitions
 
 
 def all_instances(max_n: int):
@@ -81,7 +87,7 @@ class TestValueSemantics:
             (quadrant, "strata", "preorder"),
             (lambda: Decomposition(space=FiniteSpace.discrete("ab"),
                                    strata=(("A", 0b01), ("B", 0b10))), "space", "ids"),
-            (lambda: as_poset_stratified(quadrant()), "order", "pi_into_order"),
+            (lambda: as_poset_stratified(quadrant()), "order", "_up"),
         ],
         ids=["Decomposition", "Decomposition-keywords", "PosetStratification"],
     )
@@ -276,8 +282,75 @@ class TestPosetStratificationType:
 
     def test_accepts_the_decomposition_preorder(self, line_3):
         order = Poset.from_pairs(("S0", "S1"), [("S0", "S1")])
-        ps = PosetStratification(line_3, order)
-        assert ps.pi_into_order.is_continuous()
+        PosetStratification(line_3, order)
+        assert helpers.point_map(line_3, order).is_continuous()
+
+
+DIAMOND = Poset.from_pairs("0123", [("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")])
+CHAIN = Poset.from_pairs("0123", [("0", "1"), ("1", "2"), ("2", "3")])
+
+
+class TestQuotientMapAtStratumLevel:
+    def test_production_builds_no_point_level_map(self, monkeypatch, quadrant_4, tmp_path):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a point-level SpaceMap was built")
+
+        monkeypatch.setattr(SpaceMap, "__init__", refuse)
+        documents = [fixture(name).document for name in fixture_names()]
+        # fresh values, so no memoised result from an earlier test is read
+        decompositions = [
+            Decomposition(doc.value.space, doc.value.strata)
+            for doc in documents if doc.kind == "decomposition"
+        ]
+        assert len(decompositions) >= 5
+        for dec in decompositions:
+            classify(dec)
+        quadrant = Decomposition(quadrant_4.space, quadrant_4.strata)
+        assert quadrant.check_against_order(DIAMOND) == OrderCheck(True, True)
+        assert not quadrant.check_against_order(CHAIN).open
+        assert stratification_from_open_map(PosetStratification(quadrant, DIAMOND)) is None
+        with pytest.raises(PreconditionError, match="not an open map"):
+            stratification_from_open_map(PosetStratification(quadrant, CHAIN))
+
+        text = save(fixture("quadrant_4").document)
+        code, out, _ = helpers.run_main(["check", "-"], text)
+        assert code == 0 and "verdict: stratification" in out
+        dec_path = tmp_path / "quadrant_4.json"
+        dec_path.write_text(text, encoding="utf-8")
+        for order, expected in ((DIAMOND, 0), (CHAIN, 1)):
+            order_path = tmp_path / "order.json"
+            order_path.write_text(save(Document("order-on-strata", order)), encoding="utf-8")
+            code, _, err = helpers.run_main(["theorem-b", str(dec_path), str(order_path)], "")
+            assert code == expected and "Traceback" not in err
+
+    def test_verdicts_match_the_point_level_map(self):
+        # every labeled instance with n <= 3, into its quotient and into
+        # every labeled partial order on its strata; the witnesses must be
+        # the first counterexamples the point-level map finds
+        failures = {"continuous": 0, "open": 0, "closed": 0}
+        for dec in all_instances(3):
+            targets = [(dec.quotient_space.min_open, helpers.point_map(dec))]
+            for rows in labeled_poset_rows(dec.k):
+                order = Poset(dec.ids, rows)
+                f = helpers.point_map(dec, order)
+                targets.append((rows, f))
+                # the same order with its elements listed in reverse
+                pairs = [(a, b) for a in order.elements for b in order.up_set(a)]
+                reversed_order = Poset.from_pairs(dec.ids[::-1], pairs, close=False)
+                cont, opn = f.is_continuous(), f.is_open()
+                assert dec.check_against_order(reversed_order) == OrderCheck(
+                    cont.holds, opn.holds, cont.witness, opn.witness
+                )
+            for up, f in targets:
+                down = topology.transpose(up)
+                for kind, mine, reference in (
+                    ("continuous", dec._continuous_into(up), f.is_continuous()),
+                    ("open", dec._open_into(up), f.is_open()),
+                    ("closed", dec._closed_into(down), f.is_closed()),
+                ):
+                    assert (mine.holds, mine.witness) == (reference.holds, reference.witness)
+                    failures[kind] += not mine.holds
+        assert all(count > 100 for count in failures.values()), failures
 
 
 class TestCoarsen:
@@ -299,7 +372,7 @@ class TestCoarsen:
         for dec in all_instances(3):
             merged, ps = dec.coarsen()
             assert merged.poset_stratified_equivalences().value
-            assert ps.pi_into_order.is_continuous()
+            assert helpers.point_map(merged, ps.order).is_continuous()
 
 
 class TestTheoremConstructions:
@@ -421,8 +494,9 @@ class TestSemicontinuity:
         # and compare against the quotient-map properties
         for dec in all_instances(3):
             sat_open, sat_closed = helpers.brute_saturations(dec)
-            assert sat_open == bool(dec.pi_map.is_open())
-            assert sat_closed == bool(dec.pi_map.is_closed())
+            pi = helpers.point_map(dec)
+            assert sat_open == bool(pi.is_open())
+            assert sat_closed == bool(pi.is_closed())
             report = dec.semicontinuity()
             assert (report.sat_open_open, report.sat_closed_closed) == (
                 sat_open,

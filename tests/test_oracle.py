@@ -34,7 +34,7 @@ from stratkit.oracle import (
     preorder_orbits,
     set_partitions,
 )
-from stratkit.topology import FiniteSpace
+from stratkit.topology import FiniteSpace, preimage_of
 
 SWEEP5_SHA256 = Path(__file__).parent / "data" / "sweep5_json.sha256"
 
@@ -273,6 +273,24 @@ class TestSweep:
         tally = dict(report.tallies)["adjunction_roundtrips"]
         assert tally.failed > 0 and tally.passed > 0
         assert report.first_counterexample["check"] == "adjunction_roundtrips"
+
+    def test_sweep_catches_a_wrong_openness_witness(self, monkeypatch):
+        # naming the last failing minimal open instead of the first changes
+        # no reported value; only the comparison with the point-level map
+        # under semicontinuity_pairings can see it. No map onto a quotient
+        # of a space with at most 3 points has two failing minimal opens,
+        # so the sweep runs at n = 4.
+        def last_failure(self, up_rows):
+            images = self._images(self.space._open_basis)
+            failing = [b for b, image in images if preimage_of(up_rows, image) & ~image]
+            return Verdict(not failing, self.space.names_of(failing[-1]) if failing else None)
+
+        monkeypatch.setattr(Decomposition, "_open_into", last_failure)
+        report = exhaustive_verify(4)
+        tallies = dict(report.tallies)
+        assert tallies["semicontinuity_pairings"].failed > 0
+        assert report.failures == tallies["semicontinuity_pairings"].failed
+        assert report.first_counterexample["check"] == "semicontinuity_pairings"
 
     def test_sweep_catches_a_broken_combination_law(self, monkeypatch):
         # production does not assert the combination law; a wrong

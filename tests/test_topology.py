@@ -183,6 +183,31 @@ class TestPointSetOperations:
         assert names == {space.points[i] for i in range(n) if mask >> i & 1}
         assert space.mask_of(names) == mask
 
+    MASK_METHODS = ("is_open_mask", "is_closed_mask", "closure_mask", "interior_mask",
+                    "open_hull_mask")
+
+    def test_mask_out_of_range_examples(self):
+        space = FiniteSpace.discrete("abc")
+        for method in self.MASK_METHODS:
+            for mask in (-1, 8):
+                with pytest.raises(ValidationError, match=rf"^point mask {mask} out of range"):
+                    getattr(space, method)(mask)
+        assert [getattr(space, method)(7) for method in self.MASK_METHODS] == [
+            True, True, 7, 7, 7
+        ]
+
+    @given(random_spaces(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_masks_outside_the_points_are_refused(self, space, data):
+        n = len(space.points)
+        mask = data.draw(st.integers(max_value=-1) | st.integers(min_value=1 << n))
+        for method in self.MASK_METHODS:
+            with pytest.raises(ValidationError, match="out of range"):
+                getattr(space, method)(mask)
+        inside = data.draw(st.integers(0, space.full_mask))
+        for method in self.MASK_METHODS:
+            getattr(space, method)(inside)  # accepted
+
     def test_frontier(self):
         assert line_3_space().frontier(("p",)) == {"z"}
 
