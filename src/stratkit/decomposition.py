@@ -55,10 +55,11 @@ Agreements whose outcome nothing reports are theorems on finite inputs,
 and only the exhaustive sweep in ``oracle.py`` tallies them: the preorder
 against the closed saturations, the combination law for stratifications,
 the definitional routes that enumerate all 2**k sets of strata
-(``quotient_open_family``, ``quotient_space_by_subset_filter``, guarded by
-``topology.MAX_POINTS`` read at call time) and the search over every
-labeled partial order on the strata, which ``compatible_orders`` and
-``strict_refinements_never_open`` also run for one decomposition.
+(``quotient_open_family``, guarded by ``topology.MAX_POINTS`` read at call
+time, and ``oracle.quotient_space_by_subset_filter`` built on it) and the
+search over every labeled partial order on the strata, which
+``compatible_orders`` and ``strict_refinements_never_open`` also run for
+one decomposition.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .order import Poset, Proset, reflexive_transitive_closure, specialization_preorder
 from .topology import (
-    FiniteSpace, Value, Verdict, iter_bits, min_open_rows, names_at, preimage_of, rows_within
+    FiniteSpace, Value, Verdict, iter_bits, names_at, preimage_of, rows_within
 )
 
 #: The decomposition preorder is an ordinary preorder on stratum ids.
@@ -319,10 +320,6 @@ class Decomposition(Value):
         return tuple(
             j for j in range(1 << self.k) if self.space.is_open_mask(preimage_of(self.masks, j))
         )
-
-    def quotient_space_by_subset_filter(self) -> FiniteSpace:
-        """Quotient space built from the filtered open family (oracle route)."""
-        return FiniteSpace(self.ids, min_open_rows(self.k, self.quotient_open_family()))
 
     # -- decomposition preorder ---------------------------------------------
 

@@ -261,19 +261,11 @@ def _decomposition_payload(dec: Decomposition) -> dict:
 def _decomposition_from(payload: dict) -> Decomposition:
     ref = payload.get("space")
     if isinstance(ref, dict) and set(ref) == {"fixture"}:
-        from .fixtures import fixture
+        from .fixtures import fixture_space
 
         if not isinstance(ref["fixture"], str):
             raise ValidationError("fixture reference must be a fixture name")
-        value = fixture(ref["fixture"]).document.value
-        if isinstance(value, Decomposition):
-            space = value.space
-        elif isinstance(value, FiniteSpace):
-            space = value
-        else:
-            raise ValidationError(
-                f"fixture {ref['fixture']!r} does not carry a space"
-            )
+        space = fixture_space(ref["fixture"])
     elif isinstance(ref, dict):
         if ref.get("kind", "space") != "space":
             raise ValidationError("decomposition space must be a space document")

@@ -121,6 +121,17 @@ def fixture(name: str) -> Fixture:
         raise ValidationError(f"unknown fixture: {name!r}") from None
 
 
+def fixture_space(name: str) -> FiniteSpace:
+    """The space a fixture carries: itself, or its decomposition's space.
+    Documents and ``generate`` resolve a fixture name through this."""
+    value = fixture(name).document.value
+    if isinstance(value, Decomposition):
+        return value.space
+    if isinstance(value, FiniteSpace):
+        return value
+    raise ValidationError(f"fixture {name!r} does not carry a space")
+
+
 def fixture_names() -> tuple[str, ...]:
     return tuple(sorted(FIXTURES))
 

@@ -150,15 +150,9 @@ def _resolve_space(n: int, params: Mapping) -> FiniteSpace:
     if isinstance(spec, FiniteSpace):
         space = spec
     elif isinstance(spec, str):
-        from .fixtures import fixture
+        from .fixtures import fixture_space
 
-        value = fixture(spec).document.value
-        if isinstance(value, Decomposition):
-            space = value.space
-        elif isinstance(value, FiniteSpace):
-            space = value
-        else:
-            raise ValidationError(f"fixture {spec!r} does not carry a space")
+        space = fixture_space(spec)
     elif isinstance(spec, dict):
         from .documents import from_payload
 

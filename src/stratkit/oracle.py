@@ -5,12 +5,14 @@ points, so enumerating relations enumerates spaces. The sweep covers
 every (space, partition) pair up to a size bound, reruns every
 equivalence-group agreement from the decomposition module, compares the
 polynomial quotient and Alexandrov routes with the definitional ones that
-filter all 2**k sets of strata, checks the theorems production does not
-assert (the decomposition preorder against the closed saturations, the
-combination law for stratifications), and checks the order-level
-statements against every labeled partial order on the stratum set. A
-correct build reports zero failures; the first failure is captured as a
-serializable document bundle.
+filter all 2**k sets of strata (once per instance), checks the theorems
+production does not assert (the decomposition preorder against the closed
+saturations, the combination law for stratifications), and checks the
+order-level statements against every labeled partial order on the stratum
+set. Each value is computed once per instance and each check is one
+``record``; an InternalInvariantError raised by a production agreement is
+recorded as its failure. A correct build reports zero failures; the first
+failure is captured as a serializable document bundle.
 
 Relabeling the points is a homeomorphism, so no checked statement can
 tell two pairs in one orbit of the symmetric group apart. The sweep
@@ -26,13 +28,19 @@ At n = 5 the 360,984 labeled instances are 4,323 orbits, and the sweep
 takes about 2.5 s (Python 3.11, one core of a shared 2-vCPU host).
 
 This module is the one home of the search over labeled partial orders on
-the strata (``_orders_by_continuity``). The sweep checks the production
-poset-stratified value, decided by antisymmetry of the decomposition
-preorder, against it; ``compatible_orders`` and
-``strict_refinements_never_open`` run it for one decomposition. It is also
-the one place the quotient map is built point by point, as a ``SpaceMap``
-(``classify``, ``check`` and ``theorem-b`` build none), the reference that
-``semicontinuity_pairings`` compares the stratum-level verdicts with.
+the strata (``_orders_by_continuity``) and of the statements made over
+the orders it finds continuous (``_order_statements``). The sweep checks
+the production poset-stratified value, decided by antisymmetry of the
+decomposition preorder, against the search and records the statements;
+``compatible_orders`` and ``strict_refinements_never_open`` assert them
+for one decomposition. So the sweep's
+``strict_refinement_is_continuous_never_open`` covers only continuous
+orders: that every refinement of the preorder is continuous is asserted
+by ``strict_refinements_never_open`` alone. It is also the one place the
+quotient map is built point by point, as a ``SpaceMap`` (``classify``,
+``check`` and ``theorem-b`` build none), in
+``semicontinuity_matches_point_map``: the sweep's reference for the
+stratum-level verdicts.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, permutations
 from math import factorial
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .decomposition import Decomposition, as_poset_stratified
 from .documents import canonical_json, payload_of
@@ -62,6 +70,8 @@ from .topology import (
 PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 POSET_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 PARTITION_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
+
+T = TypeVar("T")
 
 MAX_ORDER_ELEMENTS = 4
 MAX_PARTITION_ELEMENTS = 6
@@ -282,6 +292,40 @@ def _orders_by_continuity(
     return orders, list(map(dec._pi_continuous_rows, orders))
 
 
+def _order_statements(
+    dec: Decomposition,
+    orders: Sequence[tuple[int, ...]],
+    continuous: Sequence[bool],
+    strat: bool | None,
+) -> Iterator[tuple[tuple[int, ...], str, bool]]:
+    """(order rows, check name, holds) on each order the quotient map is
+    continuous into: the order contains the decomposition preorder; and if
+    ``strat``, whether ``dec`` is a stratification, is known, an open map
+    into the order implies it, and a strict refinement is never open."""
+    base = dec.preorder.up
+    for rows in compress(orders, continuous):
+        contains_base = rows_within(base, rows)
+        yield rows, "compatible_orders_contain_decomposition_preorder", contains_base
+        if strat is None:
+            continue
+        opn = dec._open_into(rows).holds
+        if opn:
+            yield rows, "continuous_open_order_implies_stratification", strat
+        if strat and rows != base and contains_base:
+            yield rows, "strict_refinement_is_continuous_never_open", not opn
+
+
+def _asserted(
+    statements: Iterator[tuple[tuple[int, ...], str, bool]],
+) -> Iterator[tuple[tuple[int, ...], str]]:
+    """Each statement as (order rows, check name), raising
+    InternalInvariantError at the first that fails."""
+    for rows, name, holds in statements:
+        if not holds:
+            raise InternalInvariantError(f"order-level statement fails: {name}")
+        yield rows, name
+
+
 class CompatibleOrdersReport(NamedTuple):
     """All partial orders on the stratum ids that make the quotient map
     continuous; the decomposition preorder is contained in each."""
@@ -299,17 +343,9 @@ def compatible_orders(d: Decomposition, bound: int = 4) -> CompatibleOrdersRepor
     over, asserting the decomposition preorder is initial among them."""
     if not d.poset_stratified_equivalences().value:
         raise PreconditionError("decomposition is not poset-stratified")
-    if d.k > bound:
-        raise ValidationError(f"stratum count {d.k} exceeds the enumeration bound {bound}")
-    p = d.preorder
-    found = []
-    for rows in compress(*_orders_by_continuity(d)):
-        if not rows_within(p.up, rows):
-            raise InternalInvariantError(
-                "decomposition preorder not contained in a compatible order"
-            )
-        found.append(Poset(d.ids, rows))
-    return CompatibleOrdersReport(tuple(found))
+    _check_size(d.k, bound, "order enumeration", "strata")
+    statements = _order_statements(d, *_orders_by_continuity(d), None)
+    return CompatibleOrdersReport(tuple(Poset(d.ids, rows) for rows, _ in _asserted(statements)))
 
 
 class RefinementReport(NamedTuple):
@@ -324,39 +360,62 @@ def strict_refinements_never_open(d: Decomposition, bound: int = 4) -> Refinemen
         raise PreconditionError(
             "input decomposition is not a stratification", reasons=verdict.reasons
         )
-    if d.k > bound:
-        raise ValidationError(f"stratum count {d.k} exceeds the enumeration bound {bound}")
+    _check_size(d.k, bound, "order enumeration", "strata")
+    orders, continuous = _orders_by_continuity(d)
     base = d.preorder.up
-    tested = 0
-    for rows, continuous in zip(*_orders_by_continuity(d)):
-        if rows == base or not rows_within(base, rows):
-            continue
-        tested += 1
-        if not continuous:
-            raise InternalInvariantError("refinement broke continuity of the quotient map")
-        if d._open_into(rows):
-            raise InternalInvariantError("quotient map became open over a strict refinement")
-    return RefinementReport(tested)
+    if not all(ok for rows, ok in zip(orders, continuous) if rows_within(base, rows)):
+        raise InternalInvariantError("refinement broke continuity of the quotient map")
+    statements = _order_statements(d, orders, continuous, True)
+    return RefinementReport(sum(
+        name == "strict_refinement_is_continuous_never_open" for _, name in _asserted(statements)
+    ))
 
 
 # -- the sweep ----------------------------------------------------------------
 
 
-def alexandrov_by_subset_filter(dec: Decomposition) -> tuple[bool, bool, bool]:
-    """The three Alexandrov characterizations from their definitions.
+def _or_none(check: Callable[..., T], *args) -> T | None:
+    """``check(*args)``, or None when it raises InternalInvariantError: a
+    production agreement failed, which the sweep records as a failure."""
+    try:
+        return check(*args)
+    except InternalInvariantError:
+        return None
 
-    Filters all 2**k sets of strata for an open preimage, then asks (1)
-    whether the intersection of the members through each stratum is a
-    member, (2) whether the family equals the up-set family of the
-    decomposition preorder, and (3) whether every up-set is in the family
-    (continuity into the preorder topology). Exponential in k.
-    """
-    k = dec.k
+
+def quotient_space_by_subset_filter(dec: Decomposition) -> tuple[FiniteSpace, frozenset[int]]:
+    """The quotient space from its definition, with the family it is built
+    from: all 2**k sets of strata filtered for an open preimage
+    (``Decomposition.quotient_open_family``), and the intersection of the
+    members through each stratum as its minimal open. Exponential in k."""
     family = frozenset(dec.quotient_open_family())
-    has_min_open = all(row in family for row in min_open_rows(k, family))
+    return FiniteSpace(dec.ids, min_open_rows(dec.k, family)), family
+
+
+def alexandrov_by_subset_filter(
+    dec: Decomposition, quotient: FiniteSpace, family: frozenset[int]
+) -> tuple[bool, bool, bool]:
+    """The three Alexandrov characterizations from their definitions, on
+    the output of ``quotient_space_by_subset_filter``: (1) whether the
+    intersection of the members through each stratum is a member, (2)
+    whether the family equals the up-set family of the decomposition
+    preorder, and (3) whether every up-set is in the family (continuity
+    into the preorder topology). Exponential in k."""
     up = dec.preorder.up
-    up_family = frozenset(j for j in range(1 << k) if not preimage_of(up, j) & ~j)
+    up_family = frozenset(j for j in range(1 << dec.k) if not preimage_of(up, j) & ~j)
+    has_min_open = all(row in family for row in quotient.min_open)
     return has_min_open, family == up_family, up_family <= family
+
+
+def semicontinuity_matches_point_map(dec: Decomposition) -> bool:
+    """The stratum-level openness and closedness of the quotient map, and
+    the openness witness, against the point-level ``SpaceMap`` of it."""
+    semi = dec.semicontinuity()
+    pi = SpaceMap(dec.space, dec.quotient_space, dec._point_to_stratum)
+    opn = pi.is_open()
+    return (semi.pi_open, semi.pi_closed, dec._quotient_open.witness) == (
+        opn.holds, pi.is_closed().holds, opn.witness
+    )
 
 
 def preorder_matches_closed_saturations(dec: Decomposition) -> bool:
@@ -476,21 +535,10 @@ class Sweep:
         record = self._record
         space = alexandrov_space(proset)
         ctx = (space, None)
-
-        try:
-            adjunction_roundtrips(proset, space)
-            ok = True
-        except InternalInvariantError:
-            ok = False
+        ok = _or_none(adjunction_roundtrips, proset, space) is not None
         record("adjunction_roundtrips", ok, ctx)
-
-        try:
-            singleton_local_closure_check(proset)
-            ok = True
-        except InternalInvariantError:
-            ok = False
+        ok = _or_none(singleton_local_closure_check, proset) is not None
         record("poset_iff_singletons_locally_closed", ok, ctx)
-
         family = []
         for mask in dict.fromkeys(space.min_open):
             member = space.names_of(mask)
@@ -515,56 +563,22 @@ class Sweep:
             space, {str(b): block for b, block in enumerate(partition)}
         )
         ctx = (space, dec)
-
-        record(
-            "quotient_fixpoint_matches_subset_filter",
-            dec.quotient_space == dec.quotient_space_by_subset_filter(),
-            ctx,
-        )
-
-        try:
-            ok = preorder_matches_closed_saturations(dec)
-        except InternalInvariantError:
-            ok = False
-        record("closed_saturation_matches_preorder_down_sets", ok, ctx)
-
-        try:
-            values = dec.alexandrov_equivalences().values
-            ok = values == alexandrov_by_subset_filter(dec)
-        except InternalInvariantError:
-            ok = False
-        record("alexandrov_triple_agreement", ok, ctx)
-
-        try:
-            frontier = dec.frontier_equivalences().value
-            ok = True
-        except InternalInvariantError:
-            frontier = None
-            ok = False
-        record("frontier_quadruple_agreement", ok, ctx)
-
+        quotient, family = quotient_space_by_subset_filter(dec)
+        record("quotient_fixpoint_matches_subset_filter", dec.quotient_space == quotient, ctx)
+        ok = _or_none(preorder_matches_closed_saturations, dec)
+        record("closed_saturation_matches_preorder_down_sets", ok is True, ctx)
+        ok = _or_none(lambda: dec.alexandrov_equivalences().values
+                      == alexandrov_by_subset_filter(dec, quotient, family))
+        record("alexandrov_triple_agreement", ok is True, ctx)
+        frontier = _or_none(lambda: dec.frontier_equivalences().value)
+        record("frontier_quadruple_agreement", frontier is not None, ctx)
         # the search: some labeled partial order makes the map continuous
         orders, continuous = _orders_by_continuity(dec)
         self.order_pairs += weight * len(orders)
-        try:
-            poset_strat = dec.poset_stratified_equivalences().value
-            ok = poset_strat == any(continuous)
-        except InternalInvariantError:
-            poset_strat = None
-            ok = False
-        record("poset_stratified_triple_agreement", ok, ctx)
-
-        try:
-            semi = dec.semicontinuity()
-            # the point-level map, the reference for the stratum-level verdicts
-            pi = SpaceMap(space, dec.quotient_space, dec._point_to_stratum)
-            opn = pi.is_open()
-            ok = (semi.pi_open, semi.pi_closed, dec._quotient_open.witness) == (
-                opn.holds, pi.is_closed().holds, opn.witness
-            )
-        except InternalInvariantError:
-            ok = False
-        record("semicontinuity_pairings", ok, ctx)
+        poset_strat = _or_none(lambda: dec.poset_stratified_equivalences().value)
+        record("poset_stratified_triple_agreement", poset_strat == any(continuous), ctx)
+        ok = _or_none(semicontinuity_matches_point_map, dec)
+        record("semicontinuity_pairings", ok is True, ctx)
 
         locally_closed = all(v.holds for _, v in dec.locally_closed_strata())
         pi_open = dec._quotient_open.holds
@@ -574,11 +588,7 @@ class Sweep:
                 (locally_closed and frontier) == (poset_strat and pi_open),
                 ctx,
             )
-
-        try:
-            strat = dec.is_stratification().holds
-        except InternalInvariantError:
-            strat = None
+        strat = _or_none(lambda: dec.is_stratification().holds)
         if strat:
             try:
                 as_poset_stratified(dec)
@@ -586,7 +596,6 @@ class Sweep:
             except (InternalInvariantError, PreconditionError):
                 ok = False
             record("stratification_induces_initial_partial_order", ok, ctx)
-
         if poset_strat and strat is not None:
             # over its own preorder: stratification iff the map is open
             # (local finiteness holds identically at finite scale)
@@ -595,16 +604,8 @@ class Sweep:
                 strat == pi_open,
                 ctx,
             )
-
-        base = dec.preorder.up
-        for orows in compress(orders, continuous):
-            contains_base = rows_within(base, orows)
-            record("compatible_orders_contain_decomposition_preorder", contains_base, ctx)
-            opn = dec._open_into(orows).holds
-            if opn and strat is not None:
-                record("continuous_open_order_implies_stratification", strat, ctx)
-            if strat and orows != base and contains_base:
-                record("strict_refinement_is_continuous_never_open", not opn, ctx)
+        for _, name, holds in _order_statements(dec, orders, continuous, strat):
+            record(name, holds, ctx)
 
     def report(self) -> SweepReport:
         tallies = tuple(

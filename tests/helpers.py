@@ -29,6 +29,7 @@ from stratkit.oracle import (
     Sweep,
     SweepReport,
     alexandrov_by_subset_filter,
+    quotient_space_by_subset_filter,
     labeled_preorder_rows,
     set_partitions,
 )
@@ -185,13 +186,12 @@ def subset_filter_report(dec) -> dict:
     the 2**k filtered quotient family and point-level map checks."""
     space = dec.space
     k = dec.k
-    family = frozenset(dec.quotient_open_family())
-    quotient = dec.quotient_space_by_subset_filter()
+    quotient, family = quotient_space_by_subset_filter(dec)
     p = specialization_preorder(quotient)
     pi = SpaceMap(space, quotient, dec._point_to_stratum)
     closures = [space.closure_mask(mask) for mask in dec.masks]
 
-    alexandrov = alexandrov_by_subset_filter(dec)
+    alexandrov = alexandrov_by_subset_filter(dec, quotient, family)
     locally_closed = {
         sid: space.is_locally_closed(space.names_of(mask)).holds for sid, mask in dec.strata
     }

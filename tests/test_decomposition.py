@@ -8,6 +8,7 @@ from stratkit import (
     Decomposition,
     Document,
     FiniteSpace,
+    InternalInvariantError,
     OrderCheck,
     Poset,
     PosetStratification,
@@ -27,8 +28,14 @@ from stratkit import (
     strict_refinements_never_open,
     stratification_from_open_map,
 )
-from stratkit import topology
-from stratkit.oracle import labeled_poset_rows, labeled_preorder_rows, set_partitions
+from stratkit import oracle, topology
+from stratkit.oracle import (
+    labeled_poset_rows,
+    labeled_preorder_rows,
+    quotient_space_by_subset_filter,
+    set_partitions,
+)
+from stratkit.topology import rows_within
 
 
 def all_instances(max_n: int):
@@ -173,7 +180,7 @@ class TestQuotient:
 
     def test_fixpoint_matches_subset_filter_exhaustively(self):
         for dec in all_instances(3):
-            assert dec.quotient_space == dec.quotient_space_by_subset_filter()
+            assert dec.quotient_space == quotient_space_by_subset_filter(dec)[0]
 
 
 class TestPreorder:
@@ -451,6 +458,16 @@ class TestCompatibleOrders:
         with pytest.raises(ValidationError, match="bound"):
             compatible_orders(quadrant_4, bound=2)
 
+    def test_a_continuous_order_missing_the_preorder_is_caught(self, quadrant_4, monkeypatch):
+        # a search that calls every order continuous offers orders that do
+        # not contain the decomposition preorder
+        orders = labeled_poset_rows(quadrant_4.k)
+        monkeypatch.setattr(
+            oracle, "_orders_by_continuity", lambda dec: (orders, [True] * len(orders))
+        )
+        with pytest.raises(InternalInvariantError):
+            compatible_orders(quadrant_4)
+
 
 class TestRefinements:
     def test_quadrant_has_two_strict_refinements(self, quadrant_4):
@@ -464,6 +481,23 @@ class TestRefinements:
     def test_non_stratification_rejected(self, line_3):
         with pytest.raises(PreconditionError):
             strict_refinements_never_open(line_3)
+
+    def test_a_discontinuous_refinement_is_caught(self, quadrant_4, monkeypatch):
+        # the sweep visits only the orders the search calls continuous; the
+        # continuity of every refinement is asserted here alone
+        search = oracle._orders_by_continuity
+
+        def refinements_discontinuous(dec):
+            orders, continuous = search(dec)
+            base = dec.preorder.up
+            return orders, [
+                ok and (rows == base or not rows_within(base, rows))
+                for rows, ok in zip(orders, continuous)
+            ]
+
+        monkeypatch.setattr(oracle, "_orders_by_continuity", refinements_discontinuous)
+        with pytest.raises(InternalInvariantError):
+            strict_refinements_never_open(quadrant_4)
 
 
 class TestSemicontinuity:

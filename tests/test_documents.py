@@ -109,6 +109,17 @@ class TestErrors:
         with pytest.raises(ValidationError, match="strata not disjoint"):
             load(text)
 
+    def test_fixture_without_a_space_is_refused(self):
+        # a symbolic-family fixture carries no finite space, whether a
+        # decomposition document or the generator names it
+        text = json.dumps(
+            {"kind": "decomposition", "space": {"fixture": "nat_usual"}, "strata": {}}
+        )
+        with pytest.raises(ValidationError, match="fixture 'nat_usual' does not carry a space"):
+            load(text)
+        with pytest.raises(ValidationError, match="fixture 'nat_usual' does not carry a space"):
+            generate("partition", 3, {"space": "nat_usual"}, seed=0)
+
     def test_space_needs_exactly_one_table(self):
         with pytest.raises(ValidationError, match="exactly one"):
             load(json.dumps({"kind": "space", "points": ["a"]}))

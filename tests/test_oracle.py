@@ -22,6 +22,7 @@ from stratkit.oracle import (
     PARTITION_COUNTS,
     POSET_COUNTS,
     PREORDER_COUNTS,
+    Sweep,
     SweepReport,
     Tally,
     enumerate_partitions,
@@ -234,6 +235,25 @@ class TestSweep:
         report = exhaustive_verify(5, max_n=5)
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == SWEEP5_SHA256.read_text().strip()
+
+    def test_subset_filter_runs_once_per_instance(self, monkeypatch):
+        # the definitional quotient and Alexandrov routes share one
+        # filtered family of stratum sets per instance
+        calls = {"filter": 0, "instances": 0}
+        family, check = Decomposition.quotient_open_family, Sweep.check_instance
+
+        def counted_family(self):
+            calls["filter"] += 1
+            return family(self)
+
+        def counted_check(self, *args):
+            calls["instances"] += 1
+            return check(self, *args)
+
+        monkeypatch.setattr(Decomposition, "quotient_open_family", counted_family)
+        monkeypatch.setattr(Sweep, "check_instance", counted_check)
+        exhaustive_verify(3)
+        assert calls["instances"] > 0 and calls["filter"] == calls["instances"]
 
     def test_search_catches_a_wrong_poset_stratified_value(self, monkeypatch):
         # production decides the group by antisymmetry alone; only the
