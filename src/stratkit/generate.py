@@ -43,6 +43,12 @@ def _lanes(m: int) -> tuple[int, int, int]:
     return ones, low64, steps
 
 
+@lru_cache(maxsize=8)
+def _offsets(m: int, threshold: int) -> int:
+    """2**64 - threshold in each of m 128-bit lanes."""
+    return ((1 << 64) - threshold) * _lanes(m)[0]
+
+
 class SplitMix64:
     """The splitmix64 sequence.
 
@@ -77,7 +83,11 @@ class SplitMix64:
         63, where the mask clears them. next_float() < density exactly when
         z < ceil(density * 2**53) * 2**11: the scalings by powers of two
         are exact. That test is one add per lane: bit 64 of
-        z + 2**64 - threshold is set exactly when z >= threshold.
+        z + 2**64 - threshold is set exactly when z >= threshold. The last
+        shift is not masked: it leaves bits 97-127 of a lane holding bits
+        of the next lane, but the low 64 bits plus 2**64 - threshold stay
+        below 2**65, so the add carries neither into those bits nor out of
+        them, and bit 64 is read alone.
         """
         if m <= 0:
             return b""
@@ -86,10 +96,10 @@ class SplitMix64:
         self._state = (self._state + m * _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) & low64) * 0xBF58476D1CE4E5B9 & low64
         z = ((z ^ (z >> 27)) & low64) * 0x94D049BB133111EB & low64
-        z = (z ^ (z >> 31)) & low64
+        z ^= z >> 31
         # clamped so that densities outside [0, 1] compare as the floats do
         threshold = math.ceil(min(max(density, 0), 1) * 2**53) << 11
-        at_least = ((z + ((1 << 64) - threshold) * ones) >> 64) & ones
+        at_least = ((z + _offsets(m, threshold)) >> 64) & ones
         return (at_least ^ ones).to_bytes(16 * m, "little")[::16]
 
     def next_below(self, bound: int) -> int:
@@ -103,6 +113,11 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def _plain_int(value) -> bool:
+    """An int but not a bool, which subclasses int (True would read as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def generate(kind: str, n: int, params: Mapping, seed: int) -> Document:
@@ -119,7 +134,7 @@ def generate(kind: str, n: int, params: Mapping, seed: int) -> Document:
     surjective; remaining points are placed independently. Blocks are
     relabeled "0", "1", ... by first occurrence along the point list.
     """
-    if not isinstance(n, int) or n < 0:
+    if not _plain_int(n) or n < 0:
         raise ValidationError("n must be a nonnegative integer")
     rng = SplitMix64(seed)
     if kind == "preorder":
@@ -131,7 +146,7 @@ def generate(kind: str, n: int, params: Mapping, seed: int) -> Document:
 
 def _gen_preorder(n: int, params: Mapping, rng: SplitMix64) -> Document:
     density = params.get("density", 0.5)
-    if not isinstance(density, (int, float)) or not 0.0 <= density <= 1.0:
+    if not (_plain_int(density) or isinstance(density, float)) or not 0.0 <= density <= 1.0:
         raise ValidationError("density must lie in [0, 1]")
     # one row of n - 1 draws at a time, pairs (i, j != i) in row-major
     # order; bit j of row i is the draw for (i, j), and the diagonal is set
@@ -174,7 +189,7 @@ def _gen_partition(n: int, params: Mapping, rng: SplitMix64) -> Document:
     blocks = params.get("blocks")
     if blocks is None:
         blocks = 1 + rng.next_below(n)
-    if not isinstance(blocks, int) or not 1 <= blocks <= n:
+    if not _plain_int(blocks) or not 1 <= blocks <= n:
         raise ValidationError(f"blocks must lie in 1..{n}")
     order = list(range(n))
     rng.shuffle(order)

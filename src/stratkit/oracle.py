@@ -33,10 +33,14 @@ the orders it finds continuous (``_order_statements``). The sweep checks
 the production poset-stratified value, decided by antisymmetry of the
 decomposition preorder, against the search and records the statements;
 ``compatible_orders`` and ``strict_refinements_never_open`` assert them
-for one decomposition. So the sweep's
-``strict_refinement_is_continuous_never_open`` covers only continuous
-orders: that every refinement of the preorder is continuous is asserted
-by ``strict_refinements_never_open`` alone. It is also the one place the
+for one decomposition. The statements run only on the orders the search
+finds continuous, so whether every order containing the preorder is
+among them is checked on its own (``_refinements_continuous``): the
+sweep folds it into ``poset_stratified_triple_agreement`` on each
+instance whose preorder is a partial order, and
+``strict_refinements_never_open`` asserts it. Without it, a search that
+dropped the refinements would leave their statements nothing to run on.
+It is also the one place the
 quotient map is built point by point, as a ``SpaceMap`` (``classify``,
 ``check`` and ``theorem-b`` build none), in
 ``semicontinuity_matches_point_map``: the sweep's reference for the
@@ -46,8 +50,9 @@ stratum-level verdicts.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, permutations
+from itertools import compress, permutations, repeat
 from math import factorial
+from operator import not_
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .decomposition import Decomposition, as_poset_stratified
@@ -292,6 +297,15 @@ def _orders_by_continuity(
     return orders, list(map(dec._pi_continuous_rows, orders))
 
 
+def _refinements_continuous(
+    dec: Decomposition, orders: Sequence[tuple[int, ...]], continuous: Sequence[bool]
+) -> bool:
+    """Whether the search found every order containing the decomposition
+    preorder continuous: none of the others contains it."""
+    missed = compress(orders, map(not_, continuous))
+    return not any(map(rows_within, repeat(dec.preorder.up), missed))
+
+
 def _order_statements(
     dec: Decomposition,
     orders: Sequence[tuple[int, ...]],
@@ -362,8 +376,7 @@ def strict_refinements_never_open(d: Decomposition, bound: int = 4) -> Refinemen
         )
     _check_size(d.k, bound, "order enumeration", "strata")
     orders, continuous = _orders_by_continuity(d)
-    base = d.preorder.up
-    if not all(ok for rows, ok in zip(orders, continuous) if rows_within(base, rows)):
+    if not _refinements_continuous(d, orders, continuous):
         raise InternalInvariantError("refinement broke continuity of the quotient map")
     statements = _order_statements(d, orders, continuous, True)
     return RefinementReport(sum(
@@ -576,7 +589,10 @@ class Sweep:
         orders, continuous = _orders_by_continuity(dec)
         self.order_pairs += weight * len(orders)
         poset_strat = _or_none(lambda: dec.poset_stratified_equivalences().value)
-        record("poset_stratified_triple_agreement", poset_strat == any(continuous), ctx)
+        agree = poset_strat == any(continuous)
+        if poset_strat:  # the preorder is a partial order, so some orders contain it
+            agree = agree and _refinements_continuous(dec, orders, continuous)
+        record("poset_stratified_triple_agreement", agree, ctx)
         ok = _or_none(semicontinuity_matches_point_map, dec)
         record("semicontinuity_pairings", ok is True, ctx)
 

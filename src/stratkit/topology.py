@@ -16,7 +16,16 @@ A relation is held as bit rows too. The kernel below is the one place the
 per-bit loops over rows live, for spaces, orders, decompositions and the
 oracle alike: ``preimage_of`` (the union of the rows a mask selects, also
 openness, open hulls and closures), ``transpose``, ``first_intransitive``
-and ``rows_within``.
+and ``rows_within``. Each kernel function picks its method from the size
+of its input alone, with crossovers measured on Python 3.11 (each
+docstring gives the figures). On more than 64 rows, ``preimage_of`` ORs
+the rows of a mask with more than (n + 128) / 16 bits in one C pass
+(``compress`` and ``reduce``), and ``transpose`` reads each column of a
+relation whose distinct rows hold more than n * (n + 256) / 128 bits as
+one slice of a string of binary digits; smaller or sparser input walks
+the bits one at a time. ``first_intransitive`` tests each distinct row
+with ``preimage_of``, so it takes the C pass on the wide rows of dense
+relations. Either way the result is the same.
 
 The validated types here and in ``order`` and ``decomposition`` subclass
 ``Value``: an explicit ``__init__`` stores the fields named in ``_fields``
@@ -28,9 +37,9 @@ compare and hash by class and fields and refuse assignment and deletion;
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -53,11 +62,30 @@ def iter_bits(mask: int) -> Iterator[int]:
 # -- the bit-row kernel --------------------------------------------------------
 
 
+def _bit_flags(mask: int) -> bytes:
+    """One 0/1 byte per bit of a nonnegative mask, lowest bit first, up
+    to its highest set bit: the selectors ``compress`` takes."""
+    # bin() reversed, without its "0b", lists the bits lowest first
+    return bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+
+
 def preimage_of(rows: Sequence[int], mask: int) -> int:
     """The union of the rows that ``mask`` selects. For the fibers of a map
     (the preimage of each target point) it is the preimage of the mask; a
     mask m is up-closed under a relation exactly when
-    ``not preimage_of(rows, m) & ~m``."""
+    ``not preimage_of(rows, m) & ~m``.
+
+    A mask that is wide for its rows, more than (n + 128) / 16 bits on
+    n > 64 rows, has its rows picked by ``compress`` and OR'd by
+    ``reduce`` in C; any other mask, and one with a bit beyond the rows
+    (IndexError), walks its bits one at a time. The C pass costs about as
+    much as (n + 128) / 16 steps of the walk: measured on Python 3.11, it
+    breaks even at about 11 bits on 65 rows, 25 on 300 and 55 on 1000."""
+    # a wide mask has more than 12 bits, so it exceeds 2**12: a small mask
+    # pays one comparison
+    if mask > 0xFFF and (n := len(rows)) > 64:
+        if mask.bit_count() * 16 > n + 128 and not mask >> n:
+            return reduce(or_, compress(rows, _bit_flags(mask)), 0)
     out = 0
     while mask:
         low = mask & -mask
@@ -68,11 +96,24 @@ def preimage_of(rows: Sequence[int], mask: int) -> int:
 
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:
     """The column masks of a square relation: bit i of entry j is bit j of
-    ``rows[i]``. Rows with one value are scanned once, together."""
+    ``rows[i]``.
+
+    A wide relation, more than 64 rows whose distinct values hold more
+    than n * (n + 256) / 128 bits in all, is written as one string of
+    binary digits, n per row, last row first and highest bit first:
+    column j is then the slice from digit n - 1 - j in steps of n, read by
+    ``int(..., 2)``. Otherwise each distinct row value is scanned once,
+    bit by bit, for all the rows that hold it. The crossover was measured
+    on Python 3.11 at about n**2 / 21 bits on 65 rows, n**2 / 53 on 300
+    and n**2 / 90 on 1000."""
+    n = len(rows)
+    if n > 64 and 128 * sum(map(int.bit_count, set(rows))) > n * (n + 256):
+        digits = "".join([format(row, f"0{n}b") for row in reversed(rows)])
+        return tuple([int(digits[j::n], 2) for j in range(n - 1, -1, -1)])
     members: dict[int, int] = {}  # row value -> the indices with that row
     for i, row in enumerate(rows):
         members[row] = members.get(row, 0) | 1 << i
-    cols = [0] * len(rows)
+    cols = [0] * n
     for row, indices in members.items():
         for j in iter_bits(row):
             cols[j] |= indices
@@ -83,7 +124,8 @@ def first_intransitive(rows: Sequence[int]) -> tuple[int, int] | None:
     """The first (i, j), rows in order and bits lowest first, with j in
     ``rows[i]`` but ``rows[j]`` not inside it; None for a transitive
     relation. Each distinct row value is tested once, at its first
-    occurrence, which is where a scan of every row fails first."""
+    occurrence, which is where a scan of every row fails first. The test
+    is ``preimage_of``, so wide rows are OR'd in C."""
     for row in dict.fromkeys(rows):
         if preimage_of(rows, row) & ~row:
             return rows.index(row), next(j for j in iter_bits(row) if rows[j] & ~row)
@@ -97,8 +139,7 @@ def rows_within(rows: Iterable[int], bounds: Iterable[int]) -> bool:
 
 def names_at(names: Sequence[str], mask: int) -> Iterator[str]:
     """The names at the set bits of ``mask``, lowest bit first."""
-    # bin() reversed, without its "0b", lists the bits lowest first
-    return compress(names, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
+    return compress(names, _bit_flags(mask))
 
 
 class Value:

@@ -336,6 +336,21 @@ class TestGenerate:
         with pytest.raises(ValidationError, match="points but n="):
             generate("partition", 5, {"space": "quadrant_4"}, seed=0)
 
+    @pytest.mark.parametrize(
+        "kind, n, params, message",
+        [
+            ("preorder", True, {}, "n must"),
+            ("partition", True, {}, "n must"),
+            ("preorder", 3, {"density": True}, "density"),
+            ("preorder", 3, {"density": False}, "density"),
+            ("partition", 3, {"blocks": True}, "blocks"),
+        ],
+    )
+    def test_bools_are_refused(self, kind, n, params, message):
+        # bool is an int subclass: True would read as 1 point, density 1.0, 1 block
+        with pytest.raises(ValidationError, match=message):
+            generate(kind, n, params, seed=1)
+
     def test_generated_documents_validate(self):
         for seed in range(30):
             doc = generate("preorder", 4, {"density": 0.5}, seed)

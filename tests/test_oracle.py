@@ -35,7 +35,8 @@ from stratkit.oracle import (
     preorder_orbits,
     set_partitions,
 )
-from stratkit.topology import FiniteSpace, preimage_of
+from stratkit import oracle
+from stratkit.topology import FiniteSpace, preimage_of, rows_within
 
 SWEEP5_SHA256 = Path(__file__).parent / "data" / "sweep5_json.sha256"
 
@@ -325,6 +326,26 @@ class TestSweep:
         tally = dict(report.tallies)[law]
         assert tally.failed > 0 and tally.passed > 0
         assert report.first_counterexample["check"] == law
+
+    def test_sweep_catches_an_order_search_without_refinements(self, monkeypatch):
+        # a search that finds only the decomposition preorder itself leaves
+        # the refinement statements nothing to run on; the check that every
+        # labeled order above a partial-order preorder is continuous sees it
+        search = oracle._orders_by_continuity
+
+        def without_refinements(dec):
+            orders, continuous = search(dec)
+            base = dec.preorder.up
+            return orders, [
+                ok and not (rows != base and rows_within(base, rows))
+                for rows, ok in zip(orders, continuous)
+            ]
+
+        monkeypatch.setattr(oracle, "_orders_by_continuity", without_refinements)
+        report = exhaustive_verify(3)
+        tally = dict(report.tallies)["poset_stratified_triple_agreement"]
+        assert tally.failed > 0 and tally.passed > 0
+        assert report.first_counterexample["check"] == "poset_stratified_triple_agreement"
 
     def test_report_serializes(self):
         report = exhaustive_verify(2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -378,7 +379,51 @@ def relation_rows(draw, max_elements: int = 12) -> list[int]:
             for _ in range(n)]
 
 
+def wide_relation(n: int, shape: str, seed: int) -> list[int]:
+    """A relation on n points, not closed, as bit rows.
+
+    ``sparse``: each row holds at most 2 random bits. ``eight`` and
+    ``nine``: each row holds 7 or 8 random bits besides its own, on either
+    side of the 8 bits a row at which the closure switches algorithm.
+    ``dense``: each pair at 15%. ``cycles``: three long cycles through the
+    points in random order, a few chords between them and some points off
+    every cycle, so strongly connected classes of about n/4 points."""
+    rng = random.Random(seed)
+    if shape == "sparse":
+        return [sum(1 << rng.randrange(n) for _ in range(rng.randrange(3))) for _ in range(n)]
+    if shape in ("eight", "nine"):
+        others = 7 if shape == "eight" else 8
+        return [
+            1 << i | sum(1 << j for j in rng.sample([j for j in range(n) if j != i], others))
+            for i in range(n)
+        ]
+    if shape == "dense":
+        return [sum(1 << j for j in range(n) if rng.random() < 0.15) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    rows = [0] * n
+    on_cycles = 3 * n // 4
+    for start in range(3):
+        cycle = order[start:on_cycles:3]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            rows[a] |= 1 << b
+    for _ in range(4):
+        rows[rng.choice(order[:on_cycles])] |= 1 << rng.randrange(n)
+    for a in order[on_cycles:]:
+        rows[a] |= 1 << rng.choice(order[:on_cycles])
+    return rows
+
+
 class TestClosure:
+    @pytest.mark.parametrize("shape", ["sparse", "eight", "nine", "dense", "cycles"])
+    @pytest.mark.parametrize("n", [64, 65, 150, 300])
+    def test_wide_relations_equal_fixpoint(self, n, shape):
+        # both closure algorithms, on each side of the size rule
+        rows = wide_relation(n, shape, seed=n)
+        closed = reflexive_transitive_closure(rows)
+        assert closed == fixpoint_closure(rows)
+        assert reflexive_transitive_closure(closed) == closed
+        assert reflexive_transitive_closure(iter(rows)) == closed
+
     @given(relation_rows())
     @settings(max_examples=150, deadline=None)
     def test_warshall_equals_fixpoint(self, rows):

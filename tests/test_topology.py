@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -472,6 +473,61 @@ def relations(draw, max_points: int = 12) -> tuple[int, ...]:
     return tuple(rows)
 
 
+WIDE_SHAPES = ("sparse", "dense", "classes", "mixed")
+
+
+def wide_preorder(n: int, shape: str, seed: int) -> tuple[int, ...]:
+    """A preorder on n points, transitive by construction, as up-set rows.
+
+    ``sparse``: a third of the points are maximal and each other point lies
+    below at most one of them (at most 2 bits a row). ``dense``: i <= j when
+    the 3-bit label of i is inside that of j, so about 42% of the pairs and
+    8 classes of equal rows. ``classes``: a total preorder on 4 levels, 4
+    large classes. ``mixed``: the dense shape on the first half of the
+    points and the sparse one on the rest, unrelated."""
+    rng = random.Random(seed)
+    if shape == "sparse":
+        tops = max(1, n // 3)
+        rows = [1 << i for i in range(n)]
+        for i in range(tops, n):
+            if rng.random() < 0.8:
+                rows[i] |= 1 << rng.randrange(tops)
+        return tuple(rows)
+    if shape == "dense":
+        labels = [rng.randrange(8) for _ in range(n)]
+        return tuple(
+            sum(1 << j for j in range(n) if labels[i] & ~labels[j] == 0) for i in range(n)
+        )
+    if shape == "classes":
+        levels = [rng.randrange(4) for _ in range(n)]
+        return tuple(sum(1 << j for j in range(n) if levels[i] <= levels[j]) for i in range(n))
+    half = n // 2
+    low = wide_preorder(half, "dense", seed)
+    high = wide_preorder(n - half, "sparse", seed)
+    return low + tuple(row << half for row in high)
+
+
+def masks_around_the_rule(n: int, seed: int) -> list[int]:
+    """Masks on n points with 0, 1 and all bits, and with bit counts on
+    both sides of ``preimage_of``'s crossover (more than (n + 128) / 16)."""
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    crossover = (n + 128) // 16
+    masks = [0, 1, 1 << n - 1, full]
+    for weight in (crossover - 1, crossover, crossover + 1, crossover + 2, n // 2, n - 1):
+        if 0 <= weight <= n:
+            masks.append(sum(1 << i for i in rng.sample(range(n), weight)))
+    return masks
+
+
+def first_missing_pair(rows) -> tuple[int, int, int]:
+    """The reference's first (i, j) with j in row i and row j not inside
+    row i, and the lowest k in row j missing from row i."""
+    i, j = reference_first_intransitive(rows)
+    k = next(k for k in range(len(rows)) if bit(rows[j], k) and not bit(rows[i], k))
+    return i, j, k
+
+
 class TestBitRowKernel:
     def test_every_preorder_up_to_4_points(self):
         from stratkit.oracle import labeled_preorder_rows
@@ -508,3 +564,85 @@ class TestBitRowKernel:
         from stratkit import topology
 
         assert topology.first_intransitive(rows) is None
+
+    # -- wide relations: both sides of every size rule of the kernel ---------
+    #
+    # ``preimage_of`` ORs the selected rows in one C call once a mask has
+    # more than (n + 128) / 16 bits on more than 64 rows, and ``transpose``
+    # reads columns off a digit string once the distinct rows of more than
+    # 64 points hold more than n * (n + 256) / 128 bits. The sparse shape
+    # stays below that, the dense ones above it, and the masks sit on both
+    # sides of the first rule.
+
+    @pytest.mark.parametrize("shape", WIDE_SHAPES)
+    @pytest.mark.parametrize("n", [64, 65, 130, 300])
+    def test_wide_preorders_match_definitions(self, n, shape):
+        rows = wide_preorder(n, shape, seed=n)
+        assert_kernel_matches_definitions(rows, masks_around_the_rule(n, seed=n))
+
+    @pytest.mark.parametrize("shape", WIDE_SHAPES)
+    @pytest.mark.parametrize("n", [65, 300])
+    def test_wide_preimages_of_fibers(self, n, shape):
+        # a map's fibers: more rows than columns, or fewer
+        from stratkit import topology
+
+        rows = wide_preorder(n, shape, seed=7)
+        for width in (n // 3, 2 * n):
+            fibers = tuple(row & (1 << width) - 1 for row in rows)
+            for mask in masks_around_the_rule(n, seed=width):
+                expected = 0
+                for i in range(n):
+                    if bit(mask, i):
+                        expected |= fibers[i]
+                assert topology.preimage_of(fibers, mask) == expected
+
+    @pytest.mark.parametrize("shape", WIDE_SHAPES)
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_first_intransitive_on_wide_relations(self, n, shape):
+        from stratkit import topology
+
+        rows = wide_preorder(n, shape, seed=n)
+        assert topology.first_intransitive(rows) is None
+        rng = random.Random(n)
+        for _ in range(6):
+            broken = list(rows)
+            i, j = rng.sample(range(n), 2)
+            broken[i] ^= 1 << j  # add or drop the pair (i, j)
+            assert topology.first_intransitive(broken) == reference_first_intransitive(broken)
+
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_wide_intransitive_relations_are_refused_by_name(self, n):
+        # the witness pair in the message is the reference's first pair
+        from stratkit import Proset
+
+        rows = list(wide_preorder(n, "dense", seed=3))
+        widest = max(range(n), key=lambda i: (rows[i].bit_count(), -i))
+        narrowest = min(range(n), key=lambda i: (rows[i].bit_count(), i))
+        rows[narrowest] |= 1 << widest  # a narrow row now reaches the widest one
+        points = tuple(f"p{i}" for i in range(n))
+        a, b, c = (points[x] for x in first_missing_pair(rows))
+        with pytest.raises(ValidationError) as space_error:
+            FiniteSpace(points, tuple(rows))
+        assert str(space_error.value) == f"min_open violates transitivity at ({a!r}, {b!r})"
+        with pytest.raises(ValidationError) as order_error:
+            Proset(points, tuple(rows))
+        assert str(order_error.value) == (
+            f"relation not transitive: ({a!r}, {c!r}) missing "
+            f"(given ({a!r}, {b!r}) and ({b!r}, {c!r}))"
+        )
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 300])
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_out_of_range_masks_raise_index_error_alike(self, n, container):
+        from stratkit import topology
+
+        rows = container(wide_preorder(n, "classes", seed=1))
+        full = (1 << n) - 1
+        with pytest.raises(IndexError) as narrow:
+            topology.preimage_of(rows, 1 << n)
+        for mask in (full | 1 << n, full << 1, -1, -full, full | 1 << 2 * n):
+            with pytest.raises(IndexError) as wide:
+                topology.preimage_of(rows, mask)
+            assert type(wide.value) is IndexError
+            assert str(wide.value) == str(narrow.value)
+
