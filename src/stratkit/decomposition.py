@@ -35,9 +35,10 @@ What runs in ``classify``:
 * Alexandrov: the fixpoint rows have open preimages; the preorder's
   up-sets equal the quotient's minimal opens; continuity into the
   preorder topology.
-* frontier: closure containment, closures as preimages of the preorder's
-  down-sets, the preorder against closure containment, and openness of
-  the quotient map.
+* frontier: per stratum, the strata whose closures it meets against
+  those whose closures contain it, closures as preimages of the
+  preorder's down-sets, the second row against the preorder's up-set,
+  and openness of the quotient map.
 * poset-stratified: the preorder is antisymmetric (some partial order
   makes the quotient map continuous exactly when the preorder, the least
   candidate, is one), antisymmetric with a continuous map, and strata open
@@ -65,6 +66,7 @@ one decomposition.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress, tee
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import topology
@@ -121,14 +123,6 @@ class SemicontinuityReport(NamedTuple):
     pi_closed: bool
 
     @property
-    def lower_semicontinuous(self) -> bool:
-        return self.pi_open
-
-    @property
-    def upper_semicontinuous(self) -> bool:
-        return self.pi_closed
-
-    @property
     def label(self) -> str:
         if self.pi_open and self.pi_closed:
             return "continuous"
@@ -163,6 +157,15 @@ def _closed_under(pairs, rows, names) -> Verdict:
         if preimage_of(rows, mask) & ~mask:
             return Verdict(False, frozenset(names_at(names, key)))
     return Verdict(True)
+
+
+def _first_difference(rows, others) -> tuple[int, int] | None:
+    """The first index i, in order, at which the two row sequences differ,
+    with the lowest bit j on which they differ there; None if none does."""
+    for i, (row, other) in enumerate(zip(rows, others)):
+        if row != other:
+            return i, next(iter_bits(row ^ other))
+    return None
 
 
 def _checked_ids(ids):
@@ -392,13 +395,18 @@ class Decomposition(Value):
 
     @cached_property
     def _frontier(self) -> AgreementReport:
-        closures = self._closures
+        closures, masks = self._closures, self.masks
         witnesses = []
 
-        bad = next((
-            (i, j) for i in range(self.k) for j in range(self.k)
-            if self.masks[i] & closures[j] and self.masks[i] & ~closures[j]
-        ), None)
+        # per stratum, two rows over the strata, each built when a scan
+        # reaches it: the closures the stratum meets, and those containing it
+        bits = [1 << j for j in range(self.k)]
+        meets = (sum(compress(bits, map(mask.__and__, closures))) for mask in masks)
+        inside, inside_again = tee(
+            sum(compress(bits, map(mask.__eq__, map(mask.__and__, closures)))) for mask in masks
+        )
+
+        bad = _first_difference(meets, inside)
         frontier = bad is None
         if not frontier:
             witnesses.append((
@@ -408,9 +416,7 @@ class Decomposition(Value):
             ))
 
         p = self.preorder
-        bad = next(
-            (j for j in range(self.k) if closures[j] != preimage_of(self.masks, p.down[j])), None
-        )
+        bad = next((j for j in range(self.k) if closures[j] != preimage_of(masks, p.down[j])), None)
         closure_is_saturation = bad is None
         if not closure_is_saturation:
             witnesses.append((
@@ -418,10 +424,7 @@ class Decomposition(Value):
                 f"closure of stratum {self.ids[bad]!r} is not a union of strata",
             ))
 
-        bad = next((
-            (i, j) for i in range(self.k) for j in range(self.k)
-            if (not self.masks[i] & ~closures[j]) != bool((p.up[i] >> j) & 1)
-        ), None)
+        bad = _first_difference(p.up, inside_again)
         order_matches = bad is None
         if not order_matches:
             witnesses.append((

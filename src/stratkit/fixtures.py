@@ -159,20 +159,28 @@ class FaceModel(NamedTuple):
 
 
 def face_poset_model(facets) -> FaceModel:
-    """Face poset of the complex generated by the given facets."""
+    """Face poset of the complex generated by the given facets. Vertex
+    names are nonempty strings without ",", which joins them into face
+    names."""
     faces: set[tuple[str, ...]] = set()
     for facet in facets:
-        vertices = sorted(set(facet))
+        vertices = tuple(facet)
+        for vertex in vertices:
+            if not isinstance(vertex, str) or not vertex or "," in vertex:
+                raise ValidationError(
+                    f"vertex names must be nonempty strings without ',', got {vertex!r}"
+                )
+        vertices = sorted(set(vertices))
         if not vertices:
             raise ValidationError("empty facet")
         for size in range(1, len(vertices) + 1):
             faces.update(combinations(vertices, size))
-    names = {face: ",".join(face) for face in faces}
+    # each face lies above the faces one vertex smaller; the closure adds the rest
     pairs = [
-        (names[small], names[big])
-        for small in faces
-        for big in faces
-        if small != big and set(small) <= set(big)
+        (",".join(small), ",".join(face))
+        for face in faces
+        for small in combinations(face, len(face) - 1)
+        if small
     ]
-    poset = Poset.from_pairs(sorted(names.values()), pairs, close=True)
+    poset = Poset.from_pairs(sorted(map(",".join, faces)), pairs, close=True)
     return FaceModel(poset, alexandrov_space(poset))

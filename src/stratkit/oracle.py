@@ -24,8 +24,9 @@ tally, ``spaces``, ``instances`` and ``order_pairs`` add the orbit size,
 so they count labeled instances, and the report is byte-identical to one
 that checks every labeled pair (``tests/helpers.labeled_sweep`` is that
 reference). ``first_counterexample`` is a canonical orbit representative.
-At n = 5 the 360,984 labeled instances are 4,323 orbits, and the sweep
-takes about 2.5 s (Python 3.11, one core of a shared 2-vCPU host).
+At n = 5 the 360,984 labeled instances are 4,323 orbits. Through the
+CLI that sweep took a median of 3.24 s in one set of six runs and 1.98 s
+in a later set of ten (Python 3.11, one core of a shared 2-vCPU host).
 
 This module is the one home of the search over labeled partial orders on
 the strata (``_orders_by_continuity``) and of the statements made over
@@ -40,9 +41,8 @@ sweep folds it into ``poset_stratified_triple_agreement`` on each
 instance whose preorder is a partial order, and
 ``strict_refinements_never_open`` asserts it. Without it, a search that
 dropped the refinements would leave their statements nothing to run on.
-It is also the one place the
-quotient map is built point by point, as a ``SpaceMap`` (``classify``,
-``check`` and ``theorem-b`` build none), in
+It is also the one place the quotient map is built point by point, as a
+``SpaceMap`` (``classify``, ``check`` and ``theorem-b`` build none), in
 ``semicontinuity_matches_point_map``: the sweep's reference for the
 stratum-level verdicts.
 """

@@ -211,27 +211,23 @@ class Proset(Value):
         return frozenset(names_at(self.elements, self.down[self.element_index(e)]))
 
     def is_poset(self) -> Verdict:
-        """Antisymmetry check; the witness on failure is a two-cycle pair."""
-        order = sorted(range(len(self.elements)), key=lambda i: self.elements[i])
-        for pos, i in enumerate(order):
-            for j in order[pos + 1 :]:
-                if (self.up[i] >> j) & 1 and (self.up[j] >> i) & 1:
-                    a, b = sorted((self.elements[i], self.elements[j]))
-                    return Verdict(False, witness=(a, b), note="two-cycle")
+        """Antisymmetry check; the witness on failure is a two-cycle pair:
+        the first element by name whose class has another member, and the
+        least other member by name. Mutually comparable elements have equal
+        up-sets, so distinct rows need no column."""
+        if len(set(self.up)) == len(self.up):
+            return Verdict(True)
+        els = self.elements
+        for i in sorted(range(len(els)), key=els.__getitem__):
+            if others := self.up[i] & self.down[i] & ~(1 << i):
+                witness = (els[i], min(names_at(els, others)))
+                return Verdict(False, witness=witness, note="two-cycle")
         return Verdict(True)
 
     def equivalence_classes(self) -> tuple[tuple[str, ...], ...]:
         """Classes of mutual comparability, each sorted, ordered by least member."""
-        n = len(self.elements)
-        seen = 0
-        classes = []
-        for i in range(n):
-            if (seen >> i) & 1:
-                continue
-            mask = self.up[i] & self.down[i]
-            seen |= mask
-            classes.append(tuple(sorted(names_at(self.elements, mask))))
-        return tuple(sorted(classes))
+        masks = dict.fromkeys(map(int.__and__, self.up, self.down))
+        return tuple(sorted([tuple(sorted(names_at(self.elements, mask))) for mask in masks]))
 
     def reflection(self) -> tuple["Poset", "MonotoneMap"]:
         """Quotient by mutual comparability.
@@ -240,25 +236,16 @@ class Proset(Value):
         induced order [p] <= [q] iff p <= q is well defined and a partial
         order. Returns the poset and the monotone quotient map.
         """
-        classes = self.equivalence_classes()
-        reps = tuple(c[0] for c in classes)
-        rep_index = {}
-        for ci, members in enumerate(classes):
-            for m in members:
-                rep_index[m] = ci
-        rows = []
-        for ci in range(len(classes)):
-            i = self.element_index(reps[ci])
-            row = 0
-            for cj in range(len(classes)):
-                if (self.up[i] >> self.element_index(reps[cj])) & 1:
-                    row |= 1 << cj
-            rows.append(row)
-        poset = Poset(reps, tuple(rows))
-        quotient = MonotoneMap(
-            self, poset, tuple(rep_index[e] for e in self.elements)
-        )
-        return poset, quotient
+        els = self.elements
+        classes = list(map(int.__and__, self.up, self.down))  # each element's class, as a mask
+        least = {mask: min(names_at(els, mask)) for mask in dict.fromkeys(classes)}
+        position = {mask: c for c, mask in enumerate(sorted(least, key=least.get))}
+        assignment = tuple([position[mask] for mask in classes])
+        class_bits = [1 << c for c in assignment]
+        reps = [least[mask] for mask in position]
+        rows = [preimage_of(class_bits, self.up[self._index[rep]]) for rep in reps]
+        poset = Poset(tuple(reps), tuple(rows))
+        return poset, MonotoneMap(self, poset, assignment)
 
 
 class Poset(Proset):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from itertools import combinations
 
 from stratkit import (
     Decomposition,
@@ -20,6 +21,7 @@ from stratkit import (
     Poset,
     Proset,
     SpaceMap,
+    Verdict,
     alexandrov_space,
     face_poset_model,
     specialization_preorder,
@@ -163,18 +165,24 @@ def point_map(dec: Decomposition, order: Poset | None = None) -> SpaceMap:
     )
 
 
+def strata_meeting(dec: Decomposition, point_mask: int) -> int:
+    """The strata of ``dec`` that meet a set of points, by a scan over every
+    stratum: the stratum image of the set."""
+    return sum(1 << t for t, mask in enumerate(dec.masks) if mask & point_mask)
+
+
 def brute_saturations(dec) -> tuple[bool, bool]:
     """Semicontinuity saturation formulas quantified over whole families."""
     space = dec.space
     sat_open = True
     for u in open_masks(space):
-        sat = preimage_of(dec.masks, dec._strata_meeting_mask(u))
+        sat = preimage_of(dec.masks, strata_meeting(dec, u))
         if not space.is_open_mask(sat):
             sat_open = False
             break
     sat_closed = True
     for c in closed_masks(space):
-        sat = preimage_of(dec.masks, dec._strata_meeting_mask(c))
+        sat = preimage_of(dec.masks, strata_meeting(dec, c))
         if not space.is_closed_mask(sat):
             sat_closed = False
             break
@@ -211,7 +219,7 @@ def subset_filter_report(dec) -> dict:
     poset_stratified = bool(p.is_poset()) and all(row in family for row in p.up)
 
     def saturation(mask: int) -> int:
-        return preimage_of(dec.masks, dec._strata_meeting_mask(mask))
+        return preimage_of(dec.masks, strata_meeting(dec, mask))
 
     sat_open = all(space.is_open_mask(saturation(u)) for u in space.min_open)
     sat_closed = all(
@@ -272,3 +280,84 @@ def subset_filter_report(dec) -> dict:
         },
         "verdict": verdict,
     }
+
+
+# -- pair scans: the references for the row tests of the library ----------------
+
+
+def frontier_by_pair_scans(dec: Decomposition) -> tuple[tuple[bool, ...], dict[str, str]]:
+    """The frontier group's four values and the witnesses of its first three
+    labels, from scans over every (i, j) pair of strata in i-major order,
+    with the closures and the quotient map's openness taken point by point."""
+    k, masks, ids = dec.k, dec.masks, dec.ids
+    closures = [dec.space.closure_mask(mask) for mask in masks]
+    p = dec.preorder
+    witnesses = {}
+    bad = next((
+        (i, j) for i in range(k) for j in range(k)
+        if masks[i] & closures[j] and masks[i] & ~closures[j]
+    ), None)
+    if bad is not None:
+        witnesses["frontier_condition"] = (
+            f"stratum {ids[bad[0]]!r} meets the closure of "
+            f"{ids[bad[1]]!r} without being contained in it"
+        )
+    saturation = next((j for j in range(k) if closures[j] != preimage_of(masks, p.down[j])), None)
+    if saturation is not None:
+        witnesses["closure_is_minimal_closed_saturation"] = (
+            f"closure of stratum {ids[saturation]!r} is not a union of strata"
+        )
+    order = next((
+        (i, j) for i in range(k) for j in range(k)
+        if (not masks[i] & ~closures[j]) != bool((p.up[i] >> j) & 1)
+    ), None)
+    if order is not None:
+        witnesses["preorder_equals_closure_containment"] = (
+            f"pair ({ids[order[0]]!r}, {ids[order[1]]!r}) ordered by only "
+            "one of the two descriptions"
+        )
+    values = (bad is None, saturation is None, order is None, bool(point_map(dec).is_open()))
+    return values, witnesses
+
+
+def is_poset_by_pair_scan(p: Proset) -> Verdict:
+    """``Proset.is_poset`` by testing every pair of elements in name order."""
+    order = sorted(range(len(p.elements)), key=lambda i: p.elements[i])
+    for pos, i in enumerate(order):
+        for j in order[pos + 1 :]:
+            if (p.up[i] >> j) & 1 and (p.up[j] >> i) & 1:
+                a, b = sorted((p.elements[i], p.elements[j]))
+                return Verdict(False, witness=(a, b), note="two-cycle")
+    return Verdict(True)
+
+
+def reflection_by_pair_scans(p: Proset):
+    """The equivalence classes, the reflection poset and the quotient map's
+    assignment, from tests of every pair of elements and of classes."""
+    els, n = p.elements, len(p.elements)
+    classes = tuple(sorted({
+        tuple(sorted(els[j] for j in range(n) if p.leq(els[i], els[j]) and p.leq(els[j], els[i])))
+        for i in range(n)
+    }))
+    reps = tuple(members[0] for members in classes)
+    rows = tuple(
+        sum(1 << cj for cj, b in enumerate(reps) if p.leq(a, b)) for a in reps
+    )
+    class_of = {m: c for c, members in enumerate(classes) for m in members}
+    return classes, Poset(reps, rows), tuple(class_of[e] for e in els)
+
+
+def face_poset_by_pair_filter(facets) -> Poset:
+    """The face poset of ``face_poset_model``, from an inclusion test on
+    every pair of faces; the pairs are already a partial order, so none is
+    added by a closure."""
+    faces: set[tuple[str, ...]] = set()
+    for facet in facets:
+        vertices = sorted(set(facet))
+        for size in range(1, len(vertices) + 1):
+            faces.update(combinations(vertices, size))
+    names = {face: ",".join(face) for face in faces}
+    pairs = [
+        (names[small], names[big]) for small in faces for big in faces if set(small) <= set(big)
+    ]
+    return Poset.from_pairs(sorted(names.values()), pairs, close=False)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from stratkit import (
@@ -577,6 +579,29 @@ class TestStratumKernel:
         assert report == helpers.subset_filter_report(dec)
         failing = {label for label, value in report["frontier"].items() if not value}
         assert set(witnesses) == failing
+
+    @given(
+        n=st.integers(0, 40),
+        density=st.sampled_from((0.05, 0.3)),
+        blocks=st.integers(1, 40) | st.none(),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_frontier_rows_match_the_pair_scans(self, n, density, blocks, seed):
+        # a block count above n stands for the pointwise decomposition,
+        # where the frontier condition holds and every row is scanned
+        space = alexandrov_space(generate("preorder", n, {"density": density}, seed).value)
+        if blocks is not None and blocks > n:
+            dec = Decomposition.pointwise(space)
+        else:
+            params = {"space": space, "blocks": blocks} if blocks else {"space": space}
+            dec = generate("partition", n, params, seed + 1).value
+        report = dec.frontier_equivalences()
+        values, witnesses = helpers.frontier_by_pair_scans(dec)
+        assert report.values == values
+        assert {
+            label: text for label, text in report.witnesses if label != "quotient_map_open"
+        } == witnesses
 
     def test_octahedron_pointwise_is_a_stratification(self):
         # 26 strata: one vertex from each antipodal pair {a, f}, {b, c}, {d, e}

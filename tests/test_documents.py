@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from stratkit import (
     Decomposition,
     FiniteSpace,
@@ -15,6 +17,7 @@ from stratkit import (
     SpaceMap,
     SplitMix64,
     ValidationError,
+    alexandrov_space,
     classify,
     export_dot,
     face_poset_model,
@@ -291,6 +294,35 @@ class TestFacePosets:
     def test_empty_facet_rejected(self):
         with pytest.raises(ValidationError, match="empty facet"):
             face_poset_model([()])
+
+    @pytest.mark.parametrize("facets", [
+        [(1, 2)],  # not a string
+        [("a,b", "c")],  # "," joins vertex names into face names
+        [("a", "b"), ("a,b",)],  # a vertex named like the edge a,b
+        [("", "a")],
+    ])
+    def test_malformed_vertex_names_rejected(self, facets):
+        with pytest.raises(ValidationError, match="vertex names must be nonempty strings"):
+            face_poset_model(facets)
+
+    @pytest.mark.parametrize("facets", [
+        # the boundaries of the simplices of dimension 1 to 6
+        *(tuple(combinations([f"v{i}" for i in range(d + 1)], d)) for d in range(1, 7)),
+        helpers.FACE_MODELS["octahedron"],
+        helpers.FACE_MODELS["circle"],
+    ])
+    def test_covers_close_to_the_pair_filter_model(self, facets):
+        poset = helpers.face_poset_by_pair_filter(facets)
+        assert face_poset_model(facets) == (poset, alexandrov_space(poset))
+
+    @given(st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "B", "a1"]), min_size=1),
+        min_size=1, max_size=6,
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_random_complexes_match_the_pair_filter_model(self, facets):
+        poset = helpers.face_poset_by_pair_filter(facets)
+        assert face_poset_model(facets) == (poset, alexandrov_space(poset))
 
 
 class TestGenerate:

@@ -443,7 +443,28 @@ class TestClosure:
             assert load(text).value.up == expected
 
 
+@st.composite
+def renamed_prosets(draw, max_elements: int = 12) -> Proset:
+    """Random prosets whose name order is a drawn permutation of their
+    index order; the relation is closed from drawn pairs, so two-cycles
+    are common."""
+    n = draw(st.integers(0, max_elements))
+    elements = draw(st.permutations([f"e{i:02d}" for i in range(n)]))
+    index_pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    pairs = draw(st.lists(index_pairs, max_size=2 * n))
+    return Proset.from_pairs(elements, [(elements[a], elements[b]) for a, b in pairs])
+
+
 class TestRandomizedLaws:
+    @given(renamed_prosets())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_pair_scans(self, p):
+        assert p.is_poset() == helpers.is_poset_by_pair_scan(p)
+        classes, poset, assignment = helpers.reflection_by_pair_scans(p)
+        assert p.equivalence_classes() == classes
+        reflected, q = p.reflection()
+        assert (reflected, q.source, q.assignment) == (poset, p, assignment)
+
     @given(random_prosets())
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, p):
