@@ -563,13 +563,9 @@ class Decomposition(Value):
         id. Two strata land in the same class exactly when their down-sets,
         the minimal closed stratum-unions around them, coincide.
         """
-        p = self.preorder
-        merged: dict[str, int] = {}
-        for members in p.equivalence_classes():
-            i = p.element_index(members[0])
-            merged[members[0]] = preimage_of(self.masks, p.up[i] & p.down[i])
-        poset, _ = p.reflection()
-        dec = Decomposition(self.space, tuple(sorted(merged.items())))
+        poset, q = self.preorder.reflection()
+        merged = zip(poset.elements, [preimage_of(self.masks, fiber) for fiber in q._fibers])
+        dec = Decomposition(self.space, tuple(merged))
         return dec, PosetStratification(dec, poset)
 
     def semicontinuity(self) -> SemicontinuityReport:

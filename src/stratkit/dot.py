@@ -12,6 +12,7 @@ from __future__ import annotations
 from .decomposition import Decomposition, classify
 from .errors import ValidationError
 from .order import Poset, Proset
+from .topology import names_at
 
 
 def _quote(name: str) -> str:
@@ -20,10 +21,11 @@ def _quote(name: str) -> str:
 
 def _relation_lines(p: Proset) -> list[str]:
     lines = [f"  {_quote(e)};" for e in sorted(p.elements)]
-    poset, _ = p.reflection()
+    poset, q = p.reflection()
     for a, b in poset.hasse():
         lines.append(f"  {_quote(a)} -> {_quote(b)};")
-    for members in p.equivalence_classes():
+    for fiber in q._fibers:  # the classes of mutual comparability
+        members = sorted(names_at(p.elements, fiber))
         for a, b in zip(members, members[1:]):
             lines.append(f"  {_quote(a)} -> {_quote(b)} [dir=none, style=dashed];")
     return lines

@@ -161,9 +161,14 @@ class FaceModel(NamedTuple):
 def face_poset_model(facets) -> FaceModel:
     """Face poset of the complex generated by the given facets. Vertex
     names are nonempty strings without ",", which joins them into face
-    names."""
+    names; a facet that is itself a string is refused, not read as the
+    sequence of its characters."""
     faces: set[tuple[str, ...]] = set()
     for facet in facets:
+        if isinstance(facet, str):
+            raise ValidationError(
+                f"vertex names must be nonempty strings listed in a facet, got {facet!r}"
+            )
         vertices = tuple(facet)
         for vertex in vertices:
             if not isinstance(vertex, str) or not vertex or "," in vertex:

@@ -17,12 +17,13 @@ order, from 64 rows on.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
 from .topology import (
-    FiniteSpace, Value, Verdict, checked_names, first_intransitive, iter_bits, names_at, preimage_of,
-    transpose,
+    FiniteMap, FiniteSpace, Value, Verdict, checked_names, first_intransitive, iter_bits, names_at,
+    preimage_of, transpose,
 )
 
 
@@ -225,16 +226,19 @@ class Proset(Value):
         return Verdict(True)
 
     def equivalence_classes(self) -> tuple[tuple[str, ...], ...]:
-        """Classes of mutual comparability, each sorted, ordered by least member."""
-        masks = dict.fromkeys(map(int.__and__, self.up, self.down))
-        return tuple(sorted([tuple(sorted(names_at(self.elements, mask))) for mask in masks]))
+        """Classes of mutual comparability, each sorted, ordered by least
+        member: the fibers of the reflection map."""
+        fibers = self.reflection()[1]._fibers
+        return tuple([tuple(sorted(names_at(self.elements, fiber))) for fiber in fibers])
 
     def reflection(self) -> tuple["Poset", "MonotoneMap"]:
-        """Quotient by mutual comparability.
+        """Quotient by mutual comparability, the one place its classes are
+        found: they are the fibers of the returned map (``_fibers``).
 
-        Classes are named by their lexicographically least member; the
-        induced order [p] <= [q] iff p <= q is well defined and a partial
-        order. Returns the poset and the monotone quotient map.
+        Classes are named by their lexicographically least member and
+        ordered by it; the induced order [p] <= [q] iff p <= q is well
+        defined and a partial order. Returns the poset and the monotone
+        quotient map.
         """
         els = self.elements
         classes = list(map(int.__and__, self.up, self.down))  # each element's class, as a mask
@@ -261,73 +265,36 @@ class Poset(Proset):
             )
 
     def hasse(self) -> tuple[tuple[str, str], ...]:
-        """Cover pairs (a, b): a < b with nothing strictly between."""
-        n = len(self.elements)
-        covers = []
-        for i in range(n):
-            for j in iter_bits(self.up[i]):
-                if i == j:
-                    continue
-                between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    covers.append((self.elements[i], self.elements[j]))
-        return tuple(sorted(covers))
+        """Cover pairs (a, b): a < b with nothing strictly between, that is
+        b strictly above a but not strictly above anything strictly above a."""
+        els = self.elements
+        strict = [row & ~(1 << i) for i, row in enumerate(self.up)]
+        return tuple(sorted([
+            (els[i], els[j])
+            for i, row in enumerate(strict)
+            for j in iter_bits(row & ~preimage_of(strict, row))
+        ]))
 
 
-class MonotoneMap(Value):
+class MonotoneMap(FiniteMap):
     """A map between prosets; monotonicity is a check, not an invariant."""
 
-    _fields = __match_args__ = ("source", "target", "assignment")
-
-    def __init__(self, source: Proset, target: Proset, assignment: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "assignment", assignment)  # source index -> target index
-        self.__post_init__()
-
-    def __post_init__(self):
-        asg = tuple(self.assignment)
-        object.__setattr__(self, "assignment", asg)
-        if len(asg) != len(self.source.elements):
-            raise ValidationError("assignment must cover every source element")
-        n_target = len(self.target.elements)
-        for i, t in enumerate(asg):
-            if not isinstance(t, int) or t < 0 or t >= n_target:
-                raise ValidationError(
-                    f"assignment for {self.source.elements[i]!r} lands outside the target"
-                )
-
-    @classmethod
-    def from_names(
-        cls, source: Proset, target: Proset, mapping: Mapping[str, str]
-    ) -> "MonotoneMap":
-        asg = []
-        for e in source.elements:
-            if e not in mapping:
-                raise ValidationError(f"assignment missing source element {e!r}")
-            asg.append(target.element_index(mapping[e]))
-        return cls(source, target, tuple(asg))
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(
-            f"{e}->{self.target.elements[t]}"
-            for e, t in zip(self.source.elements, self.assignment)
-        )
-        return f"MonotoneMap({pairs})"
-
-    def apply(self, name: str) -> str:
-        return self.target.elements[self.assignment[self.source.element_index(name)]]
+    _member, _names = "element", attrgetter("elements")
+    _index_of = staticmethod(Proset.element_index)
 
     def is_monotone(self) -> Verdict:
-        src = self.source
-        for i in sorted(range(len(src.elements)), key=lambda i: src.elements[i]):
-            for j in iter_bits(src.up[i]):
-                if not (self.target.up[self.assignment[i]] >> self.assignment[j]) & 1:
-                    return Verdict(
-                        False,
-                        witness=(src.elements[i], src.elements[j]),
-                        note="comparable pair whose images are not comparable",
-                    )
+        """Whether a <= b implies f(a) <= f(b). The witness on failure is the
+        first element a by name with a failing b, and the least such b by
+        index: the up-set of a must lie in the preimage of the up-set of
+        f(a)."""
+        src, target_up, asg = self.source, self.target.up, self.assignment
+        for i in sorted(range(len(src.elements)), key=src.elements.__getitem__):
+            if bad := src.up[i] & ~self.preimage_mask(target_up[asg[i]]):
+                return Verdict(
+                    False,
+                    witness=(src.elements[i], src.elements[(bad & -bad).bit_length() - 1]),
+                    note="comparable pair whose images are not comparable",
+                )
         return Verdict(True)
 
 

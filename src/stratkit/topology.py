@@ -27,6 +27,12 @@ the bits one at a time. ``first_intransitive`` tests each distinct row
 with ``preimage_of``, so it takes the C pass on the wide rows of dense
 relations. Either way the result is the same.
 
+``SpaceMap`` here and ``order.MonotoneMap`` share one base, ``FiniteMap``:
+a map between finite named sets held as a tuple of target indices, with
+one construction check, one image and preimage plumbing, and one
+``from_names``, which refuses a missing source name, an unknown target
+name and a key that names no source member.
+
 The validated types here and in ``order`` and ``decomposition`` subclass
 ``Value``: an explicit ``__init__`` stores the fields named in ``_fields``
 and runs ``__post_init__``, which validates and normalizes them. Values
@@ -436,12 +442,16 @@ class FiniteSpace(Value):
         return len(set(self.min_open)) == len(self.min_open)
 
 
-class SpaceMap(Value):
-    """A point map between finite spaces; no continuity assumed until checked."""
+class FiniteMap(Value):
+    """Base of the maps between finite named sets, ``SpaceMap`` and
+    ``order.MonotoneMap``: ``assignment[i]`` is the target index of source
+    member i. A subclass names its members (``_member``), the attribute
+    holding their names (``_names``) and the index lookup of its sets
+    (``_index_of``), which refuses an unknown name."""
 
     _fields = __match_args__ = ("source", "target", "assignment")
 
-    def __init__(self, source: FiniteSpace, target: FiniteSpace, assignment: tuple[int, ...]):
+    def __init__(self, source, target, assignment: tuple[int, ...]):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", assignment)  # source index -> target index
@@ -450,40 +460,37 @@ class SpaceMap(Value):
     def __post_init__(self):
         asg = tuple(self.assignment)
         object.__setattr__(self, "assignment", asg)
-        if len(asg) != len(self.source.points):
-            raise ValidationError("assignment must cover every source point")
-        n_target = len(self.target.points)
+        names = self._names(self.source)
+        if len(asg) != len(names):
+            raise ValidationError(f"assignment must cover every source {self._member}")
+        n_target = len(self.target)
         for i, t in enumerate(asg):
             if not isinstance(t, int) or t < 0 or t >= n_target:
-                raise ValidationError(
-                    f"assignment for {self.source.points[i]!r} lands outside the target"
-                )
+                raise ValidationError(f"assignment for {names[i]!r} lands outside the target")
 
     @classmethod
-    def from_names(
-        cls, source: FiniteSpace, target: FiniteSpace, mapping: Mapping[str, str]
-    ) -> "SpaceMap":
+    def from_names(cls, source, target, mapping: Mapping[str, str]):
+        """The map sending each source name to ``mapping[name]``. Each
+        source name, in order, must be a key whose value names a target
+        member; then every key must name a source member."""
         asg = []
-        for p in source.points:
+        for p in cls._names(source):
             if p not in mapping:
-                raise ValidationError(f"assignment missing source point {p!r}")
-            asg.append(target.point_index(mapping[p]))
+                raise ValidationError(f"assignment missing source {cls._member} {p!r}")
+            asg.append(cls._index_of(target, mapping[p]))
         for key in mapping:
-            source.point_index(key)
+            cls._index_of(source, key)
         return cls(source, target, tuple(asg))
 
-    @classmethod
-    def identity(cls, space: FiniteSpace) -> "SpaceMap":
-        return cls(space, space, tuple(range(len(space.points))))
-
     def __repr__(self) -> str:
+        targets = self._names(self.target)
         pairs = ", ".join(
-            f"{p}->{self.target.points[t]}" for p, t in zip(self.source.points, self.assignment)
+            f"{p}->{targets[t]}" for p, t in zip(self._names(self.source), self.assignment)
         )
-        return f"SpaceMap({pairs})"
+        return f"{type(self).__name__}({pairs})"
 
     def apply(self, name: str) -> str:
-        return self.target.points[self.assignment[self.source.point_index(name)]]
+        return self._names(self.target)[self.assignment[self._index_of(self.source, name)]]
 
     def image_mask(self, source_mask: int) -> int:
         out = 0
@@ -493,14 +500,25 @@ class SpaceMap(Value):
 
     @cached_property
     def _fibers(self) -> tuple[int, ...]:
-        """Preimage of each target point, as a source mask."""
-        fibers = [0] * len(self.target.points)
+        """Preimage of each target member, as a source mask."""
+        fibers = [0] * len(self.target)
         for i, t in enumerate(self.assignment):
             fibers[t] |= 1 << i
         return tuple(fibers)
 
     def preimage_mask(self, target_mask: int) -> int:
         return preimage_of(self._fibers, target_mask)
+
+
+class SpaceMap(FiniteMap):
+    """A point map between finite spaces; no continuity assumed until checked."""
+
+    _member, _names = "point", attrgetter("points")
+    _index_of = staticmethod(FiniteSpace.point_index)
+
+    @classmethod
+    def identity(cls, space: FiniteSpace) -> "SpaceMap":
+        return cls(space, space, tuple(range(len(space.points))))
 
     def is_continuous(self) -> Verdict:
         """Preimage of every open set is open.

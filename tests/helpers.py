@@ -35,7 +35,7 @@ from stratkit.oracle import (
     labeled_preorder_rows,
     set_partitions,
 )
-from stratkit.topology import preimage_of
+from stratkit.topology import iter_bits, preimage_of
 
 # facets of three simplicial complexes
 FACE_MODELS = {
@@ -328,6 +328,32 @@ def is_poset_by_pair_scan(p: Proset) -> Verdict:
             if (p.up[i] >> j) & 1 and (p.up[j] >> i) & 1:
                 a, b = sorted((p.elements[i], p.elements[j]))
                 return Verdict(False, witness=(a, b), note="two-cycle")
+    return Verdict(True)
+
+
+def hasse_by_pair_scan(p: Poset) -> tuple[tuple[str, str], ...]:
+    """``Poset.hasse`` by testing every strictly comparable pair (i, j) for
+    an element strictly between them."""
+    covers = []
+    for i in range(len(p.elements)):
+        for j in iter_bits(p.up[i]):
+            if i != j and not p.up[i] & p.down[j] & ~(1 << i) & ~(1 << j):
+                covers.append((p.elements[i], p.elements[j]))
+    return tuple(sorted(covers))
+
+
+def is_monotone_by_pair_scan(f) -> Verdict:
+    """``MonotoneMap.is_monotone`` by testing every comparable pair (a, b),
+    a in name order and b in index order, for comparable images."""
+    src, target = f.source, f.target
+    for i in sorted(range(len(src.elements)), key=lambda i: src.elements[i]):
+        for j in iter_bits(src.up[i]):
+            if not (target.up[f.assignment[i]] >> f.assignment[j]) & 1:
+                return Verdict(
+                    False,
+                    witness=(src.elements[i], src.elements[j]),
+                    note="comparable pair whose images are not comparable",
+                )
     return Verdict(True)
 
 

@@ -300,6 +300,7 @@ class TestFacePosets:
         [("a,b", "c")],  # "," joins vertex names into face names
         [("a", "b"), ("a,b",)],  # a vertex named like the edge a,b
         [("", "a")],
+        ["abc"],  # a string facet, not the triangle on a, b and c
     ])
     def test_malformed_vertex_names_rejected(self, facets):
         with pytest.raises(ValidationError, match="vertex names must be nonempty strings"):

@@ -21,13 +21,22 @@ from stratkit import (
     specialization_preorder,
     symbolic_local_finiteness,
 )
-from stratkit.oracle import enumerate_prosets
+from stratkit.oracle import enumerate_prosets, labeled_poset_rows
 from stratkit.order import reflexive_transitive_closure
 from stratkit.topology import iter_bits
 
 
 def diamond() -> Poset:
     return Poset.from_pairs("0123", [("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")])
+
+
+@st.composite
+def labeled_posets(draw, max_elements: int = 5) -> Poset:
+    """A labeled partial order on at most ``max_elements`` elements, named
+    by a drawn permutation of its index order."""
+    k = draw(st.integers(0, max_elements))
+    rows = draw(st.sampled_from(labeled_poset_rows(k)))
+    return Poset(tuple(draw(st.permutations([f"e{i}" for i in range(k)]))), rows)
 
 
 @st.composite
@@ -303,6 +312,11 @@ class TestHasse:
     def test_antichain_has_no_covers(self):
         assert Poset.from_pairs(("a", "b"), []).hasse() == ()
 
+    @given(labeled_posets())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_pair_scan(self, p):
+        assert p.hasse() == helpers.hasse_by_pair_scan(p)
+
     def test_closure_of_covers_recovers_the_order(self):
         from stratkit.oracle import enumerate_posets
 
@@ -464,6 +478,16 @@ class TestRandomizedLaws:
         assert p.equivalence_classes() == classes
         reflected, q = p.reflection()
         assert (reflected, q.source, q.assignment) == (poset, p, assignment)
+
+    @given(renamed_prosets(5), renamed_prosets(4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_monotone_row_test_matches_the_pair_scan(self, source, target, data):
+        if not len(target):
+            target = Proset.from_pairs(("t",), [])
+        n, top = len(source), len(target) - 1
+        assignment = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        f = MonotoneMap(source, target, tuple(assignment))
+        assert f.is_monotone() == helpers.is_monotone_by_pair_scan(f)
 
     @given(random_prosets())
     @settings(max_examples=60, deadline=None)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from stratkit import FiniteSpace, SpaceMap, ValidationError, Verdict, final_topology, load
+from stratkit import (
+    FiniteSpace, MonotoneMap, Poset, SpaceMap, ValidationError, Verdict, final_topology, load,
+)
 
 
 def pseudo_circle_space() -> FiniteSpace:
@@ -132,6 +134,33 @@ class TestValueSemantics:
             SpaceMap(space, space, (0, 1))
         with pytest.raises(ValidationError, match=r"^assignment for 'p' lands outside the target$"):
             SpaceMap(space, space, (0, 1, 3))
+
+    @pytest.mark.parametrize(
+        "map_type, make, member",
+        [
+            (SpaceMap, line_3_space, "point"),
+            (MonotoneMap, lambda: Poset.from_pairs("mzp", [("m", "z"), ("p", "z")]), "element"),
+        ],
+        ids=["SpaceMap", "MonotoneMap"],
+    )
+    def test_from_names_shared_by_both_map_types(self, map_type, make, member):
+        src = make()
+        good = {"m": "m", "z": "z", "p": "z"}
+        f = map_type.from_names(src, src, good)
+        assert repr(f) == f"{map_type.__name__}(m->m, z->z, p->z)" and f.apply("p") == "z"
+        assert f.image_mask(0b101) == 0b011 and f.preimage_mask(0b010) == 0b110
+        refused = [
+            ({"m": "m", "z": "z"}, f"assignment missing source {member} 'p'"),
+            ({**good, "p": "q"}, f"unknown {member}: 'q'"),
+            ({**good, "zz": "m"}, f"unknown {member}: 'zz'"),
+            # the first error in source order wins over an unknown extra key
+            ({"m": "m", "zz": "m"}, f"assignment missing source {member} 'z'"),
+            ({"m": "q", "zz": "m"}, f"unknown {member}: 'q'"),
+        ]
+        for mapping, message in refused:
+            with pytest.raises(ValidationError) as exc:
+                map_type.from_names(src, src, mapping)
+            assert str(exc.value) == message
 
     def test_verdict_repr_and_truth(self):
         assert repr(Verdict(True)) == "Verdict(holds=True, witness=None, note='')"
