@@ -201,7 +201,11 @@ class Decomposition(Value):
         union = 0
         full = self.space.full_mask
         for sid, mask in items:
-            if not isinstance(mask, int) or mask <= 0 or mask > full:
+            if not isinstance(mask, int) or isinstance(mask, bool):
+                raise ValidationError(f"stratum mask for {sid!r} must be an int, got {mask!r}")
+            if mask < 0 or mask > full:
+                raise ValidationError(f"stratum mask out of range for {sid!r}")
+            if not mask:
                 raise ValidationError(f"stratum empty: {sid!r}")
             if mask & union:
                 raise ValidationError("strata not disjoint")
@@ -342,17 +346,23 @@ class Decomposition(Value):
 
     def locally_closed_strata(self) -> tuple[tuple[str, Verdict], ...]:
         """Per stratum, whether it is its open hull intersected with its
-        closure (see ``FiniteSpace.is_locally_closed``); the witness is the
-        hull."""
-        return self._locally_closed
+        closure (see ``FiniteSpace.is_locally_closed``); the witness of a
+        locally closed stratum is its hull, as point names. The verdicts
+        are built on each call from ``_locally_closed``, the booleans alone,
+        which is all ``is_stratification`` and ``classify`` read."""
+        names_of = self.space.names_of
+        return tuple([
+            (sid, Verdict(holds, witness=names_of(hull) if holds else None))
+            for sid, hull, holds in zip(self.ids, self._hulls, self._locally_closed)
+        ])
 
     @cached_property
-    def _locally_closed(self) -> tuple[tuple[str, Verdict], ...]:
-        out = []
-        for sid, mask, hull, closure in zip(self.ids, self.masks, self._hulls, self._closures):
-            holds = (hull & closure) == mask
-            out.append((sid, Verdict(holds, witness=self.space.names_of(hull) if holds else None)))
-        return tuple(out)
+    def _locally_closed(self) -> tuple[bool, ...]:
+        """Per stratum, whether its open hull meets its closure in the stratum alone."""
+        return tuple([
+            hull & closure == mask
+            for hull, closure, mask in zip(self._hulls, self._closures, self.masks)
+        ])
 
     def alexandrov_equivalences(self) -> AgreementReport:
         """Three characterizations of the quotient being an Alexandrov space.
@@ -536,10 +546,11 @@ class Decomposition(Value):
         is a theorem; the exhaustive sweep tallies it as
         ``locally_closed_and_frontier_iff_poset_stratified_and_open``.
         """
-        reasons = []
-        for sid, verdict in self.locally_closed_strata():
-            if not verdict:
-                reasons.append(f"stratum {sid!r} is not locally closed")
+        reasons = [
+            f"stratum {sid!r} is not locally closed"
+            for sid, holds in zip(self.ids, self._locally_closed)
+            if not holds
+        ]
         if not self.frontier_equivalences().value:
             reasons.append("frontier condition fails")
         return StratificationVerdict(not reasons, tuple(reasons))
@@ -751,7 +762,7 @@ def classify(d: Decomposition) -> ClassificationReport:
     """
     return ClassificationReport(
         alexandrov=d.alexandrov_equivalences(),
-        locally_closed=tuple([(sid, v.holds) for sid, v in d.locally_closed_strata()]),
+        locally_closed=tuple(list(zip(d.ids, d._locally_closed))),
         frontier=d.frontier_equivalences(),
         poset_stratified=d.poset_stratified_equivalences(),
         stratification=d.is_stratification(),

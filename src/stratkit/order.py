@@ -305,16 +305,21 @@ def alexandrov_space(p: Proset) -> FiniteSpace:
     """Order topology of a preorder: opens are exactly the up-closed sets.
 
     The minimal open neighborhood of p is its up-set, so the stored
-    relation rows double as the minimal-open table.
+    relation rows double as the minimal-open table. The ``Proset`` has
+    validated its names and rows against the very invariants a space
+    checks (in range, reflexive, transitive), so the space is built from
+    them without checking them again.
     """
-    return FiniteSpace(p.elements, p.up)
+    return FiniteSpace._from_valid(p.elements, p.up)
 
 
 def specialization_preorder(space: FiniteSpace) -> Proset:
     """Specialization preorder of a finite space: x <= y iff x in closure({y}),
     that is iff y lies in U_x, so the up-sets are the minimal-open rows.
-    ``adjunction_roundtrips`` checks the rows against the closure route."""
-    return Proset(space.points, space.min_open)
+    The space has validated them as a preorder's, so the ``Proset`` is
+    built from them without checking them again. ``adjunction_roundtrips``
+    checks the rows against the closure route."""
+    return Proset._from_valid(space.points, space.min_open)
 
 
 class AdjunctionReport(NamedTuple):

@@ -18,14 +18,15 @@ oracle alike: ``preimage_of`` (the union of the rows a mask selects, also
 openness, open hulls and closures), ``transpose``, ``first_intransitive``
 and ``rows_within``. Each kernel function picks its method from the size
 of its input alone, with crossovers measured on Python 3.11 (each
-docstring gives the figures). On more than 64 rows, ``preimage_of`` ORs
-the rows of a mask with more than (n + 128) / 16 bits in one C pass
-(``compress`` and ``reduce``), and ``transpose`` reads each column of a
-relation whose distinct rows hold more than n * (n + 256) / 128 bits as
-one slice of a string of binary digits; smaller or sparser input walks
-the bits one at a time. ``first_intransitive`` tests each distinct row
-with ``preimage_of``, so it takes the C pass on the wide rows of dense
-relations. Either way the result is the same.
+docstring gives the figures). ``preimage_of`` ORs the rows of a mask
+above 0xFFF with more than (n + 128) / 16 bits in one C pass
+(``compress`` and ``reduce``), on any number of rows n; on more than 64
+rows, ``transpose`` reads each column of a relation whose distinct rows
+hold more than n * (n + 256) / 128 bits as one slice of a string of
+binary digits; smaller or sparser input walks the bits one at a time.
+``first_intransitive`` tests each distinct row with ``preimage_of``, so
+it takes the C pass on the wide rows of dense relations. Either way the
+result is the same.
 
 ``SpaceMap`` here and ``order.MonotoneMap`` share one base, ``FiniteMap``:
 a map between finite named sets held as a tuple of target indices, with
@@ -38,7 +39,10 @@ The validated types here and in ``order`` and ``decomposition`` subclass
 and runs ``__post_init__``, which validates and normalizes them. Values
 compare and hash by class and fields and refuse assignment and deletion;
 ``cached_property`` still memoises, as it writes to the instance
-``__dict__``. Report and record types are ``typing.NamedTuple``.
+``__dict__``. ``Value._from_valid`` builds a value from fields that
+already meet its invariants, without validating them again: the order and
+space translations pass one validated type's rows to the other. Report
+and record types are ``typing.NamedTuple``.
 """
 
 from __future__ import annotations
@@ -81,17 +85,17 @@ def preimage_of(rows: Sequence[int], mask: int) -> int:
     mask m is up-closed under a relation exactly when
     ``not preimage_of(rows, m) & ~m``.
 
-    A mask that is wide for its rows, more than (n + 128) / 16 bits on
-    n > 64 rows, has its rows picked by ``compress`` and OR'd by
-    ``reduce`` in C; any other mask, and one with a bit beyond the rows
-    (IndexError), walks its bits one at a time. The C pass costs about as
-    much as (n + 128) / 16 steps of the walk: measured on Python 3.11, it
-    breaks even at about 11 bits on 65 rows, 25 on 300 and 55 on 1000."""
-    # a wide mask has more than 12 bits, so it exceeds 2**12: a small mask
-    # pays one comparison
-    if mask > 0xFFF and (n := len(rows)) > 64:
-        if mask.bit_count() * 16 > n + 128 and not mask >> n:
-            return reduce(or_, compress(rows, _bit_flags(mask)), 0)
+    A mask that is wide for its rows, more than (n + 128) / 16 bits on n
+    rows, has its rows picked by ``compress`` and OR'd by ``reduce`` in C;
+    any other mask, one no larger than 0xFFF, and one with a bit beyond
+    the rows (IndexError) walks its bits one at a time. The C pass costs
+    about as much as (n + 128) / 16 steps of the walk: measured on Python
+    3.11, it breaks even at about 11 bits on 65 rows, 25 on 300 and 55 on
+    1000, and at 10 to 13 bits on 13 to 64 rows, where the rule takes it
+    from 9 to 13 bits. Masks up to 0xFFF, 12 bits at most, gain little
+    from it and pay one comparison."""
+    if mask > 0xFFF and mask.bit_count() * 16 > (n := len(rows)) + 128 and not mask >> n:
+        return reduce(or_, compress(rows, _bit_flags(mask)), 0)
     out = 0
     while mask:
         low = mask & -mask
@@ -157,6 +161,16 @@ class Value:
     def __init_subclass__(cls):
         # the tuple of field values, read by one C call (each class has two or more fields)
         cls._astuple = staticmethod(attrgetter(*cls._fields))
+
+    @classmethod
+    def _from_valid(cls, *values):
+        """The value whose fields, in ``_fields`` order, are ``values``,
+        built without ``__post_init__``: only for fields that already meet
+        the class's invariants in normalized form, such as the fields of
+        another validated value with the same invariants."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

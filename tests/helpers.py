@@ -132,6 +132,16 @@ def brute_closure_mask(space: FiniteSpace, mask: int) -> int:
     return acc
 
 
+def preimage_by_bits(rows, mask: int) -> int:
+    """``topology.preimage_of`` for a mask with no bit beyond the rows: the
+    union of the rows whose index bit is set, read one index at a time."""
+    out = 0
+    for i, row in enumerate(rows):
+        if mask >> i & 1:
+            out |= row
+    return out
+
+
 def brute_locally_closed(space: FiniteSpace, mask: int) -> bool:
     """Direct search for an open/closed pair intersecting to the set."""
     opens = open_masks(space)

@@ -61,6 +61,21 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="stratum empty"):
             Decomposition.from_strata(sierpinski, {"A": ("c", "o"), "B": ()})
 
+    @pytest.mark.parametrize("mask", [True, False, "1", 1.0, None])
+    def test_non_int_mask_rejected(self, sierpinski, mask):
+        with pytest.raises(ValidationError, match=r"^stratum mask for 'A' must be an int, got "):
+            Decomposition(sierpinski, (("A", mask), ("B", 0b10)))
+
+    @pytest.mark.parametrize("mask", [7, 4, -1, -2])
+    def test_out_of_range_mask_rejected(self, sierpinski, mask):
+        # 2 points: a mask beyond 0b11, or a negative one, is no stratum
+        with pytest.raises(ValidationError, match=r"^stratum mask out of range for 'A'$"):
+            Decomposition(sierpinski, (("A", mask), ("B", 0b10)))
+
+    def test_zero_mask_is_an_empty_stratum(self, sierpinski):
+        with pytest.raises(ValidationError, match=r"^stratum empty: 'B'$"):
+            Decomposition(sierpinski, (("A", 0b11), ("B", 0)))
+
     def test_cover_required(self, sierpinski):
         with pytest.raises(ValidationError, match="do not cover"):
             Decomposition.from_strata(sierpinski, {"A": ("c",)})
@@ -249,6 +264,45 @@ class TestStratification:
 
     def test_chain_pointwise_is_a_stratification(self, chain_3):
         assert chain_3.is_stratification()
+
+
+STRATIFICATIONS = (
+    "fixture:chain_3", "fixture:quadrant_4", "fixture:two_point_discrete",
+    *(f"face:{model}/skeleton" for model in helpers.FACE_MODELS),
+)
+
+
+def fresh_decomposition(name: str) -> Decomposition:
+    """The named fixture or face-poset decomposition, rebuilt with nothing cached."""
+    kind, _, rest = name.partition(":")
+    dec = fixture(rest).document.value if kind == "fixture" else helpers.face_decomposition(rest)
+    return Decomposition(FiniteSpace(dec.space.points, dec.space.min_open), dec.strata)
+
+
+class TestLocallyClosedWitnesses:
+    @pytest.mark.parametrize("name", STRATIFICATIONS)
+    def test_classify_names_no_points(self, name, monkeypatch):
+        # classify reads only whether each stratum is locally closed; the
+        # hull witnesses are named only by locally_closed_strata
+        dec = fresh_decomposition(name)
+        calls = []
+        names_of = FiniteSpace.names_of
+        monkeypatch.setattr(
+            FiniteSpace, "names_of", lambda space, mask: calls.append(mask) or names_of(space, mask)
+        )
+        assert classify(dec).verdict() == "stratification"
+        assert calls == []
+        assert len(dec.locally_closed_strata()) == dec.k and len(calls) == dec.k
+
+    def test_verdicts_are_the_point_level_ones(self):
+        # the stratifications above, and every instance up to 3 points,
+        # where some strata are not locally closed
+        for dec in [*map(fresh_decomposition, STRATIFICATIONS), *all_instances(3)]:
+            expected = [dec.space.is_locally_closed(dec.space.names_of(m)) for m in dec.masks]
+            assert dec.locally_closed_strata() == tuple(zip(dec.ids, expected))
+            assert classify(dec).locally_closed == tuple(
+                (sid, v.holds) for sid, v in zip(dec.ids, expected)
+            )
 
 
 class TestCheckAgainstOrder:

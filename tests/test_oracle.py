@@ -327,6 +327,21 @@ class TestSweep:
         assert tally.failed > 0 and tally.passed > 0
         assert report.first_counterexample["check"] == law
 
+    def test_sweep_catches_flipped_local_closure(self, monkeypatch):
+        # classify and is_stratification read the production tuple of
+        # booleans; flipping it must show in the sweep
+        decide = Decomposition._locally_closed.func
+        monkeypatch.setattr(
+            Decomposition,
+            "_locally_closed",
+            property(lambda self: tuple([not holds for holds in decide(self)])),
+        )
+        report = exhaustive_verify(3)
+        assert report.failures > 0
+        tallies = dict(report.tallies)
+        law = "locally_closed_and_frontier_iff_poset_stratified_and_open"
+        assert tallies[law].failed > 0
+
     def test_sweep_catches_an_order_search_without_refinements(self, monkeypatch):
         # a search that finds only the decomposition preorder itself leaves
         # the refinement statements nothing to run on; the check that every

@@ -16,6 +16,7 @@ from stratkit import (
     ValidationError,
     adjunction_roundtrips,
     alexandrov_space,
+    generate,
     load,
     singleton_local_closure_check,
     specialization_preorder,
@@ -202,6 +203,48 @@ class TestOrderTopology:
             if a != b and p.leq(a, b)
         }
         assert actual == expected
+
+
+class TestTranslationsKeepValidatedRows:
+    """``alexandrov_space`` and ``specialization_preorder`` pass validated
+    names and rows to the other type without validating them again, and
+    build values equal to, and hashing like, the validated constructors'."""
+
+    def test_no_check_runs_again(self, monkeypatch):
+        p = diamond()
+        x = FiniteSpace.from_subbasis("abxy", [("a",), ("b",), ("a", "b", "x"), ("a", "b", "y")])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validated rows were checked again")
+
+        for module in ("stratkit.topology", "stratkit.order"):
+            monkeypatch.setattr(f"{module}.first_intransitive", refuse)
+            monkeypatch.setattr(f"{module}.checked_names", refuse)
+        assert alexandrov_space(p).min_open == p.up
+        assert specialization_preorder(x).up == x.min_open
+        with pytest.raises(AssertionError, match="checked again"):
+            FiniteSpace(p.elements, p.up)
+
+    @given(
+        n=st.integers(0, 130),
+        density=st.sampled_from((0.02, 0.1, 0.5)),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_results_equal_the_validated_constructors(self, n, density, seed):
+        p = generate("preorder", n, {"density": density}, seed).value
+        space = alexandrov_space(p)
+        validated_space = FiniteSpace(p.elements, p.up)
+        assert type(space) is FiniteSpace
+        assert space == validated_space and hash(space) == hash(validated_space)
+        back = specialization_preorder(space)
+        validated_back = Proset(space.points, space.min_open)
+        assert type(back) is Proset
+        assert back == validated_back and hash(back) == hash(validated_back)
+        assert back == p and hash(back) == hash(p)
+        # the class is part of the value: equal fields, but a space is no preorder
+        assert space != p and p != space and space != back
+        assert space.point_closures == back.down
 
 
 class TestAdjunction:

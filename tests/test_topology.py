@@ -660,6 +660,52 @@ class TestBitRowKernel:
             f"(given ({a!r}, {b!r}) and ({b!r}, {c!r}))"
         )
 
+    # -- fewer than 65 rows: the C pass takes a mask above 0xFFF with more
+    # than (n + 128) / 16 bits at any row count
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_preimage_below_65_rows_matches_the_per_bit_reference(self, data):
+        from stratkit import topology
+
+        n = data.draw(st.integers(1, 64), label="rows")
+        width = data.draw(st.integers(1, 2 * n), label="columns")  # fibers: more or fewer
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        if data.draw(st.booleans(), label="one bit a row"):  # each selected row shows
+            rows = [1 << rng.randrange(width) for _ in range(n)]
+        else:
+            rows = [rng.getrandbits(width) for _ in range(n)]
+        crossover = (n + 128) // 16
+        near = st.integers(min(n, max(0, crossover - 2)), min(n, crossover + 3))
+        weight = data.draw(near | st.integers(0, n), label="bits")
+        positions = data.draw(st.permutations(range(n)))[:weight]
+        mask = sum(1 << i for i in positions)
+        container = data.draw(st.sampled_from((tuple, list)))
+        assert topology.preimage_of(container(rows), mask) == helpers.preimage_by_bits(rows, mask)
+        beyond = data.draw(st.integers(n, 2 * n + 64), label="bit beyond the rows")
+        with pytest.raises(IndexError):
+            topology.preimage_of(container(rows), mask | 1 << beyond)
+
+    def test_c_pass_below_65_rows_takes_only_wide_masks_above_0xfff(self, monkeypatch):
+        from stratkit import topology
+
+        passes = []
+        flags = topology._bit_flags
+        monkeypatch.setattr(topology, "_bit_flags", lambda mask: passes.append(mask) or flags(mask))
+        rows = tuple(1 << (i + 1) % 64 for i in range(64))
+        for n, mask, c_pass in [
+            (13, 0x1FFF, True),  # 13 bits on 13 rows: more than 141 / 16
+            (13, 0x1F0F, True),  # 9 bits
+            (13, 0x1F07, False),  # 8 bits
+            (64, 0xFFF, False),  # 12 bits, but no larger than 0xFFF
+            (64, 0x1FFF, True),  # 13 bits: more than 192 / 16
+            (64, 0x1FFE, False),  # 12 bits
+            (64, 1 << 63 | 0xFFF, True),
+        ]:
+            passes.clear()
+            assert topology.preimage_of(rows[:n], mask) == helpers.preimage_by_bits(rows[:n], mask)
+            assert passes == ([mask] if c_pass else []), (n, hex(mask))
+
     @pytest.mark.parametrize("n", [3, 64, 65, 300])
     @pytest.mark.parametrize("container", [tuple, list])
     def test_out_of_range_masks_raise_index_error_alike(self, n, container):
