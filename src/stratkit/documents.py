@@ -45,7 +45,7 @@ from typing import NamedTuple
 from .decomposition import Decomposition
 from .errors import ParseError, ValidationError
 from .order import SYMBOLIC_FAMILIES, Poset, Proset, SymbolicFamily
-from .topology import FiniteSpace, SpaceMap, iter_bits
+from .topology import FiniteSpace, SpaceMap, iter_bits, names_at
 
 KINDS = (
     "space",
@@ -186,7 +186,7 @@ def _space_payload(space: FiniteSpace) -> dict:
     pts = sorted(space.points)
     # points sharing a minimal open (a strongly connected class) share one
     # sorted name list
-    names = {row: sorted(space.names_of(row)) for row in set(space.min_open)}
+    names = {row: sorted(names_at(space.points, row)) for row in set(space.min_open)}
     return {
         "kind": "space",
         "points": pts,
@@ -253,7 +253,7 @@ def _decomposition_payload(dec: Decomposition) -> dict:
         "kind": "decomposition",
         "space": _space_payload(dec.space),
         "strata": {
-            sid: sorted(dec.space.names_of(mask)) for sid, mask in dec.strata
+            sid: sorted(names_at(dec.space.points, mask)) for sid, mask in dec.strata
         },
     }
 
@@ -340,9 +340,14 @@ def _symbolic_from(payload: dict) -> SymbolicFamily:
 def _strings(value: object, what: str) -> tuple[str, ...]:
     """A JSON list of strings as a tuple; anything else is a ValidationError
     (a bare string is not read as a list of its characters)."""
-    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
-        raise ValidationError(f"{what} must be a list of strings, got {value!r}")
-    return tuple(value)
+    if isinstance(value, list):
+        try:
+            "".join(value)  # one C pass; a TypeError on any non-string item
+        except TypeError:
+            pass
+        else:
+            return tuple(value)
+    raise ValidationError(f"{what} must be a list of strings, got {value!r}")
 
 
 def _string_list(payload: dict, key: str) -> tuple[str, ...]:

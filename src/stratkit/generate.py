@@ -5,12 +5,15 @@ seed), stable across releases. All randomness flows from the splitmix64
 generator below, fully specified here rather than borrowed from the
 standard library so the byte stream can never drift.
 
-``SplitMix64.next_u64`` is the specification. Preorder generation draws a
-whole row of the relation at once with ``SplitMix64.next_flags``, which
-runs the same mix on many states packed into one integer; it is
-bit-identical to one ``next_float()`` comparison per pair, and
+``SplitMix64.next_u64`` is the specification. Preorder generation draws
+the whole relation with the row kernel ``SplitMix64.next_flag_rows``,
+which runs the same mix on the states of one row packed into one integer,
+sets up its lanes once per relation and reads each row as a binary
+numeral; ``next_flags`` is its one-row case. It is bit-identical to one
+``next_float()`` comparison per pair and leaves the same state:
 ``tests/test_documents.py::TestGenerate::test_batched_flags_match_scalar_draws``
-and the digests in ``tests/test_generate_golden.py`` pin that.
+pins it against the scalar draws for 0, 1 and 3 rows of up to 1025, and
+the digests in ``tests/test_generate_golden.py`` pin the documents.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from .topology import FiniteSpace
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 flag bytes as binary digits
+# bit 64 of a lane is 0 exactly when its draw is below the density: the
+# draw's binary digit is its complement
+_BELOW = bytes.maketrans(b"\x00\x01", b"10")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as 0/1 bytes
 
 
 @lru_cache(maxsize=4)
@@ -41,12 +47,6 @@ def _lanes(m: int) -> tuple[int, int, int]:
         "little",
     )
     return ones, low64, steps
-
-
-@lru_cache(maxsize=8)
-def _offsets(m: int, threshold: int) -> int:
-    """2**64 - threshold in each of m 128-bit lanes."""
-    return ((1 << 64) - threshold) * _lanes(m)[0]
 
 
 class SplitMix64:
@@ -72,35 +72,55 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def next_flags(self, m: int, density: float) -> bytes:
-        """The next m draws compared with ``density``, one 0/1 byte each.
+        """The next m draws compared with ``density``, one 0/1 byte each:
+        equal to ``bytes(self.next_float() < density for _ in range(m))``
+        and leaves the same state. The one-row case of ``next_flag_rows``."""
+        return self.next_flag_rows(1, m, density)[0][::-1].translate(_FLAGS)
 
-        Equal to ``bytes(self.next_float() < density for _ in range(m))``
-        and leaves the same state. Lane i (128 bits) of one int holds the
-        state s + (i + 1) * gamma; each step of the mix is then one big-int
-        operation. A lane's value stays below 2**64 after masking, so a
-        multiply by a 64-bit constant cannot carry into the next lane, and
-        the bits a right shift pulls in from the next lane land above bit
-        63, where the mask clears them. next_float() < density exactly when
+    def next_flag_rows(self, rows: int, m: int, density: float) -> list[bytes]:
+        """The next rows * m draws compared with ``density``, m to a row.
+
+        Each row is a binary numeral of m ASCII digits, last draw first:
+        bit j of ``int(row, 2)`` is set exactly when draw j of the row,
+        as ``next_float()``, is below ``density``. Leaves the state that
+        rows * m calls of ``next_u64`` leave.
+
+        Lane i (128 bits) of one int holds the state s + (i + 1) * gamma
+        of draw i of the row, so each step of the mix is one big-int
+        operation; the next row's lanes are these plus m * gamma, masked.
+        A lane's value stays below 2**64 after masking, so a multiply by a
+        64-bit constant cannot carry into the next lane, and the bits a
+        right shift pulls in from the next lane land above bit 63, where
+        the mask clears them. next_float() < density exactly when
         z < ceil(density * 2**53) * 2**11: the scalings by powers of two
         are exact. That test is one add per lane: bit 64 of
         z + 2**64 - threshold is set exactly when z >= threshold. The last
         shift is not masked: it leaves bits 97-127 of a lane holding bits
-        of the next lane, but the low 64 bits plus 2**64 - threshold stay
-        below 2**65, so the add carries neither into those bits nor out of
-        them, and bit 64 is read alone.
+        of the next lane and bits 64-96 clear, and the low 64 bits plus
+        2**64 - threshold stay below 2**65, so the add carries neither
+        into the high bits nor out of them. Byte 7 of each lane of the
+        big-endian bytes, bits 64 to 71, is then bit 64 alone: one slice
+        reads every lane's, highest lane first, and one translate turns
+        them into digits.
         """
-        if m <= 0:
-            return b""
+        if rows <= 0 or m <= 0:
+            return [b""] * max(rows, 0)
         ones, low64, steps = _lanes(m)
-        z = (self._state * ones + steps) & low64
-        self._state = (self._state + m * _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) & low64) * 0xBF58476D1CE4E5B9 & low64
-        z = ((z ^ (z >> 27)) & low64) * 0x94D049BB133111EB & low64
-        z ^= z >> 31
         # clamped so that densities outside [0, 1] compare as the floats do
         threshold = math.ceil(min(max(density, 0), 1) * 2**53) << 11
-        at_least = ((z + _offsets(m, threshold)) >> 64) & ones
-        return (at_least ^ ones).to_bytes(16 * m, "little")[::16]
+        offsets = ((1 << 64) - threshold) * ones
+        advance = ((m * _GAMMA) & _MASK64) * ones
+        lanes = (self._state * ones + steps) & low64
+        self._state = (self._state + rows * m * _GAMMA) & _MASK64
+        size = 16 * m
+        out = []
+        for _ in range(rows):
+            z = ((lanes ^ (lanes >> 30)) & low64) * 0xBF58476D1CE4E5B9 & low64
+            z = ((z ^ (z >> 27)) & low64) * 0x94D049BB133111EB & low64
+            z ^= z >> 31
+            out.append((z + offsets).to_bytes(size, "big")[7::16].translate(_BELOW))
+            lanes = (lanes + advance) & low64
+        return out
 
     def next_below(self, bound: int) -> int:
         """Uniform-ish in [0, bound) by modulo; bias is irrelevant here."""
@@ -148,14 +168,16 @@ def _gen_preorder(n: int, params: Mapping, rng: SplitMix64) -> Document:
     density = params.get("density", 0.5)
     if not (_plain_int(density) or isinstance(density, float)) or not 0.0 <= density <= 1.0:
         raise ValidationError("density must lie in [0, 1]")
-    # one row of n - 1 draws at a time, pairs (i, j != i) in row-major
-    # order; bit j of row i is the draw for (i, j), and the diagonal is set
-    rows = []
-    for i in range(n):
-        digits = rng.next_flags(n - 1, density).translate(_DIGITS)
-        rows.append(int((digits[:i] + b"1" + digits[i:])[::-1], 2))
+    # rows of n - 1 draws, pairs (i, j != i) in row-major order: digit
+    # n - 2 - j of row i is the draw for (i, j < i), digit n - 1 - j the
+    # one for (i, j > i), and the diagonal digit goes between them
+    rows = [
+        int(digits[: n - 1 - i] + b"1" + digits[n - 1 - i:], 2)
+        for i, digits in enumerate(rng.next_flag_rows(n, n - 1, density))
+    ]
+    # the names "0".."n-1" and a closed relation meet the invariants
     elements = tuple(map(str, range(n)))
-    return Document("proset", Proset(elements, reflexive_transitive_closure(rows)))
+    return Document("proset", Proset._from_valid(elements, reflexive_transitive_closure(rows)))
 
 
 def _resolve_space(n: int, params: Mapping) -> FiniteSpace:

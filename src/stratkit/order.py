@@ -139,7 +139,8 @@ class Proset(Value):
             raise ValidationError("relation must have a row for every element")
         full = (1 << n) - 1
         for i, row in enumerate(rows):
-            if not isinstance(row, int) or row < 0 or row > full:
+            # a bool is an int, but True would read as the row 1
+            if not isinstance(row, int) or isinstance(row, bool) or row < 0 or row > full:
                 raise ValidationError(f"relation row out of range at {els[i]!r}")
             if not (row >> i) & 1:
                 raise ValidationError(f"relation not reflexive: ({els[i]!r}, {els[i]!r}) missing")

@@ -237,7 +237,8 @@ class FiniteSpace(Value):
             raise ValidationError("min_open must assign a neighborhood to every point")
         full = (1 << n) - 1
         for i, row in enumerate(rows):
-            if not isinstance(row, int) or row < 0 or row > full:
+            # a bool is an int, but True would read as the mask 1
+            if not isinstance(row, int) or isinstance(row, bool) or row < 0 or row > full:
                 raise ValidationError(f"min_open mask out of range for point {pts[i]!r}")
             if not (row >> i) & 1:
                 raise ValidationError(f"min_open violates reflexivity at {pts[i]!r}")
@@ -251,11 +252,15 @@ class FiniteSpace(Value):
     def from_min_open(
         cls, points: Iterable[str], neighborhoods: Mapping[str, Iterable[str]]
     ) -> "FiniteSpace":
-        """Build a space from an explicit minimal-open-neighborhood table."""
+        """Build a space from an explicit minimal-open-neighborhood table.
+
+        A table from each name to its bit turns each distinct name list
+        into its mask in one C pass (``map`` and ``reduce``); a list with
+        an unknown name is scanned again for its first one."""
         pts = checked_names(points)
-        index = {p: i for i, p in enumerate(pts)}
+        bit = {p: 1 << i for i, p in enumerate(pts)}
         for key in neighborhoods:
-            if key not in index:
+            if key not in bit:
                 raise ValidationError(f"min_open mentions unknown point: {key!r}")
         rows = []
         masks: dict[tuple, int] = {}  # each distinct name list is read once
@@ -265,12 +270,11 @@ class FiniteSpace(Value):
             names = tuple(neighborhoods[p])
             mask = masks.get(names)
             if mask is None:
-                mask = 0
-                for q in names:
-                    if q not in index:
-                        raise ValidationError(f"min_open mentions unknown point: {q!r}")
-                    mask |= 1 << index[q]
-                masks[names] = mask
+                try:
+                    mask = masks[names] = reduce(or_, map(bit.__getitem__, names), 0)
+                except KeyError:
+                    q = next(q for q in names if q not in bit)
+                    raise ValidationError(f"min_open mentions unknown point: {q!r}") from None
             rows.append(mask)
         return cls(pts, tuple(rows))
 

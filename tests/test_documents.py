@@ -27,7 +27,7 @@ from stratkit import (
     load,
     save,
 )
-from stratkit.documents import Document, canonical_json
+from stratkit.documents import Document, canonical_json, from_payload
 
 
 class TestRoundTrips:
@@ -173,14 +173,51 @@ class TestErrors:
              "subbasis entry must be a list of strings, got [['a']]"),
             ({"kind": "space", "points": ["a", 3.5], "min_open": {}},
              "points must be a list of strings, got ['a', 3.5]"),
+            ({"kind": "space", "points": ["a"], "min_open": {"a": ["a", ["a"]]}},
+             "min_open entry for 'a' must be a list of strings, got ['a', ['a']]"),
         ],
-        ids=["bare-string", "object", "number", "null", "bool", "int", "nested-list", "float"],
+        ids=["bare-string", "object", "number", "null", "bool", "int", "nested-list", "float",
+             "unhashable"],
     )
     def test_string_lists_reject_other_values(self, payload, message):
         # the messages are the ones the element-by-element check gave
         with pytest.raises(ValidationError) as exc:
             load(json.dumps(payload))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "min_open, message",
+        [
+            # every entry is type-checked before any name is looked up
+            ({"a": ["a", "q"], "b": ["b", 3]},
+             "min_open entry for 'b' must be a list of strings, got ['b', 3]"),
+            ({"a": ["a"], "b": ["b", "q", "r"], "c": ["a"]},
+             "min_open mentions unknown point: 'q'"),
+            # an unknown name in an earlier point's list, before a missing entry
+            ({"a": ["a"], "b": ["b", "q"]}, "min_open mentions unknown point: 'q'"),
+            ({"a": ["a"], "b": ["b"], "c": ["c"], "z": ["q"]},
+             "min_open mentions unknown point: 'z'"),
+            ({"a": ["a"], "c": ["c"]}, "min_open missing entry for point 'b'"),
+        ],
+        ids=["non-string-after-unknown", "unknown-in-second-list", "unknown-before-missing",
+             "unknown-key", "missing-entry"],
+    )
+    def test_the_first_load_error_wins(self, min_open, message):
+        # the messages and their order are the ones the name-by-name lookup gave
+        payload = {"kind": "space", "points": ["a", "b", "c"], "min_open": min_open}
+        with pytest.raises(ValidationError) as exc:
+            load(json.dumps(payload))
+        assert str(exc.value) == message
+
+    def test_string_subclass_names_are_accepted(self):
+        # JSON text cannot carry a str subclass; a payload built in Python can
+        class Name(str):
+            pass
+
+        a, b = Name("a"), Name("b")
+        payload = {"kind": "space", "points": [a, b], "min_open": {a: [a], b: [b, a]}}
+        space = from_payload(payload).value
+        assert space == FiniteSpace.from_min_open("ab", {"a": "a", "b": "ba"})
 
     @pytest.mark.parametrize(
         "text",
@@ -394,11 +431,35 @@ class TestGenerate:
     @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025])
     @pytest.mark.parametrize("density", [0, 1, 0.5, 0.3, 2 / 1024, 1e-300, 5e-324])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 3**41])
-    def test_batched_flags_match_scalar_draws(self, count, density, seed):
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_batched_flags_match_scalar_draws(self, rows, count, density, seed):
         batched, scalar = SplitMix64(seed), SplitMix64(seed)
-        flags = batched.next_flags(count, density)
-        assert flags == bytes(scalar.next_float() < density for _ in range(count))
+        numerals = batched.next_flag_rows(rows, count, density)
+        assert len(numerals) == rows
+        for numeral in numerals:
+            # digit j from the right is draw j of the row
+            digits = bytes(b"01"[scalar.next_float() < density] for _ in range(count))
+            assert numeral == digits[::-1]
         assert batched.next_u64() == scalar.next_u64()
+        if rows == 1:
+            batched, scalar = SplitMix64(seed), SplitMix64(seed)
+            flags = batched.next_flags(count, density)
+            assert flags == bytes(scalar.next_float() < density for _ in range(count))
+            assert batched.next_u64() == scalar.next_u64()
+
+    def test_generation_does_not_validate_again(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated rows were checked again")
+
+        for module in ("stratkit.topology", "stratkit.order"):
+            monkeypatch.setattr(f"{module}.first_intransitive", refuse)
+            monkeypatch.setattr(f"{module}.checked_names", refuse)
+        # the names "0".."n-1" and the closed rows already meet the invariants
+        p = generate("preorder", 50, {"density": 0.05}, 11).value
+        monkeypatch.undo()
+        assert type(p) is Proset and p.up != tuple(1 << i for i in range(50))
+        validated = Proset(p.elements, p.up)
+        assert p == validated and hash(p) == hash(validated)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 5))
     @settings(max_examples=50, deadline=None)

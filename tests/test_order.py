@@ -82,6 +82,14 @@ class TestConstruction:
         p = Proset.from_pairs(("a", "b"), pairs, close=False)
         assert p.leq("a", "b")
 
+    @pytest.mark.parametrize("row", [True, False, "1", 1.0, None])
+    def test_non_int_rows_rejected(self, row):
+        # True is an int, and as the row 1 it would pass as a reflexive row
+        with pytest.raises(ValidationError) as exc:
+            Proset(("a",), (row,))
+        assert str(exc.value) == "relation row out of range at 'a'"
+        assert Proset(("a",), (1,)).up == (1,)
+
     def test_unknown_element_in_pair(self):
         with pytest.raises(ValidationError, match="unknown element"):
             Proset.from_pairs(("a",), [("a", "zz")])

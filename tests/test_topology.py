@@ -93,6 +93,14 @@ class TestConstruction:
             FiniteSpace.from_min_open(("a", "b"), table)
         assert str(exc.value) == "min_open mentions unknown point: 'zz'"
 
+    @pytest.mark.parametrize("row", [True, False, "1", 1.0, None])
+    def test_non_int_rows_rejected(self, row):
+        # True is an int, and as the mask 1 it would pass as a reflexive row
+        with pytest.raises(ValidationError) as exc:
+            FiniteSpace(("a",), (row,))
+        assert str(exc.value) == "min_open mask out of range for point 'a'"
+        assert FiniteSpace(("a",), (1,)).min_open == (1,)
+
     def test_empty_space_is_legal(self):
         s = FiniteSpace.empty()
         assert s.is_open(()) and s.is_closed(())
