@@ -341,9 +341,6 @@ def main(argv=None) -> int:
         # read for every command, so a bad value is exit 2 everywhere
         args.max_points = _max_points_override()
         return args.run(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

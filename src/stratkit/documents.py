@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .decomposition import Decomposition
 from .errors import ParseError, ValidationError
-from .order import SYMBOLIC_FAMILIES, Poset, Proset, SymbolicFamily
+from .order import Poset, Proset, SymbolicFamily, symbolic_local_finiteness
 from .topology import FiniteSpace, SpaceMap, iter_bits, names_at
 
 KINDS = (
@@ -323,9 +323,7 @@ def _symbolic_from(payload: dict) -> SymbolicFamily:
     tag = payload.get("tag")
     if not isinstance(tag, str):
         raise ValidationError(f"symbolic family tag must be a string, got {tag!r}")
-    fam = SYMBOLIC_FAMILIES.get(tag)
-    if fam is None:
-        raise ValidationError(f"unknown symbolic family tag: {tag!r}")
+    fam = symbolic_local_finiteness(tag)
     for key in ("locally_finite_space", "locally_finite_poset"):
         if key in payload and not isinstance(payload[key], bool):
             raise ValidationError(f"{key} must be a boolean")

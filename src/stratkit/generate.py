@@ -9,8 +9,8 @@ standard library so the byte stream can never drift.
 the whole relation with the row kernel ``SplitMix64.next_flag_rows``,
 which runs the same mix on the states of one row packed into one integer,
 sets up its lanes once per relation and reads each row as a binary
-numeral; ``next_flags`` is its one-row case. It is bit-identical to one
-``next_float()`` comparison per pair and leaves the same state:
+numeral. It is bit-identical to one ``next_float()`` comparison per pair
+and leaves the same state:
 ``tests/test_documents.py::TestGenerate::test_batched_flags_match_scalar_draws``
 pins it against the scalar draws for 0, 1 and 3 rows of up to 1025, and
 the digests in ``tests/test_generate_golden.py`` pin the documents.
@@ -33,7 +33,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 # bit 64 of a lane is 0 exactly when its draw is below the density: the
 # draw's binary digit is its complement
 _BELOW = bytes.maketrans(b"\x00\x01", b"10")
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as 0/1 bytes
 
 
 @lru_cache(maxsize=4)
@@ -70,12 +69,6 @@ class SplitMix64:
     def next_float(self) -> float:
         """Uniform in [0, 1): the top 53 bits scaled by 2**-53."""
         return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_flags(self, m: int, density: float) -> bytes:
-        """The next m draws compared with ``density``, one 0/1 byte each:
-        equal to ``bytes(self.next_float() < density for _ in range(m))``
-        and leaves the same state. The one-row case of ``next_flag_rows``."""
-        return self.next_flag_rows(1, m, density)[0][::-1].translate(_FLAGS)
 
     def next_flag_rows(self, rows: int, m: int, density: float) -> list[bytes]:
         """The next rows * m draws compared with ``density``, m to a row.

@@ -17,13 +17,12 @@ order, from 64 rows on.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
 from .topology import (
-    FiniteMap, FiniteSpace, Value, Verdict, checked_names, first_intransitive, iter_bits, names_at,
-    preimage_of, transpose,
+    FiniteMap, FiniteSpace, Verdict, _Relation, checked_names, iter_bits, names_at, preimage_of,
+    transpose,
 )
 
 
@@ -114,43 +113,29 @@ def _closure_by_components(rows: list[int]) -> tuple[int, ...]:
     return tuple(closed)
 
 
-class Proset(Value):
+class Proset(_Relation):
     """A finite preordered set.
 
     The relation is stored row-compressed: ``up[i]`` is the bit mask of all
     j with ``elements[i] <= elements[j]``. Construction validates
-    reflexivity and transitivity.
+    reflexivity and transitivity (``topology._Relation``).
     """
 
     _fields = __match_args__ = ("elements", "up")
+    _member = "element"
+    _length_fault = "relation must have a row for every element"
+    _range_fault = "relation row out of range at {i!r}"
+    _reflexive_fault = "relation not reflexive: ({i!r}, {i!r}) missing"
+    _transitive_fault = (
+        "relation not transitive: ({i!r}, {k!r}) missing (given ({i!r}, {j!r}) and ({j!r}, {k!r}))"
+    )
 
     def __init__(self, elements: tuple[str, ...], up: tuple[int, ...]):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "up", up)
+        fields = self.__dict__
+        fields["elements"], fields["up"] = elements, up
         self.__post_init__()
 
-    def __post_init__(self):
-        els = checked_names(self.elements, "element")
-        rows = tuple(self.up)
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "up", rows)
-        n = len(els)
-        if len(rows) != n:
-            raise ValidationError("relation must have a row for every element")
-        full = (1 << n) - 1
-        for i, row in enumerate(rows):
-            # a bool is an int, but True would read as the row 1
-            if not isinstance(row, int) or isinstance(row, bool) or row < 0 or row > full:
-                raise ValidationError(f"relation row out of range at {els[i]!r}")
-            if not (row >> i) & 1:
-                raise ValidationError(f"relation not reflexive: ({els[i]!r}, {els[i]!r}) missing")
-        if bad := first_intransitive(rows):
-            i, j = bad
-            k = next(iter_bits(rows[j] & ~rows[i]))
-            raise ValidationError(
-                f"relation not transitive: ({els[i]!r}, {els[k]!r}) missing "
-                f"(given ({els[i]!r}, {els[j]!r}) and ({els[j]!r}, {els[k]!r}))"
-            )
+    element_index = _Relation._index_of
 
     @classmethod
     def from_pairs(
@@ -174,9 +159,6 @@ class Proset(Value):
             rows[index[a]] |= 1 << index[b]
         return cls(els, reflexive_transitive_closure(rows) if close else tuple(rows))
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __repr__(self) -> str:
         rels = ", ".join(
             f"{a}<={self.elements[j]}"
@@ -187,30 +169,20 @@ class Proset(Value):
         return f"{type(self).__name__}([{', '.join(self.elements)}]; {rels})"
 
     @cached_property
-    def _index(self) -> dict:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
     def down(self) -> tuple[int, ...]:
         """Column masks: ``down[j]`` is the set of i with i <= j."""
         return transpose(self.up)
-
-    def element_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValidationError(f"unknown element: {name!r}") from None
 
     def leq(self, a: str, b: str) -> bool:
         return bool((self.up[self.element_index(a)] >> self.element_index(b)) & 1)
 
     def up_set(self, e: str) -> frozenset[str]:
         """All q with e <= q: the minimal open neighborhood in the order topology."""
-        return frozenset(names_at(self.elements, self.up[self.element_index(e)]))
+        return self.names_of(self.up[self.element_index(e)])
 
     def down_set(self, e: str) -> frozenset[str]:
         """All q with q <= e: the minimal closed neighborhood in the order topology."""
-        return frozenset(names_at(self.elements, self.down[self.element_index(e)]))
+        return self.names_of(self.down[self.element_index(e)])
 
     def is_poset(self) -> Verdict:
         """Antisymmetry check; the witness on failure is a two-cycle pair:
@@ -279,9 +251,6 @@ class Poset(Proset):
 
 class MonotoneMap(FiniteMap):
     """A map between prosets; monotonicity is a check, not an invariant."""
-
-    _member, _names = "element", attrgetter("elements")
-    _index_of = staticmethod(Proset.element_index)
 
     def is_monotone(self) -> Verdict:
         """Whether a <= b implies f(a) <= f(b). The witness on failure is the

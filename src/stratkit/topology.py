@@ -28,21 +28,27 @@ binary digits; smaller or sparser input walks the bits one at a time.
 it takes the C pass on the wide rows of dense relations. Either way the
 result is the same.
 
-``SpaceMap`` here and ``order.MonotoneMap`` share one base, ``FiniteMap``:
-a map between finite named sets held as a tuple of target indices, with
-one construction check, one image and preimage plumbing, and one
-``from_names``, which refuses a missing source name, an unknown target
-name and a key that names no source member.
+``FiniteSpace`` here and ``order.Proset`` hold the same data, names and
+one reflexive, transitive bit row per name, and share one unexported
+base, ``_Relation``: the one validator (messages from per-class
+templates), ``_index`` and the refusing lookup, ``__len__`` and
+``names_of``. ``SpaceMap`` here and ``order.MonotoneMap`` share one base,
+``FiniteMap``: a map between two such values held as a tuple of target
+indices, read through ``_Relation``, with one construction check, one
+image and preimage plumbing, and one ``from_names``, which refuses a
+missing source name, an unknown target name and a key that names no
+source member.
 
 The validated types here and in ``order`` and ``decomposition`` subclass
 ``Value``: an explicit ``__init__`` stores the fields named in ``_fields``
 and runs ``__post_init__``, which validates and normalizes them. Values
-compare and hash by class and fields and refuse assignment and deletion;
-``cached_property`` still memoises, as it writes to the instance
-``__dict__``. ``Value._from_valid`` builds a value from fields that
-already meet its invariants, without validating them again: the order and
-space translations pass one validated type's rows to the other. Report
-and record types are ``typing.NamedTuple``.
+compare and hash by class and fields (a space never equals a preorder on
+the same rows) and refuse assignment and deletion; ``cached_property``
+still memoises, as it writes to the instance ``__dict__``.
+``Value._from_valid`` builds a value from fields that already meet its
+invariants, without validating them again: the order and space
+translations pass one validated type's rows to the other. Report and
+record types are ``typing.NamedTuple``.
 """
 
 from __future__ import annotations
@@ -159,8 +165,10 @@ class Value:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        # the tuple of field values, read by one C call (each class has two or more fields)
-        cls._astuple = staticmethod(attrgetter(*cls._fields))
+        # the tuple of field values, read by one C call, for each class that
+        # sets two or more fields in its own body; its subclasses inherit it
+        if "_fields" in cls.__dict__:
+            cls._astuple = staticmethod(attrgetter(*cls._fields))
 
     @classmethod
     def _from_valid(cls, *values):
@@ -211,7 +219,59 @@ def checked_names(names: Iterable[str], what: str = "point") -> tuple[str, ...]:
     return out
 
 
-class FiniteSpace(Value):
+class _Relation(Value):
+    """Base of ``FiniteSpace`` and ``order.Proset``: ``_fields`` names the
+    names field, then the rows field. A subclass sets ``_member`` ("point"
+    or "element") and the templates of its four construction faults."""
+
+    _member: str
+    _length_fault: str
+    _range_fault: str  # {i} is the member
+    _reflexive_fault: str  # {i} is the member
+    _transitive_fault: str  # j in row i, but k in row j and not in row i
+
+    def __post_init__(self):
+        fields, (names_key, rows_key) = self.__dict__, self._fields
+        names = fields[names_key] = checked_names(fields[names_key], self._member)
+        rows = fields[rows_key] = tuple(fields[rows_key])
+        n = len(names)
+        if len(rows) != n:
+            raise ValidationError(self._length_fault)
+        full = (1 << n) - 1
+        for i, row in enumerate(rows):
+            # a bool is an int, but True would read as the row 1
+            if not isinstance(row, int) or isinstance(row, bool) or row < 0 or row > full:
+                raise ValidationError(self._range_fault.format(i=names[i]))
+            if not (row >> i) & 1:
+                raise ValidationError(self._reflexive_fault.format(i=names[i]))
+        if bad := first_intransitive(rows):
+            i, j = bad
+            k = next(iter_bits(rows[j] & ~rows[i]))
+            raise ValidationError(self._transitive_fault.format(i=names[i], j=names[j], k=names[k]))
+
+    @property
+    def _names(self) -> tuple[str, ...]:
+        return self.__dict__[self._fields[0]]
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self._names)}
+
+    def _index_of(self, name: str) -> int:
+        """The index of the named member; an unknown name is refused."""
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ValidationError(f"unknown {self._member}: {name!r}") from None
+
+    def names_of(self, mask: int) -> frozenset[str]:
+        return frozenset(names_at(self._names, mask))
+
+
+class FiniteSpace(_Relation):
     """A finite topological space.
 
     ``min_open[i]`` is the bit mask of the minimal open neighborhood of
@@ -221,30 +281,20 @@ class FiniteSpace(Value):
     """
 
     _fields = __match_args__ = ("points", "min_open")
+    _member = "point"
+    _length_fault = "min_open must assign a neighborhood to every point"
+    _range_fault = "min_open mask out of range for point {i!r}"
+    _reflexive_fault = "min_open violates reflexivity at {i!r}"
+    _transitive_fault = "min_open violates transitivity at ({i!r}, {j!r})"
 
     def __init__(self, points: tuple[str, ...], min_open: tuple[int, ...]):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "min_open", min_open)
+        fields = self.__dict__
+        fields["points"], fields["min_open"] = points, min_open
         self.__post_init__()
 
-    def __post_init__(self):
-        pts = checked_names(self.points)
-        rows = tuple(self.min_open)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "min_open", rows)
-        n = len(pts)
-        if len(rows) != n:
-            raise ValidationError("min_open must assign a neighborhood to every point")
-        full = (1 << n) - 1
-        for i, row in enumerate(rows):
-            # a bool is an int, but True would read as the mask 1
-            if not isinstance(row, int) or isinstance(row, bool) or row < 0 or row > full:
-                raise ValidationError(f"min_open mask out of range for point {pts[i]!r}")
-            if not (row >> i) & 1:
-                raise ValidationError(f"min_open violates reflexivity at {pts[i]!r}")
-        if bad := first_intransitive(rows):
-            i, j = bad
-            raise ValidationError(f"min_open violates transitivity at ({pts[i]!r}, {pts[j]!r})")
+    # in the class's own __dict__, where perfbench/spans.py wraps it
+    __post_init__ = _Relation.__post_init__
+    point_index = _Relation._index_of
 
     # -- construction --------------------------------------------------
 
@@ -320,9 +370,6 @@ class FiniteSpace(Value):
 
     # -- point and subset plumbing --------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def __repr__(self) -> str:
         table = ", ".join(
             f"{p}:{{{','.join(sorted(self.names_of(self.min_open[i])))}}}"
@@ -333,10 +380,6 @@ class FiniteSpace(Value):
     @property
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
-
-    @cached_property
-    def _index(self) -> dict:
-        return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
     def _lex_indices(self) -> tuple[int, ...]:
@@ -354,20 +397,11 @@ class FiniteSpace(Value):
         """The distinct point closures, in the same order."""
         return tuple(dict.fromkeys([self.point_closures[i] for i in self._lex_indices]))
 
-    def point_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValidationError(f"unknown point: {name!r}") from None
-
     def mask_of(self, names: Iterable[str]) -> int:
         mask = 0
         for name in names:
             mask |= 1 << self.point_index(name)
         return mask
-
-    def names_of(self, mask: int) -> frozenset[str]:
-        return frozenset(names_at(self.points, mask))
 
     # -- open and closed sets --------------------------------------------
 
@@ -463,9 +497,8 @@ class FiniteSpace(Value):
 class FiniteMap(Value):
     """Base of the maps between finite named sets, ``SpaceMap`` and
     ``order.MonotoneMap``: ``assignment[i]`` is the target index of source
-    member i. A subclass names its members (``_member``), the attribute
-    holding their names (``_names``) and the index lookup of its sets
-    (``_index_of``), which refuses an unknown name."""
+    member i. Source and target are ``_Relation`` values, read through
+    the base's names, member word and refusing lookup."""
 
     _fields = __match_args__ = ("source", "target", "assignment")
 
@@ -478,12 +511,13 @@ class FiniteMap(Value):
     def __post_init__(self):
         asg = tuple(self.assignment)
         object.__setattr__(self, "assignment", asg)
-        names = self._names(self.source)
+        names = self.source._names
         if len(asg) != len(names):
-            raise ValidationError(f"assignment must cover every source {self._member}")
+            raise ValidationError(f"assignment must cover every source {self.source._member}")
         n_target = len(self.target)
         for i, t in enumerate(asg):
-            if not isinstance(t, int) or t < 0 or t >= n_target:
+            # a bool is an int, but True would read as the index 1
+            if not isinstance(t, int) or isinstance(t, bool) or t < 0 or t >= n_target:
                 raise ValidationError(f"assignment for {names[i]!r} lands outside the target")
 
     @classmethod
@@ -492,23 +526,21 @@ class FiniteMap(Value):
         source name, in order, must be a key whose value names a target
         member; then every key must name a source member."""
         asg = []
-        for p in cls._names(source):
+        for p in source._names:
             if p not in mapping:
-                raise ValidationError(f"assignment missing source {cls._member} {p!r}")
-            asg.append(cls._index_of(target, mapping[p]))
+                raise ValidationError(f"assignment missing source {source._member} {p!r}")
+            asg.append(target._index_of(mapping[p]))
         for key in mapping:
-            cls._index_of(source, key)
+            source._index_of(key)
         return cls(source, target, tuple(asg))
 
     def __repr__(self) -> str:
-        targets = self._names(self.target)
-        pairs = ", ".join(
-            f"{p}->{targets[t]}" for p, t in zip(self._names(self.source), self.assignment)
-        )
+        targets = self.target._names
+        pairs = ", ".join(f"{p}->{targets[t]}" for p, t in zip(self.source._names, self.assignment))
         return f"{type(self).__name__}({pairs})"
 
     def apply(self, name: str) -> str:
-        return self._names(self.target)[self.assignment[self._index_of(self.source, name)]]
+        return self.target._names[self.assignment[self.source._index_of(name)]]
 
     def image_mask(self, source_mask: int) -> int:
         out = 0
@@ -530,9 +562,6 @@ class FiniteMap(Value):
 
 class SpaceMap(FiniteMap):
     """A point map between finite spaces; no continuity assumed until checked."""
-
-    _member, _names = "point", attrgetter("points")
-    _index_of = staticmethod(FiniteSpace.point_index)
 
     @classmethod
     def identity(cls, space: FiniteSpace) -> "SpaceMap":

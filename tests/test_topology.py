@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import helpers
 from stratkit import (
-    FiniteSpace, MonotoneMap, Poset, SpaceMap, ValidationError, Verdict, final_topology, load,
+    FiniteSpace, MonotoneMap, Poset, Proset, SpaceMap, ValidationError, Verdict, final_topology,
+    load,
 )
 
 
@@ -176,6 +177,104 @@ class TestValueSemantics:
             "Verdict(holds=False, witness=('a', 'b'), note='two-cycle')"
         )
         assert not Verdict(False) and not Verdict(False, "w", "n") and Verdict(True)
+
+
+class TestRelationMessages:
+    """``FiniteSpace`` and ``Proset`` validate the same data, names and one
+    reflexive, transitive bit row per name, and name each fault in their
+    own words. The checks run names, length, each row's range and
+    diagonal, then transitivity; the first fault found is reported."""
+
+    # (names, rows, the space's message, the preorder's message)
+    TABLE = {
+        "non-string name": (("a", 1), (1, 2), "point names must be nonempty strings, got 1",
+                            "element names must be nonempty strings, got 1"),
+        "empty name": (("a", ""), (1, 2), "point names must be nonempty strings, got ''",
+                       "element names must be nonempty strings, got ''"),
+        "duplicate name": (("a", "a"), (1, 2), "duplicate point names: 'a'",
+                           "duplicate element names: 'a'"),
+        "duplicate before length": (("a", "a"), (1,), "duplicate point names: 'a'",
+                                    "duplicate element names: 'a'"),
+        "length mismatch": (("a", "b"), (1,), "min_open must assign a neighborhood to every point",
+                            "relation must have a row for every element"),
+        "bool": (("a",), (True,), "min_open mask out of range for point 'a'",
+                 "relation row out of range at 'a'"),
+        "false": (("a",), (False,), "min_open mask out of range for point 'a'",
+                  "relation row out of range at 'a'"),
+        "string row": (("a",), ("1",), "min_open mask out of range for point 'a'",
+                       "relation row out of range at 'a'"),
+        "negative": (("a", "b"), (1, -2), "min_open mask out of range for point 'b'",
+                     "relation row out of range at 'b'"),
+        "oversized": (("a", "b"), (1, 4), "min_open mask out of range for point 'b'",
+                      "relation row out of range at 'b'"),
+        "missing diagonal": (("a", "b"), (1, 1), "min_open violates reflexivity at 'b'",
+                             "relation not reflexive: ('b', 'b') missing"),
+        "diagonal before bool": (("a", "b"), (2, True), "min_open violates reflexivity at 'a'",
+                                 "relation not reflexive: ('a', 'a') missing"),
+        "intransitive, repeated first row": (
+            tuple("abcd"), (0b0111, 0b0111, 0b1100, 0b1000),
+            "min_open violates transitivity at ('a', 'c')",
+            "relation not transitive: ('a', 'd') missing (given ('a', 'c') and ('c', 'd'))"),
+        "intransitive, repeated later row": (
+            tuple("abcde"), (0b00001, 0b01110, 0b01110, 0b11000, 0b10000),
+            "min_open violates transitivity at ('b', 'd')",
+            "relation not transitive: ('b', 'e') missing (given ('b', 'd') and ('d', 'e'))"),
+    }
+
+    @pytest.mark.parametrize("case", TABLE)
+    def test_construction_messages(self, case):
+        names, rows, space_message, order_message = self.TABLE[case]
+        for cls, message in ((FiniteSpace, space_message), (Proset, order_message),
+                             (Poset, order_message)):
+            with pytest.raises(ValidationError) as exc:
+                cls(names, rows)
+            assert str(exc.value) == message
+
+    def test_lookup_and_antisymmetry_messages(self):
+        space, order = FiniteSpace(("a",), (1,)), Proset(("a",), (1,))
+        lookups = [
+            (lambda: space.point_index("z"), "unknown point: 'z'"),
+            (lambda: space.mask_of(["a", "z"]), "unknown point: 'z'"),
+            (lambda: space.minimal_open("z"), "unknown point: 'z'"),
+            (lambda: order.element_index("z"), "unknown element: 'z'"),
+            (lambda: order.leq("a", "z"), "unknown element: 'z'"),
+            (lambda: order.up_set("z"), "unknown element: 'z'"),
+            (lambda: order.down_set("z"), "unknown element: 'z'"),
+            (lambda: Poset(("a", "b"), (3, 3)),
+             "relation not antisymmetric: ('a', 'b') and ('b', 'a') both present"),
+            (lambda: Poset(("b", "a", "c"), (7, 7, 4)),
+             "relation not antisymmetric: ('a', 'b') and ('b', 'a') both present"),
+        ]
+        for call, message in lookups:
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_equality_stays_by_class(self):
+        names, rows = ("a", "b"), (0b01, 0b10)
+        space, preorder, order = FiniteSpace(names, rows), Proset(names, rows), Poset(names, rows)
+        assert space != preorder and preorder != space
+        assert preorder != order and order != preorder
+        assert space != order and order != space
+
+    def test_length_and_names_are_shared(self):
+        names, rows = ("a", "b", "c"), (0b011, 0b010, 0b110)
+        for value in (FiniteSpace(names, rows), Proset(names, rows)):
+            assert len(value) == 3 and value.names_of(0b101) == frozenset({"a", "c"})
+
+    @pytest.mark.parametrize(
+        "map_type, make",
+        [(SpaceMap, FiniteSpace), (MonotoneMap, Proset)],
+        ids=["SpaceMap", "MonotoneMap"],
+    )
+    def test_maps_refuse_bool_targets(self, map_type, make):
+        # True is an int, and as the index 1 it would land inside the target
+        src = make(("a", "b"), (1, 2))
+        for assignment, bad in [((True, False), "a"), ((0, False), "b"), ((0, 1.0), "b")]:
+            with pytest.raises(ValidationError) as exc:
+                map_type(src, src, assignment)
+            assert str(exc.value) == f"assignment for {bad!r} lands outside the target"
+        assert map_type(src, src, (1, 0)).apply("a") == "b"
 
 
 class TestPointSetOperations:
