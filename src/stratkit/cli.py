@@ -146,39 +146,28 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
+def _words(value) -> str:
+    """A value of the report's JSON dict as text: a bool as true or false,
+    a dict as its key=value pairs in order."""
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_words(item)}" for key, item in value.items())
+    return str(value).lower() if isinstance(value, bool) else value
+
+
 def _report_text(report) -> str:
-    lines = [f"verdict: {report.verdict()}"]
-    for group_name, group in (
-        ("alexandrov", report.alexandrov),
-        ("frontier", report.frontier),
-        ("poset_stratified", report.poset_stratified),
-    ):
-        flags = " ".join(
-            f"{label}={str(value).lower()}" for label, value in zip(group.labels, group.values)
-        )
-        lines.append(f"{group_name}: {flags}")
-    lines.append("locally_finite: true")  # every finite decomposition is locally finite
-    lines.append(
-        "locally_closed: "
-        + " ".join(f"{sid}={str(v).lower()}" for sid, v in report.locally_closed)
-    )
-    strat = report.stratification
-    lines.append(f"stratification: {str(strat.holds).lower()}")
-    for reason in strat.reasons:
-        lines.append(f"  - {reason}")
-    semi = report.semicontinuity
-    lines.append(
-        "semicontinuity: "
-        f"sat_open_open={str(semi.sat_open_open).lower()} "
-        f"sat_closed_closed={str(semi.sat_closed_closed).lower()} "
-        f"pi_open={str(semi.pi_open).lower()} "
-        f"pi_closed={str(semi.pi_closed).lower()} "
-        f"label={semi.label}"
-    )
-    if report.witnesses:
+    """The text rendering of the report's JSON dict: the verdict, one line
+    per group, the stratification's reasons and the witnesses."""
+    data = report.to_json_dict()
+    lines = [f"verdict: {data['verdict']}"]
+    for key in ("alexandrov", "frontier", "poset_stratified", "locally_finite", "locally_closed"):
+        lines.append(f"{key}: {_words(data[key])}")
+    strat = data["stratification"]
+    lines.append(f"stratification: {_words(strat['holds'])}")
+    lines += [f"  - {reason}" for reason in strat["reasons"]]
+    lines.append(f"semicontinuity: {_words(data['semicontinuity'])}")
+    if data["witnesses"]:
         lines.append("witnesses:")
-        for label, text in report.witnesses:
-            lines.append(f"  {label}: {text}")
+        lines += [f"  {label}: {text}" for label, text in data["witnesses"].items()]
     return "\n".join(lines) + "\n"
 
 

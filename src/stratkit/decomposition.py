@@ -35,10 +35,12 @@ What runs in ``classify``:
 * Alexandrov: the fixpoint rows have open preimages; the preorder's
   up-sets equal the quotient's minimal opens; continuity into the
   preorder topology.
-* frontier: per stratum, the strata whose closures it meets against
-  those whose closures contain it, closures as preimages of the
-  preorder's down-sets, the second row against the preorder's up-set,
-  and openness of the quotient map.
+* frontier: per stratum, the strata whose closures it meets
+  (``topology.rows_meeting`` over the closures) against those whose
+  closures contain it, closures against the minimal closed saturations
+  (the preimages of the preorder's down-sets, computed once and shared
+  with the poset-stratified group), the second row against the
+  preorder's up-set, and openness of the quotient map.
 * poset-stratified: the preorder is antisymmetric (some partial order
   makes the quotient map continuous exactly when the preorder, the least
   candidate, is one), antisymmetric with a continuous map, and strata open
@@ -66,14 +68,14 @@ one decomposition.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, tee
+from itertools import compress, repeat, tee
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .order import Poset, Proset, reflexive_transitive_closure, specialization_preorder
 from .topology import (
-    FiniteSpace, Value, Verdict, iter_bits, names_at, preimage_of, rows_within
+    FiniteSpace, Value, Verdict, iter_bits, names_at, preimage_of, rows_meeting, rows_within
 )
 
 #: The decomposition preorder is an ordinary preorder on stratum ids.
@@ -182,7 +184,7 @@ class Decomposition(Value):
     ``strata`` holds (stratum id, point mask) pairs with the ids strictly
     sorted. Strata must be nonempty, pairwise disjoint, and cover the
     space. The induced quotient map sends a point to the id of its
-    stratum.
+    stratum; the strata are its fibers, and the one record of it.
     """
 
     _fields = __match_args__ = ("space", "strata")
@@ -251,14 +253,6 @@ class Decomposition(Value):
     def k(self) -> int:
         return len(self.strata)
 
-    @cached_property
-    def _point_to_stratum(self) -> tuple[int, ...]:
-        out = [0] * len(self.space.points)
-        for t, mask in enumerate(self.masks):
-            for i in iter_bits(mask):
-                out[i] = t
-        return tuple(out)
-
     def stratum(self, sid: str) -> frozenset[str]:
         for s, mask in self.strata:
             if s == sid:
@@ -267,14 +261,8 @@ class Decomposition(Value):
 
     def pi(self, point: str) -> str:
         """Stratum id of a point: the decomposition map."""
-        return self.ids[self._point_to_stratum[self.space.point_index(point)]]
-
-    def _strata_meeting_mask(self, point_mask: int) -> int:
-        out = 0
-        for t, mask in enumerate(self.masks):
-            if mask & point_mask:
-                out |= 1 << t
-        return out
+        image = rows_meeting(self.masks, 1 << self.space.point_index(point))
+        return self.ids[image.bit_length() - 1]
 
     # -- stratum-level relations ---------------------------------------------
 
@@ -291,7 +279,16 @@ class Decomposition(Value):
     @cached_property
     def _reach(self) -> tuple[int, ...]:
         """``_reach[t]``: the strata meeting the open hull of stratum t."""
-        return tuple([self._strata_meeting_mask(hull) for hull in self._hulls])
+        return tuple([rows_meeting(self.masks, hull) for hull in self._hulls])
+
+    @cached_property
+    def _closed_saturations(self) -> tuple[int, ...]:
+        """The minimal closed saturation of each stratum: the union of the
+        strata in its down-set under the decomposition preorder, found once
+        for each distinct down-set (the strata of one class share it)."""
+        downs = self.preorder.down
+        union = {down: preimage_of(self.masks, down) for down in set(downs)}
+        return tuple([union[down] for down in downs])
 
     def _preimage_is_open(self, idx_mask: int) -> bool:
         """Whether the union of the strata in ``idx_mask`` is open: every
@@ -411,7 +408,7 @@ class Decomposition(Value):
         # per stratum, two rows over the strata, each built when a scan
         # reaches it: the closures the stratum meets, and those containing it
         bits = [1 << j for j in range(self.k)]
-        meets = (sum(compress(bits, map(mask.__and__, closures))) for mask in masks)
+        meets = map(rows_meeting, repeat(closures), masks)
         inside, inside_again = tee(
             sum(compress(bits, map(mask.__eq__, map(mask.__and__, closures)))) for mask in masks
         )
@@ -425,16 +422,15 @@ class Decomposition(Value):
                 f"{self.ids[bad[1]]!r} without being contained in it",
             ))
 
-        p = self.preorder
-        bad = next((j for j in range(self.k) if closures[j] != preimage_of(masks, p.down[j])), None)
+        bad = _first_difference(closures, self._closed_saturations)
         closure_is_saturation = bad is None
         if not closure_is_saturation:
             witnesses.append((
                 "closure_is_minimal_closed_saturation",
-                f"closure of stratum {self.ids[bad]!r} is not a union of strata",
+                f"closure of stratum {self.ids[bad[0]]!r} is not a union of strata",
             ))
 
-        bad = _first_difference(p.up, inside_again)
+        bad = _first_difference(self.preorder.up, inside_again)
         order_matches = bad is None
         if not order_matches:
             witnesses.append((
@@ -482,7 +478,7 @@ class Decomposition(Value):
     def _images(self, basics: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         """Each basic set with its image, the strata it meets, computed only
         when reached: the verdicts stop at their first failure."""
-        return zip(basics, map(self._strata_meeting_mask, basics))
+        return zip(basics, map(rows_meeting, repeat(self.masks), basics))
 
     def _open_into(self, up_rows: tuple[int, ...]) -> Verdict:
         """Openness: each minimal open has an up-closed image; the witness is
@@ -524,8 +520,8 @@ class Decomposition(Value):
 
         # the minimal opens of a stratum's points cover its open hull
         cond3 = not any(
-            self._hulls[i] & preimage_of(self.masks, p.down[i]) & ~self.masks[i]
-            for i in range(self.k)
+            hull & saturation & ~mask
+            for hull, saturation, mask in zip(self._hulls, self._closed_saturations, self.masks)
         )
 
         return _agree(

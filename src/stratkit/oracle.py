@@ -68,7 +68,7 @@ from .order import (
 )
 from .topology import (
     FiniteSpace, SpaceMap, Value, final_topology, iter_bits, min_open_rows, preimage_of,
-    rows_within, transpose,
+    rows_meeting, rows_within, transpose,
 )
 
 #: Known totals (OEIS A000798, A001035, A000110), checked by the tests.
@@ -422,9 +422,14 @@ def alexandrov_by_subset_filter(
 
 def semicontinuity_matches_point_map(dec: Decomposition) -> bool:
     """The stratum-level openness and closedness of the quotient map, and
-    the openness witness, against the point-level ``SpaceMap`` of it."""
+    the openness witness, against the point-level ``SpaceMap`` of it, whose
+    assignment is read off the strata bit by bit: no image routine is shared."""
     semi = dec.semicontinuity()
-    pi = SpaceMap(dec.space, dec.quotient_space, dec._point_to_stratum)
+    assignment = [0] * len(dec.space.points)
+    for t, mask in enumerate(dec.masks):
+        for i in iter_bits(mask):
+            assignment[i] = t
+    pi = SpaceMap(dec.space, dec.quotient_space, tuple(assignment))
     opn = pi.is_open()
     return (semi.pi_open, semi.pi_closed, dec._quotient_open.witness) == (
         opn.holds, pi.is_closed().holds, opn.witness
@@ -441,7 +446,7 @@ def preorder_matches_closed_saturations(dec: Decomposition) -> bool:
     """
     p = dec.preorder
     saturations = reflexive_transitive_closure(
-        [dec._strata_meeting_mask(closure) for closure in dec._closures]
+        [rows_meeting(dec.masks, closure) for closure in dec._closures]
     )
     for j, saturation in enumerate(saturations):
         if saturation != p.down[j]:

@@ -252,6 +252,8 @@ class Poset(Proset):
 class MonotoneMap(FiniteMap):
     """A map between prosets; monotonicity is a check, not an invariant."""
 
+    _value = Proset
+
     def is_monotone(self) -> Verdict:
         """Whether a <= b implies f(a) <= f(b). The witness on failure is the
         first element a by name with a failing b, and the least such b by

@@ -15,15 +15,18 @@ negative mask or one with bits beyond the points (ValidationError).
 A relation is held as bit rows too. The kernel below is the one place the
 per-bit loops over rows live, for spaces, orders, decompositions and the
 oracle alike: ``preimage_of`` (the union of the rows a mask selects, also
-openness, open hulls and closures), ``transpose``, ``first_intransitive``
-and ``rows_within``. Each kernel function picks its method from the size
-of its input alone, with crossovers measured on Python 3.11 (each
-docstring gives the figures). ``preimage_of`` ORs the rows of a mask
-above 0xFFF with more than (n + 128) / 16 bits in one C pass
-(``compress`` and ``reduce``), on any number of rows n; on more than 64
-rows, ``transpose`` reads each column of a relation whose distinct rows
-hold more than n * (n + 256) / 128 bits as one slice of a string of
-binary digits; smaller or sparser input walks the bits one at a time.
+openness, open hulls and closures), ``rows_meeting`` (the indices of the
+rows that meet a mask: on the strata of a decomposition, the image of a
+point set under the quotient map), ``transpose``, ``first_intransitive``
+and ``rows_within``. ``rows_meeting`` is one plain loop over the rows;
+each other kernel function picks its method from the size of its input
+alone, with crossovers measured on Python 3.11 (each docstring gives the
+figures). ``preimage_of`` ORs the rows of a mask above 0xFFF with more
+than (n + 128) / 16 bits in one C pass (``compress`` and ``reduce``), on
+any number of rows n; on more than 64 rows, ``transpose`` reads each
+column of a relation whose distinct rows hold more than n * (n + 256) /
+128 bits as one slice of a string of binary digits; smaller or sparser
+input walks the bits one at a time.
 ``first_intransitive`` tests each distinct row with ``preimage_of``, so
 it takes the C pass on the wide rows of dense relations. Either way the
 result is the same.
@@ -37,7 +40,9 @@ templates), ``_index`` and the refusing lookup, ``__len__`` and
 indices, read through ``_Relation``, with one construction check, one
 image and preimage plumbing, and one ``from_names``, which refuses a
 missing source name, an unknown target name and a key that names no
-source member.
+source member. Each map type names its value type (``_value``): a
+``SpaceMap`` joins two ``FiniteSpace`` values and a ``MonotoneMap`` two
+``Proset`` values; construction refuses any other source or target.
 
 The validated types here and in ``order`` and ``decomposition`` subclass
 ``Value``: an explicit ``__init__`` stores the fields named in ``_fields``
@@ -107,6 +112,18 @@ def preimage_of(rows: Sequence[int], mask: int) -> int:
         low = mask & -mask
         out |= rows[low.bit_length() - 1]
         mask ^= low
+    return out
+
+
+def rows_meeting(rows: Sequence[int], mask: int) -> int:
+    """The indices of the rows that meet ``mask``, as a mask: on the fibers
+    of a map, the image of the mask. One pass over the rows, measured on
+    Python 3.11 at 0.45 to 2.7 us on 2 to 15 rows against 1.0 to 2.7 us
+    for a ``compress`` pass, and 13.7 against 11.5 us on 64 rows."""
+    out = 0
+    for t, row in enumerate(rows):
+        if row & mask:
+            out |= 1 << t
     return out
 
 
@@ -341,7 +358,6 @@ class FiniteSpace(_Relation):
         """
         pts = checked_names(points)
         index = {p: i for i, p in enumerate(pts)}
-        full = (1 << len(pts)) - 1
         gen_masks = []
         for gen in generators:
             mask = 0
@@ -350,14 +366,7 @@ class FiniteSpace(_Relation):
                     raise ValidationError(f"generator mentions unknown point: {q!r}")
                 mask |= 1 << index[q]
             gen_masks.append(mask)
-        rows = []
-        for i in range(len(pts)):
-            mask = full
-            for g in gen_masks:
-                if (g >> i) & 1:
-                    mask &= g
-            rows.append(mask)
-        return cls(pts, tuple(rows))
+        return cls(pts, min_open_rows(len(pts), gen_masks))
 
     @classmethod
     def discrete(cls, points: Iterable[str]) -> "FiniteSpace":
@@ -479,15 +488,13 @@ class FiniteSpace(_Relation):
     def subspace(self, names: Iterable[str]) -> "FiniteSpace":
         """Subspace topology: neighborhoods intersected with the subset."""
         mask = self.mask_of(names)
-        kept = [i for i in range(len(self.points)) if (mask >> i) & 1]
-        reindex = {old: new for new, old in enumerate(kept)}
-        rows = []
-        for old in kept:
-            row = 0
-            for j in iter_bits(self.min_open[old] & mask):
-                row |= 1 << reindex[j]
-            rows.append(row)
-        return FiniteSpace(tuple(self.points[i] for i in kept), tuple(rows))
+        kept = list(iter_bits(mask))
+        # the new bit of each old point, read by preimage_of
+        bits = [0] * len(self.points)
+        for new, old in enumerate(kept):
+            bits[old] = 1 << new
+        rows = tuple([preimage_of(bits, self.min_open[old] & mask) for old in kept])
+        return FiniteSpace(tuple([self.points[i] for i in kept]), rows)
 
     def is_t0(self) -> bool:
         """No two distinct points share the same minimal open neighborhood."""
@@ -497,10 +504,12 @@ class FiniteSpace(_Relation):
 class FiniteMap(Value):
     """Base of the maps between finite named sets, ``SpaceMap`` and
     ``order.MonotoneMap``: ``assignment[i]`` is the target index of source
-    member i. Source and target are ``_Relation`` values, read through
-    the base's names, member word and refusing lookup."""
+    member i. Source and target are values of the subclass's ``_value``
+    type, read through the ``_Relation`` names, member word and refusing
+    lookup."""
 
     _fields = __match_args__ = ("source", "target", "assignment")
+    _value: type = _Relation
 
     def __init__(self, source, target, assignment: tuple[int, ...]):
         object.__setattr__(self, "source", source)
@@ -509,6 +518,10 @@ class FiniteMap(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        for end, value in (("source", self.source), ("target", self.target)):
+            if not isinstance(value, self._value):
+                kind, got = self._value.__name__, type(value).__name__
+                raise ValidationError(f"{type(self).__name__} {end} must be a {kind}, got {got}")
         asg = tuple(self.assignment)
         object.__setattr__(self, "assignment", asg)
         names = self.source._names
@@ -563,6 +576,8 @@ class FiniteMap(Value):
 class SpaceMap(FiniteMap):
     """A point map between finite spaces; no continuity assumed until checked."""
 
+    _value = FiniteSpace
+
     @classmethod
     def identity(cls, space: FiniteSpace) -> "SpaceMap":
         return cls(space, space, tuple(range(len(space.points))))
@@ -609,16 +624,6 @@ class SpaceMap(FiniteMap):
                     note="closed set whose image is not closed",
                 )
         return Verdict(True)
-
-    def check(self, mode: str) -> Verdict:
-        """Dispatch on mode: one of continuous, open, closed."""
-        if mode == "continuous":
-            return self.is_continuous()
-        if mode == "open":
-            return self.is_open()
-        if mode == "closed":
-            return self.is_closed()
-        raise ValidationError(f"unknown map-check mode: {mode!r}")
 
 
 def min_open_rows(n: int, opens: Iterable[int]) -> tuple[int, ...]:

@@ -164,21 +164,58 @@ def brute_map_checks(f) -> tuple[bool, bool, bool]:
     return cont, opn, cls
 
 
+def stratum_assignment(dec: Decomposition) -> tuple[int, ...]:
+    """The stratum index of each point, read from the strata by point name:
+    the quotient map's assignment, built without the library's image
+    routine (``topology.rows_meeting``)."""
+    space = dec.space
+    index = {name: t for t, (_, mask) in enumerate(dec.strata) for name in space.names_of(mask)}
+    return tuple(index[name] for name in space.points)
+
+
 def point_map(dec: Decomposition, order: Poset | None = None) -> SpaceMap:
     """The quotient map of ``dec`` point by point: into the quotient space,
     or into the order topology of ``order``, a partial order on the stratum
     ids. The reference for the stratum-level verdicts of the library."""
+    assignment = stratum_assignment(dec)
     if order is None:
-        return SpaceMap(dec.space, dec.quotient_space, dec._point_to_stratum)
-    return SpaceMap.from_names(
-        dec.space, alexandrov_space(order), {p: dec.pi(p) for p in dec.space.points}
-    )
+        return SpaceMap(dec.space, dec.quotient_space, assignment)
+    mapping = {p: dec.ids[t] for p, t in zip(dec.space.points, assignment)}
+    return SpaceMap.from_names(dec.space, alexandrov_space(order), mapping)
+
+
+def image_by_assignment(assignment, point_mask: int) -> int:
+    """The image of a set of points under a map given as its assignment,
+    one point at a time."""
+    return sum({1 << assignment[i] for i in iter_bits(point_mask)})
 
 
 def strata_meeting(dec: Decomposition, point_mask: int) -> int:
     """The strata of ``dec`` that meet a set of points, by a scan over every
     stratum: the stratum image of the set."""
-    return sum(1 << t for t, mask in enumerate(dec.masks) if mask & point_mask)
+    return rows_meeting_by_scan(dec.masks, point_mask)
+
+
+def rows_meeting_by_scan(rows, mask: int) -> int:
+    """``topology.rows_meeting``: the indices of the rows that meet the
+    mask, each row tested against each bit of the mask in turn."""
+    return sum(
+        1 << t for t, row in enumerate(rows) if any(row >> i & 1 for i in iter_bits(mask))
+    )
+
+
+def subspace_by_bits(space: FiniteSpace, names) -> FiniteSpace:
+    """``FiniteSpace.subspace`` by reindexing each neighborhood bit by bit."""
+    mask = space.mask_of(names)
+    kept = [i for i in range(len(space.points)) if (mask >> i) & 1]
+    reindex = {old: new for new, old in enumerate(kept)}
+    rows = []
+    for old in kept:
+        row = 0
+        for j in iter_bits(space.min_open[old] & mask):
+            row |= 1 << reindex[j]
+        rows.append(row)
+    return FiniteSpace(tuple(space.points[i] for i in kept), tuple(rows))
 
 
 def brute_saturations(dec) -> tuple[bool, bool]:
@@ -206,7 +243,7 @@ def subset_filter_report(dec) -> dict:
     k = dec.k
     quotient, family = quotient_space_by_subset_filter(dec)
     p = specialization_preorder(quotient)
-    pi = SpaceMap(space, quotient, dec._point_to_stratum)
+    pi = SpaceMap(space, quotient, stratum_assignment(dec))
     closures = [space.closure_mask(mask) for mask in dec.masks]
 
     alexandrov = alexandrov_by_subset_filter(dec, quotient, family)

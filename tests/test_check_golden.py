@@ -1,10 +1,13 @@
-"""`stratkit check --format json` stdout, pinned byte for byte.
+"""`stratkit check` stdout, in both formats, pinned byte for byte.
 
-The golden digests in ``data/check_json_golden.json`` were captured from
-the subset-filter implementation of ``classify``; the stratum-level kernel
-must reproduce its reports exactly. The documents are every fixture, a
-few face-poset models and a fixed list of seeded generated decompositions
-with at most 20 strata.
+The golden digests of ``--format json`` in ``data/check_json_golden.json``
+were captured from the subset-filter implementation of ``classify``; the
+stratum-level kernel must reproduce its reports exactly. The digests of
+the default text format (``text_stdout_sha256``) were captured later, from
+the text renderer that walked the report's fields; the renderer that
+reads the JSON dict must reproduce them. The documents are every fixture,
+a few face-poset models and a fixed list of seeded generated
+decompositions with at most 20 strata.
 
 This module needs only the standard library (pytest parametrizes the
 per-document test through ``pytest_generate_tests``), so the digests can be
@@ -60,8 +63,13 @@ def doc_ids() -> list[str]:
     return ids
 
 
-def run_check(text: str) -> tuple[int, bytes]:
-    code, out, _ = run_main(["check", "-", "--format", "json"], text)
+JSON = ("--format", "json")
+
+
+def run_check(text: str, *options: str) -> tuple[int, bytes]:
+    """Exit code and stdout of ``stratkit check -`` with the options; with
+    none, the default text format."""
+    code, out, _ = run_main(["check", "-", *options], text)
     return code, out.encode()
 
 
@@ -73,9 +81,12 @@ def capture() -> dict:
     golden = {}
     for doc_id in doc_ids():
         text = document_text(doc_id)
-        code, out = run_check(text)
+        code, out = run_check(text, *JSON)
+        text_code, text_out = run_check(text)
+        assert text_code == code, doc_id
         golden[doc_id] = {"document_sha256": sha256(text.encode()), "exit": code,
-                          "stdout_sha256": sha256(out)}
+                          "stdout_sha256": sha256(out),
+                          "text_stdout_sha256": sha256(text_out)}
     return golden
 
 
@@ -88,9 +99,11 @@ def mismatch(doc_id: str) -> str | None:
     entry = GOLDEN[doc_id]
     if sha256(text.encode()) != entry["document_sha256"]:
         return "input document drifted"
-    code, out = run_check(text)
-    if (code, sha256(out)) != (entry["exit"], entry["stdout_sha256"]):
-        return f"exit {code}, stdout sha256 {sha256(out)}"
+    for options, key in ((JSON, "stdout_sha256"), ((), "text_stdout_sha256")):
+        code, out = run_check(text, *options)
+        if (code, sha256(out)) != (entry["exit"], entry[key]):
+            shown = " ".join(options) or "(default text)"
+            return f"check {shown}: exit {code}, stdout sha256 {sha256(out)}"
     return None
 
 
@@ -103,7 +116,7 @@ def test_golden_covers_every_document():
     assert sorted(GOLDEN) == sorted(doc_ids())
 
 
-def test_check_json_is_byte_identical(doc_id):
+def test_check_stdout_is_byte_identical(doc_id):
     assert mismatch(doc_id) is None
 
 
@@ -115,7 +128,7 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["--check"]:
         test_golden_covers_every_document()
         bad = [(doc_id, problem) for doc_id in doc_ids() if (problem := mismatch(doc_id))]
-        print(f"{len(doc_ids()) - len(bad)}/{len(doc_ids())} check --format json digests match")
+        print(f"{len(doc_ids()) - len(bad)}/{len(doc_ids())} check json and text digests match")
         for doc_id, problem in bad:
             print(f"mismatch: {doc_id}: {problem}")
         raise SystemExit(1 if bad else 0)

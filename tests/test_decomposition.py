@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,7 @@ from stratkit.oracle import (
     quotient_space_by_subset_filter,
     set_partitions,
 )
-from stratkit.topology import rows_within
+from stratkit.topology import rows_meeting, rows_within
 
 
 def all_instances(max_n: int):
@@ -91,6 +93,14 @@ class TestConstruction:
 
     def test_pi(self, line_3):
         assert line_3.pi("m") == "S0" and line_3.pi("p") == "S1"
+
+    def test_pi_names_the_stratum_holding_each_point(self):
+        wide = alexandrov_space(generate("preorder", 100, {"density": 0.05}, 3).value)
+        decs = [*all_instances(3), Decomposition.pointwise(wide)]
+        decs += [generated_decomposition(n, 0.05, k, n + k) for n, k in [(30, 7), (300, 64)]]
+        for dec in decs:
+            holder = {p: sid for sid, mask in dec.strata for p in dec.space.names_of(mask)}
+            assert {p: dec.pi(p) for p in dec.space.points} == holder
 
     def test_empty_decomposition_is_legal(self):
         dec = Decomposition.from_strata(FiniteSpace.empty(), {})
@@ -656,6 +666,28 @@ class TestStratumKernel:
         assert {
             label: text for label, text in report.witnesses if label != "quotient_map_open"
         } == witnesses
+
+    @given(
+        n=st.integers(0, 300),
+        k=st.integers(1, 100),
+        seed=st.integers(0, 2**32),
+        empty=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_meeting_is_the_image_through_the_named_assignment(self, n, k, seed, empty):
+        # the strata are fibers: the strata a point set meets are its image
+        k = min(k, n)
+        rng = random.Random(seed)
+        points = [f"p{i}" for i in range(n)]
+        blocks = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(blocks)
+        strata = {f"s{b}": [p for p, c in zip(points, blocks) if c == b] for b in range(k)}
+        dec = Decomposition.from_strata(FiniteSpace.discrete(points), strata)
+        assignment = helpers.stratum_assignment(dec)
+        for _ in range(4):
+            mask = 0 if empty else rng.getrandbits(n) & rng.getrandbits(n)
+            expected = helpers.image_by_assignment(assignment, mask)
+            assert rows_meeting(dec.masks, mask) == expected
 
     def test_octahedron_pointwise_is_a_stratification(self):
         # 26 strata: one vertex from each antipodal pair {a, f}, {b, c}, {d, e}

@@ -7,6 +7,7 @@ the whole package long before these tests run.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -164,3 +165,35 @@ def test_unknown_attribute_is_an_attribute_error():
         stratkit.nope  # noqa: B018
     with pytest.raises(ImportError):
         from stratkit import nope  # noqa: F401
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that the module-level imports of ``source`` bind and the
+    module never reads, ``from __future__`` imports aside. A name counts as
+    read where the module loads it as a variable (``topology`` in
+    ``topology.MAX_POINTS`` too)."""
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_guard_sees_an_unused_name():
+    assert unused_imports("import os\nfrom a.b import c, d as e\nprint(e)\n") == ["os", "c"]
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+def test_every_module_level_import_is_used():
+    package = Path(stratkit.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}

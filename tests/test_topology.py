@@ -144,6 +144,31 @@ class TestValueSemantics:
         with pytest.raises(ValidationError, match=r"^assignment for 'p' lands outside the target$"):
             SpaceMap(space, space, (0, 1, 3))
 
+    def test_maps_refuse_the_wrong_value_type(self):
+        # each map type takes its own values, checked before the assignment
+        space, preorder = FiniteSpace(("a", "b"), (1, 2)), Proset(("a", "b"), (1, 2))
+        order = Poset(("a", "b"), (1, 2))
+        for map_type, source, target, message in [
+            (SpaceMap, preorder, preorder, "SpaceMap source must be a FiniteSpace, got Proset"),
+            (SpaceMap, space, order, "SpaceMap target must be a FiniteSpace, got Poset"),
+            (SpaceMap, space, 3, "SpaceMap target must be a FiniteSpace, got int"),
+            (MonotoneMap, space, space, "MonotoneMap source must be a Proset, got FiniteSpace"),
+            (MonotoneMap, order, space, "MonotoneMap target must be a Proset, got FiniteSpace"),
+            (MonotoneMap, None, order, "MonotoneMap source must be a Proset, got NoneType"),
+        ]:
+            for assignment in [(0, 1), (0,)]:
+                with pytest.raises(ValidationError) as exc:
+                    map_type(source, target, assignment)
+                assert str(exc.value) == message
+            # from_names reads the names of both ends before it builds the map
+            if all(isinstance(end, (FiniteSpace, Proset)) for end in (source, target)):
+                with pytest.raises(ValidationError) as exc:
+                    map_type.from_names(source, target, {"a": "a", "b": "b"})
+                assert str(exc.value) == message
+        # a poset is a proset
+        assert MonotoneMap(order, preorder, (0, 1)).is_monotone()
+        assert MonotoneMap.from_names(preorder, order, {"a": "b", "b": "a"}).apply("a") == "b"
+
     @pytest.mark.parametrize(
         "map_type, make, member",
         [
@@ -411,13 +436,27 @@ class TestSubspace:
         with pytest.raises(ValidationError, match="unknown point"):
             pseudo_circle_space().subspace(("q",))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_subspace_matches_the_per_bit_reference(self, data):
+        space = data.draw(random_spaces(max_points=12), label="space")
+        names = data.draw(st.sets(st.sampled_from(space.points)) if space.points else st.just(()))
+        assert space.subspace(names) == helpers.subspace_by_bits(space, names)
+
+    @pytest.mark.parametrize("n", [65, 300])
+    def test_wide_subspaces_match_the_per_bit_reference(self, n):
+        rng = random.Random(n)
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)), wide_preorder(n, "mixed", seed=2))
+        for _ in range(4):
+            names = rng.sample(space.points, rng.randrange(n + 1))
+            assert space.subspace(names) == helpers.subspace_by_bits(space, names)
+
 
 class TestSpaceMap:
-    def test_identity_all_modes(self):
+    def test_identity_is_continuous_open_and_closed(self):
         for space in helpers.all_spaces(2):
             ident = SpaceMap.identity(space)
-            for mode in ("continuous", "open", "closed"):
-                assert ident.check(mode)
+            assert ident.is_continuous() and ident.is_open() and ident.is_closed()
 
     def test_preimage_is_the_points_mapped_into_the_set(self):
         source, target = FiniteSpace.discrete("abcd"), FiniteSpace.discrete("xyz")
@@ -441,10 +480,10 @@ class TestSpaceMap:
         assert f.is_continuous()
         assert f.is_closed()
 
-    def test_unknown_mode(self):
+    def test_checks_are_methods_without_a_mode_string(self):
         f = SpaceMap.identity(FiniteSpace.empty())
-        with pytest.raises(ValidationError, match="mode"):
-            f.check("homeomorphic")
+        assert not hasattr(f, "check")
+        assert [f.is_continuous(), f.is_open(), f.is_closed()] == [Verdict(True)] * 3
 
     def test_assignment_must_be_total(self, sierpinski):
         with pytest.raises(ValidationError, match="missing source point"):
@@ -828,3 +867,28 @@ class TestBitRowKernel:
             assert type(wide.value) is IndexError
             assert str(wide.value) == str(narrow.value)
 
+
+    # -- rows_meeting: one pass over the rows, at every size
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_meeting_matches_a_per_row_scan(self, data):
+        from stratkit import topology
+
+        n = data.draw(st.integers(0, 300), label="rows")
+        width = data.draw(st.integers(1, 300), label="columns")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        bits = data.draw(st.sampled_from((1, 3, width)), label="bits a row")
+        rows = [sum(1 << rng.randrange(width) for _ in range(bits)) for _ in range(n)]
+        mask = data.draw(st.just(0) | st.integers(0, (1 << width) - 1), label="mask")
+        assert topology.rows_meeting(rows, mask) == helpers.rows_meeting_by_scan(rows, mask)
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 300])
+    def test_rows_meeting_on_point_closures(self, n):
+        from stratkit import topology
+
+        space = FiniteSpace(tuple(f"p{i}" for i in range(n)), wide_preorder(n, "mixed", seed=n))
+        rng = random.Random(n)
+        for mask in [0, 1, space.full_mask, *(rng.getrandbits(n) for _ in range(6))]:
+            expected = helpers.rows_meeting_by_scan(space.point_closures, mask)
+            assert topology.rows_meeting(space.point_closures, mask) == expected
