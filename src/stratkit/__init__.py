@@ -17,9 +17,7 @@ _EXPORTS = {
     "AdjunctionReport": "order",
     "AgreementReport": "decomposition",
     "ClassificationReport": "decomposition",
-    "CompatibleOrdersReport": "oracle",
     "Decomposition": "decomposition",
-    "DecompositionPreorder": "decomposition",
     "Document": "documents",
     "FaceModel": "fixtures",
     "FiniteSpace": "topology",
@@ -32,7 +30,6 @@ _EXPORTS = {
     "PosetStratification": "decomposition",
     "PreconditionError": "errors",
     "Proset": "order",
-    "RefinementReport": "oracle",
     "SemicontinuityReport": "decomposition",
     "SpaceMap": "topology",
     "SplitMix64": "generate",

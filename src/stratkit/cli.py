@@ -256,9 +256,9 @@ def _cmd_theorem_b(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import exhaustive_verify
+    from .oracle import MAX_SWEEP_POINTS, exhaustive_verify
 
-    max_n = 4 if args.max_points is None else max(4, args.max_points)
+    max_n = max(MAX_SWEEP_POINTS, args.max_points or 0)
     report = exhaustive_verify(args.points, max_n=max_n)
     if args.format == "json":
         _emit(report.to_json())

@@ -78,10 +78,6 @@ from .topology import (
     FiniteSpace, Value, Verdict, iter_bits, names_at, preimage_of, rows_meeting, rows_within
 )
 
-#: The decomposition preorder is an ordinary preorder on stratum ids.
-DecompositionPreorder = Proset
-
-
 class AgreementReport(NamedTuple):
     """Independently computed values of one equivalence group.
 
@@ -328,7 +324,7 @@ class Decomposition(Value):
     # -- decomposition preorder ---------------------------------------------
 
     @cached_property
-    def preorder(self) -> DecompositionPreorder:
+    def preorder(self) -> Proset:
         """Specialization preorder of the quotient: i <= j iff i in closure({j}).
 
         The up-set of i is the minimal open of i in the quotient. The
@@ -555,8 +551,8 @@ class Decomposition(Value):
         """Behavior of the quotient map into the order topology of a given
         partial order on the stratum ids.
 
-        Ids with no preimage cannot appear: the order elements must be
-        exactly the stratum ids.
+        Ids with no preimage cannot appear: the order must be a ``Poset``
+        on exactly the stratum ids.
         """
         up_rows = _order_rows(self, order)
         cont, opn = self._continuous_into(up_rows), self._open_into(up_rows)
@@ -605,15 +601,16 @@ class Decomposition(Value):
 
 
 def _order_rows(d: Decomposition, order: Poset) -> tuple[int, ...]:
-    """The up-set rows of ``order`` reindexed to the sorted ``d.ids``; the
-    order elements must be exactly the stratum ids."""
-    extra = set(order.elements) - set(d.ids)
-    if extra:
+    """The up-set rows of ``order`` reindexed to the sorted ``d.ids``: the
+    one door for a supplied order, which must be a ``Poset`` on exactly
+    the stratum ids."""
+    if not isinstance(order, Poset):
+        raise ValidationError(f"order must be a Poset, got {type(order).__name__}")
+    if extra := set(order.elements) - set(d.ids):
         raise ValidationError(
             f"order element {sorted(extra)[0]!r} has empty preimage in the decomposition"
         )
-    missing = set(d.ids) - set(order.elements)
-    if missing:
+    if missing := set(d.ids) - set(order.elements):
         raise ValidationError(f"order is missing stratum id {sorted(missing)[0]!r}")
     position = {sid: 1 << i for i, sid in enumerate(d.ids)}
     bits = [position[e] for e in order.elements]
@@ -623,7 +620,8 @@ def _order_rows(d: Decomposition, order: Poset) -> tuple[int, ...]:
 class PosetStratification(Value):
     """A decomposition together with a partial order on its stratum ids
     making the quotient map a continuous surjection onto the order
-    topology. Both properties are validated at construction."""
+    topology. Both properties are validated at construction; the order
+    must be a ``Poset`` (``_order_rows``)."""
 
     _fields = __match_args__ = ("dec", "order")
 

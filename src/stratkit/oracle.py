@@ -34,13 +34,14 @@ the orders it finds continuous (``_order_statements``). The sweep checks
 the production poset-stratified value, decided by antisymmetry of the
 decomposition preorder, against the search and records the statements;
 ``compatible_orders`` and ``strict_refinements_never_open`` assert them
-for one decomposition. The statements run only on the orders the search
-finds continuous, so whether every order containing the preorder is
-among them is checked on its own (``_refinements_continuous``): the
-sweep folds it into ``poset_stratified_triple_agreement`` on each
-instance whose preorder is a partial order, and
-``strict_refinements_never_open`` asserts it. Without it, a search that
-dropped the refinements would leave their statements nothing to run on.
+for one decomposition of at most ``MAX_ORDER_ELEMENTS`` strata. The
+statements run only on the orders the search finds continuous, so
+whether every order containing the preorder is among them is checked on
+its own (``_refinements_continuous``): the sweep folds it into
+``poset_stratified_triple_agreement`` on each instance whose preorder is
+a partial order, and ``strict_refinements_never_open`` asserts it.
+Without it, a search that dropped the refinements would leave their
+statements nothing to run on.
 It is also the one place the quotient map is built point by point, as a
 ``SpaceMap`` (``classify``, ``check`` and ``theorem-b`` build none), in
 ``semicontinuity_matches_point_map``: the sweep's reference for the
@@ -78,8 +79,10 @@ PARTITION_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
 T = TypeVar("T")
 
+#: Fixed enumeration bounds; the sweep's is a default (STRATKIT_MAX_POINTS raises it).
 MAX_ORDER_ELEMENTS = 4
 MAX_PARTITION_ELEMENTS = 6
+MAX_SWEEP_POINTS = 4
 
 
 def _one_point_extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -220,29 +223,29 @@ def partition_orbits(
         yield partition, len(images)
 
 
-def _check_size(n: int, max_n: int, what: str, unit: str) -> None:
-    """Refuse a size outside 0..max_n: a negative size is not the empty case."""
+def _check_size(n: int, limit: int, what: str, unit: str) -> None:
+    """Refuse a size outside 0..limit: a negative size is not the empty case."""
     if n < 0:
         raise ValidationError(f"{what} size must be nonnegative, got {n}")
-    if n > max_n:
-        raise ValidationError(f"{what} bound is {max_n} {unit}")
+    if n > limit:
+        raise ValidationError(f"{what} bound is {limit} {unit}")
 
 
 def _default_elements(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-def enumerate_prosets(n: int, max_n: int = MAX_ORDER_ELEMENTS) -> Iterator[Proset]:
+def enumerate_prosets(n: int) -> Iterator[Proset]:
     """All labeled preorders on elements "0".."n-1", deterministic order."""
-    _check_size(n, max_n, "preorder enumeration", "elements")
+    _check_size(n, MAX_ORDER_ELEMENTS, "preorder enumeration", "elements")
     elements = _default_elements(n)
     for rows in labeled_preorder_rows(n):
         yield Proset(elements, rows)
 
 
-def enumerate_posets(n: int, max_n: int = MAX_ORDER_ELEMENTS) -> Iterator[Poset]:
+def enumerate_posets(n: int) -> Iterator[Poset]:
     """All labeled partial orders on elements "0".."n-1"."""
-    _check_size(n, max_n, "poset enumeration", "elements")
+    _check_size(n, MAX_ORDER_ELEMENTS, "poset enumeration", "elements")
     elements = _default_elements(n)
     for rows in labeled_poset_rows(n):
         yield Poset(elements, rows)
@@ -276,11 +279,9 @@ def set_partitions(items: Sequence[str]) -> Iterator[tuple[tuple[str, ...], ...]
     yield from rec(1, [[items[0]]])
 
 
-def enumerate_partitions(n: int, max_n: int = MAX_PARTITION_ELEMENTS) -> Iterator[
-    tuple[tuple[str, ...], ...]
-]:
+def enumerate_partitions(n: int) -> Iterator[tuple[tuple[str, ...], ...]]:
     """All partitions of points "0".."n-1"."""
-    _check_size(n, max_n, "partition enumeration", "elements")
+    _check_size(n, MAX_PARTITION_ELEMENTS, "partition enumeration", "elements")
     yield from set_partitions(_default_elements(n))
 
 
@@ -340,48 +341,34 @@ def _asserted(
         yield rows, name
 
 
-class CompatibleOrdersReport(NamedTuple):
-    """All partial orders on the stratum ids that make the quotient map
-    continuous; the decomposition preorder is contained in each."""
-
-    orders: tuple[Poset, ...]
-
-    @property
-    def count(self) -> int:
-        """The number of orders. This property shadows ``tuple.count``."""
-        return len(self.orders)
-
-
-def compatible_orders(d: Decomposition, bound: int = 4) -> CompatibleOrdersReport:
-    """Enumerate the partial orders a poset-stratified decomposition works
-    over, asserting the decomposition preorder is initial among them."""
+def compatible_orders(d: Decomposition) -> tuple[Poset, ...]:
+    """Every partial order on the stratum ids that makes the quotient map
+    of a poset-stratified decomposition continuous, asserting the
+    decomposition preorder is initial among them."""
     if not d.poset_stratified_equivalences().value:
         raise PreconditionError("decomposition is not poset-stratified")
-    _check_size(d.k, bound, "order enumeration", "strata")
+    _check_size(d.k, MAX_ORDER_ELEMENTS, "order enumeration", "strata")
     statements = _order_statements(d, *_orders_by_continuity(d), None)
-    return CompatibleOrdersReport(tuple(Poset(d.ids, rows) for rows, _ in _asserted(statements)))
+    return tuple(Poset(d.ids, rows) for rows, _ in _asserted(statements))
 
 
-class RefinementReport(NamedTuple):
-    refinements_tested: int
-
-
-def strict_refinements_never_open(d: Decomposition, bound: int = 4) -> RefinementReport:
-    """Over every strict refinement of the frontier order of a
-    stratification, the quotient map stays continuous but is never open."""
+def strict_refinements_never_open(d: Decomposition) -> int:
+    """The number of strict refinements of the frontier order of a
+    stratification, asserting the quotient map is continuous but never
+    open into each."""
     verdict = d.is_stratification()
     if not verdict:
         raise PreconditionError(
             "input decomposition is not a stratification", reasons=verdict.reasons
         )
-    _check_size(d.k, bound, "order enumeration", "strata")
+    _check_size(d.k, MAX_ORDER_ELEMENTS, "order enumeration", "strata")
     orders, continuous = _orders_by_continuity(d)
     if not _refinements_continuous(d, orders, continuous):
         raise InternalInvariantError("refinement broke continuity of the quotient map")
     statements = _order_statements(d, orders, continuous, True)
-    return RefinementReport(sum(
+    return sum(
         name == "strict_refinement_is_continuous_never_open" for _, name in _asserted(statements)
-    ))
+    )
 
 
 # -- the sweep ----------------------------------------------------------------
@@ -643,7 +630,7 @@ class Sweep:
         )
 
 
-def exhaustive_verify(n: int, max_n: int = 4) -> SweepReport:
+def exhaustive_verify(n: int, max_n: int = MAX_SWEEP_POINTS) -> SweepReport:
     """Recheck every order-and-decomposition statement on all instances of
     size n, one per relabeling orbit, each weighted by its orbit size.
     See the module docstring for what one instance contributes."""

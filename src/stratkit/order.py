@@ -192,7 +192,7 @@ class Proset(_Relation):
         if len(set(self.up)) == len(self.up):
             return Verdict(True)
         els = self.elements
-        for i in sorted(range(len(els)), key=els.__getitem__):
+        for i in self._lex_indices:
             if others := self.up[i] & self.down[i] & ~(1 << i):
                 witness = (els[i], min(names_at(els, others)))
                 return Verdict(False, witness=witness, note="two-cycle")
@@ -260,7 +260,7 @@ class MonotoneMap(FiniteMap):
         index: the up-set of a must lie in the preimage of the up-set of
         f(a)."""
         src, target_up, asg = self.source, self.target.up, self.assignment
-        for i in sorted(range(len(src.elements)), key=src.elements.__getitem__):
+        for i in src._lex_indices:
             if bad := src.up[i] & ~self.preimage_mask(target_up[asg[i]]):
                 return Verdict(
                     False,

@@ -287,6 +287,11 @@ class _Relation(Value):
     def names_of(self, mask: int) -> frozenset[str]:
         return frozenset(names_at(self._names, mask))
 
+    @cached_property
+    def _lex_indices(self) -> tuple[int, ...]:
+        # member indices sorted by name; used to pick deterministic witnesses
+        return tuple(sorted(range(len(self)), key=self._names.__getitem__))
+
 
 class FiniteSpace(_Relation):
     """A finite topological space.
@@ -389,11 +394,6 @@ class FiniteSpace(_Relation):
     @property
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
-
-    @cached_property
-    def _lex_indices(self) -> tuple[int, ...]:
-        # point indices sorted by name; used to pick deterministic witnesses
-        return tuple(sorted(range(len(self.points)), key=lambda i: self.points[i]))
 
     @cached_property
     def _open_basis(self) -> tuple[int, ...]:
@@ -517,11 +517,16 @@ class FiniteMap(Value):
         object.__setattr__(self, "assignment", assignment)  # source index -> target index
         self.__post_init__()
 
+    @classmethod
+    def _check_ends(cls, source, target) -> None:
+        """Refuse a source or target that is not of the ``_value`` type."""
+        for end, value in (("source", source), ("target", target)):
+            if not isinstance(value, cls._value):
+                kind, got = cls._value.__name__, type(value).__name__
+                raise ValidationError(f"{cls.__name__} {end} must be a {kind}, got {got}")
+
     def __post_init__(self):
-        for end, value in (("source", self.source), ("target", self.target)):
-            if not isinstance(value, self._value):
-                kind, got = self._value.__name__, type(value).__name__
-                raise ValidationError(f"{type(self).__name__} {end} must be a {kind}, got {got}")
+        self._check_ends(self.source, self.target)
         asg = tuple(self.assignment)
         object.__setattr__(self, "assignment", asg)
         names = self.source._names
@@ -538,6 +543,7 @@ class FiniteMap(Value):
         """The map sending each source name to ``mapping[name]``. Each
         source name, in order, must be a key whose value names a target
         member; then every key must name a source member."""
+        cls._check_ends(source, target)
         asg = []
         for p in source._names:
             if p not in mapping:

@@ -151,7 +151,7 @@ def test_criterion_3_fixture_verdicts():
     checks.append(against_chain.continuous and not against_chain.open)
 
     two = fixture("two_point_discrete").document.value
-    checks.append(compatible_orders(two).count == 3)
+    checks.append(len(compatible_orders(two)) == 3)
 
     nat = symbolic_local_finiteness("NatUsual")
     checks.append(nat.locally_finite_poset and not nat.locally_finite_space)

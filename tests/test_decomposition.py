@@ -17,6 +17,7 @@ from stratkit import (
     Poset,
     PosetStratification,
     PreconditionError,
+    Proset,
     SpaceMap,
     StratificationVerdict,
     ValidationError,
@@ -24,6 +25,8 @@ from stratkit import (
     as_poset_stratified,
     classify,
     compatible_orders,
+    enumerate_posets,
+    enumerate_prosets,
     face_poset_model,
     fixture,
     fixture_names,
@@ -358,6 +361,32 @@ class TestPosetStratificationType:
         PosetStratification(line_3, order)
         assert helpers.point_map(line_3, order).is_continuous()
 
+    def test_refuses_a_preorder_that_is_not_a_poset(self, pseudo_circle_4):
+        # the quotient is indiscrete, so no partial order fits; the
+        # indiscrete preorder would make the map continuous
+        indiscrete = Proset(("S1", "S2"), (0b11, 0b11))
+        with pytest.raises(ValidationError, match=r"^order must be a Poset, got Proset$"):
+            PosetStratification(pseudo_circle_4, indiscrete)
+        with pytest.raises(ValidationError, match=r"^order must be a Poset, got Proset$"):
+            pseudo_circle_4.check_against_order(indiscrete)
+
+    def test_the_type_is_checked_before_the_elements(self, line_3):
+        # only a Poset enters, even one whose relation is antisymmetric
+        for order in (Proset(("S0", "S1"), (0b11, 0b10)), Proset(("S9",), (1,))):
+            with pytest.raises(ValidationError, match=r"^order must be a Poset, got Proset$"):
+                line_3.check_against_order(order)
+
+    def test_indiscrete_two_points_never_reach_the_open_map_theorem(self):
+        # an open map into an indiscrete preorder does not give a
+        # stratification; every order on the two strata is refused before
+        # stratification_from_open_map could report a library defect
+        indiscrete = FiniteSpace(("a", "b"), (0b11, 0b11))
+        dec = Decomposition.from_strata(indiscrete, {"0": ("a",), "1": ("b",)})
+        assert not dec.is_stratification()
+        for order in [*enumerate_prosets(2), *enumerate_posets(2)]:
+            with pytest.raises(ValidationError):
+                PosetStratification(dec, order)
+
 
 DIAMOND = Poset.from_pairs("0123", [("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")])
 CHAIN = Poset.from_pairs("0123", [("0", "1"), ("1", "2"), ("2", "3")])
@@ -482,47 +511,47 @@ class TestTheoremConstructions:
 
 class TestCompatibleOrders:
     def test_two_point_discrete_has_exactly_three(self, two_point_discrete):
-        report = compatible_orders(two_point_discrete)
-        assert report.count == 3
+        orders = compatible_orders(two_point_discrete)
+        assert len(orders) == 3
         base = two_point_discrete.preorder
-        for order in report.orders:
+        for order in orders:
             for a in base.elements:
                 for b in base.elements:
                     if base.leq(a, b):
                         assert order.leq(a, b)
 
     def test_line_3_has_exactly_one(self, line_3):
-        report = compatible_orders(line_3)
-        assert report.count == 1
-        (order,) = report.orders
+        (order,) = compatible_orders(line_3)
         assert order.leq("S0", "S1")
 
     def test_quadrant_orders_are_the_diamond_refinements(self, quadrant_4):
-        report = compatible_orders(quadrant_4)
+        orders = compatible_orders(quadrant_4)
         diamond = quadrant_4.preorder
-        for order in report.orders:
+        for order in orders:
             for a in diamond.elements:
                 for b in diamond.elements:
                     if diamond.leq(a, b):
                         assert order.leq(a, b)
         # the only freedom is how 1 and 2 compare: none, 1<=2, or 2<=1
-        assert report.count == 3
+        assert len(orders) == 3
 
-    def test_report_repr_and_count(self, two_point_discrete):
-        report = compatible_orders(two_point_discrete)
-        assert repr(report) == (
-            "CompatibleOrdersReport(orders=(Poset([0, 1]; ), Poset([0, 1]; 0<=1), "
-            "Poset([0, 1]; 1<=0)))"
-        )
-        assert report.count == 3  # the property, not tuple.count
+    def test_orders_are_a_tuple_of_posets(self, two_point_discrete):
+        orders = compatible_orders(two_point_discrete)
+        assert type(orders) is tuple and all(type(order) is Poset for order in orders)
+        assert repr(orders) == "(Poset([0, 1]; ), Poset([0, 1]; 0<=1), Poset([0, 1]; 1<=0))"
 
     def test_not_poset_stratified_is_rejected(self, pseudo_circle_4):
         with pytest.raises(PreconditionError):
             compatible_orders(pseudo_circle_4)
 
-    def test_bound(self, quadrant_4):
-        with pytest.raises(ValidationError, match="bound"):
-            compatible_orders(quadrant_4, bound=2)
+    def test_bound(self):
+        # five isolated points, one stratum each: poset-stratified (and a
+        # stratification), but one stratum past the fixed bound of 4
+        dec = Decomposition.pointwise(FiniteSpace.discrete("abcde"))
+        assert dec.is_stratification()
+        for check in (compatible_orders, strict_refinements_never_open):
+            with pytest.raises(ValidationError, match=r"^order enumeration bound is 4 strata$"):
+                check(dec)
 
     def test_a_continuous_order_missing_the_preorder_is_caught(self, quadrant_4, monkeypatch):
         # a search that calls every order continuous offers orders that do
@@ -537,12 +566,11 @@ class TestCompatibleOrders:
 
 class TestRefinements:
     def test_quadrant_has_two_strict_refinements(self, quadrant_4):
-        assert strict_refinements_never_open(quadrant_4).refinements_tested == 2
+        assert strict_refinements_never_open(quadrant_4) == 2
 
     def test_total_order_has_none(self, chain_3):
-        report = strict_refinements_never_open(chain_3)
-        assert report.refinements_tested == 0
-        assert repr(report) == "RefinementReport(refinements_tested=0)"
+        count = strict_refinements_never_open(chain_3)
+        assert type(count) is int and count == 0
 
     def test_non_stratification_rejected(self, line_3):
         with pytest.raises(PreconditionError):

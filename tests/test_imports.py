@@ -23,10 +23,9 @@ SRC = str(Path(stratkit.__file__).resolve().parents[1])
 # the modules that no command of the check family runs
 OPTIONAL = ("stratkit.dot", "stratkit.fixtures", "stratkit.generate", "stratkit.oracle")
 EXPORTS = [
-    "AdjunctionReport", "AgreementReport", "ClassificationReport", "CompatibleOrdersReport",
-    "Decomposition", "DecompositionPreorder", "Document", "FaceModel", "FiniteSpace", "Fixture",
-    "InternalInvariantError", "MonotoneMap", "OrderCheck", "ParseError", "Poset",
-    "PosetStratification", "PreconditionError", "Proset", "RefinementReport",
+    "AdjunctionReport", "AgreementReport", "ClassificationReport", "Decomposition", "Document",
+    "FaceModel", "FiniteSpace", "Fixture", "InternalInvariantError", "MonotoneMap", "OrderCheck",
+    "ParseError", "Poset", "PosetStratification", "PreconditionError", "Proset",
     "SemicontinuityReport", "SpaceMap", "SplitMix64", "StratificationVerdict", "SweepReport",
     "SymbolicFamily", "ValidationError", "Verdict", "adjunction_roundtrips", "alexandrov_space",
     "as_poset_stratified", "classify", "compatible_orders", "enumerate_partitions",
@@ -145,6 +144,15 @@ exec("from stratkit import *", namespace)
 print(json.dumps(sorted(set(namespace) - {"__builtins__"})))
 """
     assert fresh_python(code) == sorted(EXPORTS)
+
+
+def test_no_export_is_an_alias_of_another():
+    # each exported object has one public name
+    names_by_object: dict[int, list[str]] = {}
+    for name in stratkit.__all__:
+        names_by_object.setdefault(id(getattr(stratkit, name)), []).append(name)
+    aliases = sorted(name for names in names_by_object.values() if len(names) > 1 for name in names)
+    assert aliases == []
 
 
 def test_submodules_import_and_resolve_as_attributes():

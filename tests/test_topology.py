@@ -160,11 +160,10 @@ class TestValueSemantics:
                 with pytest.raises(ValidationError) as exc:
                     map_type(source, target, assignment)
                 assert str(exc.value) == message
-            # from_names reads the names of both ends before it builds the map
-            if all(isinstance(end, (FiniteSpace, Proset)) for end in (source, target)):
-                with pytest.raises(ValidationError) as exc:
-                    map_type.from_names(source, target, {"a": "a", "b": "b"})
-                assert str(exc.value) == message
+            # from_names checks both ends first, with the constructor's message
+            with pytest.raises(ValidationError) as exc:
+                map_type.from_names(source, target, {"a": "a", "b": "b"})
+            assert str(exc.value) == message
         # a poset is a proset
         assert MonotoneMap(order, preorder, (0, 1)).is_monotone()
         assert MonotoneMap.from_names(preorder, order, {"a": "b", "b": "a"}).apply("a") == "b"
