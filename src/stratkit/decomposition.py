@@ -215,8 +215,12 @@ class Decomposition(Value):
     def from_strata(
         cls, space: FiniteSpace, strata: Mapping[str, Iterable[str]]
     ) -> "Decomposition":
-        items = tuple((sid, space.mask_of(strata[sid])) for sid in sorted(_checked_ids(strata)))
-        return cls(space, items)
+        items = []
+        for sid in sorted(_checked_ids(strata)):
+            if isinstance(strata[sid], str):
+                raise ValidationError(f"stratum {sid!r} must list its points, got {strata[sid]!r}")
+            items.append((sid, space.mask_of(strata[sid])))
+        return cls(space, tuple(items))
 
     @classmethod
     def pointwise(cls, space: FiniteSpace) -> "Decomposition":

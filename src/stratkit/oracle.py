@@ -9,10 +9,8 @@ filter all 2**k sets of strata (once per instance), checks the theorems
 production does not assert (the decomposition preorder against the closed
 saturations, the combination law for stratifications), and checks the
 order-level statements against every labeled partial order on the stratum
-set. Each value is computed once per instance and each check is one
-``record``; an InternalInvariantError raised by a production agreement is
-recorded as its failure. A correct build reports zero failures; the first
-failure is captured as a serializable document bundle.
+set. A correct build reports zero failures; the first failure is
+captured as a serializable document bundle.
 
 Relabeling the points is a homeomorphism, so no checked statement can
 tell two pairs in one orbit of the symmetric group apart. The sweep
@@ -28,33 +26,32 @@ At n = 5 the 360,984 labeled instances are 4,323 orbits. Through the
 CLI that sweep took a median of 3.24 s in one set of six runs and 1.98 s
 in a later set of ten (Python 3.11, one core of a shared 2-vCPU host).
 
-This module is the one home of the search over labeled partial orders on
-the strata (``_orders_by_continuity``) and of the statements made over
-the orders it finds continuous (``_order_statements``). The sweep checks
-the production poset-stratified value, decided by antisymmetry of the
-decomposition preorder, against the search and records the statements;
-``compatible_orders`` and ``strict_refinements_never_open`` assert them
-for one decomposition of at most ``MAX_ORDER_ELEMENTS`` strata. The
-statements run only on the orders the search finds continuous, so
-whether every order containing the preorder is among them is checked on
-its own (``_refinements_continuous``): the sweep folds it into
-``poset_stratified_triple_agreement`` on each instance whose preorder is
-a partial order, and ``strict_refinements_never_open`` asserts it.
-Without it, a search that dropped the refinements would leave their
-statements nothing to run on.
-It is also the one place the quotient map is built point by point, as a
-``SpaceMap`` (``classify``, ``check`` and ``theorem-b`` build none), in
-``semicontinuity_matches_point_map``: the sweep's reference for the
-stratum-level verdicts.
+Each check is a law in one ordered table, ``LAWS``: a name, a scope (a
+space, an instance, or an order that the search over labeled partial
+orders on the strata, ``_orders_by_continuity``, finds continuous for an
+instance) and a check that returns True (holds), False (fails) or None
+(does not apply); a check that raises InternalInvariantError or
+PreconditionError fails. The sweep runs the table in order, so its order
+decides which law names the first counterexample. ``compatible_orders``
+and ``strict_refinements_never_open`` assert the order laws on one
+decomposition and, as ``poset_stratified_triple_agreement`` does in the
+sweep, that every order containing the preorder is among those found
+(``_refinements_continuous``), which the order laws alone cannot see.
+Adding a law changes ``tests/data/sweep5_json.sha256`` and the sweep
+digests in ``perfbench/golden.json``.
+This module is also the one place the quotient map is built point by
+point, as a ``SpaceMap`` (``classify``, ``check`` and ``theorem-b`` build
+none), in ``semicontinuity_matches_point_map``: the sweep's reference
+for the stratum-level verdicts.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, permutations, repeat
 from math import factorial
 from operator import not_
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .decomposition import Decomposition, as_poset_stratified
 from .documents import canonical_json, payload_of
@@ -76,8 +73,6 @@ from .topology import (
 PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 POSET_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 PARTITION_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
-
-T = TypeVar("T")
 
 #: Fixed enumeration bounds; the sweep's is a default (STRATKIT_MAX_POINTS raises it).
 MAX_ORDER_ELEMENTS = 4
@@ -307,80 +302,7 @@ def _refinements_continuous(
     return not any(map(rows_within, repeat(dec.preorder.up), missed))
 
 
-def _order_statements(
-    dec: Decomposition,
-    orders: Sequence[tuple[int, ...]],
-    continuous: Sequence[bool],
-    strat: bool | None,
-) -> Iterator[tuple[tuple[int, ...], str, bool]]:
-    """(order rows, check name, holds) on each order the quotient map is
-    continuous into: the order contains the decomposition preorder; and if
-    ``strat``, whether ``dec`` is a stratification, is known, an open map
-    into the order implies it, and a strict refinement is never open."""
-    base = dec.preorder.up
-    for rows in compress(orders, continuous):
-        contains_base = rows_within(base, rows)
-        yield rows, "compatible_orders_contain_decomposition_preorder", contains_base
-        if strat is None:
-            continue
-        opn = dec._open_into(rows).holds
-        if opn:
-            yield rows, "continuous_open_order_implies_stratification", strat
-        if strat and rows != base and contains_base:
-            yield rows, "strict_refinement_is_continuous_never_open", not opn
-
-
-def _asserted(
-    statements: Iterator[tuple[tuple[int, ...], str, bool]],
-) -> Iterator[tuple[tuple[int, ...], str]]:
-    """Each statement as (order rows, check name), raising
-    InternalInvariantError at the first that fails."""
-    for rows, name, holds in statements:
-        if not holds:
-            raise InternalInvariantError(f"order-level statement fails: {name}")
-        yield rows, name
-
-
-def compatible_orders(d: Decomposition) -> tuple[Poset, ...]:
-    """Every partial order on the stratum ids that makes the quotient map
-    of a poset-stratified decomposition continuous, asserting the
-    decomposition preorder is initial among them."""
-    if not d.poset_stratified_equivalences().value:
-        raise PreconditionError("decomposition is not poset-stratified")
-    _check_size(d.k, MAX_ORDER_ELEMENTS, "order enumeration", "strata")
-    statements = _order_statements(d, *_orders_by_continuity(d), None)
-    return tuple(Poset(d.ids, rows) for rows, _ in _asserted(statements))
-
-
-def strict_refinements_never_open(d: Decomposition) -> int:
-    """The number of strict refinements of the frontier order of a
-    stratification, asserting the quotient map is continuous but never
-    open into each."""
-    verdict = d.is_stratification()
-    if not verdict:
-        raise PreconditionError(
-            "input decomposition is not a stratification", reasons=verdict.reasons
-        )
-    _check_size(d.k, MAX_ORDER_ELEMENTS, "order enumeration", "strata")
-    orders, continuous = _orders_by_continuity(d)
-    if not _refinements_continuous(d, orders, continuous):
-        raise InternalInvariantError("refinement broke continuity of the quotient map")
-    statements = _order_statements(d, orders, continuous, True)
-    return sum(
-        name == "strict_refinement_is_continuous_never_open" for _, name in _asserted(statements)
-    )
-
-
-# -- the sweep ----------------------------------------------------------------
-
-
-def _or_none(check: Callable[..., T], *args) -> T | None:
-    """``check(*args)``, or None when it raises InternalInvariantError: a
-    production agreement failed, which the sweep records as a failure."""
-    try:
-        return check(*args)
-    except InternalInvariantError:
-        return None
+# -- the law table ------------------------------------------------------------
 
 
 def quotient_space_by_subset_filter(dec: Decomposition) -> tuple[FiniteSpace, frozenset[int]]:
@@ -445,6 +367,139 @@ def preorder_matches_closed_saturations(dec: Decomposition) -> bool:
     return True
 
 
+class _Space(NamedTuple):
+    """The case of a space law: a preorder and its order topology."""
+
+    proset: Proset
+    space: FiniteSpace
+
+
+class _Instance:
+    """The case of an instance law: a decomposition and the values its laws
+    share, each computed on first use and then kept. A value whose
+    computation raises is not kept, so each law that reads it fails."""
+
+    def __init__(self, dec: Decomposition):
+        self.dec = dec
+
+    subset_filter = cached_property(lambda self: quotient_space_by_subset_filter(self.dec))
+    search = cached_property(lambda self: _orders_by_continuity(self.dec))
+    frontier = cached_property(lambda self: self.dec.frontier_equivalences().value)
+    poset_stratified = cached_property(lambda self: self.dec.poset_stratified_equivalences().value)
+    stratification = cached_property(lambda self: self.dec.is_stratification().holds)
+
+
+class _Order:
+    """The case of an order law: the up-set rows of an order on the strata
+    that the search finds an instance's quotient map continuous into, and
+    whether the order contains the decomposition preorder, and strictly."""
+
+    def __init__(self, instance: _Instance, rows: tuple[int, ...]):
+        base = instance.dec.preorder.up
+        self.instance, self.rows = instance, rows
+        self.refines = rows_within(base, rows)
+        self.strict = self.refines and rows != base
+
+    opens = cached_property(lambda self: self.instance.dec._open_into(self.rows).holds)
+
+
+def _open_cover_recovers_space(case: _Space) -> bool:
+    space = case.space
+    subspaces = [space.subspace(space.names_of(mask)) for mask in dict.fromkeys(space.min_open)]
+    family = [(sub, {p: p for p in sub.points}) for sub in subspaces]
+    return final_topology(space.points, family) == space
+
+
+class Law(NamedTuple):
+    """A named statement: ``check`` takes one case of ``scope`` and returns
+    whether the statement holds there, or None where it does not apply."""
+
+    name: str
+    scope: str
+    check: Callable[[Any], bool | None]
+
+
+#: The sweep's laws in the order it records them (see the module docstring).
+#: The checks call the functions the benchmark's tracer wraps by their
+#: global names, so the tracer sees each call.
+LAWS = (
+    Law("adjunction_roundtrips", "space",
+        lambda case: adjunction_roundtrips(case.proset, case.space) is not None),
+    Law("poset_iff_singletons_locally_closed", "space",
+        lambda case: singleton_local_closure_check(case.proset) is not None),
+    Law("open_cover_final_topology_recovers_space", "space", _open_cover_recovers_space),
+    Law("quotient_fixpoint_matches_subset_filter", "instance",
+        lambda case: case.dec.quotient_space == case.subset_filter[0]),
+    Law("closed_saturation_matches_preorder_down_sets", "instance",
+        lambda case: preorder_matches_closed_saturations(case.dec)),
+    Law("alexandrov_triple_agreement", "instance",
+        lambda case: case.dec.alexandrov_equivalences().values
+        == alexandrov_by_subset_filter(case.dec, *case.subset_filter)),
+    Law("frontier_quadruple_agreement", "instance", lambda case: case.frontier is not None),
+    Law("poset_stratified_triple_agreement", "instance",
+        lambda case: any(case.search[1]) == case.poset_stratified
+        and (not case.poset_stratified or _refinements_continuous(case.dec, *case.search))),
+    Law("semicontinuity_pairings", "instance",
+        lambda case: semicontinuity_matches_point_map(case.dec)),
+    Law("locally_closed_and_frontier_iff_poset_stratified_and_open", "instance",
+        lambda case: (all(v.holds for _, v in case.dec.locally_closed_strata()) and case.frontier)
+        == (case.poset_stratified and case.dec._quotient_open.holds)),
+    Law("stratification_induces_initial_partial_order", "instance",
+        lambda case: as_poset_stratified(case.dec) is not None if case.stratification else None),
+    # over its own preorder: stratification iff the map is open (local
+    # finiteness holds identically at finite scale)
+    Law("stratification_iff_quotient_map_open_over_own_order", "instance",
+        lambda case: case.stratification == case.dec._quotient_open.holds
+        if case.poset_stratified else None),
+    Law("compatible_orders_contain_decomposition_preorder", "order", lambda case: case.refines),
+    Law("continuous_open_order_implies_stratification", "order",
+        lambda case: case.instance.stratification if case.opens else None),
+    Law("strict_refinement_is_continuous_never_open", "order",
+        lambda case: not case.opens if case.instance.stratification and case.strict else None),
+)
+_SCOPES = {s: tuple(law for law in LAWS if law.scope == s) for s in ("space", "instance", "order")}
+
+
+def _checked_search(d: Decomposition) -> list[tuple[int, ...]]:
+    """The rows of each order the search finds the quotient map continuous
+    into, asserting that every order containing the decomposition preorder
+    is among them and that each order law holds on each."""
+    _check_size(d.k, MAX_ORDER_ELEMENTS, "order enumeration", "strata")
+    case = _Instance(d)
+    if not _refinements_continuous(d, *case.search):
+        raise InternalInvariantError("refinement broke continuity of the quotient map")
+    found = [_Order(case, rows) for rows in compress(*case.search)]
+    for order in found:
+        for law in _SCOPES["order"]:
+            if law.check(order) is False:
+                raise InternalInvariantError(f"order-level statement fails: {law.name}")
+    return [order.rows for order in found]
+
+
+def compatible_orders(d: Decomposition) -> tuple[Poset, ...]:
+    """Every partial order on the stratum ids that makes the quotient map
+    of a poset-stratified decomposition continuous, asserting the
+    decomposition preorder is initial among them."""
+    if not d.poset_stratified_equivalences().value:
+        raise PreconditionError("decomposition is not poset-stratified")
+    return tuple(Poset(d.ids, rows) for rows in _checked_search(d))
+
+
+def strict_refinements_never_open(d: Decomposition) -> int:
+    """The number of strict refinements of the frontier order of a
+    stratification, asserting the quotient map is continuous but never
+    open into each."""
+    verdict = d.is_stratification()
+    if not verdict:
+        raise PreconditionError(
+            "input decomposition is not a stratification", reasons=verdict.reasons
+        )
+    return len(_checked_search(d)) - 1  # every order found but the frontier order
+
+
+# -- the sweep ----------------------------------------------------------------
+
+
 class Tally(NamedTuple):
     passed: int
     failed: int
@@ -505,7 +560,7 @@ class SweepReport(Value):
 
 
 class Sweep:
-    """Tallies of the sweep's checks over the instances it is given.
+    """Tallies of the sweep's laws over the instances it is given.
 
     Each space or instance is checked once and adds ``weight`` to every
     count it touches: the number of labeled spaces or instances it
@@ -518,102 +573,46 @@ class Sweep:
         self.spaces = 0
         self.instances = 0
         self.order_pairs = 0
-        self._weight = 1
         self._counts: dict[str, list[int]] = {}
         self._first_cex: dict | None = None
 
-    def _record(self, name: str, ok: bool, context) -> None:
-        slot = self._counts.setdefault(name, [0, 0])
-        slot[0 if ok else 1] += self._weight
-        if not ok and self._first_cex is None:
-            space, dec = context
-            bundle = {"check": name, "space": payload_of(space)}
-            if dec is not None:
-                bundle["decomposition"] = payload_of(dec)
-            self._first_cex = bundle
+    def _run(self, scope: str, case, weight: int, space: FiniteSpace, dec=None) -> None:
+        """Record the outcome of each law of ``scope`` that applies to ``case``."""
+        for law in _SCOPES[scope]:
+            try:
+                ok = law.check(case)
+            except (InternalInvariantError, PreconditionError):
+                ok = False
+            if ok is None:
+                continue
+            self._counts.setdefault(law.name, [0, 0])[0 if ok else 1] += weight
+            if not ok and self._first_cex is None:
+                self._first_cex = {"check": law.name, "space": payload_of(space)}
+                if dec is not None:
+                    self._first_cex["decomposition"] = payload_of(dec)
 
     def check_space(self, proset: Proset, weight: int) -> FiniteSpace:
-        """Run the space-level checks on the order topology of ``proset``
-        and return that space."""
+        """Run the space laws on the order topology of ``proset`` and
+        return that space."""
         self.spaces += weight
-        self._weight = weight
-        record = self._record
         space = alexandrov_space(proset)
-        ctx = (space, None)
-        ok = _or_none(adjunction_roundtrips, proset, space) is not None
-        record("adjunction_roundtrips", ok, ctx)
-        ok = _or_none(singleton_local_closure_check, proset) is not None
-        record("poset_iff_singletons_locally_closed", ok, ctx)
-        family = []
-        for mask in dict.fromkeys(space.min_open):
-            member = space.names_of(mask)
-            sub = space.subspace(member)
-            family.append((sub, {p: p for p in sub.points}))
-        record(
-            "open_cover_final_topology_recovers_space",
-            final_topology(space.points, family) == space,
-            ctx,
-        )
+        self._run("space", _Space(proset, space), weight, space)
         return space
 
     def check_instance(
         self, space: FiniteSpace, partition: tuple[tuple[str, ...], ...], weight: int
     ) -> None:
-        """Run the instance-level checks and the order search on the
-        decomposition of ``space`` into the blocks of ``partition``."""
+        """Run the instance laws and the order laws on the decomposition of
+        ``space`` into the blocks of ``partition``."""
         self.instances += weight
-        self._weight = weight
-        record = self._record
         dec = Decomposition.from_strata(
             space, {str(b): block for b, block in enumerate(partition)}
         )
-        ctx = (space, dec)
-        quotient, family = quotient_space_by_subset_filter(dec)
-        record("quotient_fixpoint_matches_subset_filter", dec.quotient_space == quotient, ctx)
-        ok = _or_none(preorder_matches_closed_saturations, dec)
-        record("closed_saturation_matches_preorder_down_sets", ok is True, ctx)
-        ok = _or_none(lambda: dec.alexandrov_equivalences().values
-                      == alexandrov_by_subset_filter(dec, quotient, family))
-        record("alexandrov_triple_agreement", ok is True, ctx)
-        frontier = _or_none(lambda: dec.frontier_equivalences().value)
-        record("frontier_quadruple_agreement", frontier is not None, ctx)
-        # the search: some labeled partial order makes the map continuous
-        orders, continuous = _orders_by_continuity(dec)
-        self.order_pairs += weight * len(orders)
-        poset_strat = _or_none(lambda: dec.poset_stratified_equivalences().value)
-        agree = poset_strat == any(continuous)
-        if poset_strat:  # the preorder is a partial order, so some orders contain it
-            agree = agree and _refinements_continuous(dec, orders, continuous)
-        record("poset_stratified_triple_agreement", agree, ctx)
-        ok = _or_none(semicontinuity_matches_point_map, dec)
-        record("semicontinuity_pairings", ok is True, ctx)
-
-        locally_closed = all(v.holds for _, v in dec.locally_closed_strata())
-        pi_open = dec._quotient_open.holds
-        if frontier is not None and poset_strat is not None:
-            record(
-                "locally_closed_and_frontier_iff_poset_stratified_and_open",
-                (locally_closed and frontier) == (poset_strat and pi_open),
-                ctx,
-            )
-        strat = _or_none(lambda: dec.is_stratification().holds)
-        if strat:
-            try:
-                as_poset_stratified(dec)
-                ok = True
-            except (InternalInvariantError, PreconditionError):
-                ok = False
-            record("stratification_induces_initial_partial_order", ok, ctx)
-        if poset_strat and strat is not None:
-            # over its own preorder: stratification iff the map is open
-            # (local finiteness holds identically at finite scale)
-            record(
-                "stratification_iff_quotient_map_open_over_own_order",
-                strat == pi_open,
-                ctx,
-            )
-        for _, name, holds in _order_statements(dec, orders, continuous, strat):
-            record(name, holds, ctx)
+        case = _Instance(dec)
+        self._run("instance", case, weight, space, dec)
+        self.order_pairs += weight * len(case.search[0])
+        for rows in compress(*case.search):
+            self._run("order", _Order(case, rows), weight, space, dec)
 
     def report(self) -> SweepReport:
         tallies = tuple(

@@ -543,6 +543,8 @@ class FiniteMap(Value):
         """The map sending each source name to ``mapping[name]``. Each
         source name, in order, must be a key whose value names a target
         member; then every key must name a source member."""
+        if not isinstance(mapping, Mapping):
+            raise ValidationError(f"mapping must be a Mapping, got {type(mapping).__name__}")
         cls._check_ends(source, target)
         asg = []
         for p in source._names:

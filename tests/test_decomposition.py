@@ -94,6 +94,11 @@ class TestConstruction:
         with pytest.raises(ValidationError, match=r"^stratum ids must be nonempty strings, got 1$"):
             Decomposition.from_strata(sierpinski, {1: ("c",), "a": ("o",)})
 
+    def test_string_stratum_rejected_by_from_strata(self, sierpinski):
+        # a string is iterable, but it is not read as the points its characters name
+        with pytest.raises(ValidationError, match=r"^stratum 'A' must list its points, got 'co'$"):
+            Decomposition.from_strata(sierpinski, {"A": "co"})
+
     def test_pi(self, line_3):
         assert line_3.pi("m") == "S0" and line_3.pi("p") == "S1"
 
@@ -576,9 +581,10 @@ class TestRefinements:
         with pytest.raises(PreconditionError):
             strict_refinements_never_open(line_3)
 
-    def test_a_discontinuous_refinement_is_caught(self, quadrant_4, monkeypatch):
-        # the sweep visits only the orders the search calls continuous; the
-        # continuity of every refinement is asserted here alone
+    @pytest.mark.parametrize("check", [compatible_orders, strict_refinements_never_open])
+    def test_a_discontinuous_refinement_is_caught(self, quadrant_4, monkeypatch, check):
+        # the order laws visit only the orders the search calls continuous;
+        # the continuity of every refinement is asserted on its own
         search = oracle._orders_by_continuity
 
         def refinements_discontinuous(dec):
@@ -590,8 +596,8 @@ class TestRefinements:
             ]
 
         monkeypatch.setattr(oracle, "_orders_by_continuity", refinements_discontinuous)
-        with pytest.raises(InternalInvariantError):
-            strict_refinements_never_open(quadrant_4)
+        with pytest.raises(InternalInvariantError, match="refinement broke continuity"):
+            check(quadrant_4)
 
 
 class TestSemicontinuity:

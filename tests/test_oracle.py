@@ -13,6 +13,7 @@ import helpers
 from stratkit import (
     AgreementReport,
     Decomposition,
+    InternalInvariantError,
     Proset,
     ValidationError,
     Verdict,
@@ -361,6 +362,26 @@ class TestSweep:
         tally = dict(report.tallies)["poset_stratified_triple_agreement"]
         assert tally.failed > 0 and tally.passed > 0
         assert report.first_counterexample["check"] == "poset_stratified_triple_agreement"
+
+    def test_the_law_table_names_every_tallied_check(self):
+        # a law that never applies, or a name recorded outside the table, shows here
+        tallied = {name for name, _ in exhaustive_verify(4).tallies}
+        assert {law.name for law in oracle.LAWS} == tallied
+
+    def test_a_raising_agreement_fails_the_laws_that_read_it(self, monkeypatch):
+        def raising(self):
+            raise InternalInvariantError("frontier characterizations disagree")
+
+        monkeypatch.setattr(Decomposition, "frontier_equivalences", raising)
+        report = exhaustive_verify(3)
+        tallies = dict(report.tallies)
+        tally = tallies["frontier_quadruple_agreement"]
+        assert (tally.passed, tally.failed) == (0, report.instances)
+        # a law that reads the value fails too, where it once went unrecorded
+        assert tallies["locally_closed_and_frontier_iff_poset_stratified_and_open"].failed > 0
+        # the first counterexample names the first law in table order that fails
+        first = next(law.name for law in oracle.LAWS if tallies.get(law.name, Tally(0, 0)).failed)
+        assert report.first_counterexample["check"] == first == "frontier_quadruple_agreement"
 
     def test_report_serializes(self):
         report = exhaustive_verify(2)

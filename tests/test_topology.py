@@ -164,6 +164,9 @@ class TestValueSemantics:
             with pytest.raises(ValidationError) as exc:
                 map_type.from_names(source, target, {"a": "a", "b": "b"})
             assert str(exc.value) == message
+            # a mapping that is not a Mapping is refused before the ends are checked
+            with pytest.raises(ValidationError, match=r"^mapping must be a Mapping, got tuple$"):
+                map_type.from_names(source, target, ("a", "b"))
         # a poset is a proset
         assert MonotoneMap(order, preorder, (0, 1)).is_monotone()
         assert MonotoneMap.from_names(preorder, order, {"a": "b", "b": "a"}).apply("a") == "b"
@@ -189,6 +192,8 @@ class TestValueSemantics:
             # the first error in source order wins over an unknown extra key
             ({"m": "m", "zz": "m"}, f"assignment missing source {member} 'z'"),
             ({"m": "q", "zz": "m"}, f"unknown {member}: 'q'"),
+            # a list of names is not read as a mapping from their positions
+            (["m", "z", "p"], "mapping must be a Mapping, got list"),
         ]
         for mapping, message in refused:
             with pytest.raises(ValidationError) as exc:
