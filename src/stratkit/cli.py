@@ -188,7 +188,7 @@ def _cmd_classify(args) -> int:
     if args.expect is None or args.expect == verdict:
         return 0
     _emit(f"expected: {args.expect}\n")
-    if LADDER.index(verdict) < LADDER.index("stratification") and args.expect == "stratification":
+    if args.expect == "stratification":
         for reason in report.stratification.reasons:
             _emit(f"reason: {reason}\n")
     elif args.expect == "poset-stratified" and not report.poset_stratified.value:

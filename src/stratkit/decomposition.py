@@ -35,24 +35,25 @@ What runs in ``classify``:
 * Alexandrov: the fixpoint rows have open preimages; the preorder's
   up-sets equal the quotient's minimal opens; continuity into the
   preorder topology.
-* frontier: per stratum, the strata whose closures it meets
-  (``topology.rows_meeting`` over the closures) against those whose
-  closures contain it, closures against the minimal closed saturations
-  (the preimages of the preorder's down-sets, computed once and shared
-  with the poset-stratified group), the second row against the
-  preorder's up-set, and openness of the quotient map.
+* frontier: per stratum, the strata whose closures it meets (its
+  ``_reach`` row) against those whose closures contain it, closures
+  against the minimal closed saturations (the preimages of the
+  preorder's down-sets, computed once and shared with the
+  poset-stratified group), the second row against the preorder's up-set,
+  and openness of the quotient map.
 * poset-stratified: the preorder is antisymmetric (some partial order
   makes the quotient map continuous exactly when the preorder, the least
   candidate, is one), antisymmetric with a continuous map, and strata open
   in the preimages of their down-sets.
 * semicontinuity: saturations of minimal opens and of point closures by
   the ``_reach`` test, against the quotient map's openness and closedness
-  in the quotient space.
+  in the quotient space, image by image in one pass per basis.
 
 Production asserts only agreements between values it reports: the labels
 of each of the three groups above, and each saturation formula against
-its map-side counterpart. A disagreement raises InternalInvariantError,
-since it can only mean a defect in this library, never bad input.
+its map-side counterpart on every image. A disagreement raises
+InternalInvariantError, since it can only mean a defect in this library,
+never bad input.
 
 Agreements whose outcome nothing reports are theorems on finite inputs,
 and only the exhaustive sweep in ``oracle.py`` tallies them: the preorder
@@ -68,8 +69,8 @@ one decomposition.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, repeat, tee
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import compress, tee
+from typing import Iterable, Mapping, NamedTuple
 
 from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
@@ -405,15 +406,15 @@ class Decomposition(Value):
         closures, masks = self._closures, self.masks
         witnesses = []
 
-        # per stratum, two rows over the strata, each built when a scan
-        # reaches it: the closures the stratum meets, and those containing it
+        # per stratum, the closures it meets and those containing it: the
+        # first row is ``_reach``, since S_i meets cl(S_j) iff the open hull
+        # of S_i meets S_j; the second is built when a scan reaches it
         bits = [1 << j for j in range(self.k)]
-        meets = map(rows_meeting, repeat(closures), masks)
         inside, inside_again = tee(
             sum(compress(bits, map(mask.__eq__, map(mask.__and__, closures)))) for mask in masks
         )
 
-        bad = _first_difference(meets, inside)
+        bad = _first_difference(self._reach, inside)
         frontier = bad is None
         if not frontier:
             witnesses.append((
@@ -475,26 +476,39 @@ class Decomposition(Value):
             return Verdict(True)
         return _closed_under(zip(up_rows, up_rows), self._reach, self.ids)
 
-    def _images(self, basics: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-        """Each basic set with its image, the strata it meets, computed only
-        when reached: the verdicts stop at their first failure."""
-        return zip(basics, map(rows_meeting, repeat(self.masks), basics))
-
     def _open_into(self, up_rows: tuple[int, ...]) -> Verdict:
-        """Openness: each minimal open has an up-closed image; the witness is
-        the first that has not."""
-        return _closed_under(self._images(self.space._open_basis), up_rows, self.space.points)
+        """Openness: each minimal open has an up-closed image, the strata it
+        meets, computed when reached; the witness is the first that has not."""
+        images = ((basic, rows_meeting(self.masks, basic)) for basic in self.space._open_basis)
+        return _closed_under(images, up_rows, self.space.points)
 
-    def _closed_into(self, down_rows: tuple[int, ...]) -> Verdict:
-        """Closedness: each point closure has a down-closed image; the
-        witness is the first that has not."""
-        return _closed_under(self._images(self.space._closed_basis), down_rows, self.space.points)
+    def _onto_quotient(self, closed: bool) -> tuple[Verdict, bool]:
+        """Openness (closedness) of the quotient map onto the quotient space,
+        in one pass over the minimal opens (point closures). Each image must
+        be closed under the up-sets (down-sets) exactly when its saturation
+        formula holds: the union of its strata (of the others) is open. The
+        first failure is the witness; the verdict comes with the formula's."""
+        if closed:
+            basics, rows, others = self.space._closed_basis, self.preorder.down, (1 << self.k) - 1
+        else:
+            basics, rows, others = self.space._open_basis, self.quotient_space.min_open, 0
+        for basic in basics:
+            image = rows_meeting(self.masks, basic)
+            mapped = not preimage_of(rows, image) & ~image
+            formula = self._preimage_is_open(others ^ image)
+            if mapped != formula:
+                kind = "closed" if closed else "open"
+                raise InternalInvariantError(
+                    f"{kind} saturation disagrees with quotient map {kind}ness"
+                )
+            if not mapped:
+                return Verdict(False, frozenset(names_at(self.space.points, basic))), formula
+        return Verdict(True), True
 
-    @cached_property
-    def _quotient_open(self) -> Verdict:
-        """Openness onto the quotient space, which the frontier group and
-        ``semicontinuity`` both report."""
-        return self._open_into(self.quotient_space.min_open)
+    # openness is reported by the frontier group and ``semicontinuity`` both
+    _open_pass = cached_property(lambda self: self._onto_quotient(False))
+    _closed_pass = cached_property(lambda self: self._onto_quotient(True))
+    _quotient_open = property(lambda self: self._open_pass[0])
 
     def poset_stratified_equivalences(self) -> AgreementReport:
         """Three characterizations of being poset-stratified.
@@ -581,27 +595,12 @@ class Decomposition(Value):
         Saturation (preimage of image) commutes with unions, so it is
         enough to saturate the minimal opens and the point closures. A
         saturation is open iff the image is closed under ``_reach``, and
-        closed iff the other strata are; each formula must agree with its
-        map-side counterpart, which tests the same image in the quotient.
+        closed iff the other strata are. Each formula must agree with its
+        map-side counterpart, which tests the same image in the quotient, on
+        every image of the one pass deciding that property of the map.
         """
-        space = self.space
-        sat_open_open = all(
-            self._preimage_is_open(image) for _, image in self._images(space._open_basis)
-        )
-        all_strata = (1 << self.k) - 1
-        sat_closed_closed = all(
-            self._preimage_is_open(all_strata & ~image)
-            for _, image in self._images(space._closed_basis)
-        )
-        pi_open = self._quotient_open.holds
-        pi_closed = self._closed_into(self.preorder.down).holds
-        if sat_open_open != pi_open:
-            raise InternalInvariantError("open saturation disagrees with quotient map openness")
-        if sat_closed_closed != pi_closed:
-            raise InternalInvariantError(
-                "closed saturation disagrees with quotient map closedness"
-            )
-        return SemicontinuityReport(sat_open_open, sat_closed_closed, pi_open, pi_closed)
+        (pi_open, sat_open), (pi_closed, sat_closed) = self._open_pass, self._closed_pass
+        return SemicontinuityReport(sat_open, sat_closed, pi_open.holds, pi_closed.holds)
 
 
 def _order_rows(d: Decomposition, order: Poset) -> tuple[int, ...]:

@@ -152,7 +152,7 @@ def from_payload(payload: object) -> Document:
     if kind not in KINDS:
         raise ValidationError(f"unknown document kind: {kind!r}")
     if kind == "space":
-        return Document(kind, _space_from(payload))
+        return Document(kind, space_from_payload(payload, "space"))
     if kind in ("proset", "poset", "order-on-strata"):
         return Document(kind, _relation_from(payload, kind))
     if kind == "decomposition":
@@ -194,7 +194,12 @@ def _space_payload(space: FiniteSpace) -> dict:
     }
 
 
-def _space_from(payload: dict) -> FiniteSpace:
+def space_from_payload(payload: dict, what: str) -> FiniteSpace:
+    """The space a payload describes: a space document, or a space nested
+    in another document, where "kind" may be left out. Any other kind is
+    refused, naming the payload ``what``."""
+    if payload.get("kind", "space") != "space":
+        raise ValidationError(f"{what} must be a space document")
     points = _string_list(payload, "points")
     has_min_open = "min_open" in payload
     has_subbasis = "subbasis" in payload
@@ -267,9 +272,7 @@ def _decomposition_from(payload: dict) -> Decomposition:
             raise ValidationError("fixture reference must be a fixture name")
         space = fixture_space(ref["fixture"])
     elif isinstance(ref, dict):
-        if ref.get("kind", "space") != "space":
-            raise ValidationError("decomposition space must be a space document")
-        space = _space_from({"kind": "space", **ref})
+        space = space_from_payload(ref, "decomposition space")
     else:
         raise ValidationError("decomposition needs a space object or a fixture reference")
     strata = payload.get("strata")
@@ -295,8 +298,8 @@ def _map_payload(f: SpaceMap) -> dict:
 
 
 def _map_from(payload: dict) -> SpaceMap:
-    source = _space_from({"kind": "space", **_subobject(payload, "source")})
-    target = _space_from({"kind": "space", **_subobject(payload, "target")})
+    source = space_from_payload(_subobject(payload, "source"), "source")
+    target = space_from_payload(_subobject(payload, "target"), "target")
     assignment = payload.get("assignment")
     if not isinstance(assignment, dict) or not all(
         isinstance(v, str) for v in assignment.values()

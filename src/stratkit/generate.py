@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .decomposition import Decomposition
-from .documents import Document
+from .documents import Document, space_from_payload
 from .errors import ValidationError
 from .order import Proset, reflexive_transitive_closure
 from .topology import FiniteSpace
@@ -184,10 +184,7 @@ def _resolve_space(n: int, params: Mapping) -> FiniteSpace:
 
         space = fixture_space(spec)
     elif isinstance(spec, dict):
-        from .documents import from_payload
-
-        value = from_payload({"kind": "space", **spec}).value
-        space = value
+        space = space_from_payload(spec, "space")
     else:
         raise ValidationError("space must be a fixture name or a space payload")
     if len(space.points) != n:

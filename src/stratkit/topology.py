@@ -16,17 +16,17 @@ A relation is held as bit rows too. The kernel below is the one place the
 per-bit loops over rows live, for spaces, orders, decompositions and the
 oracle alike: ``preimage_of`` (the union of the rows a mask selects, also
 openness, open hulls and closures), ``rows_meeting`` (the indices of the
-rows that meet a mask: on the strata of a decomposition, the image of a
-point set under the quotient map), ``transpose``, ``first_intransitive``
-and ``rows_within``. ``rows_meeting`` is one plain loop over the rows;
-each other kernel function picks its method from the size of its input
-alone, with crossovers measured on Python 3.11 (each docstring gives the
-figures). ``preimage_of`` ORs the rows of a mask above 0xFFF with more
-than (n + 128) / 16 bits in one C pass (``compress`` and ``reduce``), on
-any number of rows n; on more than 64 rows, ``transpose`` reads each
-column of a relation whose distinct rows hold more than n * (n + 256) /
-128 bits as one slice of a string of binary digits; smaller or sparser
-input walks the bits one at a time.
+rows that meet a mask; every caller passes a decomposition's strata, so
+it is the image of a point set under the quotient map), ``transpose``,
+``first_intransitive`` and ``rows_within``. ``rows_meeting`` is one plain
+loop over the rows; each other kernel function picks its method from the
+size of its input alone, with crossovers measured on Python 3.11 (each
+docstring gives the figures). ``preimage_of`` ORs the rows of a mask
+above 0xFFF with more than (n + 128) / 16 bits in one C pass
+(``compress`` and ``reduce``), on any number of rows n; on more than 64
+rows, ``transpose`` reads each column of a relation whose distinct rows
+hold more than n * (n + 256) / 128 bits as one slice of a string of
+binary digits; smaller or sparser input walks the bits one at a time.
 ``first_intransitive`` tests each distinct row with ``preimage_of``, so
 it takes the C pass on the wide rows of dense relations. Either way the
 result is the same.

@@ -35,7 +35,7 @@ from stratkit import (
     strict_refinements_never_open,
     stratification_from_open_map,
 )
-from stratkit import oracle, topology
+from stratkit import decomposition, oracle, topology
 from stratkit.oracle import (
     labeled_poset_rows,
     labeled_preorder_rows,
@@ -431,10 +431,20 @@ class TestQuotientMapAtStratumLevel:
             assert code == expected and "Traceback" not in err
 
     def test_verdicts_match_the_point_level_map(self):
-        # every labeled instance with n <= 3, into its quotient and into
-        # every labeled partial order on its strata; the witnesses must be
-        # the first counterexamples the point-level map finds
-        failures = {"continuous": 0, "open": 0, "closed": 0}
+        # the one pass per basis onto the quotient, on every labeled
+        # instance with n <= 4; then continuity and openness on every one
+        # with n <= 3, into its quotient and into every labeled partial
+        # order on its strata. The witnesses must be the first
+        # counterexamples the point-level map finds
+        failures = {"open onto the quotient": 0, "closed": 0, "continuous": 0, "open": 0}
+        for dec in all_instances(4):
+            f = helpers.point_map(dec)
+            for kind, (mine, _), reference in (
+                ("open onto the quotient", dec._open_pass, f.is_open()),
+                ("closed", dec._closed_pass, f.is_closed()),
+            ):
+                assert (mine.holds, mine.witness) == (reference.holds, reference.witness)
+                failures[kind] += not mine.holds
         for dec in all_instances(3):
             targets = [(dec.quotient_space.min_open, helpers.point_map(dec))]
             for rows in labeled_poset_rows(dec.k):
@@ -449,11 +459,9 @@ class TestQuotientMapAtStratumLevel:
                     cont.holds, opn.holds, cont.witness, opn.witness
                 )
             for up, f in targets:
-                down = topology.transpose(up)
                 for kind, mine, reference in (
                     ("continuous", dec._continuous_into(up), f.is_continuous()),
                     ("open", dec._open_into(up), f.is_open()),
-                    ("closed", dec._closed_into(down), f.is_closed()),
                 ):
                     assert (mine.holds, mine.witness) == (reference.holds, reference.witness)
                     failures[kind] += not mine.holds
@@ -636,6 +644,50 @@ class TestSemicontinuity:
                 sat_open,
                 sat_closed,
             )
+
+    @pytest.mark.parametrize(
+        "name, kind", [("fixture:line_3", "open"), ("fixture:quadrant_4", "closed")]
+    )
+    def test_a_wrong_saturation_on_one_image_raises(self, name, kind, monkeypatch):
+        # the formula is made wrong on the first stratum-set its pass asks
+        # about that is no minimal open of the quotient, so the Alexandrov
+        # group, which asks only about those, is untouched
+        closed = kind == "closed"
+        message = f"^{kind} saturation disagrees with quotient map {kind}ness$"
+        dec = fresh_decomposition(name)
+        basics = dec.space._closed_basis if closed else dec.space._open_basis
+        others = (1 << dec.k) - 1 if closed else 0
+        asked = [others ^ rows_meeting(dec.masks, basic) for basic in basics]
+        wrong = next(m for m in asked if m not in dec.quotient_space.min_open)
+        right = Decomposition._preimage_is_open
+        monkeypatch.setattr(
+            Decomposition, "_preimage_is_open", lambda self, m: right(self, m) != (m == wrong)
+        )
+        with pytest.raises(InternalInvariantError, match=message):
+            classify(fresh_decomposition(name))
+        # openness onto the quotient is first decided in the frontier group
+        method = "semicontinuity" if closed else "frontier_equivalences"
+        with pytest.raises(InternalInvariantError, match=message):
+            getattr(fresh_decomposition(name), method)()
+
+    @pytest.mark.parametrize(
+        "name", ["fixture:quadrant_4", "face:tetrahedron/pointwise", "face:octahedron/skeleton"]
+    )
+    def test_classify_takes_each_image_once(self, name, monkeypatch):
+        # where every verdict holds, every scan runs to its end: the _reach
+        # row of each stratum, then one pass per basis onto the quotient
+        dec = fresh_decomposition(name)
+        calls = []
+
+        def counted(rows, mask):
+            calls.append(mask)
+            return rows_meeting(rows, mask)
+
+        monkeypatch.setattr(decomposition, "rows_meeting", counted)
+        report = classify(dec)
+        assert report.verdict() == "stratification"
+        assert report.semicontinuity.label == "continuous"
+        assert len(calls) == dec.k + len(dec.space._open_basis) + len(dec.space._closed_basis)
 
 
 class TestClassify:

@@ -123,6 +123,26 @@ class TestErrors:
         with pytest.raises(ValidationError, match="fixture 'nat_usual' does not carry a space"):
             generate("partition", 3, {"space": "nat_usual"}, seed=0)
 
+    def test_a_nested_space_of_another_kind_is_refused(self, sierpinski):
+        # a decomposition's space, either end of a map and the generator's
+        # inline space share one reader: it takes a missing kind as "space"
+        # and refuses any other, whatever the rest of the payload holds
+        proset = {"kind": "proset", "elements": ["a", "b"]}
+        space = json.loads(save(Document("space", sierpinski)))
+        for spec in (proset, {**space, "kind": "proset"}):
+            with pytest.raises(ValidationError, match="^space must be a space document$"):
+                generate("partition", 2, {"space": spec}, seed=1)
+        f = SpaceMap.identity(sierpinski)
+        payload = json.loads(save(Document("map", f)))
+        for end in ("source", "target"):
+            with pytest.raises(ValidationError, match=f"^{end} must be a space document$"):
+                load(json.dumps({**payload, end: {**payload[end], "kind": "proset"}}))
+            kindless = {key: value for key, value in payload[end].items() if key != "kind"}
+            assert load(json.dumps({**payload, end: kindless})).value == f
+        text = json.dumps({"kind": "decomposition", "space": proset, "strata": {}})
+        with pytest.raises(ValidationError, match="^decomposition space must be a space"):
+            load(text)
+
     def test_space_needs_exactly_one_table(self):
         with pytest.raises(ValidationError, match="exactly one"):
             load(json.dumps({"kind": "space", "points": ["a"]}))

@@ -37,7 +37,7 @@ from stratkit.oracle import (
     set_partitions,
 )
 from stratkit import oracle
-from stratkit.topology import FiniteSpace, preimage_of, rows_within
+from stratkit.topology import FiniteSpace, preimage_of, rows_meeting, rows_within
 
 SWEEP5_SHA256 = Path(__file__).parent / "data" / "sweep5_json.sha256"
 
@@ -302,12 +302,18 @@ class TestSweep:
         # under semicontinuity_pairings can see it. No map onto a quotient
         # of a space with at most 3 points has two failing minimal opens,
         # so the sweep runs at n = 4.
-        def last_failure(self, up_rows):
-            images = self._images(self.space._open_basis)
-            failing = [b for b, image in images if preimage_of(up_rows, image) & ~image]
-            return Verdict(not failing, self.space.names_of(failing[-1]) if failing else None)
+        one_pass = Decomposition._onto_quotient
 
-        monkeypatch.setattr(Decomposition, "_open_into", last_failure)
+        def last_failure(self, closed):
+            if closed:
+                return one_pass(self, closed)
+            up_rows = self.quotient_space.min_open
+            images = [(b, rows_meeting(self.masks, b)) for b in self.space._open_basis]
+            failing = [b for b, image in images if preimage_of(up_rows, image) & ~image]
+            verdict = Verdict(not failing, self.space.names_of(failing[-1]) if failing else None)
+            return verdict, verdict.holds
+
+        monkeypatch.setattr(Decomposition, "_onto_quotient", last_failure)
         report = exhaustive_verify(4)
         tallies = dict(report.tallies)
         assert tallies["semicontinuity_pairings"].failed > 0

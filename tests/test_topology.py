@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,14 @@ from hypothesis import strategies as st
 import helpers
 from stratkit import (
     FiniteSpace, MonotoneMap, Poset, Proset, SpaceMap, ValidationError, Verdict, final_topology,
-    load,
+    fixture, fixture_names, load,
 )
+from stratkit.fixtures import fixture_space
+
+# the fixtures that carry a finite space: a space, or a decomposition's
+SPACE_FIXTURES = [
+    name for name in fixture_names() if fixture(name).document.kind in ("space", "decomposition")
+]
 
 
 def pseudo_circle_space() -> FiniteSpace:
@@ -323,6 +330,14 @@ class TestPointSetOperations:
     def test_closure_unknown_point(self):
         with pytest.raises(ValidationError, match="unknown point"):
             line_3_space().closure(("q",))
+
+    @pytest.mark.parametrize("name", SPACE_FIXTURES)
+    def test_interior_is_the_complement_of_the_closure_of_the_complement(self, name):
+        space = fixture_space(name)
+        points = frozenset(space.points)
+        for size in range(len(points) + 1):
+            for names in combinations(sorted(points), size):
+                assert space.interior(names) == points - space.closure(points - set(names))
 
     def test_closure_is_smallest_closed_superset(self):
         for space in helpers.all_spaces(3):
