@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 # exported name -> defining submodule; __all__ keeps this order
 _EXPORTS = {
-    "AdjunctionReport": "order",
     "AgreementReport": "decomposition",
     "ClassificationReport": "decomposition",
     "Decomposition": "decomposition",

@@ -192,6 +192,9 @@ class Decomposition(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.space, FiniteSpace):
+            got = type(self.space).__name__
+            raise ValidationError(f"Decomposition space must be a FiniteSpace, got {got}")
         items = tuple(self.strata)
         object.__setattr__(self, "strata", items)
         ids = _checked_ids([sid for sid, _ in items])
@@ -757,6 +760,8 @@ def classify(d: Decomposition) -> ClassificationReport:
     frontier group is memoised on ``d``, so ``is_stratification`` reuses
     it instead of recomputing.
     """
+    if not isinstance(d, Decomposition):
+        raise ValidationError(f"classify needs a Decomposition, got {type(d).__name__}")
     return ClassificationReport(
         alexandrov=d.alexandrov_equivalences(),
         locally_closed=tuple(list(zip(d.ids, d._locally_closed))),

@@ -65,6 +65,8 @@ class Document(NamedTuple):
 
 def load(text: str) -> Document:
     """Parse and validate one document."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ValidationError(f"document must be JSON text, got {type(text).__name__}")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -4,7 +4,9 @@ Posets render as their Hasse diagram, drawn bottom-to-top. Preorders with
 two-cycles render the Hasse diagram of their reflection between class
 representatives, plus dashed undirected edges joining mutually comparable
 elements. Decompositions render their strata as nodes labeled with the
-classification flags, connected along the decomposition preorder.
+classification flags, connected along the decomposition preorder. Every
+name, in a node id or inside a stratum's label, is written with its
+backslashes and double quotes escaped.
 """
 
 from __future__ import annotations
@@ -15,27 +17,35 @@ from .order import Poset, Proset
 from .topology import names_at
 
 
+def _escaped(name: str) -> str:
+    """The name as the inside of a DOT string: backslashes and quotes escaped."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return f'"{_escaped(name)}"'
 
 
-def _relation_lines(p: Proset) -> list[str]:
-    lines = [f"  {_quote(e)};" for e in sorted(p.elements)]
+def _relation_lines(p: Proset) -> tuple[list[str], list[str]]:
+    """The node lines and the edge lines of a preorder."""
+    nodes = [f"  {_quote(e)};" for e in sorted(p.elements)]
+    edges = []
     poset, q = p.reflection()
     for a, b in poset.hasse():
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
+        edges.append(f"  {_quote(a)} -> {_quote(b)};")
     for fiber in q._fibers:  # the classes of mutual comparability
         members = sorted(names_at(p.elements, fiber))
         for a, b in zip(members, members[1:]):
-            lines.append(f"  {_quote(a)} -> {_quote(b)} [dir=none, style=dashed];")
-    return lines
+            edges.append(f"  {_quote(a)} -> {_quote(b)} [dir=none, style=dashed];")
+    return nodes, edges
 
 
 def export_dot(value) -> str:
     """Render a poset, preorder, or decomposition as DOT text."""
     lines = ["digraph {", '  rankdir="BT";']
     if isinstance(value, (Poset, Proset)):
-        lines.extend(_relation_lines(value))
+        nodes, edges = _relation_lines(value)
+        lines += nodes + edges
     elif isinstance(value, Decomposition):
         report = classify(value)
         locally_closed = dict(report.locally_closed)
@@ -43,13 +53,9 @@ def export_dot(value) -> str:
         for sid, mask in value.strata:
             size = mask.bit_count()
             flag = "locally closed" if locally_closed[sid] else "not locally closed"
-            label = f"{sid}\\n{size} pt{'s' if size != 1 else ''}, {flag}"
+            label = f"{_escaped(sid)}\\n{size} pt{'s' if size != 1 else ''}, {flag}"
             lines.append(f'  {_quote(sid)} [label="{label}"];')
-        lines.extend(
-            line
-            for line in _relation_lines(value.preorder)
-            if "->" in line  # nodes already emitted with labels
-        )
+        lines += _relation_lines(value.preorder)[1]  # nodes already emitted with labels
     else:
         raise ValidationError(f"cannot export value of type {type(value).__name__}")
     lines.append("}")

@@ -163,6 +163,8 @@ def face_poset_model(facets) -> FaceModel:
     names are nonempty strings without ",", which joins them into face
     names; a facet that is itself a string is refused, not read as the
     sequence of its characters."""
+    if not hasattr(facets, "__iter__"):
+        raise ValidationError(f"facets must be a collection of facets, got {facets!r}")
     faces: set[tuple[str, ...]] = set()
     for facet in facets:
         if isinstance(facet, str):

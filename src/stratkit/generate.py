@@ -133,6 +133,10 @@ def _plain_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# the params keys each kind reads
+_PARAMS = {"preorder": ("density",), "partition": ("space", "blocks")}
+
+
 def generate(kind: str, n: int, params: Mapping, seed: int) -> Document:
     """Deterministically generate a document.
 
@@ -146,15 +150,24 @@ def generate(kind: str, n: int, params: Mapping, seed: int) -> Document:
     deterministic shuffle seeds one point per block so the labeling map is
     surjective; remaining points are placed independently. Blocks are
     relabeled "0", "1", ... by first occurrence along the point list.
+
+    ``params`` must be a mapping whose keys the kind reads; any other key
+    is refused, not ignored.
     """
     if not _plain_int(n) or n < 0:
         raise ValidationError("n must be a nonnegative integer")
+    if not isinstance(kind, str) or kind not in _PARAMS:
+        raise ValidationError(f"unknown generation kind: {kind!r}")
+    if not isinstance(params, Mapping):
+        raise ValidationError(f"params must be a Mapping, got {type(params).__name__}")
+    reads = _PARAMS[kind]
+    for key in params:
+        if key not in reads:
+            raise ValidationError(f"{kind} generation reads only {', '.join(reads)}, got {key!r}")
     rng = SplitMix64(seed)
     if kind == "preorder":
         return _gen_preorder(n, params, rng)
-    if kind == "partition":
-        return _gen_partition(n, params, rng)
-    raise ValidationError(f"unknown generation kind: {kind!r}")
+    return _gen_partition(n, params, rng)
 
 
 def _gen_preorder(n: int, params: Mapping, rng: SplitMix64) -> Document:

@@ -120,41 +120,10 @@ def labeled_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def labeled_poset_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The antisymmetric members of ``labeled_preorder_rows``: those where
-    each element's up-set meets its down-set in the element alone."""
-    return tuple(
-        rows for rows in labeled_preorder_rows(n)
-        if all(up & down == 1 << i for i, (up, down) in enumerate(zip(rows, transpose(rows))))
-    )
-
-
-def naive_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Independent rederivation: filter all 2**(n*n) boolean matrices.
-
-    Slow by design; the in-repo oracle for the enumeration counts.
-    """
-    if n > 3:
-        raise ValidationError("the naive relation filter is limited to 3 elements")
-    out = []
-    for code in range(1 << (n * n)):
-        rows = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if (code >> (i * n + j)) & 1:
-                    rows[i] |= 1 << j
-        if any(not (rows[i] >> i) & 1 for i in range(n)):
-            continue
-        ok = True
-        for i in range(n):
-            acc = rows[i]
-            for j in iter_bits(rows[i]):
-                acc |= rows[j]
-            if acc != rows[i]:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(rows))
-    return tuple(out)
+    """The antisymmetric members of ``labeled_preorder_rows``: those whose
+    rows are all distinct, as mutually comparable elements share one up-set
+    (``Proset.is_poset``)."""
+    return tuple(rows for rows in labeled_preorder_rows(n) if len(set(rows)) == len(rows))
 
 
 def _relabelings(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -424,7 +393,7 @@ class Law(NamedTuple):
 #: global names, so the tracer sees each call.
 LAWS = (
     Law("adjunction_roundtrips", "space",
-        lambda case: adjunction_roundtrips(case.proset, case.space) is not None),
+        lambda case: adjunction_roundtrips(case.proset, case.space) is None),
     Law("poset_iff_singletons_locally_closed", "space",
         lambda case: singleton_local_closure_check(case.proset) is not None),
     Law("open_cover_final_topology_recovers_space", "space", _open_cover_recovers_space),
@@ -503,10 +472,6 @@ def strict_refinements_never_open(d: Decomposition) -> int:
 class Tally(NamedTuple):
     passed: int
     failed: int
-
-    @property
-    def total(self) -> int:
-        return self.passed + self.failed
 
 
 class SweepReport(Value):

@@ -294,16 +294,10 @@ def specialization_preorder(space: FiniteSpace) -> Proset:
     return Proset._from_valid(space.points, space.min_open)
 
 
-class AdjunctionReport(NamedTuple):
-    """Round-trip results for the order/space translations."""
-
-    unit_is_identity: bool  # preorder -> space -> preorder returns the input
-    counit_is_identity: bool  # space -> preorder -> space returns the input
-
-
-def adjunction_roundtrips(p: Proset, x: FiniteSpace) -> AdjunctionReport:
+def adjunction_roundtrips(p: Proset, x: FiniteSpace) -> None:
     """Check both round-trips exactly, and the specialization preorder of
-    ``x`` against its point closures; failure is a library defect."""
+    ``x`` against its point closures. A failure is a library defect,
+    raised as InternalInvariantError; when every check holds, returns None."""
     via_closure = [0] * len(x.points)
     for j, col in enumerate(x.point_closures):
         for i in iter_bits(col):
@@ -312,13 +306,10 @@ def adjunction_roundtrips(p: Proset, x: FiniteSpace) -> AdjunctionReport:
         raise InternalInvariantError(
             "specialization preorder: closure route disagrees with minimal-open route"
         )
-    unit = specialization_preorder(alexandrov_space(p)) == Proset(p.elements, p.up)
-    counit = alexandrov_space(specialization_preorder(x)) == x
-    if not unit:
+    if specialization_preorder(alexandrov_space(p)) != Proset(p.elements, p.up):
         raise InternalInvariantError("order -> space -> order round-trip changed the relation")
-    if not counit:
+    if alexandrov_space(specialization_preorder(x)) != x:
         raise InternalInvariantError("space -> order -> space round-trip changed the topology")
-    return AdjunctionReport(unit, counit)
 
 
 def singleton_local_closure_check(p: Proset) -> bool:

@@ -407,6 +407,10 @@ class FiniteSpace(_Relation):
         return tuple(dict.fromkeys([self.point_closures[i] for i in self._lex_indices]))
 
     def mask_of(self, names: Iterable[str]) -> int:
+        """The mask of the named points. A ``str`` is refused, not read as
+        the names of its characters, and so is a value that is not iterable."""
+        if isinstance(names, str) or not hasattr(names, "__iter__"):
+            raise ValidationError(f"point names must be a collection of names, got {names!r}")
         mask = 0
         for name in names:
             mask |= 1 << self.point_index(name)
@@ -581,6 +585,16 @@ class FiniteMap(Value):
         return preimage_of(self._fibers, target_mask)
 
 
+def _first_failure(space, basis, send, test, note: str) -> Verdict:
+    """The first basic set of ``space``, in ``basis`` order, whose image
+    under ``send`` fails ``test``, named as the witness of a failing
+    verdict with ``note``; a holding verdict when every set passes."""
+    for basic in basis:
+        if not test(send(basic)):
+            return Verdict(False, witness=space.names_of(basic), note=note)
+    return Verdict(True)
+
+
 class SpaceMap(FiniteMap):
     """A point map between finite spaces; no continuity assumed until checked."""
 
@@ -597,25 +611,13 @@ class SpaceMap(FiniteMap):
         a union of them and preimages commute with unions. The witness on
         failure is an open target set whose preimage is not open.
         """
-        for basic in self.target._open_basis:
-            if not self.source.is_open_mask(self.preimage_mask(basic)):
-                return Verdict(
-                    False,
-                    witness=self.target.names_of(basic),
-                    note="open set whose preimage is not open",
-                )
-        return Verdict(True)
+        return _first_failure(self.target, self.target._open_basis, self.preimage_mask,
+                              self.source.is_open_mask, "open set whose preimage is not open")
 
     def is_open(self) -> Verdict:
         """Image of every open set is open (checked on the minimal opens)."""
-        for basic in self.source._open_basis:
-            if not self.target.is_open_mask(self.image_mask(basic)):
-                return Verdict(
-                    False,
-                    witness=self.source.names_of(basic),
-                    note="open set whose image is not open",
-                )
-        return Verdict(True)
+        return _first_failure(self.source, self.source._open_basis, self.image_mask,
+                              self.target.is_open_mask, "open set whose image is not open")
 
     def is_closed(self) -> Verdict:
         """Image of every closed set is closed.
@@ -624,14 +626,8 @@ class SpaceMap(FiniteMap):
         union of closed sets stays closed here, so the point closures
         suffice.
         """
-        for basic in self.source._closed_basis:
-            if not self.target.is_closed_mask(self.image_mask(basic)):
-                return Verdict(
-                    False,
-                    witness=self.source.names_of(basic),
-                    note="closed set whose image is not closed",
-                )
-        return Verdict(True)
+        return _first_failure(self.source, self.source._closed_basis, self.image_mask,
+                              self.target.is_closed_mask, "closed set whose image is not closed")
 
 
 def min_open_rows(n: int, opens: Iterable[int]) -> tuple[int, ...]:

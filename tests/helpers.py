@@ -21,6 +21,7 @@ from stratkit import (
     Poset,
     Proset,
     SpaceMap,
+    ValidationError,
     Verdict,
     alexandrov_space,
     face_poset_model,
@@ -90,6 +91,35 @@ def assert_value_semantics(make, field: str, memo: str | None = None) -> None:
         first = getattr(a, memo)
         assert vars(a)[memo] is first and getattr(a, memo) is first
     assert a == b
+
+
+def naive_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Independent rederivation: filter all 2**(n*n) boolean matrices.
+
+    Slow by design; the reference for ``oracle.labeled_preorder_rows``.
+    """
+    if n > 3:
+        raise ValidationError("the naive relation filter is limited to 3 elements")
+    out = []
+    for code in range(1 << (n * n)):
+        rows = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if (code >> (i * n + j)) & 1:
+                    rows[i] |= 1 << j
+        if any(not (rows[i] >> i) & 1 for i in range(n)):
+            continue
+        ok = True
+        for i in range(n):
+            acc = rows[i]
+            for j in iter_bits(rows[i]):
+                acc |= rows[j]
+            if acc != rows[i]:
+                ok = False
+                break
+        if ok:
+            out.append(tuple(rows))
+    return tuple(out)
 
 
 def all_spaces(max_n: int):

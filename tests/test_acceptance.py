@@ -5,10 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,6 @@ from stratkit.oracle import (
     enumerate_prosets,
     labeled_poset_rows,
     labeled_preorder_rows,
-    naive_preorder_rows,
     set_partitions,
 )
 
@@ -46,6 +47,9 @@ SWEEP_JSON_SHA256 = {
     3: "925b8dfde5268f186ada34a30380d176d125679df582274c646f24f95407166f",
     4: "9d5dfe89d32e04fec33da77bf3332f33deefc8f3d00e4ce601ddab6f646d6666",
 }
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def report_line(number: int, ok: bool, detail: str) -> None:
@@ -195,7 +199,7 @@ def test_criterion_6_enumeration_counts():
         for n, c in expected_partitions.items()
     )
     rederived = all(
-        sorted(naive_preorder_rows(n)) == sorted(labeled_preorder_rows(n))
+        sorted(helpers.naive_preorder_rows(n)) == sorted(labeled_preorder_rows(n))
         for n in range(4)
     )
     report_line(
@@ -236,3 +240,28 @@ def test_criterion_7_cli_determinism_and_exit_codes(tmp_path, capsys, monkeypatc
         ok,
         f"exit codes ({code1}, {code2}, {code3}) honored, repeated output byte-identical",
     )
+
+
+def test_readme_quick_start_states_its_values():
+    # each expression line of the README's "Library quick start" block
+    # evaluates to the literal its comment starts with, of the same type
+    text = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        if not isinstance(ast.parse(code).body[0], ast.Expr):
+            exec(code, scope)
+            continue
+        stated = comment.strip()
+        try:
+            expected = ast.literal_eval(stated)
+        except (SyntaxError, ValueError):  # a literal, then ": " and prose
+            expected = ast.literal_eval(stated.split(":", 1)[0])
+        value = eval(code, scope)
+        assert (type(value), value) == (type(expected), expected), line
+        checked.append(code.strip())
+    assert len(checked) == 6, checked

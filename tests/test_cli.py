@@ -51,6 +51,14 @@ class TestExitCodes:
         assert code == 1
         assert "frontier condition fails" in out
 
+    def test_classify_expect_poset_stratified_names_the_reason(self, capsys, tmp_path):
+        path = write_fixture(tmp_path, "pseudo_circle_4")
+        code, out, _ = run(capsys, ["classify", path, "--expect", "poset-stratified"])
+        assert (code, out) == (1, (
+            "verdict: alexandrov\nexpected: poset-stratified\n"
+            "reason: no partial order on the strata makes the quotient map continuous\n"
+        ))
+
     def test_classify_expect_match_is_exit_0(self, capsys, monkeypatch):
         text = save(fixture("quadrant_4").document)
         code, out, _ = run(
@@ -198,6 +206,37 @@ class TestExitCodes:
         assert code == 2
         assert "STRATKIT_MAX_POINTS" in err
 
+    def test_negative_env_override_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("STRATKIT_MAX_POINTS", "-1")
+        expected = (2, "", "error: STRATKIT_MAX_POINTS must be nonnegative\n")
+        assert run(capsys, ["fixture", "list"]) == expected
+
+    def test_fixture_show_without_a_name_is_exit_2(self, capsys):
+        assert run(capsys, ["fixture", "show"]) == (2, "", "error: fixture show needs a name\n")
+
+    def test_theorem_b_refuses_a_proset_order(self, capsys, tmp_path):
+        dec_path = write_fixture(tmp_path, "quadrant_4")
+        order_path = tmp_path / "proset.json"
+        order_path.write_text(
+            json.dumps({"kind": "proset", "elements": ["0", "1", "2", "3"]}), encoding="utf-8"
+        )
+        code, out, err = run(capsys, ["theorem-b", dec_path, str(order_path)])
+        assert (code, out) == (2, "")
+        assert err == "error: expected a poset or order-on-strata document, got kind 'proset'\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "preorder", "--blocks", "2", "--space", "nope"],
+             "preorder generation reads only density, got 'blocks'"),
+            (["--kind", "partition", "--density", "0.5"],
+             "partition generation reads only space, blocks, got 'density'"),
+        ],
+    )
+    def test_gen_refuses_flags_its_kind_does_not_read(self, capsys, argv, message):
+        code, out, err = run(capsys, ["gen", "--n", "3", "--seed", "1", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestSubcommands:
     def test_check_text(self, capsys, tmp_path):
@@ -312,6 +351,12 @@ class TestSubcommands:
         )
         assert code == 0
         assert load(out).kind == "proset"
+
+    def test_gen_partition_over_a_fixture_space(self, capsys):
+        argv = ["gen", "--kind", "partition", "--n", "4", "--seed", "3", "--space", "quadrant_4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert load(out).value.space == fixture("quadrant_4").document.value.space
 
     def test_export_dot(self, capsys, tmp_path):
         order = {

@@ -99,6 +99,18 @@ class TestConstruction:
         with pytest.raises(ValidationError, match=r"^stratum 'A' must list its points, got 'co'$"):
             Decomposition.from_strata(sierpinski, {"A": "co"})
 
+    def test_non_space_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            Decomposition(None, ())
+        assert str(exc.value) == "Decomposition space must be a FiniteSpace, got NoneType"
+        with pytest.raises(ValidationError, match="^classify needs a Decomposition, got NoneType$"):
+            classify(None)
+
+    def test_unknown_stratum_id(self, line_3):
+        assert line_3.stratum("S1") == {"p"}
+        with pytest.raises(ValidationError, match="^unknown stratum id: 'S9'$"):
+            line_3.stratum("S9")
+
     def test_pi(self, line_3):
         assert line_3.pi("m") == "S0" and line_3.pi("p") == "S1"
 

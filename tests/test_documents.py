@@ -254,6 +254,28 @@ class TestErrors:
         with pytest.raises(ParseError, match="^parse error: "):
             load(text)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"kind": "space", "points": ["a"], "subbasis": "a"},
+             "subbasis must be a list of point lists"),
+            ({"kind": "proset", "elements": ["a"], "leq_pairs": {"a": "a"}},
+             "leq_pairs must be a list of element pairs"),
+            ({"kind": "proset", "elements": ["a", "b"], "leq_pairs": [["a", "b", "a"]]},
+             "leq_pairs entries must be pairs, got ['a', 'b', 'a']"),
+            ({"kind": "proset", "elements": ["a"], "close": 1}, "close must be a boolean"),
+        ],
+        ids=["subbasis-not-a-list", "leq-pairs-not-a-list", "leq-pair-of-three", "close-int"],
+    )
+    def test_malformed_subbasis_and_relation_values(self, payload, message):
+        with pytest.raises(ValidationError) as exc:
+            load(json.dumps(payload))
+        assert str(exc.value) == message
+
+    def test_only_text_is_loaded(self):
+        with pytest.raises(ValidationError, match="^document must be JSON text, got int$"):
+            load(3)
+
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
             | st.text(max_size=8))
@@ -358,6 +380,10 @@ class TestFacePosets:
         with pytest.raises(ValidationError, match="empty facet"):
             face_poset_model([()])
 
+    def test_facets_must_be_a_collection(self):
+        with pytest.raises(ValidationError, match="^facets must be a collection of facets, got 3$"):
+            face_poset_model(3)
+
     @pytest.mark.parametrize("facets", [
         [(1, 2)],  # not a string
         [("a,b", "c")],  # "," joins vertex names into face names
@@ -431,6 +457,25 @@ class TestGenerate:
             generate("lattice", 3, {}, seed=0)
         with pytest.raises(ValidationError, match="points but n="):
             generate("partition", 5, {"space": "quadrant_4"}, seed=0)
+        with pytest.raises(ValidationError, match="^space must be a fixture name or a space payload$"):
+            generate("partition", 2, {"space": 3}, seed=0)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("preorder", None, "params must be a Mapping, got NoneType"),
+            ("partition", [("blocks", 2)], "params must be a Mapping, got list"),
+            ("preorder", {"density": 0.5, "blocks": 2},
+             "preorder generation reads only density, got 'blocks'"),
+            ("preorder", {"space": "nope"}, "preorder generation reads only density, got 'space'"),
+            ("partition", {"density": 0.5},
+             "partition generation reads only space, blocks, got 'density'"),
+        ],
+    )
+    def test_params_the_kind_does_not_read_are_refused(self, kind, params, message):
+        with pytest.raises(ValidationError) as exc:
+            generate(kind, 3, params, seed=1)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "kind, n, params, message",
@@ -513,3 +558,20 @@ class TestDotExport:
 
     def test_determinism(self, quadrant_4):
         assert export_dot(quadrant_4) == export_dot(quadrant_4)
+
+    def test_stratum_ids_are_escaped_in_labels(self, line_3):
+        # a quote or a backslash in an id is escaped inside the label as in
+        # the node id, and an id holding "->" gets its labeled node line only
+        dec = Decomposition.from_strata(line_3.space, {'x"y': ["m", "z"], "c\\": ["p"]})
+        assert export_dot(dec).splitlines()[3:6] == [
+            '  "c\\\\" [label="c\\\\\\n1 pt, locally closed"];',
+            '  "x\\"y" [label="x\\"y\\n2 pts, locally closed"];',
+            '  "x\\"y" -> "c\\\\";',
+        ]
+        dec = Decomposition.from_strata(line_3.space, {"a->b": ["m", "z"], "q": ["p"]})
+        assert export_dot(dec).splitlines()[3:] == [
+            '  "a->b" [label="a->b\\n2 pts, locally closed"];',
+            '  "q" [label="q\\n1 pt, locally closed"];',
+            '  "a->b" -> "q";',
+            "}",
+        ]

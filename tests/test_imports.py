@@ -23,8 +23,8 @@ SRC = str(Path(stratkit.__file__).resolve().parents[1])
 # the modules that no command of the check family runs
 OPTIONAL = ("stratkit.dot", "stratkit.fixtures", "stratkit.generate", "stratkit.oracle")
 EXPORTS = [
-    "AdjunctionReport", "AgreementReport", "ClassificationReport", "Decomposition", "Document",
-    "FaceModel", "FiniteSpace", "Fixture", "InternalInvariantError", "MonotoneMap", "OrderCheck",
+    "AgreementReport", "ClassificationReport", "Decomposition", "Document", "FaceModel",
+    "FiniteSpace", "Fixture", "InternalInvariantError", "MonotoneMap", "OrderCheck",
     "ParseError", "Poset", "PosetStratification", "PreconditionError", "Proset",
     "SemicontinuityReport", "SpaceMap", "SplitMix64", "StratificationVerdict", "SweepReport",
     "SymbolicFamily", "ValidationError", "Verdict", "adjunction_roundtrips", "alexandrov_space",

@@ -31,7 +31,6 @@ from stratkit.oracle import (
     enumerate_prosets,
     labeled_poset_rows,
     labeled_preorder_rows,
-    naive_preorder_rows,
     partition_orbits,
     preorder_orbits,
     set_partitions,
@@ -78,11 +77,11 @@ class TestCounts:
 
     def test_naive_filter_rederives_the_preorders(self):
         for n in range(4):
-            assert sorted(naive_preorder_rows(n)) == sorted(labeled_preorder_rows(n))
+            assert sorted(helpers.naive_preorder_rows(n)) == sorted(labeled_preorder_rows(n))
 
     def test_naive_filter_is_size_guarded(self):
         with pytest.raises(ValidationError):
-            naive_preorder_rows(4)
+            helpers.naive_preorder_rows(4)
 
 
 class TestEnumerations:

@@ -94,6 +94,10 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="unknown element"):
             Proset.from_pairs(("a",), [("a", "zz")])
 
+    def test_unknown_first_element_in_pair(self):
+        with pytest.raises(ValidationError, match="^pair mentions unknown element: 'zz'$"):
+            Proset.from_pairs(("a",), [("zz", "a")])
+
     def test_poset_constructor_rejects_cycles(self):
         with pytest.raises(ValidationError, match="not antisymmetric"):
             Poset.from_pairs(("i", "j"), [("i", "j"), ("j", "i")])
@@ -152,9 +156,7 @@ class TestValueSemantics:
 
     def test_report_reprs(self):
         p = Proset.from_pairs("ab", [("a", "b")])
-        assert repr(adjunction_roundtrips(p, alexandrov_space(p))) == (
-            "AdjunctionReport(unit_is_identity=True, counit_is_identity=True)"
-        )
+        assert adjunction_roundtrips(p, alexandrov_space(p)) is None
         assert repr(symbolic_local_finiteness("NatUsual")) == (
             "SymbolicFamily(tag='NatUsual', locally_finite_space=False, "
             "locally_finite_poset=True, space_reason='the up-set [p, oo) of any p is infinite "
@@ -259,8 +261,7 @@ class TestTranslationsKeepValidatedRows:
 class TestAdjunction:
     def test_two_cycle_roundtrip(self):
         p = Proset.from_pairs(("i", "j"), [("i", "j"), ("j", "i")])
-        report = adjunction_roundtrips(p, alexandrov_space(p))
-        assert report.unit_is_identity and report.counit_is_identity
+        assert adjunction_roundtrips(p, alexandrov_space(p)) is None
 
     def test_pseudo_circle_roundtrip(self):
         space = FiniteSpace.from_subbasis(

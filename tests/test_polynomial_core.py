@@ -67,7 +67,9 @@ def test_detector_finds_subset_loops():
     )
     assert subset_loops(source) == ["A.f", "g", "g"]
     oracle = (SRC / "oracle.py").read_text(encoding="utf-8")
-    assert {"naive_preorder_rows", "alexandrov_by_subset_filter"} <= set(subset_loops(oracle))
+    assert "alexandrov_by_subset_filter" in subset_loops(oracle)
+    references = (Path(__file__).parent / "helpers.py").read_text(encoding="utf-8")
+    assert "naive_preorder_rows" in subset_loops(references)
 
 
 def test_core_modules_enumerate_no_subsets():

@@ -389,6 +389,15 @@ class TestPointSetOperations:
         for method in self.MASK_METHODS:
             getattr(space, method)(inside)  # accepted
 
+    def test_names_must_be_a_collection_not_a_str(self, sierpinski):
+        # a str would read as the names of its characters: "co" as c and o
+        for call, names in ((sierpinski.is_open, "co"), (sierpinski.subspace, "co"),
+                            (sierpinski.closure, 3), (sierpinski.subspace, None)):
+            with pytest.raises(ValidationError) as exc:
+                call(names)
+            assert str(exc.value) == f"point names must be a collection of names, got {names!r}"
+        assert sierpinski.is_open(["c", "o"]) and not sierpinski.is_open(("c",))
+
     def test_frontier(self):
         assert line_3_space().frontier(("p",)) == {"z"}
 
@@ -561,6 +570,11 @@ class TestFinalTopology:
         line = line_3_space()
         with pytest.raises(ValidationError, match="outside the target"):
             final_topology(("0",), [(line, {"m": "0", "z": "0", "p": "oops"})])
+
+    def test_assignment_missing_a_source_point(self):
+        line = line_3_space()
+        with pytest.raises(ValidationError, match="^assignment missing source point 'p'$"):
+            final_topology(("0",), [(line, {"m": "0", "z": "0"})])
 
 
 class TestRandomizedLaws:
