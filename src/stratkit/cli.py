@@ -6,9 +6,8 @@ equivalence disagreement (a library defect, never bad input). Document
 arguments are file paths, with ``-`` meaning stdin. Output carries no
 timestamps, so identical invocations are byte-identical.
 
-The environment variable STRATKIT_MAX_POINTS raises the bound on
-``verify --points``; it never reaches the library guard
-``topology.MAX_POINTS``.
+``verify --points`` takes the oracle's one enumeration bound,
+``oracle.MAX_ELEMENTS`` (6); no setting changes it.
 
 Imports are per command: this module loads only the classification core
 (topology, order, decomposition, documents), and the oracle, generator,
@@ -21,7 +20,6 @@ them (``verify``, ``gen``, ``fixture``, ``preorder --dot`` and
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .decomposition import (
@@ -256,10 +254,9 @@ def _cmd_theorem_b(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import MAX_SWEEP_POINTS, exhaustive_verify
+    from .oracle import exhaustive_verify
 
-    max_n = max(MAX_SWEEP_POINTS, args.max_points or 0)
-    report = exhaustive_verify(args.points, max_n=max_n)
+    report = exhaustive_verify(args.points)
     if args.format == "json":
         _emit(report.to_json())
     else:
@@ -307,19 +304,6 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def _max_points_override() -> int | None:
-    raw = os.environ.get("STRATKIT_MAX_POINTS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError("STRATKIT_MAX_POINTS must be an integer") from None
-    if value < 0:
-        raise ValidationError("STRATKIT_MAX_POINTS must be nonnegative")
-    return value
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -327,8 +311,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # read for every command, so a bad value is exit 2 everywhere
-        args.max_points = _max_points_override()
         return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

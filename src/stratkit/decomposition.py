@@ -68,15 +68,17 @@ one decomposition.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import compress, tee
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .order import Poset, Proset, reflexive_transitive_closure, specialization_preorder
 from .topology import (
-    FiniteSpace, Value, Verdict, iter_bits, names_at, preimage_of, rows_meeting, rows_within
+    FiniteSpace, Value, Verdict, check_type, iter_bits, names_at, preimage_of, rows_meeting,
+    rows_within,
 )
 
 class AgreementReport(NamedTuple):
@@ -192,9 +194,7 @@ class Decomposition(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if not isinstance(self.space, FiniteSpace):
-            got = type(self.space).__name__
-            raise ValidationError(f"Decomposition space must be a FiniteSpace, got {got}")
+        check_type(self.space, FiniteSpace, "Decomposition space")
         items = tuple(self.strata)
         object.__setattr__(self, "strata", items)
         ids = _checked_ids([sid for sid, _ in items])
@@ -219,6 +219,8 @@ class Decomposition(Value):
     def from_strata(
         cls, space: FiniteSpace, strata: Mapping[str, Iterable[str]]
     ) -> "Decomposition":
+        check_type(space, FiniteSpace, "Decomposition space")
+        check_type(strata, Mapping, "Decomposition strata")
         items = []
         for sid in sorted(_checked_ids(strata)):
             if isinstance(strata[sid], str):
@@ -610,8 +612,7 @@ def _order_rows(d: Decomposition, order: Poset) -> tuple[int, ...]:
     """The up-set rows of ``order`` reindexed to the sorted ``d.ids``: the
     one door for a supplied order, which must be a ``Poset`` on exactly
     the stratum ids."""
-    if not isinstance(order, Poset):
-        raise ValidationError(f"order must be a Poset, got {type(order).__name__}")
+    check_type(order, Poset, "order")
     if extra := set(order.elements) - set(d.ids):
         raise ValidationError(
             f"order element {sorted(extra)[0]!r} has empty preimage in the decomposition"

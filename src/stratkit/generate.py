@@ -19,14 +19,14 @@ the digests in ``tests/test_generate_golden.py`` pin the documents.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Mapping
 
 from .decomposition import Decomposition
 from .documents import Document, space_from_payload
 from .errors import ValidationError
 from .order import Proset, reflexive_transitive_closure
-from .topology import FiniteSpace
+from .topology import FiniteSpace, check_type
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -156,10 +156,11 @@ def generate(kind: str, n: int, params: Mapping, seed: int) -> Document:
     """
     if not _plain_int(n) or n < 0:
         raise ValidationError("n must be a nonnegative integer")
+    if not _plain_int(seed):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not isinstance(kind, str) or kind not in _PARAMS:
         raise ValidationError(f"unknown generation kind: {kind!r}")
-    if not isinstance(params, Mapping):
-        raise ValidationError(f"params must be a Mapping, got {type(params).__name__}")
+    check_type(params, Mapping, "params")
     reads = _PARAMS[kind]
     for key in params:
         if key not in reads:

@@ -1,8 +1,9 @@
 """Brute-force enumeration of small structures and the verification sweep.
 
 Labeled preorders on n elements correspond exactly to topologies on n
-points, so enumerating relations enumerates spaces. The sweep covers
-every (space, partition) pair up to a size bound, reruns every
+points, so enumerating relations enumerates spaces. Every enumeration
+refuses a size outside 0..``MAX_ELEMENTS`` (6), in ``_check_size``. The
+sweep covers every (space, partition) pair of one size, reruns every
 equivalence-group agreement from the decomposition module, compares the
 polynomial quotient and Alexandrov routes with the definitional ones that
 filter all 2**k sets of strata (once per instance), checks the theorems
@@ -24,7 +25,8 @@ that checks every labeled pair (``tests/helpers.labeled_sweep`` is that
 reference). ``first_counterexample`` is a canonical orbit representative.
 At n = 5 the 360,984 labeled instances are 4,323 orbits. Through the
 CLI that sweep took a median of 3.24 s in one set of six runs and 1.98 s
-in a later set of ten (Python 3.11, one core of a shared 2-vCPU host).
+in a later set of ten; at n = 6, 42,533,981 labeled instances, one run
+took 274 s at a 63 MB peak (Python 3.11, one core of a shared 2-vCPU host).
 
 Each check is a law in one ordered table, ``LAWS``: a name, a scope (a
 space, an instance, or an order that the search over labeled partial
@@ -70,14 +72,12 @@ from .topology import (
 )
 
 #: Known totals (OEIS A000798, A001035, A000110), checked by the tests.
-PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
-POSET_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
+PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
+POSET_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
 PARTITION_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
-#: Fixed enumeration bounds; the sweep's is a default (STRATKIT_MAX_POINTS raises it).
-MAX_ORDER_ELEMENTS = 4
-MAX_PARTITION_ELEMENTS = 6
-MAX_SWEEP_POINTS = 4
+#: The one bound on every labeled enumeration: elements, strata or points.
+MAX_ELEMENTS = 6
 
 
 def _one_point_extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -100,6 +100,15 @@ def _one_point_extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 yield base + (u | bit,)
 
 
+def _check_size(n: int, what: str, unit: str) -> None:
+    """Refuse a size that is not an int in 0..MAX_ELEMENTS: a negative size
+    is not the empty case, and a bool or float is not a size."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValidationError(f"{what} size must be a nonnegative integer, got {n!r}")
+    if n > MAX_ELEMENTS:
+        raise ValidationError(f"{what} bound is {MAX_ELEMENTS} {unit}")
+
+
 @lru_cache(maxsize=None)
 def labeled_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Every reflexive transitive relation on n labeled elements.
@@ -110,8 +119,7 @@ def labeled_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
     is always set, that is ascending order of the rows read last to first.
     The result is deterministic and duplicate free.
     """
-    if n > 6:
-        raise ValidationError("relation enumeration is limited to 6 elements")
+    _check_size(n, "relation enumeration", "elements")
     level = [()]
     for _ in range(n):
         level = [ext for rows in level for ext in _one_point_extensions(rows)]
@@ -187,21 +195,12 @@ def partition_orbits(
         yield partition, len(images)
 
 
-def _check_size(n: int, limit: int, what: str, unit: str) -> None:
-    """Refuse a size outside 0..limit: a negative size is not the empty case."""
-    if n < 0:
-        raise ValidationError(f"{what} size must be nonnegative, got {n}")
-    if n > limit:
-        raise ValidationError(f"{what} bound is {limit} {unit}")
-
-
 def _default_elements(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
 def enumerate_prosets(n: int) -> Iterator[Proset]:
     """All labeled preorders on elements "0".."n-1", deterministic order."""
-    _check_size(n, MAX_ORDER_ELEMENTS, "preorder enumeration", "elements")
     elements = _default_elements(n)
     for rows in labeled_preorder_rows(n):
         yield Proset(elements, rows)
@@ -209,7 +208,6 @@ def enumerate_prosets(n: int) -> Iterator[Proset]:
 
 def enumerate_posets(n: int) -> Iterator[Poset]:
     """All labeled partial orders on elements "0".."n-1"."""
-    _check_size(n, MAX_ORDER_ELEMENTS, "poset enumeration", "elements")
     elements = _default_elements(n)
     for rows in labeled_poset_rows(n):
         yield Poset(elements, rows)
@@ -245,7 +243,7 @@ def set_partitions(items: Sequence[str]) -> Iterator[tuple[tuple[str, ...], ...]
 
 def enumerate_partitions(n: int) -> Iterator[tuple[tuple[str, ...], ...]]:
     """All partitions of points "0".."n-1"."""
-    _check_size(n, MAX_PARTITION_ELEMENTS, "partition enumeration", "elements")
+    _check_size(n, "partition enumeration", "elements")
     yield from set_partitions(_default_elements(n))
 
 
@@ -433,7 +431,7 @@ def _checked_search(d: Decomposition) -> list[tuple[int, ...]]:
     """The rows of each order the search finds the quotient map continuous
     into, asserting that every order containing the decomposition preorder
     is among them and that each order law holds on each."""
-    _check_size(d.k, MAX_ORDER_ELEMENTS, "order enumeration", "strata")
+    _check_size(d.k, "order enumeration", "strata")
     case = _Instance(d)
     if not _refinements_continuous(d, *case.search):
         raise InternalInvariantError("refinement broke continuity of the quotient map")
@@ -594,11 +592,11 @@ class Sweep:
         )
 
 
-def exhaustive_verify(n: int, max_n: int = MAX_SWEEP_POINTS) -> SweepReport:
+def exhaustive_verify(n: int) -> SweepReport:
     """Recheck every order-and-decomposition statement on all instances of
     size n, one per relabeling orbit, each weighted by its orbit size.
     See the module docstring for what one instance contributes."""
-    _check_size(n, max_n, "exhaustive sweep", "points")
+    _check_size(n, "exhaustive sweep", "points")
     points = _default_elements(n)
     partitions = tuple(set_partitions(points))
     labelings = factorial(n)

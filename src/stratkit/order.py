@@ -151,7 +151,13 @@ class Proset(_Relation):
         index = {e: i for i, e in enumerate(els)}
         n = len(els)
         rows = [0] * n
-        for a, b in pairs:
+        if not hasattr(pairs, "__iter__"):
+            raise ValidationError(f"pairs must be a collection of pairs, got {pairs!r}")
+        for pair in pairs:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise ValidationError(f"pairs must hold two elements each, got {pair!r}") from None
             if a not in index:
                 raise ValidationError(f"pair mentions unknown element: {a!r}")
             if b not in index:

@@ -10,7 +10,7 @@ a size guard.
 Point subsets cross the public API as frozensets of point names and are
 held internally as bit masks over the point list in insertion order. No
 result depends on the stored order. The public ``*_mask`` methods refuse a
-negative mask or one with bits beyond the points (ValidationError).
+non-int, bool or negative mask and one with bits beyond the points.
 
 A relation is held as bit rows too. The kernel below is the one place the
 per-bit loops over rows live, for spaces, orders, decompositions and the
@@ -58,10 +58,11 @@ record types are ``typing.NamedTuple``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property, reduce
 from itertools import compress
 from operator import attrgetter, or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -223,8 +224,16 @@ class Verdict(NamedTuple):
         return self.holds
 
 
+def check_type(value, kind: type, what: str) -> None:
+    """Refuse ``value``, named ``what`` in the message, unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def checked_names(names: Iterable[str], what: str = "point") -> tuple[str, ...]:
-    """Validate a list of identifiers: nonempty strings, no duplicates."""
+    """Validate a collection of identifiers: nonempty strings, no duplicates."""
+    if not hasattr(names, "__iter__"):
+        raise ValidationError(f"{what} names must be a collection of names, got {names!r}")
     out = tuple(names)
     seen = set()
     for name in out:
@@ -250,6 +259,8 @@ class _Relation(Value):
     def __post_init__(self):
         fields, (names_key, rows_key) = self.__dict__, self._fields
         names = fields[names_key] = checked_names(fields[names_key], self._member)
+        if not hasattr(fields[rows_key], "__iter__"):
+            raise ValidationError(self._length_fault)
         rows = fields[rows_key] = tuple(fields[rows_key])
         n = len(names)
         if len(rows) != n:
@@ -330,6 +341,7 @@ class FiniteSpace(_Relation):
         into its mask in one C pass (``map`` and ``reduce``); a list with
         an unknown name is scanned again for its first one."""
         pts = checked_names(points)
+        check_type(neighborhoods, Mapping, "min_open")
         bit = {p: 1 << i for i, p in enumerate(pts)}
         for key in neighborhoods:
             if key not in bit:
@@ -419,9 +431,9 @@ class FiniteSpace(_Relation):
     # -- open and closed sets --------------------------------------------
 
     def _checked(self, mask: int) -> int:
-        """The mask, refused if negative or with a bit beyond the points."""
-        if mask < 0 or mask >> len(self.points):
-            raise ValidationError(f"point mask {mask} out of range for {len(self.points)} points")
+        """The mask, refused unless an int (not a bool) with no bit beyond the points."""
+        if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> len(self.points):
+            raise ValidationError(f"point mask {mask!r} out of range for {len(self.points)} points")
         return mask
 
     def is_open_mask(self, mask: int) -> bool:
@@ -525,9 +537,7 @@ class FiniteMap(Value):
     def _check_ends(cls, source, target) -> None:
         """Refuse a source or target that is not of the ``_value`` type."""
         for end, value in (("source", source), ("target", target)):
-            if not isinstance(value, cls._value):
-                kind, got = cls._value.__name__, type(value).__name__
-                raise ValidationError(f"{cls.__name__} {end} must be a {kind}, got {got}")
+            check_type(value, cls._value, f"{cls.__name__} {end}")
 
     def __post_init__(self):
         self._check_ends(self.source, self.target)
@@ -547,8 +557,7 @@ class FiniteMap(Value):
         """The map sending each source name to ``mapping[name]``. Each
         source name, in order, must be a key whose value names a target
         member; then every key must name a source member."""
-        if not isinstance(mapping, Mapping):
-            raise ValidationError(f"mapping must be a Mapping, got {type(mapping).__name__}")
+        check_type(mapping, Mapping, "mapping")
         cls._check_ends(source, target)
         asg = []
         for p in source._names:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import run_main
 import stratkit
-from stratkit import Decomposition, face_poset_model, fixture, fixture_names, load, save, topology
+from stratkit import Decomposition, face_poset_model, fixture, fixture_names, load, save
 from stratkit.cli import main
 from stratkit.documents import KINDS, Document
 
@@ -125,10 +125,14 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr.startswith(b"error: parse error: '-' is not UTF-8 text")
 
-    def test_negative_verify_size_is_exit_2(self, capsys):
-        code, out, err = run(capsys, ["verify", "--exhaustive", "--points", "-1"])
-        assert (code, out) == (2, "")
-        assert "nonnegative" in err
+    @pytest.mark.parametrize(
+        "points, message",
+        [("-1", "exhaustive sweep size must be a nonnegative integer, got -1"),
+         ("7", "exhaustive sweep bound is 6 points")],
+    )
+    def test_verify_size_outside_0_to_6_is_exit_2(self, capsys, points, message):
+        argv = ["verify", "--exhaustive", "--points", points]
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
     def test_disagreeing_labels_are_exit_3(self, monkeypatch):
         # a library defect: one printed Alexandrov label disagrees with the
@@ -182,34 +186,6 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
         assert "expected a decomposition" not in err  # refused while loading
-
-    def test_env_override_ends_with_the_invocation(self, capsys, monkeypatch, quadrant_4):
-        default = topology.MAX_POINTS
-        monkeypatch.setattr(topology, "MAX_POINTS", default)  # undone even if this fails
-        monkeypatch.setenv("STRATKIT_MAX_POINTS", "2")
-        assert run(capsys, ["fixture", "list"])[0] == 0
-        monkeypatch.delenv("STRATKIT_MAX_POINTS")
-        assert topology.MAX_POINTS == default
-        assert len(quadrant_4.quotient_open_family()) > 0  # k = 4 is within the guard again
-
-    def test_env_override_lifts_only_the_verify_bound(self, capsys, monkeypatch):
-        monkeypatch.delenv("STRATKIT_MAX_POINTS", raising=False)
-        argv = ["verify", "--exhaustive", "--points", "3"]
-        code, plain, _ = run(capsys, argv)
-        assert code == 0
-        monkeypatch.setenv("STRATKIT_MAX_POINTS", "2")  # below the sweep's own bound of 4
-        assert run(capsys, argv) == (0, plain, "")
-
-    def test_bad_env_override_is_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("STRATKIT_MAX_POINTS", "many")
-        code, _, err = run(capsys, ["fixture", "list"])
-        assert code == 2
-        assert "STRATKIT_MAX_POINTS" in err
-
-    def test_negative_env_override_is_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("STRATKIT_MAX_POINTS", "-1")
-        expected = (2, "", "error: STRATKIT_MAX_POINTS must be nonnegative\n")
-        assert run(capsys, ["fixture", "list"]) == expected
 
     def test_fixture_show_without_a_name_is_exit_2(self, capsys):
         assert run(capsys, ["fixture", "show"]) == (2, "", "error: fixture show needs a name\n")

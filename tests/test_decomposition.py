@@ -37,6 +37,7 @@ from stratkit import (
 )
 from stratkit import decomposition, oracle, topology
 from stratkit.oracle import (
+    POSET_COUNTS,
     labeled_poset_rows,
     labeled_preorder_rows,
     quotient_space_by_subset_filter,
@@ -103,6 +104,12 @@ class TestConstruction:
         with pytest.raises(ValidationError) as exc:
             Decomposition(None, ())
         assert str(exc.value) == "Decomposition space must be a FiniteSpace, got NoneType"
+        # from_strata checks both arguments before it reads either
+        with pytest.raises(ValidationError) as exc:
+            Decomposition.from_strata(None, {"a": ["c"]})
+        assert str(exc.value) == "Decomposition space must be a FiniteSpace, got NoneType"
+        with pytest.raises(ValidationError, match="^Decomposition strata must be a Mapping, got list$"):
+            Decomposition.from_strata(FiniteSpace.discrete(["c"]), [("a", ["c"])])
         with pytest.raises(ValidationError, match="^classify needs a Decomposition, got NoneType$"):
             classify(None)
 
@@ -570,13 +577,19 @@ class TestCompatibleOrders:
             compatible_orders(pseudo_circle_4)
 
     def test_bound(self):
-        # five isolated points, one stratum each: poset-stratified (and a
-        # stratification), but one stratum past the fixed bound of 4
-        dec = Decomposition.pointwise(FiniteSpace.discrete("abcde"))
+        # seven isolated points, one stratum each: poset-stratified (and a
+        # stratification), but one stratum past the fixed bound of 6
+        dec = Decomposition.pointwise(FiniteSpace.discrete("abcdefg"))
         assert dec.is_stratification()
         for check in (compatible_orders, strict_refinements_never_open):
-            with pytest.raises(ValidationError, match=r"^order enumeration bound is 4 strata$"):
+            with pytest.raises(ValidationError, match=r"^order enumeration bound is 6 strata$"):
                 check(dec)
+
+    def test_five_strata_are_within_the_bound(self):
+        # every labeled order on five isolated points contains the discrete preorder
+        dec = Decomposition.pointwise(FiniteSpace.discrete("abcde"))
+        assert len(compatible_orders(dec)) == POSET_COUNTS[5]
+        assert strict_refinements_never_open(dec) == POSET_COUNTS[5] - 1
 
     def test_a_continuous_order_missing_the_preorder_is_caught(self, quadrant_4, monkeypatch):
         # a search that calls every order continuous offers orders that do

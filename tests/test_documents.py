@@ -492,6 +492,12 @@ class TestGenerate:
         with pytest.raises(ValidationError, match=message):
             generate(kind, n, params, seed=1)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, True, "1"], ids=["none", "float", "bool", "str"])
+    def test_a_seed_that_is_not_a_plain_int_is_refused(self, seed):
+        with pytest.raises(ValidationError) as exc:
+            generate("preorder", 3, {}, seed)
+        assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
     def test_generated_documents_validate(self):
         for seed in range(30):
             doc = generate("preorder", 4, {"density": 0.5}, seed)

@@ -56,7 +56,6 @@ print(json.dumps([code, sorted(m for m in added if m in {OPTIONAL!r}), "dataclas
 def fresh_python(code: str, *args: str):
     """Run ``code`` in a new interpreter; the JSON value it prints last."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("STRATKIT_MAX_POINTS", None)
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,

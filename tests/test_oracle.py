@@ -109,12 +109,13 @@ class TestEnumerations:
         assert posets <= set(labeled_preorder_rows(3))
 
     def test_bounds(self):
-        with pytest.raises(ValidationError, match="bound"):
-            list(enumerate_prosets(5))
-        with pytest.raises(ValidationError, match="bound"):
-            list(enumerate_posets(5))
-        with pytest.raises(ValidationError, match="bound"):
-            list(enumerate_partitions(7))
+        # one bound, oracle.MAX_ELEMENTS, for every labeled enumeration
+        assert oracle.MAX_ELEMENTS == 6
+        for run in (enumerate_prosets, enumerate_posets, enumerate_partitions):
+            with pytest.raises(ValidationError, match="bound is 6 elements$"):
+                list(run(7))
+        with pytest.raises(ValidationError, match="^relation enumeration bound is 6 elements$"):
+            labeled_preorder_rows(7)
 
     @pytest.mark.parametrize(
         "run",
@@ -123,12 +124,19 @@ class TestEnumerations:
             lambda: list(enumerate_posets(-2)),
             lambda: list(enumerate_partitions(-2)),
             lambda: exhaustive_verify(-3),
+            lambda: labeled_preorder_rows(-1),
+            lambda: labeled_poset_rows(-2),
+            lambda: exhaustive_verify(True),
+            lambda: exhaustive_verify(2.0),
+            lambda: list(enumerate_partitions(None)),
         ],
-        ids=["prosets", "posets", "partitions", "sweep"],
+        ids=["prosets", "posets", "partitions", "sweep", "preorder-rows", "poset-rows",
+             "sweep-bool", "sweep-float", "partitions-none"],
     )
     def test_negative_sizes_are_refused(self, run):
-        # not the empty case: n = -2 used to enumerate the one empty structure
-        with pytest.raises(ValidationError, match="nonnegative"):
+        # not the empty case: n = -2 used to enumerate the one empty structure,
+        # and True used to sweep as n = 1
+        with pytest.raises(ValidationError, match="size must be a nonnegative integer, got "):
             run()
 
     def test_labeled_order_is_pinned(self):
@@ -148,9 +156,9 @@ class TestOrbits:
         assert [len(preorder_orbits(n)) for n in range(6)] == [1, 1, 3, 9, 33, 139]
 
     def test_orbit_sizes_sum_to_the_labeled_count(self):
-        for n in range(6):
+        for n, count in PREORDER_COUNTS.items():
             sizes = [factorial(n) // len(aut) for _, aut in preorder_orbits(n)]
-            assert sum(sizes) == PREORDER_COUNTS[n]
+            assert sum(sizes) == count
 
     def test_orbits_match_brute_force_relabeling(self):
         # every labeled preorder, relabeled all n! ways, lands on exactly
@@ -229,11 +237,11 @@ class TestSweep:
             report.n = 2
 
     def test_guard(self):
-        with pytest.raises(ValidationError, match="bound"):
-            exhaustive_verify(5)
+        with pytest.raises(ValidationError, match="^exhaustive sweep bound is 6 points$"):
+            exhaustive_verify(7)
 
     def test_n5_report_bytes(self):
-        report = exhaustive_verify(5, max_n=5)
+        report = exhaustive_verify(5)
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == SWEEP5_SHA256.read_text().strip()
 

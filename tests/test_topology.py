@@ -215,6 +215,40 @@ class TestValueSemantics:
         assert not Verdict(False) and not Verdict(False, "w", "n") and Verdict(True)
 
 
+class TestMistypedInput:
+    """A value of the wrong type at a public entry is refused with
+    ``ValidationError``, not a ``TypeError`` or ``ValueError`` from inside."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: FiniteSpace(1, (1,)), "point names must be a collection of names, got 1"),
+            (lambda: FiniteSpace(("a",), None), "min_open must assign a neighborhood to every point"),
+            (lambda: Proset(("a",), None), "relation must have a row for every element"),
+            (lambda: FiniteSpace.from_min_open(["a"], [["a"]]),
+             "min_open must be a Mapping, got list"),
+            (lambda: Proset.from_pairs("ab", 3), "pairs must be a collection of pairs, got 3"),
+            (lambda: Proset.from_pairs("ab", [("a", "b", "c")]),
+             "pairs must hold two elements each, got ('a', 'b', 'c')"),
+            (lambda: Proset.from_pairs("ab", [3]), "pairs must hold two elements each, got 3"),
+            (lambda: FiniteSpace.discrete("a").is_open_mask("1"),
+             "point mask '1' out of range for 1 points"),
+            (lambda: FiniteSpace.discrete("a").closure_mask(True),
+             "point mask True out of range for 1 points"),
+        ],
+        ids=["names-int", "space-rows-none", "proset-rows-none", "min-open-list", "pairs-int",
+             "pair-triple", "pair-int", "mask-str", "mask-bool"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_a_string_of_names_stays_valid(self):
+        assert FiniteSpace.discrete("abc").points == ("a", "b", "c")
+        assert Proset.from_pairs("ab", [("a", "b")]).elements == ("a", "b")
+
+
 class TestRelationMessages:
     """``FiniteSpace`` and ``Proset`` validate the same data, names and one
     reflexive, transitive bit row per name, and name each fault in their
