@@ -10,7 +10,7 @@ timestamps, so identical invocations are byte-identical.
 ``oracle.MAX_ELEMENTS`` (6); no setting changes it.
 
 Imports are per command: this module loads only the classification core
-(topology, order, decomposition, documents), and the oracle, generator,
+(kernel, topology, order, decomposition, documents), and the oracle, generator,
 fixture catalog and DOT writer are imported inside the commands that run
 them (``verify``, ``gen``, ``fixture``, ``preorder --dot`` and
 ``export-dot``). The package's own exports are lazy (PEP 562), so
@@ -23,11 +23,7 @@ import argparse
 import sys
 
 from .decomposition import (
-    Decomposition,
-    PosetStratification,
-    as_poset_stratified,
-    classify,
-    stratification_from_open_map,
+    Decomposition, PosetStratification, as_poset_stratified, classify, stratification_from_open_map,
 )
 from .documents import Document, canonical_json, load, payload_of, save
 from .errors import InternalInvariantError, ParseError, PreconditionError, ValidationError

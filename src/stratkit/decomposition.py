@@ -3,8 +3,8 @@
 A decomposition is a partition of a space into named nonempty strata. Its
 quotient map onto the stratum set induces the quotient topology (the
 decomposition space) and, through specialization, the decomposition
-preorder. The checks in this module grade a decomposition along the
-ladder
+preorder. The checks here grade a decomposition, by the bit-row set
+algebra of ``kernel.py``, along the ladder
 
     decomposition  ->  Alexandrov  ->  poset-stratified  ->  stratification
 
@@ -75,11 +75,11 @@ from typing import Iterable, NamedTuple
 
 from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
-from .order import Poset, Proset, reflexive_transitive_closure, specialization_preorder
-from .topology import (
-    FiniteSpace, Value, Verdict, check_type, iter_bits, names_at, preimage_of, rows_meeting,
-    rows_within,
+from .kernel import (
+    iter_bits, names_at, preimage_of, reflexive_transitive_closure, rows_meeting, rows_within,
 )
+from .order import Poset, Proset, specialization_preorder
+from .topology import FiniteSpace, Value, Verdict, check_type
 
 class AgreementReport(NamedTuple):
     """Independently computed values of one equivalence group.

@@ -44,8 +44,9 @@ from typing import NamedTuple
 
 from .decomposition import Decomposition
 from .errors import ParseError, ValidationError
+from .kernel import iter_bits, names_at
 from .order import Poset, Proset, SymbolicFamily, symbolic_local_finiteness
-from .topology import FiniteSpace, SpaceMap, iter_bits, names_at
+from .topology import FiniteSpace, SpaceMap
 
 KINDS = (
     "space",

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from .decomposition import Decomposition, classify
 from .errors import ValidationError
+from .kernel import names_at
 from .order import Poset, Proset
-from .topology import names_at
 
 
 def _escaped(name: str) -> str:

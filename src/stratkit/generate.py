@@ -25,7 +25,8 @@ from functools import lru_cache
 from .decomposition import Decomposition
 from .documents import Document, space_from_payload
 from .errors import ValidationError
-from .order import Proset, reflexive_transitive_closure
+from .kernel import reflexive_transitive_closure
+from .order import Proset
 from .topology import FiniteSpace, check_type
 
 _MASK64 = (1 << 64) - 1

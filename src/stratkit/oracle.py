@@ -58,18 +58,14 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 from .decomposition import Decomposition, as_poset_stratified
 from .documents import canonical_json, payload_of
 from .errors import InternalInvariantError, PreconditionError, ValidationError
+from .kernel import (
+    iter_bits, min_open_rows, preimage_of, reflexive_transitive_closure, rows_meeting, rows_within,
+    transpose,
+)
 from .order import (
-    Poset,
-    Proset,
-    adjunction_roundtrips,
-    alexandrov_space,
-    reflexive_transitive_closure,
-    singleton_local_closure_check,
+    Poset, Proset, adjunction_roundtrips, alexandrov_space, singleton_local_closure_check,
 )
-from .topology import (
-    FiniteSpace, SpaceMap, Value, final_topology, iter_bits, min_open_rows, preimage_of,
-    rows_meeting, rows_within, transpose,
-)
+from .topology import FiniteSpace, SpaceMap, Value, final_topology
 
 #: Known totals (OEIS A000798, A001035, A000110), checked by the tests.
 PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}

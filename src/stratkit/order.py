@@ -8,10 +8,7 @@ directions live here, together with the poset reflection and a small
 catalog of symbolic infinite families used for local-finiteness questions
 that have no finite witnesses.
 
-``reflexive_transitive_closure`` closes a relation by one of two
-algorithms, picked from its number of rows: Warshall's below 64 rows,
-and Purdom's closure by strongly connected components, in Tarjan's
-order, from 64 rows on.
+Relation closure and the other bit-row routines are ``kernel.py``.
 """
 
 from __future__ import annotations
@@ -20,97 +17,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
-from .topology import (
-    FiniteMap, FiniteSpace, Verdict, _Relation, checked_names, iter_bits, names_at, preimage_of,
-    transpose,
-)
-
-
-def reflexive_transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reflexive-transitive closure of a relation given as bit rows (bit j
-    of row i: i relates to j).
-
-    A relation of 64 rows or more is closed by strongly connected
-    components (``_closure_by_components``), a smaller one by Warshall's
-    algorithm: after step k every row reaching k also reaches all that k
-    reaches, so n**2 mask tests suffice, with no re-scan until nothing
-    changes. A step changes nothing when k reaches only itself, or when no
-    other row reaches k (no step can make one reach it, as only rows
-    holding k pass k on). Measured on Python 3.11 with random relations of
-    3 to 8 bits a row, the components are about 2 times faster than
-    Warshall at 64 points, 5 to 9 times at 300 and about 20 times at 1000,
-    and 1.2 to 1.6 times faster on the 64-row relations of 14 to 16 bits
-    a row that classifying a 1000-point space into 64 strata closes.
-    Warshall is faster on dense relations, where the search walks every
-    bit: 1.0 to 1.4 times on generator input at density 0.5 (64 to 300
-    points), and 2.5 to 3.3 times on relations that are already closed
-    with most bits set (6.9 against 18 ms at 300 points, 76 against 252 ms
-    at 1000). No benchmark workload closes a dense relation of 64 rows or
-    more, so the choice reads the size alone."""
-    rows = [row | 1 << i for i, row in enumerate(rows)]
-    n = len(rows)
-    if n >= 64:
-        return _closure_by_components(rows)
-    reached = 0
-    for i, row in enumerate(rows):
-        reached |= row & ~(1 << i)
-    for k in iter_bits(reached):
-        via, bit = rows[k], 1 << k
-        if via != bit:
-            rows = [row | via if row & bit else row for row in rows]
-    return tuple(rows)
-
-
-def _closure_by_components(rows: list[int]) -> tuple[int, ...]:
-    """Closure of a reflexive relation by its strongly connected components
-    (Purdom, "A transitive closure algorithm", BIT 10, 1970).
-
-    Tarjan's depth-first search, without recursion, finishes each
-    component after every component it reaches, so the up-set of a
-    component is its members OR'd with the already closed up-sets of the
-    points its rows reach; each edge is followed once."""
-    n = len(rows)
-    # a point that reaches only itself is a finished component from the start
-    closed = [row if row == 1 << i else 0 for i, row in enumerate(rows)]
-    order = [n if up else -1 for up in closed]  # discovery index, -1 until visited
-    low = [0] * n  # least discovery index reachable through the search tree
-    stack: list[int] = []  # visited points whose component is not finished
-    count = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        path = [(root, iter_bits(rows[root]))]
-        while path:
-            v, successors = path[-1]
-            for w in successors:
-                if order[w] < 0:
-                    order[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    path.append((w, iter_bits(rows[w])))
-                    break
-                if not closed[w] and order[w] < low[v]:  # w is on the stack
-                    low[v] = order[w]
-            else:
-                path.pop()
-                if path and low[v] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[v]
-                if low[v] == order[v]:
-                    members = reach = 0
-                    while True:
-                        w = stack.pop()
-                        members |= 1 << w
-                        reach |= rows[w]
-                        if w == v:
-                            break
-                    # the members' own closed entries are still 0
-                    up = members | preimage_of(closed, reach)
-                    for w in iter_bits(members):
-                        closed[w] = up
-    return tuple(closed)
+from .kernel import iter_bits, names_at, preimage_of, reflexive_transitive_closure, transpose
+from .topology import FiniteMap, FiniteSpace, Verdict, _Relation, check_collection, checked_names
 
 
 class Proset(_Relation):
@@ -151,19 +59,19 @@ class Proset(_Relation):
         index = {e: i for i, e in enumerate(els)}
         n = len(els)
         rows = [0] * n
-        if not hasattr(pairs, "__iter__"):
-            raise ValidationError(f"pairs must be a collection of pairs, got {pairs!r}")
+        check_collection(pairs, "pairs", "pairs")
         for pair in pairs:
             try:
                 a, b = pair
             except (TypeError, ValueError):
                 raise ValidationError(f"pairs must hold two elements each, got {pair!r}") from None
-            if a not in index:
+            # an unhashable element would raise TypeError from ``in``
+            if not isinstance(a, str) or a not in index:
                 raise ValidationError(f"pair mentions unknown element: {a!r}")
-            if b not in index:
+            if not isinstance(b, str) or b not in index:
                 raise ValidationError(f"pair mentions unknown element: {b!r}")
             rows[index[a]] |= 1 << index[b]
-        return cls(els, reflexive_transitive_closure(rows) if close else tuple(rows))
+        return cls._on_names(els, reflexive_transitive_closure(rows) if close else tuple(rows))
 
     def __repr__(self) -> str:
         rels = ", ".join(
@@ -234,8 +142,8 @@ class Proset(_Relation):
 class Poset(Proset):
     """A proset whose relation is also antisymmetric."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_rows(self):
+        super()._check_rows()
         verdict = self.is_poset()
         if not verdict:
             a, b = verdict.witness

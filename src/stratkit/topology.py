@@ -1,179 +1,49 @@
 """Finite topological spaces stored as minimal-open-neighborhood maps.
 
-Every point x of a finite space has a smallest open set U_x containing it
-(the intersection of all opens through x), and the map x -> U_x determines
-the whole topology: a subset S is open exactly when U_x lies inside S for
-each x in S. Keeping only that map makes every point-set predicate run in
-polynomial time; only ``final_topology`` filters all 2**n subsets, behind
-a size guard.
+Every point x of a finite space has a smallest open set U_x (the
+intersection of all opens through x), and x -> U_x determines the
+topology: S is open exactly when U_x lies inside S for each x in S.
+Keeping only that map makes every point-set predicate polynomial; only
+``final_topology`` filters all 2**n subsets, behind a size guard.
 
 Point subsets cross the public API as frozensets of point names and are
-held internally as bit masks over the point list in insertion order. No
-result depends on the stored order. The public ``*_mask`` methods refuse a
-non-int, bool or negative mask and one with bits beyond the points.
-
-A relation is held as bit rows too. The kernel below is the one place the
-per-bit loops over rows live, for spaces, orders, decompositions and the
-oracle alike: ``preimage_of`` (the union of the rows a mask selects, also
-openness, open hulls and closures), ``rows_meeting`` (the indices of the
-rows that meet a mask; every caller passes a decomposition's strata, so
-it is the image of a point set under the quotient map), ``transpose``,
-``first_intransitive`` and ``rows_within``. ``rows_meeting`` is one plain
-loop over the rows; each other kernel function picks its method from the
-size of its input alone, with crossovers measured on Python 3.11 (each
-docstring gives the figures). ``preimage_of`` ORs the rows of a mask
-above 0xFFF with more than (n + 128) / 16 bits in one C pass
-(``compress`` and ``reduce``), on any number of rows n; on more than 64
-rows, ``transpose`` reads each column of a relation whose distinct rows
-hold more than n * (n + 256) / 128 bits as one slice of a string of
-binary digits; smaller or sparser input walks the bits one at a time.
-``first_intransitive`` tests each distinct row with ``preimage_of``, so
-it takes the C pass on the wide rows of dense relations. Either way the
-result is the same.
+held as bit masks over the point list in insertion order; no result
+depends on that order. The public ``*_mask`` methods refuse a non-int,
+bool or negative mask and one with bits beyond the points. A relation is
+held as bit rows, and the set algebra on masks and rows is ``kernel.py``.
 
 ``FiniteSpace`` here and ``order.Proset`` hold the same data, names and
 one reflexive, transitive bit row per name, and share one unexported
 base, ``_Relation``: the one validator (messages from per-class
-templates), ``_index`` and the refusing lookup, ``__len__`` and
-``names_of``. ``SpaceMap`` here and ``order.MonotoneMap`` share one base,
-``FiniteMap``: a map between two such values held as a tuple of target
-indices, read through ``_Relation``, with one construction check, one
-image and preimage plumbing, and one ``from_names``, which refuses a
-missing source name, an unknown target name and a key that names no
-source member. Each map type names its value type (``_value``): a
-``SpaceMap`` joins two ``FiniteSpace`` values and a ``MonotoneMap`` two
-``Proset`` values; construction refuses any other source or target.
+templates; ``_on_names`` skips the names a named constructor has
+checked), ``_index`` and the refusing lookup, ``__len__`` and
+``names_of``. ``SpaceMap`` here and ``order.MonotoneMap`` share
+``FiniteMap``: a tuple of target indices between two values of its
+``_value`` type, with one construction check, one image and preimage
+plumbing, and one ``from_names``, which refuses a missing source name,
+an unknown target name and a key that names no source member.
 
 The validated types here and in ``order`` and ``decomposition`` subclass
-``Value``: an explicit ``__init__`` stores the fields named in ``_fields``
-and runs ``__post_init__``, which validates and normalizes them. Values
-compare and hash by class and fields (a space never equals a preorder on
-the same rows) and refuse assignment and deletion; ``cached_property``
-still memoises, as it writes to the instance ``__dict__``.
-``Value._from_valid`` builds a value from fields that already meet its
-invariants, without validating them again: the order and space
-translations pass one validated type's rows to the other. Report and
-record types are ``typing.NamedTuple``.
+``Value``: ``__init__`` stores the ``_fields`` and ``__post_init__``
+validates and normalizes them; ``_from_valid`` skips that for fields that
+already meet the invariants. Values compare and hash by class and fields
+(a space never equals a preorder on the same rows) and refuse assignment
+and deletion; ``cached_property`` still memoises.
+Report and record types are ``typing.NamedTuple``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property, reduce
-from itertools import compress
 from operator import attrgetter, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
+from .kernel import first_intransitive, iter_bits, min_open_rows, names_at, preimage_of, transpose
 
 #: Ceiling for operations that enumerate all 2**n candidate subsets.
 MAX_POINTS = 20
-
-# maps the ASCII digits of bin() to 0/1 bytes, selectors for compress()
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-# -- the bit-row kernel --------------------------------------------------------
-
-
-def _bit_flags(mask: int) -> bytes:
-    """One 0/1 byte per bit of a nonnegative mask, lowest bit first, up
-    to its highest set bit: the selectors ``compress`` takes."""
-    # bin() reversed, without its "0b", lists the bits lowest first
-    return bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
-
-
-def preimage_of(rows: Sequence[int], mask: int) -> int:
-    """The union of the rows that ``mask`` selects. For the fibers of a map
-    (the preimage of each target point) it is the preimage of the mask; a
-    mask m is up-closed under a relation exactly when
-    ``not preimage_of(rows, m) & ~m``.
-
-    A mask that is wide for its rows, more than (n + 128) / 16 bits on n
-    rows, has its rows picked by ``compress`` and OR'd by ``reduce`` in C;
-    any other mask, one no larger than 0xFFF, and one with a bit beyond
-    the rows (IndexError) walks its bits one at a time. The C pass costs
-    about as much as (n + 128) / 16 steps of the walk: measured on Python
-    3.11, it breaks even at about 11 bits on 65 rows, 25 on 300 and 55 on
-    1000, and at 10 to 13 bits on 13 to 64 rows, where the rule takes it
-    from 9 to 13 bits. Masks up to 0xFFF, 12 bits at most, gain little
-    from it and pay one comparison."""
-    if mask > 0xFFF and mask.bit_count() * 16 > (n := len(rows)) + 128 and not mask >> n:
-        return reduce(or_, compress(rows, _bit_flags(mask)), 0)
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def rows_meeting(rows: Sequence[int], mask: int) -> int:
-    """The indices of the rows that meet ``mask``, as a mask: on the fibers
-    of a map, the image of the mask. One pass over the rows, measured on
-    Python 3.11 at 0.45 to 2.7 us on 2 to 15 rows against 1.0 to 2.7 us
-    for a ``compress`` pass, and 13.7 against 11.5 us on 64 rows."""
-    out = 0
-    for t, row in enumerate(rows):
-        if row & mask:
-            out |= 1 << t
-    return out
-
-
-def transpose(rows: Sequence[int]) -> tuple[int, ...]:
-    """The column masks of a square relation: bit i of entry j is bit j of
-    ``rows[i]``.
-
-    A wide relation, more than 64 rows whose distinct values hold more
-    than n * (n + 256) / 128 bits in all, is written as one string of
-    binary digits, n per row, last row first and highest bit first:
-    column j is then the slice from digit n - 1 - j in steps of n, read by
-    ``int(..., 2)``. Otherwise each distinct row value is scanned once,
-    bit by bit, for all the rows that hold it. The crossover was measured
-    on Python 3.11 at about n**2 / 21 bits on 65 rows, n**2 / 53 on 300
-    and n**2 / 90 on 1000."""
-    n = len(rows)
-    if n > 64 and 128 * sum(map(int.bit_count, set(rows))) > n * (n + 256):
-        digits = "".join([format(row, f"0{n}b") for row in reversed(rows)])
-        return tuple([int(digits[j::n], 2) for j in range(n - 1, -1, -1)])
-    members: dict[int, int] = {}  # row value -> the indices with that row
-    for i, row in enumerate(rows):
-        members[row] = members.get(row, 0) | 1 << i
-    cols = [0] * n
-    for row, indices in members.items():
-        for j in iter_bits(row):
-            cols[j] |= indices
-    return tuple(cols)
-
-
-def first_intransitive(rows: Sequence[int]) -> tuple[int, int] | None:
-    """The first (i, j), rows in order and bits lowest first, with j in
-    ``rows[i]`` but ``rows[j]`` not inside it; None for a transitive
-    relation. Each distinct row value is tested once, at its first
-    occurrence, which is where a scan of every row fails first. The test
-    is ``preimage_of``, so wide rows are OR'd in C."""
-    for row in dict.fromkeys(rows):
-        if preimage_of(rows, row) & ~row:
-            return rows.index(row), next(j for j in iter_bits(row) if rows[j] & ~row)
-    return None
-
-
-def rows_within(rows: Iterable[int], bounds: Iterable[int]) -> bool:
-    """Whether each row lies inside the bound at its index."""
-    return not any(map(int.__and__, rows, map(int.__invert__, bounds)))
-
-
-def names_at(names: Sequence[str], mask: int) -> Iterator[str]:
-    """The names at the set bits of ``mask``, lowest bit first."""
-    return compress(names, _bit_flags(mask))
 
 
 class Value:
@@ -230,6 +100,13 @@ def check_type(value, kind: type, what: str) -> None:
         raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
+def check_collection(value, what: str, of: str = "names") -> None:
+    """Refuse ``value``, named ``what`` in the message, unless it is iterable
+    and not a ``str``, whose characters would read as one-character names."""
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise ValidationError(f"{what} must be a collection of {of}, got {value!r}")
+
+
 def checked_names(names: Iterable[str], what: str = "point") -> tuple[str, ...]:
     """Validate a collection of identifiers: nonempty strings, no duplicates."""
     if not hasattr(names, "__iter__"):
@@ -257,8 +134,20 @@ class _Relation(Value):
     _transitive_fault: str  # j in row i, but k in row j and not in row i
 
     def __post_init__(self):
-        fields, (names_key, rows_key) = self.__dict__, self._fields
-        names = fields[names_key] = checked_names(fields[names_key], self._member)
+        names_key = self._fields[0]
+        self.__dict__[names_key] = checked_names(self.__dict__[names_key], self._member)
+        self._check_rows()
+
+    @classmethod
+    def _on_names(cls, names: tuple[str, ...], rows):
+        """The value on names ``checked_names`` returned; only the rows are validated."""
+        self = cls._from_valid(names, rows)
+        self._check_rows()
+        return self
+
+    def _check_rows(self):
+        """Validate and normalize the rows; a subclass adds its own invariants."""
+        fields, rows_key, names = self.__dict__, self._fields[1], self._names
         if not hasattr(fields[rows_key], "__iter__"):
             raise ValidationError(self._length_fault)
         rows = fields[rows_key] = tuple(fields[rows_key])
@@ -351,16 +240,19 @@ class FiniteSpace(_Relation):
         for p in pts:
             if p not in neighborhoods:
                 raise ValidationError(f"min_open missing entry for point {p!r}")
-            names = tuple(neighborhoods[p])
-            mask = masks.get(names)
-            if mask is None:
-                try:
+            names = neighborhoods[p]
+            if not isinstance(names, str):  # a str lists one-character names, as the points may
+                check_collection(names, "min_open entry")
+            names = tuple(names)
+            try:  # an unhashable name raises TypeError
+                mask = masks.get(names)
+                if mask is None:
                     mask = masks[names] = reduce(or_, map(bit.__getitem__, names), 0)
-                except KeyError:
-                    q = next(q for q in names if q not in bit)
-                    raise ValidationError(f"min_open mentions unknown point: {q!r}") from None
+            except (KeyError, TypeError):
+                q = next(q for q in names if not isinstance(q, str) or q not in bit)
+                raise ValidationError(f"min_open mentions unknown point: {q!r}") from None
             rows.append(mask)
-        return cls(pts, tuple(rows))
+        return cls._on_names(pts, tuple(rows))
 
     @classmethod
     def from_subbasis(
@@ -374,21 +266,24 @@ class FiniteSpace(_Relation):
         generators through y are a superset of those through x.
         """
         pts = checked_names(points)
+        check_collection(generators, "subbasis", "generators")
         index = {p: i for i, p in enumerate(pts)}
         gen_masks = []
         for gen in generators:
+            if not isinstance(gen, str):  # a str lists one-character names, as the points may
+                check_collection(gen, "subbasis generator")
             mask = 0
             for q in gen:
-                if q not in index:
+                if not isinstance(q, str) or q not in index:
                     raise ValidationError(f"generator mentions unknown point: {q!r}")
                 mask |= 1 << index[q]
             gen_masks.append(mask)
-        return cls(pts, min_open_rows(len(pts), gen_masks))
+        return cls._on_names(pts, min_open_rows(len(pts), gen_masks))
 
     @classmethod
     def discrete(cls, points: Iterable[str]) -> "FiniteSpace":
         pts = checked_names(points)
-        return cls(pts, tuple(1 << i for i in range(len(pts))))
+        return cls._on_names(pts, tuple([1 << i for i in range(len(pts))]))
 
     @classmethod
     def empty(cls) -> "FiniteSpace":
@@ -421,8 +316,7 @@ class FiniteSpace(_Relation):
     def mask_of(self, names: Iterable[str]) -> int:
         """The mask of the named points. A ``str`` is refused, not read as
         the names of its characters, and so is a value that is not iterable."""
-        if isinstance(names, str) or not hasattr(names, "__iter__"):
-            raise ValidationError(f"point names must be a collection of names, got {names!r}")
+        check_collection(names, "point names")
         mask = 0
         for name in names:
             mask |= 1 << self.point_index(name)
@@ -510,7 +404,7 @@ class FiniteSpace(_Relation):
         for new, old in enumerate(kept):
             bits[old] = 1 << new
         rows = tuple([preimage_of(bits, self.min_open[old] & mask) for old in kept])
-        return FiniteSpace(tuple([self.points[i] for i in kept]), rows)
+        return FiniteSpace._on_names(tuple([self.points[i] for i in kept]), rows)
 
     def is_t0(self) -> bool:
         """No two distinct points share the same minimal open neighborhood."""
@@ -639,18 +533,6 @@ class SpaceMap(FiniteMap):
                               self.target.is_closed_mask, "closed set whose image is not closed")
 
 
-def min_open_rows(n: int, opens: Iterable[int]) -> tuple[int, ...]:
-    """Minimal open of each of n points from an open family given as masks:
-    the intersection of the members containing the point, or all n points
-    when none does."""
-    full = (1 << n) - 1
-    rows = [full] * n
-    for mask in opens:
-        for i in iter_bits(mask):
-            rows[i] &= mask
-    return tuple(rows)
-
-
 def final_topology(
     target_points: Iterable[str],
     family: Sequence[tuple[FiniteSpace, Mapping[str, str]]],
@@ -680,9 +562,6 @@ def final_topology(
             fibers[index[q]] |= 1 << i
         prepared.append((source, fibers))
 
-    opens = (
-        mask
-        for mask in range(1 << n)
-        if all(src.is_open_mask(preimage_of(fibers, mask)) for src, fibers in prepared)
-    )
-    return FiniteSpace(pts, min_open_rows(n, opens))
+    opens = (mask for mask in range(1 << n)
+             if all(src.is_open_mask(preimage_of(fibers, mask)) for src, fibers in prepared))
+    return FiniteSpace._on_names(pts, min_open_rows(n, opens))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import random
 import sys
 from itertools import combinations
 
@@ -36,7 +37,7 @@ from stratkit.oracle import (
     labeled_preorder_rows,
     set_partitions,
 )
-from stratkit.topology import iter_bits, preimage_of
+from stratkit.kernel import iter_bits, preimage_of
 
 # facets of three simplicial complexes
 FACE_MODELS = {
@@ -162,16 +163,6 @@ def brute_closure_mask(space: FiniteSpace, mask: int) -> int:
     return acc
 
 
-def preimage_by_bits(rows, mask: int) -> int:
-    """``topology.preimage_of`` for a mask with no bit beyond the rows: the
-    union of the rows whose index bit is set, read one index at a time."""
-    out = 0
-    for i, row in enumerate(rows):
-        if mask >> i & 1:
-            out |= row
-    return out
-
-
 def brute_locally_closed(space: FiniteSpace, mask: int) -> bool:
     """Direct search for an open/closed pair intersecting to the set."""
     opens = open_masks(space)
@@ -197,7 +188,7 @@ def brute_map_checks(f) -> tuple[bool, bool, bool]:
 def stratum_assignment(dec: Decomposition) -> tuple[int, ...]:
     """The stratum index of each point, read from the strata by point name:
     the quotient map's assignment, built without the library's image
-    routine (``topology.rows_meeting``)."""
+    routine (``kernel.rows_meeting``)."""
     space = dec.space
     index = {name: t for t, (_, mask) in enumerate(dec.strata) for name in space.names_of(mask)}
     return tuple(index[name] for name in space.points)
@@ -224,14 +215,6 @@ def strata_meeting(dec: Decomposition, point_mask: int) -> int:
     """The strata of ``dec`` that meet a set of points, by a scan over every
     stratum: the stratum image of the set."""
     return rows_meeting_by_scan(dec.masks, point_mask)
-
-
-def rows_meeting_by_scan(rows, mask: int) -> int:
-    """``topology.rows_meeting``: the indices of the rows that meet the
-    mask, each row tested against each bit of the mask in turn."""
-    return sum(
-        1 << t for t, row in enumerate(rows) if any(row >> i & 1 for i in iter_bits(mask))
-    )
 
 
 def subspace_by_bits(space: FiniteSpace, names) -> FiniteSpace:
@@ -464,3 +447,153 @@ def face_poset_by_pair_filter(facets) -> Poset:
         (names[small], names[big]) for small in faces for big in faces if set(small) <= set(big)
     ]
     return Poset.from_pairs(sorted(names.values()), pairs, close=False)
+
+
+# -- per-bit references for the bit-row kernel (``stratkit.kernel``) ----------
+#
+# Each reads one bit at a time and shares nothing with the routine it checks.
+
+# the generators' shapes of wide preorders, below
+WIDE_SHAPES = ("sparse", "dense", "classes", "mixed")
+
+
+def bit(mask: int, i: int) -> bool:
+    return bool(mask >> i & 1)
+
+
+def bits_by_scan(mask: int) -> list[int]:
+    """``iter_bits``: the positions of the set bits, lowest first."""
+    return [i for i in range(mask.bit_length()) if bit(mask, i)]
+
+
+def flags_by_bits(mask: int) -> bytes:
+    """``_bit_flags``: one 0/1 byte per bit up to the highest set bit, one
+    zero byte for the empty mask."""
+    return bytes([bit(mask, i) for i in range(max(mask.bit_length(), 1))])
+
+
+def names_by_bits(names, mask: int) -> list[str]:
+    """``names_at``: the names at the set bits, lowest bit first."""
+    return [name for i, name in enumerate(names) if bit(mask, i)]
+
+
+def preimage_by_bits(rows, mask: int) -> int:
+    """``preimage_of`` for a mask with no bit beyond the rows: the union of
+    the rows whose index bit is set, read one index at a time."""
+    out = 0
+    for i, row in enumerate(rows):
+        if bit(mask, i):
+            out |= row
+    return out
+
+
+def rows_meeting_by_scan(rows, mask: int) -> int:
+    """``rows_meeting``: the indices of the rows that meet the mask, each
+    row tested against each bit of the mask in turn."""
+    return sum(
+        1 << t for t, row in enumerate(rows) if any(bit(row, i) for i in bits_by_scan(mask))
+    )
+
+
+def columns_by_bits(rows) -> tuple[int, ...]:
+    """``transpose``: bit i of column j is bit j of row i."""
+    n = len(rows)
+    return tuple(sum(1 << i for i in range(n) if bit(rows[i], j)) for j in range(n))
+
+
+def first_intransitive_by_bits(rows):
+    """``first_intransitive``: the first (i, j), rows in order and bits
+    lowest first, with j in row i but row j not inside row i."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if bit(rows[i], j) and any(bit(rows[j], k) and not bit(rows[i], k) for k in range(n)):
+                return i, j
+    return None
+
+
+def rows_within_by_bits(rows, bounds) -> bool:
+    """``rows_within``: no row has a bit its bound lacks."""
+    return all(
+        not (bit(row, j) and not bit(bound, j))
+        for row, bound in zip(rows, bounds)
+        for j in range(row.bit_length())
+    )
+
+
+def min_open_rows_by_bits(n: int, opens) -> tuple[int, ...]:
+    """``min_open_rows``: for each point, the points in every open that
+    holds it; all n points when none does."""
+    opens = list(opens)
+    return tuple(
+        sum(1 << j for j in range(n) if all(bit(u, j) for u in opens if bit(u, i)))
+        for i in range(n)
+    )
+
+
+def closure_by_fixpoint(rows) -> tuple[int, ...]:
+    """``reflexive_transitive_closure``: add the diagonal, then re-scan
+    every row until nothing changes."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            acc = row
+            for j, other in enumerate(rows):
+                if bit(row, j):
+                    acc |= other
+            if acc != row:
+                rows[i], changed = acc, True
+    return tuple(rows)
+
+
+def wide_preorder(n: int, shape: str, seed: int) -> tuple[int, ...]:
+    """A preorder on n points, transitive by construction, as up-set rows.
+
+    ``sparse``: a third of the points are maximal and each other point lies
+    below at most one of them (at most 2 bits a row). ``dense``: i <= j when
+    the 3-bit label of i is inside that of j, so about 42% of the pairs and
+    8 classes of equal rows. ``classes``: a total preorder on 4 levels, 4
+    large classes. ``mixed``: the dense shape on the first half of the
+    points and the sparse one on the rest, unrelated."""
+    rng = random.Random(seed)
+    if shape == "sparse":
+        tops = max(1, n // 3)
+        rows = [1 << i for i in range(n)]
+        for i in range(tops, n):
+            if rng.random() < 0.8:
+                rows[i] |= 1 << rng.randrange(tops)
+        return tuple(rows)
+    if shape == "dense":
+        labels = [rng.randrange(8) for _ in range(n)]
+        return tuple(
+            sum(1 << j for j in range(n) if labels[i] & ~labels[j] == 0) for i in range(n)
+        )
+    if shape == "classes":
+        levels = [rng.randrange(4) for _ in range(n)]
+        return tuple(sum(1 << j for j in range(n) if levels[i] <= levels[j]) for i in range(n))
+    half = n // 2
+    low = wide_preorder(half, "dense", seed)
+    high = wide_preorder(n - half, "sparse", seed)
+    return low + tuple(row << half for row in high)
+
+
+def c_pass_bits(n: int) -> int:
+    """The fewest bits with which a mask above 0xFFF takes ``preimage_of``'s
+    C pass on n rows, by the rule its docstring states: at least 11, and
+    more than (n + 128) / 16."""
+    return max(11, (n + 128) // 16 + 1)
+
+
+def masks_around_the_rule(n: int, seed: int) -> list[int]:
+    """Masks on n points with 0, 1 and all bits, and with bit counts on
+    both sides of ``preimage_of``'s C-pass rule."""
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    fewest = c_pass_bits(n)
+    masks = [0, 1, 1 << n - 1, full]
+    for weight in (fewest - 2, fewest - 1, fewest, fewest + 1, n // 2, n - 1):
+        if 0 <= weight <= n:
+            masks.append(sum(1 << i for i in rng.sample(range(n), weight)))
+    return masks

@@ -43,7 +43,7 @@ from stratkit.oracle import (
     quotient_space_by_subset_filter,
     set_partitions,
 )
-from stratkit.topology import rows_meeting, rows_within
+from stratkit.kernel import rows_meeting, rows_within
 
 
 def all_instances(max_n: int):

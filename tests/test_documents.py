@@ -27,6 +27,7 @@ from stratkit import (
     load,
     save,
 )
+from stratkit import topology
 from stratkit.documents import Document, canonical_json, from_payload
 
 
@@ -45,6 +46,25 @@ class TestRoundTrips:
         doc = load(text)
         assert doc.value.minimal_open("c") == {"c", "o"}
         assert "min_open" in save(doc) and "subbasis" not in save(doc)
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "space", "points": ["a", "b"], "min_open": {"a": ["a"], "b": ["a", "b"]}},
+        {"kind": "space", "points": ["c", "o"], "subbasis": [["o"]]},
+        {"kind": "proset", "elements": ["a", "b"], "leq_pairs": [["a", "b"], ["b", "a"]]},
+        {"kind": "poset", "elements": ["a", "b"], "leq_pairs": [["a", "b"]]},
+    ], ids=["min-open", "subbasis", "proset", "poset"])
+    def test_one_load_checks_the_names_once(self, monkeypatch, payload):
+        calls = []
+        checked_names = topology.checked_names
+
+        def counted(*args):
+            calls.append(args)
+            return checked_names(*args)
+
+        for module in ("stratkit.topology", "stratkit.order"):
+            monkeypatch.setattr(f"{module}.checked_names", counted)
+        load(json.dumps(payload))
+        assert len(calls) == 1
 
     def test_canonical_output_is_sorted(self):
         a = save(Document("space", FiniteSpace.discrete(("b", "a"))))

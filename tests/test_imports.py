@@ -97,6 +97,52 @@ def test_commands_import_only_what_they_run(quadrant_doc, argv, loaded):
     assert fresh_python(RUN_CLI, *args) == [0, loaded, False]
 
 
+# the stratkit modules every command of the check family loads
+CHECK_FAMILY = ["stratkit", "stratkit.cli", "stratkit.decomposition", "stratkit.documents",
+                "stratkit.errors", "stratkit.kernel", "stratkit.order", "stratkit.topology"]
+# RUN_CLI, printing every stratkit module the run loaded
+RUN_CLI_STRATKIT = RUN_CLI.replace(f"m in {OPTIONAL!r}", "m.partition('.')[0] == 'stratkit'")
+
+
+@pytest.mark.parametrize("argv", [["check", "{doc}"], ["classify", "{doc}"], ["coarsen", "{doc}"]],
+                         ids=["check", "classify", "coarsen"])
+def test_check_family_loads_the_kernel_and_nothing_more(quadrant_doc, argv):
+    args = [a.format(doc=quadrant_doc) for a in argv]
+    assert fresh_python(RUN_CLI_STRATKIT, *args) == [0, CHECK_FAMILY, False]
+
+
+def test_kernel_imports_no_other_stratkit_module():
+    code = """
+import json, sys
+import stratkit.kernel
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "stratkit")))
+"""
+    assert fresh_python(code) == ["stratkit", "stratkit.kernel"]
+
+
+def test_core_modules_use_the_kernel_objects():
+    # each kernel routine a module binds is the one ``stratkit.kernel`` defines
+    code = """
+import importlib, inspect, json
+from stratkit import kernel
+routines = [name for name, value in vars(kernel).items()
+            if inspect.isfunction(value) and value.__module__ == "stratkit.kernel"]
+used, foreign = {}, []
+for module in ("topology", "order", "decomposition", "documents", "dot", "generate", "oracle"):
+    namespace = vars(importlib.import_module(f"stratkit.{module}"))
+    used[module] = sorted(name for name in routines if name in namespace)
+    foreign += [f"{module}.{name}" for name in used[module]
+                if namespace[name] is not vars(kernel)[name]]
+print(json.dumps([foreign, used]))
+"""
+    foreign, used = fresh_python(code)
+    assert foreign == []
+    assert used["topology"] == [
+        "first_intransitive", "iter_bits", "min_open_rows", "names_at", "preimage_of", "transpose",
+    ]
+    assert "reflexive_transitive_closure" in used["decomposition"]
+
+
 def test_all_is_unchanged():
     assert stratkit.__all__ == EXPORTS
 

@@ -36,7 +36,8 @@ from stratkit.oracle import (
     set_partitions,
 )
 from stratkit import oracle
-from stratkit.topology import FiniteSpace, preimage_of, rows_meeting, rows_within
+from stratkit.kernel import preimage_of, rows_meeting, rows_within
+from stratkit.topology import FiniteSpace
 
 SWEEP5_SHA256 = Path(__file__).parent / "data" / "sweep5_json.sha256"
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +22,7 @@ from stratkit import (
     symbolic_local_finiteness,
 )
 from stratkit.oracle import enumerate_prosets, labeled_poset_rows
-from stratkit.order import reflexive_transitive_closure
-from stratkit.topology import iter_bits
+from stratkit.kernel import iter_bits
 
 
 def diamond() -> Poset:
@@ -422,22 +420,6 @@ class TestSymbolicFamilies:
                     assert len(p.up_set(e) & p.down_set(f)) < 10**9
 
 
-def fixpoint_closure(rows: list[int]) -> tuple[int, ...]:
-    """Reflexive-transitive closure by re-scanning every row until nothing changes."""
-    rows = [row | 1 << i for i, row in enumerate(rows)]
-    changed = True
-    while changed:
-        changed = False
-        for i, row in enumerate(rows):
-            acc = row
-            for j, other in enumerate(rows):
-                if (row >> j) & 1:
-                    acc |= other
-            if acc != row:
-                rows[i], changed = acc, True
-    return tuple(rows)
-
-
 @st.composite
 def relation_rows(draw, max_elements: int = 12) -> list[int]:
     n = draw(st.integers(0, max_elements))
@@ -446,55 +428,7 @@ def relation_rows(draw, max_elements: int = 12) -> list[int]:
             for _ in range(n)]
 
 
-def wide_relation(n: int, shape: str, seed: int) -> list[int]:
-    """A relation on n points, not closed, as bit rows.
-
-    ``sparse``: each row holds at most 2 random bits. ``eight`` and
-    ``nine``: each row holds 7 or 8 random bits besides its own.
-    ``dense``: each pair at 15%. ``cycles``: three long cycles through the
-    points in random order, a few chords between them and some points off
-    every cycle, so strongly connected classes of about n/4 points."""
-    rng = random.Random(seed)
-    if shape == "sparse":
-        return [sum(1 << rng.randrange(n) for _ in range(rng.randrange(3))) for _ in range(n)]
-    if shape in ("eight", "nine"):
-        others = 7 if shape == "eight" else 8
-        return [
-            1 << i | sum(1 << j for j in rng.sample([j for j in range(n) if j != i], others))
-            for i in range(n)
-        ]
-    if shape == "dense":
-        return [sum(1 << j for j in range(n) if rng.random() < 0.15) for _ in range(n)]
-    order = rng.sample(range(n), n)
-    rows = [0] * n
-    on_cycles = 3 * n // 4
-    for start in range(3):
-        cycle = order[start:on_cycles:3]
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            rows[a] |= 1 << b
-    for _ in range(4):
-        rows[rng.choice(order[:on_cycles])] |= 1 << rng.randrange(n)
-    for a in order[on_cycles:]:
-        rows[a] |= 1 << rng.choice(order[:on_cycles])
-    return rows
-
-
 class TestClosure:
-    @pytest.mark.parametrize("shape", ["sparse", "eight", "nine", "dense", "cycles"])
-    @pytest.mark.parametrize("n", [63, 64, 65, 150, 300])
-    def test_wide_relations_equal_fixpoint(self, n, shape):
-        # both closure algorithms: Warshall at 63 rows, components from 64
-        rows = wide_relation(n, shape, seed=n)
-        closed = reflexive_transitive_closure(rows)
-        assert closed == fixpoint_closure(rows)
-        assert reflexive_transitive_closure(closed) == closed
-        assert reflexive_transitive_closure(iter(rows)) == closed
-
-    @given(relation_rows())
-    @settings(max_examples=150, deadline=None)
-    def test_warshall_equals_fixpoint(self, rows):
-        assert reflexive_transitive_closure(rows) == fixpoint_closure(rows)
-
     @given(relation_rows(), st.sampled_from(["proset", "poset"]))
     @settings(max_examples=100, deadline=None)
     def test_loaded_documents_are_closed_as_before(self, rows, kind):
@@ -502,7 +436,7 @@ class TestClosure:
         pairs = [[a, elements[j]] for a, row in zip(elements, rows) for j in iter_bits(row)]
         text = json.dumps({"kind": kind, "elements": elements, "leq_pairs": pairs,
                            "close": True})
-        expected = fixpoint_closure(rows)
+        expected = helpers.closure_by_fixpoint(rows)
         if kind == "poset" and not Proset(tuple(elements), expected).is_poset():
             with pytest.raises(ValidationError, match="not antisymmetric"):
                 load(text)

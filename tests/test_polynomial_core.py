@@ -14,7 +14,7 @@ from pathlib import Path
 import stratkit
 
 SRC = Path(stratkit.__file__).parent
-CORE = ("topology.py", "order.py", "decomposition.py", "documents.py")
+CORE = ("kernel.py", "topology.py", "order.py", "decomposition.py", "documents.py")
 ALLOWED = {
     ("decomposition.py", "Decomposition.quotient_open_family"),
     ("topology.py", "final_topology"),

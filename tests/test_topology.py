@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import WIDE_SHAPES, bit, masks_around_the_rule, wide_preorder
 from stratkit import (
     FiniteSpace, MonotoneMap, Poset, Proset, SpaceMap, ValidationError, Verdict, final_topology,
     fixture, fixture_names, load,
 )
 from stratkit.fixtures import fixture_space
+from stratkit.kernel import reflexive_transitive_closure
 
 # the fixtures that carry a finite space: a space, or a decomposition's
 SPACE_FIXTURES = [
@@ -247,6 +249,46 @@ class TestMistypedInput:
     def test_a_string_of_names_stays_valid(self):
         assert FiniteSpace.discrete("abc").points == ("a", "b", "c")
         assert Proset.from_pairs("ab", [("a", "b")]).elements == ("a", "b")
+
+
+class TestMistypedCollections:
+    """A collection argument that is not one, or a name that is not a
+    ``str``, is refused with ``ValidationError`` where Python's own
+    ``TypeError`` used to escape."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: FiniteSpace.from_min_open(["a"], {"a": 3}),
+             "min_open entry must be a collection of names, got 3"),
+            (lambda: FiniteSpace.from_min_open(["a"], {"a": [["a"]]}),
+             "min_open mentions unknown point: ['a']"),
+            (lambda: FiniteSpace.from_subbasis("ab", None),
+             "subbasis must be a collection of generators, got None"),
+            (lambda: FiniteSpace.from_subbasis("ab", [3]),
+             "subbasis generator must be a collection of names, got 3"),
+            (lambda: FiniteSpace.from_subbasis("ab", [[["a"]]]),
+             "generator mentions unknown point: ['a']"),
+            (lambda: Proset.from_pairs("ab", [("a", ["b"])]),
+             "pair mentions unknown element: ['b']"),
+            (lambda: Proset.from_pairs("ab", "ab"),
+             "pairs must be a collection of pairs, got 'ab'"),
+            (lambda: FiniteSpace.discrete("ab").is_open(None),
+             "point names must be a collection of names, got None"),
+        ],
+        ids=["min-open-int", "min-open-nested", "subbasis-none", "generator-int",
+             "generator-nested", "pair-list-element", "pairs-str", "mask-of-none"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_a_string_lists_one_character_names_in_constructors(self):
+        space = FiniteSpace.from_min_open("ab", {"a": "a", "b": "ab"})
+        assert space == FiniteSpace.from_subbasis("ab", ["a"])
+        with pytest.raises(ValidationError, match="must be a collection of names, got 'a'"):
+            space.is_open("a")
 
 
 class TestRelationMessages:
@@ -638,15 +680,12 @@ class TestRandomizedLaws:
             ).holds == helpers.brute_locally_closed(space, mask)
 
 
-# -- the bit-row kernel against per-bit definitions ---------------------------
+# -- space and order operations on the bit-row kernel against per-bit
+# definitions; ``tests/test_kernel.py`` checks the kernel routines themselves
 #
 # The references below read one bit at a time and share nothing with the
-# kernel in ``topology`` (``preimage_of``, ``transpose``,
-# ``first_intransitive``) that the space and order operations call.
-
-
-def bit(mask: int, i: int) -> bool:
-    return bool(mask >> i & 1)
+# kernel (``preimage_of``, ``transpose``, ``first_intransitive``) that the
+# space and order operations call.
 
 
 def reference_is_open(rows, mask) -> bool:
@@ -664,28 +703,12 @@ def reference_open_hull(rows, mask) -> int:
     return sum(1 << j for j in range(n) if any(bit(mask, i) and bit(rows[i], j) for i in range(n)))
 
 
-def reference_columns(rows) -> tuple[int, ...]:
-    n = len(rows)
-    return tuple(sum(1 << i for i in range(n) if bit(rows[i], j)) for j in range(n))
-
-
-def reference_first_intransitive(rows):
-    """The first (i, j), rows in order and bits lowest first, with j in
-    row i but row j not inside row i."""
-    n = len(rows)
-    for i in range(n):
-        for j in range(n):
-            if bit(rows[i], j) and any(bit(rows[j], k) and not bit(rows[i], k) for k in range(n)):
-                return i, j
-    return None
-
-
 def assert_kernel_matches_definitions(rows, masks) -> None:
     from stratkit import Proset
 
     n = len(rows)
     space = FiniteSpace(tuple(f"p{i}" for i in range(n)), rows)
-    columns = reference_columns(rows)
+    columns = helpers.columns_by_bits(rows)
     assert space.point_closures == columns
     assert Proset(space.points, rows).down == columns
     for mask in masks:
@@ -697,75 +720,16 @@ def assert_kernel_matches_definitions(rows, masks) -> None:
 @st.composite
 def closed_relations(draw, max_points: int = 12) -> tuple[int, ...]:
     """A random relation on up to 12 points, reflexively and transitively closed."""
-    from stratkit.order import reflexive_transitive_closure
-
     n = draw(st.integers(0, max_points))
     return reflexive_transitive_closure(
         draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     )
 
 
-@st.composite
-def relations(draw, max_points: int = 12) -> tuple[int, ...]:
-    """A random relation on up to 12 points, reflexive or not."""
-    n = draw(st.integers(0, max_points))
-    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-    if draw(st.booleans()):
-        rows = [row | 1 << i for i, row in enumerate(rows)]
-    return tuple(rows)
-
-
-WIDE_SHAPES = ("sparse", "dense", "classes", "mixed")
-
-
-def wide_preorder(n: int, shape: str, seed: int) -> tuple[int, ...]:
-    """A preorder on n points, transitive by construction, as up-set rows.
-
-    ``sparse``: a third of the points are maximal and each other point lies
-    below at most one of them (at most 2 bits a row). ``dense``: i <= j when
-    the 3-bit label of i is inside that of j, so about 42% of the pairs and
-    8 classes of equal rows. ``classes``: a total preorder on 4 levels, 4
-    large classes. ``mixed``: the dense shape on the first half of the
-    points and the sparse one on the rest, unrelated."""
-    rng = random.Random(seed)
-    if shape == "sparse":
-        tops = max(1, n // 3)
-        rows = [1 << i for i in range(n)]
-        for i in range(tops, n):
-            if rng.random() < 0.8:
-                rows[i] |= 1 << rng.randrange(tops)
-        return tuple(rows)
-    if shape == "dense":
-        labels = [rng.randrange(8) for _ in range(n)]
-        return tuple(
-            sum(1 << j for j in range(n) if labels[i] & ~labels[j] == 0) for i in range(n)
-        )
-    if shape == "classes":
-        levels = [rng.randrange(4) for _ in range(n)]
-        return tuple(sum(1 << j for j in range(n) if levels[i] <= levels[j]) for i in range(n))
-    half = n // 2
-    low = wide_preorder(half, "dense", seed)
-    high = wide_preorder(n - half, "sparse", seed)
-    return low + tuple(row << half for row in high)
-
-
-def masks_around_the_rule(n: int, seed: int) -> list[int]:
-    """Masks on n points with 0, 1 and all bits, and with bit counts on
-    both sides of ``preimage_of``'s crossover (more than (n + 128) / 16)."""
-    rng = random.Random(seed)
-    full = (1 << n) - 1
-    crossover = (n + 128) // 16
-    masks = [0, 1, 1 << n - 1, full]
-    for weight in (crossover - 1, crossover, crossover + 1, crossover + 2, n // 2, n - 1):
-        if 0 <= weight <= n:
-            masks.append(sum(1 << i for i in rng.sample(range(n), weight)))
-    return masks
-
-
 def first_missing_pair(rows) -> tuple[int, int, int]:
     """The reference's first (i, j) with j in row i and row j not inside
     row i, and the lowest k in row j missing from row i."""
-    i, j = reference_first_intransitive(rows)
+    i, j = helpers.first_intransitive_by_bits(rows)
     k = next(k for k in range(len(rows)) if bit(rows[j], k) and not bit(rows[i], k))
     return i, j, k
 
@@ -785,72 +749,15 @@ class TestBitRowKernel:
         drawn = data.draw(st.lists(st.integers(0, full), max_size=8))
         assert_kernel_matches_definitions(rows, [0, full, *drawn])
 
-    def test_first_intransitive_on_every_small_relation(self):
-        from stratkit import topology
-
-        for n in range(4):
-            for code in range(1 << (n * n)):
-                rows = tuple(code >> (i * n) & ((1 << n) - 1) for i in range(n))
-                assert topology.first_intransitive(rows) == reference_first_intransitive(rows)
-
-    @given(relations())
-    @settings(max_examples=200, deadline=None)
-    def test_first_intransitive_on_random_relations(self, rows):
-        from stratkit import topology
-
-        assert topology.first_intransitive(rows) == reference_first_intransitive(rows)
-
-    @given(closed_relations())
-    @settings(max_examples=60, deadline=None)
-    def test_first_intransitive_is_none_on_transitive_relations(self, rows):
-        from stratkit import topology
-
-        assert topology.first_intransitive(rows) is None
-
-    # -- wide relations: both sides of every size rule of the kernel ---------
-    #
-    # ``preimage_of`` ORs the selected rows in one C call once a mask has
-    # more than (n + 128) / 16 bits on more than 64 rows, and ``transpose``
-    # reads columns off a digit string once the distinct rows of more than
-    # 64 points hold more than n * (n + 256) / 128 bits. The sparse shape
-    # stays below that, the dense ones above it, and the masks sit on both
-    # sides of the first rule.
+    # -- wide relations: both sides of every size rule of the kernel; the
+    # sparse shape stays below ``transpose``'s density rule, the dense ones
+    # above it, and the masks sit on both sides of ``preimage_of``'s rule
 
     @pytest.mark.parametrize("shape", WIDE_SHAPES)
     @pytest.mark.parametrize("n", [64, 65, 130, 300])
     def test_wide_preorders_match_definitions(self, n, shape):
         rows = wide_preorder(n, shape, seed=n)
         assert_kernel_matches_definitions(rows, masks_around_the_rule(n, seed=n))
-
-    @pytest.mark.parametrize("shape", WIDE_SHAPES)
-    @pytest.mark.parametrize("n", [65, 300])
-    def test_wide_preimages_of_fibers(self, n, shape):
-        # a map's fibers: more rows than columns, or fewer
-        from stratkit import topology
-
-        rows = wide_preorder(n, shape, seed=7)
-        for width in (n // 3, 2 * n):
-            fibers = tuple(row & (1 << width) - 1 for row in rows)
-            for mask in masks_around_the_rule(n, seed=width):
-                expected = 0
-                for i in range(n):
-                    if bit(mask, i):
-                        expected |= fibers[i]
-                assert topology.preimage_of(fibers, mask) == expected
-
-    @pytest.mark.parametrize("shape", WIDE_SHAPES)
-    @pytest.mark.parametrize("n", [65, 100])
-    def test_first_intransitive_on_wide_relations(self, n, shape):
-        from stratkit import topology
-
-        rows = wide_preorder(n, shape, seed=n)
-        assert topology.first_intransitive(rows) is None
-        rng = random.Random(n)
-        for _ in range(6):
-            broken = list(rows)
-            i, j = rng.sample(range(n), 2)
-            broken[i] ^= 1 << j  # add or drop the pair (i, j)
-            assert topology.first_intransitive(broken) == reference_first_intransitive(broken)
 
     @pytest.mark.parametrize("n", [65, 100])
     def test_wide_intransitive_relations_are_refused_by_name(self, n):
@@ -872,90 +779,3 @@ class TestBitRowKernel:
             f"relation not transitive: ({a!r}, {c!r}) missing "
             f"(given ({a!r}, {b!r}) and ({b!r}, {c!r}))"
         )
-
-    # -- fewer than 65 rows: the C pass takes a mask above 0xFFF with more
-    # than (n + 128) / 16 bits at any row count
-
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_preimage_below_65_rows_matches_the_per_bit_reference(self, data):
-        from stratkit import topology
-
-        n = data.draw(st.integers(1, 64), label="rows")
-        width = data.draw(st.integers(1, 2 * n), label="columns")  # fibers: more or fewer
-        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-        if data.draw(st.booleans(), label="one bit a row"):  # each selected row shows
-            rows = [1 << rng.randrange(width) for _ in range(n)]
-        else:
-            rows = [rng.getrandbits(width) for _ in range(n)]
-        crossover = (n + 128) // 16
-        near = st.integers(min(n, max(0, crossover - 2)), min(n, crossover + 3))
-        weight = data.draw(near | st.integers(0, n), label="bits")
-        positions = data.draw(st.permutations(range(n)))[:weight]
-        mask = sum(1 << i for i in positions)
-        container = data.draw(st.sampled_from((tuple, list)))
-        assert topology.preimage_of(container(rows), mask) == helpers.preimage_by_bits(rows, mask)
-        beyond = data.draw(st.integers(n, 2 * n + 64), label="bit beyond the rows")
-        with pytest.raises(IndexError):
-            topology.preimage_of(container(rows), mask | 1 << beyond)
-
-    def test_c_pass_below_65_rows_takes_only_wide_masks_above_0xfff(self, monkeypatch):
-        from stratkit import topology
-
-        passes = []
-        flags = topology._bit_flags
-        monkeypatch.setattr(topology, "_bit_flags", lambda mask: passes.append(mask) or flags(mask))
-        rows = tuple(1 << (i + 1) % 64 for i in range(64))
-        for n, mask, c_pass in [
-            (13, 0x1FFF, True),  # 13 bits on 13 rows: more than 141 / 16
-            (13, 0x1F0F, True),  # 9 bits
-            (13, 0x1F07, False),  # 8 bits
-            (64, 0xFFF, False),  # 12 bits, but no larger than 0xFFF
-            (64, 0x1FFF, True),  # 13 bits: more than 192 / 16
-            (64, 0x1FFE, False),  # 12 bits
-            (64, 1 << 63 | 0xFFF, True),
-        ]:
-            passes.clear()
-            assert topology.preimage_of(rows[:n], mask) == helpers.preimage_by_bits(rows[:n], mask)
-            assert passes == ([mask] if c_pass else []), (n, hex(mask))
-
-    @pytest.mark.parametrize("n", [3, 64, 65, 300])
-    @pytest.mark.parametrize("container", [tuple, list])
-    def test_out_of_range_masks_raise_index_error_alike(self, n, container):
-        from stratkit import topology
-
-        rows = container(wide_preorder(n, "classes", seed=1))
-        full = (1 << n) - 1
-        with pytest.raises(IndexError) as narrow:
-            topology.preimage_of(rows, 1 << n)
-        for mask in (full | 1 << n, full << 1, -1, -full, full | 1 << 2 * n):
-            with pytest.raises(IndexError) as wide:
-                topology.preimage_of(rows, mask)
-            assert type(wide.value) is IndexError
-            assert str(wide.value) == str(narrow.value)
-
-
-    # -- rows_meeting: one pass over the rows, at every size
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_rows_meeting_matches_a_per_row_scan(self, data):
-        from stratkit import topology
-
-        n = data.draw(st.integers(0, 300), label="rows")
-        width = data.draw(st.integers(1, 300), label="columns")
-        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-        bits = data.draw(st.sampled_from((1, 3, width)), label="bits a row")
-        rows = [sum(1 << rng.randrange(width) for _ in range(bits)) for _ in range(n)]
-        mask = data.draw(st.just(0) | st.integers(0, (1 << width) - 1), label="mask")
-        assert topology.rows_meeting(rows, mask) == helpers.rows_meeting_by_scan(rows, mask)
-
-    @pytest.mark.parametrize("n", [3, 64, 65, 300])
-    def test_rows_meeting_on_point_closures(self, n):
-        from stratkit import topology
-
-        space = FiniteSpace(tuple(f"p{i}" for i in range(n)), wide_preorder(n, "mixed", seed=n))
-        rng = random.Random(n)
-        for mask in [0, 1, space.full_mask, *(rng.getrandbits(n) for _ in range(6))]:
-            expected = helpers.rows_meeting_by_scan(space.point_closures, mask)
-            assert topology.rows_meeting(space.point_closures, mask) == expected
