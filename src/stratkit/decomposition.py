@@ -231,6 +231,7 @@ class Decomposition(Value):
     @classmethod
     def pointwise(cls, space: FiniteSpace) -> "Decomposition":
         """One stratum per point, named after the point."""
+        check_type(space, FiniteSpace, "Decomposition space")
         return cls.from_strata(space, {p: (p,) for p in space.points})
 
     def __repr__(self) -> str:
@@ -638,6 +639,7 @@ class PosetStratification(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        check_type(self.dec, Decomposition, "PosetStratification decomposition")
         if not self.dec._pi_continuous_rows(self._up):
             raise ValidationError("decomposition map is not continuous for the given order")
 
@@ -663,6 +665,7 @@ def as_poset_stratified(d: Decomposition) -> PosetStratification:
     the quotient map into it are checked here; a failure of either raises
     InternalInvariantError.
     """
+    check_type(d, Decomposition, "decomposition")
     verdict = d.is_stratification()
     if not verdict:
         raise PreconditionError(
@@ -684,6 +687,7 @@ def stratification_from_open_map(ps: PosetStratification) -> None:
     The conclusion and the refinement property of the supplied order are
     asserted; returning at all confirms both.
     """
+    check_type(ps, PosetStratification, "poset stratification")
     d = ps.dec
     open_verdict = d._open_into(ps._up)
     if not open_verdict:

@@ -14,7 +14,7 @@ from .decomposition import Decomposition
 from .documents import Document
 from .errors import ValidationError
 from .order import SYMBOLIC_FAMILIES, Poset, alexandrov_space
-from .topology import FiniteSpace
+from .topology import FiniteSpace, check_collection
 
 
 class Fixture(NamedTuple):
@@ -171,6 +171,7 @@ def face_poset_model(facets) -> FaceModel:
             raise ValidationError(
                 f"vertex names must be nonempty strings listed in a facet, got {facet!r}"
             )
+        check_collection(facet, "facet", "vertex names")
         vertices = tuple(facet)
         for vertex in vertices:
             if not isinstance(vertex, str) or not vertex or "," in vertex:

@@ -45,11 +45,15 @@ This module is also the one place the quotient map is built point by
 point, as a ``SpaceMap`` (``classify``, ``check`` and ``theorem-b`` build
 none), in ``semicontinuity_matches_point_map``: the sweep's reference
 for the stratum-level verdicts.
+``exhaustive_verify``, ``compatible_orders`` and
+``strict_refinements_never_open`` clear the caches of
+``labeled_preorder_rows`` and ``labeled_poset_rows`` when they return or
+raise, so a call at n = 6 leaves no 21 MB of rows behind.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import compress, permutations, repeat
 from math import factorial
 from operator import not_
@@ -65,7 +69,7 @@ from .kernel import (
 from .order import (
     Poset, Proset, adjunction_roundtrips, alexandrov_space, singleton_local_closure_check,
 )
-from .topology import FiniteSpace, SpaceMap, Value, final_topology
+from .topology import FiniteSpace, SpaceMap, Value, check_type, final_topology
 
 #: Known totals (OEIS A000798, A001035, A000110), checked by the tests.
 PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
@@ -128,6 +132,26 @@ def labeled_poset_rows(n: int) -> tuple[tuple[int, ...], ...]:
     rows are all distinct, as mutually comparable elements share one up-set
     (``Proset.is_poset``)."""
     return tuple(rows for rows in labeled_preorder_rows(n) if len(set(rows)) == len(rows))
+
+
+# the cached functions themselves, which a tracing wrapper put in their
+# place in this module's namespace would hide
+_ENUMERATIONS = (labeled_preorder_rows, labeled_poset_rows)
+
+
+def _frees_enumerations(entry: Callable) -> Callable:
+    """``entry``, clearing the caches of both labeled enumerations when it
+    returns or raises: after n = 6 they hold 21.1 MB (tracemalloc)."""
+
+    @wraps(entry)
+    def run(*args, **kwargs):
+        try:
+            return entry(*args, **kwargs)
+        finally:
+            for enumeration in _ENUMERATIONS:
+                enumeration.cache_clear()
+
+    return run
 
 
 def _relabelings(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -439,19 +463,23 @@ def _checked_search(d: Decomposition) -> list[tuple[int, ...]]:
     return [order.rows for order in found]
 
 
+@_frees_enumerations
 def compatible_orders(d: Decomposition) -> tuple[Poset, ...]:
     """Every partial order on the stratum ids that makes the quotient map
     of a poset-stratified decomposition continuous, asserting the
     decomposition preorder is initial among them."""
+    check_type(d, Decomposition, "decomposition")
     if not d.poset_stratified_equivalences().value:
         raise PreconditionError("decomposition is not poset-stratified")
     return tuple(Poset(d.ids, rows) for rows in _checked_search(d))
 
 
+@_frees_enumerations
 def strict_refinements_never_open(d: Decomposition) -> int:
     """The number of strict refinements of the frontier order of a
     stratification, asserting the quotient map is continuous but never
     open into each."""
+    check_type(d, Decomposition, "decomposition")
     verdict = d.is_stratification()
     if not verdict:
         raise PreconditionError(
@@ -588,6 +616,7 @@ class Sweep:
         )
 
 
+@_frees_enumerations
 def exhaustive_verify(n: int) -> SweepReport:
     """Recheck every order-and-decomposition statement on all instances of
     size n, one per relabeling orbit, each weighted by its orbit size.

@@ -18,7 +18,9 @@ from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
 from .kernel import iter_bits, names_at, preimage_of, reflexive_transitive_closure, transpose
-from .topology import FiniteMap, FiniteSpace, Verdict, _Relation, check_collection, checked_names
+from .topology import (
+    FiniteMap, FiniteSpace, Verdict, _Relation, check_collection, check_type, checked_names,
+)
 
 
 class Proset(_Relation):
@@ -55,6 +57,8 @@ class Proset(_Relation):
         the pairs must already form a preorder and the violating pair is
         reported.
         """
+        if not isinstance(close, bool):
+            raise ValidationError("close must be a boolean")
         els = checked_names(elements, "element")
         index = {e: i for i, e in enumerate(els)}
         n = len(els)
@@ -196,6 +200,7 @@ def alexandrov_space(p: Proset) -> FiniteSpace:
     checks (in range, reflexive, transitive), so the space is built from
     them without checking them again.
     """
+    check_type(p, Proset, "preorder")
     return FiniteSpace._from_valid(p.elements, p.up)
 
 
@@ -205,6 +210,7 @@ def specialization_preorder(space: FiniteSpace) -> Proset:
     The space has validated them as a preorder's, so the ``Proset`` is
     built from them without checking them again. ``adjunction_roundtrips``
     checks the rows against the closure route."""
+    check_type(space, FiniteSpace, "space")
     return Proset._from_valid(space.points, space.min_open)
 
 

@@ -551,7 +551,13 @@ def final_topology(
         )
     index = {p: i for i, p in enumerate(pts)}
     prepared = []
-    for source, mapping in family:
+    check_collection(family, "family", "(space, mapping) pairs")
+    for entry in family:
+        if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+            raise ValidationError(f"family entries must be (space, mapping) pairs, got {entry!r}")
+        source, mapping = entry
+        check_type(source, FiniteSpace, "family space")
+        check_type(mapping, Mapping, "family mapping")
         fibers = [0] * n
         for i, p in enumerate(source.points):
             if p not in mapping:

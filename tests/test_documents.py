@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import test_save_golden
 from stratkit import (
     Decomposition,
     FiniteSpace,
@@ -26,8 +29,9 @@ from stratkit import (
     generate,
     load,
     save,
+    specialization_preorder,
 )
-from stratkit import topology
+from stratkit import documents, topology
 from stratkit.documents import Document, canonical_json, from_payload
 
 
@@ -295,6 +299,114 @@ class TestErrors:
     def test_only_text_is_loaded(self):
         with pytest.raises(ValidationError, match="^document must be JSON text, got int$"):
             load(3)
+
+
+def _generated(n: int, degree: float, blocks: int, seed: int) -> Document:
+    """A decomposition document shaped like the documents-bulk benchmark's."""
+    space = alexandrov_space(generate("preorder", n, {"density": degree / n}, seed).value)
+    return generate("partition", n, {"space": space, "blocks": blocks}, seed + 1)
+
+
+# texts json cannot decode: each gives the same ParseError on both decoders
+MALFORMED_TEXTS = {
+    "empty": "",
+    "blank": " \n ",
+    "bare-word": "nope",
+    "not-json": "{not json",
+    "truncated-object": '{"kind": "space", "points": ["a"]',
+    "truncated-array": '{"points": ["a", "b"',
+    "unterminated-string": '{"points": ["a',
+    "missing-colon": '{"kind" "space"}',
+    "missing-comma-in-object": '{"kind": "space" "points": []}',
+    "missing-comma-in-array": '{"points": ["a" "b"]}',
+    "trailing-comma-in-object": '{"kind": "space",}',
+    "trailing-comma-in-array": '{"points": ["a",]}',
+    "single-quotes": "{'kind': 'space'}",
+    "bad-escape": '{"points": ["\\q"]}',
+    "control-character": '{"points": ["a\x01"]}',
+    "extra-data": '{"kind": "space"} {}',
+    "byte-order-mark": '﻿{"kind": "space"}',
+    "value-missing-in-array": '{"points": [, "a"]}',
+    "error-in-nested-array": '{"strata": {"S": [["a"], ["b" "c"]]}}',
+    "bytes": b'{"kind": "space", "points": ["a"',
+    "integer-too-long": '{"kind": 1' + "0" * 5000 + "}",
+    "nesting-too-deep": "[" * 100_000 + "]" * 100_000,
+}
+
+
+class TestSharedStrings:
+    """``load`` decodes a text of at least ``SHARED_STRINGS_CHARS``
+    characters with one string object per distinct name; both decoders
+    give the same documents and the same errors."""
+
+    @staticmethod
+    def both_ways(monkeypatch, text):
+        """``load(text)`` with the shared-strings decoder forced off, then on:
+        each result, or the text of each ParseError or ValidationError."""
+        out = []
+        for chars in (math.inf, 0):
+            monkeypatch.setattr(documents, "SHARED_STRINGS_CHARS", chars)
+            try:
+                out.append(load(text))
+            except (ParseError, ValidationError) as exc:
+                out.append((type(exc).__name__, str(exc), getattr(exc, "line", None),
+                            getattr(exc, "column", None)))
+        return out
+
+    @pytest.mark.parametrize("doc_id", sorted(test_save_golden.DOCUMENTS))
+    def test_golden_documents_load_alike(self, monkeypatch, doc_id):
+        text = save(test_save_golden.DOCUMENTS[doc_id]())
+        plain, shared = self.both_ways(monkeypatch, text)
+        assert plain == shared
+        assert save(plain) == save(shared) == text
+
+    @pytest.mark.parametrize("args", [(40, 0.5, 4, 3), (60, 2.0, 5, 4), (120, 3.0, 7, 5),
+                                      (200, 2.0, 12, 6)])
+    def test_generated_documents_load_alike(self, monkeypatch, args):
+        doc = _generated(*args)
+        for text in (save(doc), save(Document("space", doc.value.space)),
+                     save(Document("proset", specialization_preorder(doc.value.space)))):
+            plain, shared = self.both_ways(monkeypatch, text)
+            assert plain == shared
+            assert save(plain) == save(shared) == text
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "space", "points": ["a", "b"], "subbasis": [["a"], ["a", "b"], []]},
+        {"kind": "space", "points": ["a"], "min_open": {"a": ["a", True, 1, 1.0, None]}},
+        {"kind": "space", "points": ["a", "a"], "min_open": {"a": ["a"]}},
+        {"kind": "proset", "elements": ["a", "b"], "leq_pairs": [["a", "b"], ["b", 1]]},
+        {"kind": "map", "source": {"points": ["a"], "min_open": {"a": ["a"]}},
+         "target": {"points": ["b"], "min_open": {"b": ["b"]}}, "assignment": {"a": "b"}},
+    ], ids=["subbasis", "mixed-list", "duplicate-names", "bad-pair", "map"])
+    def test_payloads_json_decodes_load_alike(self, monkeypatch, payload):
+        plain, shared = self.both_ways(monkeypatch, json.dumps(payload))
+        assert plain == shared
+
+    @pytest.mark.parametrize("text", MALFORMED_TEXTS.values(), ids=MALFORMED_TEXTS)
+    def test_malformed_texts_give_the_same_parse_error(self, monkeypatch, text):
+        plain, shared = self.both_ways(monkeypatch, text)
+        assert plain[0] == "ParseError"
+        assert plain == shared
+
+    def test_names_are_shared_objects(self, monkeypatch):
+        monkeypatch.setattr(documents, "SHARED_STRINGS_CHARS", 0)
+        payload = json.loads(save(_generated(60, 2.0, 5, 4)), cls=documents._SharedStrings)
+        names = [name for row in payload["space"]["min_open"].values() for name in row]
+        assert len(set(map(id, names))) == len(set(names)) < len(names)
+
+    def test_a_dense_document_loads_in_little_more_than_its_text(self, monkeypatch):
+        # json.loads builds one str per name occurrence, about 4 times the
+        # text; the shared path measured 1.19 times on this document
+        text = save(_generated(600, 2.0, 8, 7))
+        assert len(text) > 3_000_000
+        monkeypatch.setattr(documents, "SHARED_STRINGS_CHARS", 0)
+        tracemalloc.start()
+        try:
+            load(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(text)
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()

@@ -17,7 +17,10 @@ from stratkit import (
     Proset,
     ValidationError,
     Verdict,
+    compatible_orders,
     exhaustive_verify,
+    fixture,
+    strict_refinements_never_open,
 )
 from stratkit.oracle import (
     PARTITION_COUNTS,
@@ -200,6 +203,45 @@ class TestOrbits:
     @pytest.mark.parametrize("n", range(5))
     def test_weighted_sweep_matches_the_labeled_reference(self, n):
         assert exhaustive_verify(n).to_json() == helpers.labeled_sweep(n).to_json()
+
+
+class TestEnumerationCaches:
+    """The entries that enumerate labeled relations leave no rows cached:
+    after n = 6 the two caches would keep 21 MB for the life of the
+    process."""
+
+    ENTRIES = {
+        "exhaustive-verify": (lambda: exhaustive_verify(3), "Sweep.report"),
+        "compatible-orders": (lambda: compatible_orders(fixture("quadrant_4").document.value),
+                              "_refinements_continuous"),
+        "strict-refinements": (
+            lambda: strict_refinements_never_open(fixture("quadrant_4").document.value),
+            "_refinements_continuous"),
+    }
+
+    @staticmethod
+    def sizes() -> list[int]:
+        return [fn.cache_info().currsize for fn in (labeled_preorder_rows, labeled_poset_rows)]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_cleared_on_return(self, entry):
+        labeled_poset_rows(2)
+        assert self.sizes() != [0, 0]
+        self.ENTRIES[entry][0]()
+        assert self.sizes() == [0, 0]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_cleared_on_an_exception(self, monkeypatch, entry):
+        call, step = self.ENTRIES[entry]
+
+        def broken(*args):  # runs once the enumerations are cached
+            assert self.sizes() != [0, 0]
+            raise RuntimeError(step)
+
+        monkeypatch.setattr(f"stratkit.oracle.{step}", broken)
+        with pytest.raises(RuntimeError, match=step):
+            call()
+        assert self.sizes() == [0, 0]
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
-"""`save` output, pinned byte for byte for every document kind.
+"""`save` output, pinned byte for byte for every document kind, and
+``load`` of each saved text, which must save back to the same bytes.
 
 The digests in ``data/save_golden.json`` were captured while ``save`` still
 serialized through ``json.dumps(payload, sort_keys=True, indent=2)``; the
@@ -13,6 +14,13 @@ This module needs only the standard library, so the digests can be checked
 under any interpreter:
 
     PYTHONPATH=src python tests/test_save_golden.py --check
+
+With ``--shared-strings`` the check loads every text through the decoder
+``load`` keeps for large texts (``documents.SHARED_STRINGS_CHARS`` set to
+0), so each interpreter runs json's Python and C scanners on every
+document:
+
+    PYTHONPATH=src python tests/test_save_golden.py --check --shared-strings
 
 Re-capture (a deliberate output change) with
 
@@ -37,8 +45,10 @@ from stratkit import (
     fixture,
     fixture_names,
     generate,
+    load,
     save,
 )
+from stratkit import documents
 from stratkit.documents import Document
 from stratkit.order import alexandrov_space
 
@@ -119,7 +129,13 @@ def load_golden() -> dict:
 
 
 def mismatches() -> list[str]:
-    return [doc_id for doc_id, expected in load_golden().items() if digest(doc_id) != expected]
+    """Ids whose saved text differs from its digest or does not load back to itself."""
+    bad = []
+    for doc_id, expected in load_golden().items():
+        text = save(DOCUMENTS[doc_id]())
+        if hashlib.sha256(text.encode()).hexdigest() != expected or save(load(text)) != text:
+            bad.append(doc_id)
+    return bad
 
 
 def test_golden_covers_every_document():
@@ -142,7 +158,9 @@ if __name__ == "__main__":
         GOLDEN_PATH.write_text(
             json.dumps({doc_id: digest(doc_id) for doc_id in DOCUMENTS}, indent=2) + "\n",
             encoding="utf-8")
-    elif sys.argv[1:] == ["--check"]:
+    elif sys.argv[1:] in (["--check"], ["--check", "--shared-strings"]):
+        if sys.argv[2:]:
+            documents.SHARED_STRINGS_CHARS = 0
         bad = mismatches()
         print(f"{len(DOCUMENTS) - len(bad)}/{len(DOCUMENTS)} digests match")
         for doc_id in bad:

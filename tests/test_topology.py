@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 import helpers
 from helpers import WIDE_SHAPES, bit, masks_around_the_rule, wide_preorder
 from stratkit import (
-    FiniteSpace, MonotoneMap, Poset, Proset, SpaceMap, ValidationError, Verdict, final_topology,
-    fixture, fixture_names, load,
+    Decomposition, FiniteSpace, MonotoneMap, Poset, PosetStratification, Proset, SpaceMap,
+    ValidationError, Verdict, alexandrov_space, as_poset_stratified, compatible_orders,
+    face_poset_model, final_topology, fixture, fixture_names, load, save,
+    specialization_preorder, strict_refinements_never_open, stratification_from_open_map,
 )
 from stratkit.fixtures import fixture_space
 from stratkit.kernel import reflexive_transitive_closure
@@ -289,6 +291,51 @@ class TestMistypedCollections:
         assert space == FiniteSpace.from_subbasis("ab", ["a"])
         with pytest.raises(ValidationError, match="must be a collection of names, got 'a'"):
             space.is_open("a")
+
+
+class TestEntryChecks:
+    """Each public entry checks the type of its arguments before it reads
+    them, so a mistyped value is a ``ValidationError``, not an
+    ``AttributeError`` or ``TypeError`` from inside."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: save(None), "document must be a Document, got NoneType"),
+            (lambda: alexandrov_space(None), "preorder must be a Proset, got NoneType"),
+            (lambda: specialization_preorder(None), "space must be a FiniteSpace, got NoneType"),
+            (lambda: Decomposition.pointwise(None),
+             "Decomposition space must be a FiniteSpace, got NoneType"),
+            (lambda: PosetStratification(None, None),
+             "PosetStratification decomposition must be a Decomposition, got NoneType"),
+            (lambda: as_poset_stratified(None), "decomposition must be a Decomposition, got NoneType"),
+            (lambda: stratification_from_open_map(None),
+             "poset stratification must be a PosetStratification, got NoneType"),
+            (lambda: compatible_orders(None), "decomposition must be a Decomposition, got NoneType"),
+            (lambda: strict_refinements_never_open(None),
+             "decomposition must be a Decomposition, got NoneType"),
+            (lambda: face_poset_model([["a"], 3]), "facet must be a collection of vertex names, got 3"),
+            (lambda: final_topology("ab", [3]),
+             "family entries must be (space, mapping) pairs, got 3"),
+            (lambda: final_topology("ab", None),
+             "family must be a collection of (space, mapping) pairs, got None"),
+            (lambda: final_topology("ab", [(None, {})]),
+             "family space must be a FiniteSpace, got NoneType"),
+            (lambda: final_topology("a", [(FiniteSpace.discrete("a"), ["a"])]),
+             "family mapping must be a Mapping, got list"),
+            (lambda: Proset.from_pairs("ab", [("a", "b")], close="yes"), "close must be a boolean"),
+            (lambda: Poset.from_pairs("ab", [], close=1), "close must be a boolean"),
+        ],
+        ids=["save", "alexandrov-space", "specialization-preorder", "pointwise",
+             "poset-stratification", "as-poset-stratified", "stratification-from-open-map",
+             "compatible-orders", "strict-refinements-never-open", "face-poset-model",
+             "final-topology-entry", "final-topology-family", "final-topology-space",
+             "final-topology-mapping", "from-pairs-close-str", "from-pairs-close-int"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestRelationMessages:
