@@ -9,12 +9,16 @@ timestamps, so identical invocations are byte-identical.
 ``verify --points`` takes the oracle's one enumeration bound,
 ``oracle.MAX_ELEMENTS`` (6); no setting changes it.
 
-Imports are per command: this module loads only the classification core
-(kernel, topology, order, decomposition, documents), and the oracle, generator,
-fixture catalog and DOT writer are imported inside the commands that run
-them (``verify``, ``gen``, ``fixture``, ``preorder --dot`` and
-``export-dot``). The package's own exports are lazy (PEP 562), so
-``import stratkit`` loads nothing by itself.
+Imports are per command and per document: this module loads only
+``documents`` and ``errors``. A command imports the classification core
+(kernel, topology, order, decomposition) after ``_read_document`` returns,
+and ``documents`` imports it only for a document that passes its shape
+checks, so a document that fails to parse or to pass them exits 2 without
+compiling the core. The oracle, generator, fixture catalog and DOT writer
+are imported inside the commands that run them (``verify``, ``gen``,
+``fixture``, ``preorder --dot`` and ``export-dot``), and the catalog when
+a document names a fixture. The package's own exports are lazy (PEP 562),
+so ``import stratkit`` loads nothing by itself.
 """
 
 from __future__ import annotations
@@ -22,12 +26,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .decomposition import (
-    Decomposition, PosetStratification, as_poset_stratified, classify, stratification_from_open_map,
-)
 from .documents import Document, canonical_json, load, payload_of, save
 from .errors import InternalInvariantError, ParseError, PreconditionError, ValidationError
-from .order import Poset, Proset
 
 LADDER = ("decomposition", "alexandrov", "poset-stratified", "stratification")
 
@@ -123,12 +123,16 @@ def _read_document(path: str) -> Document:
 
 
 def _as_decomposition(doc: Document) -> Decomposition:
+    from .decomposition import Decomposition
+
     if not isinstance(doc.value, Decomposition):
         raise ValidationError(f"expected a decomposition document, got kind {doc.kind!r}")
     return doc.value
 
 
 def _as_order(doc: Document) -> Poset:
+    from .order import Poset
+
     if not isinstance(doc.value, Poset):
         raise ValidationError(
             f"expected a poset or order-on-strata document, got kind {doc.kind!r}"
@@ -166,7 +170,10 @@ def _report_text(report) -> str:
 
 
 def _cmd_check(args) -> int:
-    report = classify(_as_decomposition(_read_document(args.document)))
+    dec = _as_decomposition(_read_document(args.document))
+    from .decomposition import classify
+
+    report = classify(dec)
     if args.format == "json":
         _emit(canonical_json(report.to_json_dict()))
     else:
@@ -176,6 +183,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     dec = _as_decomposition(_read_document(args.document))
+    from .decomposition import classify
+
     report = classify(dec)
     verdict = report.verdict()
     _emit(f"verdict: {verdict}\n")
@@ -223,6 +232,8 @@ def _cmd_coarsen(args) -> int:
 
 def _cmd_theorem_a(args) -> int:
     dec = _as_decomposition(_read_document(args.document))
+    from .decomposition import as_poset_stratified
+
     ps = as_poset_stratified(dec)
     _emit(save(Document("order-on-strata", ps.order)))
     return 0
@@ -231,6 +242,8 @@ def _cmd_theorem_a(args) -> int:
 def _cmd_theorem_b(args) -> int:
     dec = _as_decomposition(_read_document(args.document))
     order = _as_order(_read_document(args.order))
+    from .decomposition import PosetStratification, stratification_from_open_map
+
     check = dec.check_against_order(order)
     if not check.continuous:
         _emit(
@@ -291,9 +304,11 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    from .dot import export_dot
-
     doc = _read_document(args.document)
+    from .decomposition import Decomposition
+    from .dot import export_dot
+    from .order import Proset
+
     if not isinstance(doc.value, (Decomposition, Proset)):
         raise ValidationError(f"cannot render document kind {doc.kind!r} as DOT")
     _emit(export_dot(doc.value))

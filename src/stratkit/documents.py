@@ -19,6 +19,14 @@ JSON lists of strings, and names and tags must be strings, so a malformed
 value is a ValidationError rather than a TypeError or a silently split
 string.
 
+This module imports no core module (``kernel``, ``topology``, ``order``,
+``decomposition``) at its top: each builder imports the constructor it
+calls after its payload's shape checks, and each writer the names it
+reads. ``load`` of a text that fails to parse, names an unknown kind or
+fails a shape check before any value is built therefore loads only this
+module and ``errors``, so ``stratkit check`` on such a document exits
+without compiling the core.
+
 A dense minimal-open table names each point once for every neighbourhood
 that holds it, and ``json.loads`` builds one ``str`` per occurrence: about
 4 times the text under tracemalloc. A text of at least
@@ -71,11 +79,7 @@ from json.encoder import encode_basestring_ascii
 from json.scanner import c_make_scanner, py_make_scanner
 from typing import NamedTuple
 
-from .decomposition import Decomposition
 from .errors import ParseError, ValidationError
-from .kernel import iter_bits, names_at
-from .order import Poset, Proset, SymbolicFamily, symbolic_local_finiteness
-from .topology import FiniteSpace, SpaceMap, check_type
 
 KINDS = (
     "space",
@@ -146,6 +150,8 @@ def load(text: str) -> Document:
 
 def save(doc: Document) -> str:
     """Serialize one document canonically."""
+    from .topology import check_type
+
     check_type(doc, Document, "document")
     return canonical_json(payload_of(doc.value, kind=doc.kind))
 
@@ -229,6 +235,10 @@ def from_payload(payload: object) -> Document:
 
 def payload_of(value: object, kind: str | None = None) -> dict:
     """Canonical JSON payload for a supported value."""
+    from .decomposition import Decomposition
+    from .order import Poset, Proset, SymbolicFamily
+    from .topology import FiniteSpace, SpaceMap
+
     if isinstance(value, FiniteSpace):
         return _space_payload(value)
     if isinstance(value, Decomposition):
@@ -248,6 +258,8 @@ def payload_of(value: object, kind: str | None = None) -> dict:
 
 
 def _space_payload(space: FiniteSpace) -> dict:
+    from .kernel import names_at
+
     pts = sorted(space.points)
     # points sharing a minimal open (a strongly connected class) share one
     # sorted name list
@@ -274,19 +286,25 @@ def space_from_payload(payload: dict, what: str) -> FiniteSpace:
         table = payload["min_open"]
         if not isinstance(table, dict):
             raise ValidationError("min_open must be an object mapping points to point lists")
-        return FiniteSpace.from_min_open(
-            points, {k: _strings(v, f"min_open entry for {k!r}") for k, v in table.items()}
-        )
-    gens = payload["subbasis"]
-    if not isinstance(gens, list):
-        raise ValidationError("subbasis must be a list of point lists")
-    return FiniteSpace.from_subbasis(points, [_strings(g, "subbasis entry") for g in gens])
+        table = {k: _strings(v, f"min_open entry for {k!r}") for k, v in table.items()}
+    else:
+        gens = payload["subbasis"]
+        if not isinstance(gens, list):
+            raise ValidationError("subbasis must be a list of point lists")
+        gens = [_strings(g, "subbasis entry") for g in gens]
+    from .topology import FiniteSpace
+
+    if has_min_open:
+        return FiniteSpace.from_min_open(points, table)
+    return FiniteSpace.from_subbasis(points, gens)
 
 
 # -- relations ------------------------------------------------------------------
 
 
 def _relation_payload(p: Proset, kind: str) -> dict:
+    from .kernel import iter_bits
+
     els = sorted(p.elements)
     pairs = sorted(
         [a, p.elements[j]]
@@ -308,6 +326,8 @@ def _relation_from(payload: dict, kind: str) -> Proset:
             raise ValidationError(f"leq_pairs entries must be pairs, got {item!r}")
         a, b = _strings(item, "leq_pairs entry")
         pairs.append((a, b))
+    from .order import Poset, Proset
+
     cls = Poset if kind in ("poset", "order-on-strata") else Proset
     return cls.from_pairs(elements, pairs, close=payload.get("close", True))
 
@@ -316,6 +336,8 @@ def _relation_from(payload: dict, kind: str) -> Proset:
 
 
 def _decomposition_payload(dec: Decomposition) -> dict:
+    from .kernel import names_at
+
     return {
         "kind": "decomposition",
         "space": _space_payload(dec.space),
@@ -340,9 +362,10 @@ def _decomposition_from(payload: dict) -> Decomposition:
     strata = payload.get("strata")
     if not isinstance(strata, dict):
         raise ValidationError("strata must map stratum ids to point lists")
-    return Decomposition.from_strata(
-        space, {k: _strings(v, f"stratum {k!r}") for k, v in strata.items()}
-    )
+    strata = {k: _strings(v, f"stratum {k!r}") for k, v in strata.items()}
+    from .decomposition import Decomposition
+
+    return Decomposition.from_strata(space, strata)
 
 
 # -- maps --------------------------------------------------------------------------
@@ -367,6 +390,8 @@ def _map_from(payload: dict) -> SpaceMap:
         isinstance(v, str) for v in assignment.values()
     ):
         raise ValidationError("assignment must map source points to target points")
+    from .topology import SpaceMap
+
     return SpaceMap.from_names(source, target, assignment)
 
 
@@ -388,6 +413,8 @@ def _symbolic_from(payload: dict) -> SymbolicFamily:
     tag = payload.get("tag")
     if not isinstance(tag, str):
         raise ValidationError(f"symbolic family tag must be a string, got {tag!r}")
+    from .order import symbolic_local_finiteness
+
     fam = symbolic_local_finiteness(tag)
     for key in ("locally_finite_space", "locally_finite_poset"):
         if key in payload and not isinstance(payload[key], bool):

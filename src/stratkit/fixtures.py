@@ -117,7 +117,7 @@ FIXTURES: dict[str, Fixture] = _build_catalog()
 def fixture(name: str) -> Fixture:
     try:
         return FIXTURES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable name is an unknown one
         raise ValidationError(f"unknown fixture: {name!r}") from None
 
 

@@ -218,6 +218,8 @@ def adjunction_roundtrips(p: Proset, x: FiniteSpace) -> None:
     """Check both round-trips exactly, and the specialization preorder of
     ``x`` against its point closures. A failure is a library defect,
     raised as InternalInvariantError; when every check holds, returns None."""
+    check_type(p, Proset, "preorder")
+    check_type(x, FiniteSpace, "space")
     via_closure = [0] * len(x.points)
     for j, col in enumerate(x.point_closures):
         for i in iter_bits(col):
@@ -237,6 +239,7 @@ def singleton_local_closure_check(p: Proset) -> bool:
     topology is locally closed. Both sides are evaluated independently and
     must agree; the common value is returned.
     """
+    check_type(p, Proset, "preorder")
     antisymmetric = bool(p.is_poset())
     space = alexandrov_space(p)
     all_lc = all(space.is_locally_closed((e,)) for e in p.elements)
@@ -292,8 +295,8 @@ SYMBOLIC_FAMILIES: dict[str, SymbolicFamily] = {
 
 
 def symbolic_local_finiteness(tag: str) -> SymbolicFamily:
-    """Catalog lookup; unknown tags are input errors."""
+    """Catalog lookup; unknown tags, unhashable ones included, are input errors."""
     try:
         return SYMBOLIC_FAMILIES[tag]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValidationError(f"unknown symbolic family tag: {tag!r}") from None

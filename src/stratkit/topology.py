@@ -178,14 +178,22 @@ class _Relation(Value):
         return {name: i for i, name in enumerate(self._names)}
 
     def _index_of(self, name: str) -> int:
-        """The index of the named member; an unknown name is refused."""
+        """The index of the named member; an unknown name, an unhashable one
+        included, is refused."""
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown {self._member}: {name!r}") from None
 
     def names_of(self, mask: int) -> frozenset[str]:
-        return frozenset(names_at(self._names, mask))
+        return frozenset(names_at(self._names, self._checked(mask)))
+
+    def _checked(self, mask: int) -> int:
+        """The mask, refused unless an int (not a bool) with no bit beyond the members."""
+        n = len(self._names)
+        if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> n:
+            raise ValidationError(f"{self._member} mask {mask!r} out of range for {n} {self._member}s")
+        return mask
 
     @cached_property
     def _lex_indices(self) -> tuple[int, ...]:
@@ -323,12 +331,6 @@ class FiniteSpace(_Relation):
         return mask
 
     # -- open and closed sets --------------------------------------------
-
-    def _checked(self, mask: int) -> int:
-        """The mask, refused unless an int (not a bool) with no bit beyond the points."""
-        if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> len(self.points):
-            raise ValidationError(f"point mask {mask!r} out of range for {len(self.points)} points")
-        return mask
 
     def is_open_mask(self, mask: int) -> bool:
         return not preimage_of(self.min_open, self._checked(mask)) & ~mask

@@ -115,6 +115,62 @@ class TestRoundTrips:
         assert dec.stratum("A") == {"m", "z", "p"}
 
 
+# the document message tables: id -> (payload, the ValidationError message
+# load gives for its JSON text)
+STRING_LIST_PAYLOADS = {
+    "bare-string": ({"kind": "space", "points": "ab", "min_open": {}},
+                    "points must be a list of strings, got 'ab'"),
+    "object": ({"kind": "space", "points": ["a"], "min_open": {"a": {"a": 1}}},
+               "min_open entry for 'a' must be a list of strings, got {'a': 1}"),
+    "number": ({"kind": "space", "points": ["a"], "subbasis": [7]},
+               "subbasis entry must be a list of strings, got 7"),
+    "null": ({"kind": "poset", "elements": [None]},
+             "elements must be a list of strings, got [None]"),
+    "bool": ({"kind": "space", "points": ["a"], "min_open": {"a": ["a", True]}},
+             "min_open entry for 'a' must be a list of strings, got ['a', True]"),
+    "int": ({"kind": "decomposition", "space": {"points": ["a"], "min_open": {"a": ["a"]}},
+             "strata": {"S": [3]}},
+            "stratum 'S' must be a list of strings, got [3]"),
+    "nested-list": ({"kind": "space", "points": ["a"], "subbasis": [[["a"]]]},
+                    "subbasis entry must be a list of strings, got [['a']]"),
+    "float": ({"kind": "space", "points": ["a", 3.5], "min_open": {}},
+              "points must be a list of strings, got ['a', 3.5]"),
+    "unhashable": ({"kind": "space", "points": ["a"], "min_open": {"a": ["a", ["a"]]}},
+                   "min_open entry for 'a' must be a list of strings, got ['a', ['a']]"),
+}
+
+
+def _abc_space(min_open: dict) -> dict:
+    return {"kind": "space", "points": ["a", "b", "c"], "min_open": min_open}
+
+
+FIRST_ERROR_PAYLOADS = {
+    # every entry is type-checked before any name is looked up
+    "non-string-after-unknown": (
+        _abc_space({"a": ["a", "q"], "b": ["b", 3]}),
+        "min_open entry for 'b' must be a list of strings, got ['b', 3]"),
+    "unknown-in-second-list": (_abc_space({"a": ["a"], "b": ["b", "q", "r"], "c": ["a"]}),
+                               "min_open mentions unknown point: 'q'"),
+    # an unknown name in an earlier point's list, before a missing entry
+    "unknown-before-missing": (_abc_space({"a": ["a"], "b": ["b", "q"]}),
+                               "min_open mentions unknown point: 'q'"),
+    "unknown-key": (_abc_space({"a": ["a"], "b": ["b"], "c": ["c"], "z": ["q"]}),
+                    "min_open mentions unknown point: 'z'"),
+    "missing-entry": (_abc_space({"a": ["a"], "c": ["c"]}),
+                      "min_open missing entry for point 'b'"),
+}
+RELATION_VALUE_PAYLOADS = {
+    "subbasis-not-a-list": ({"kind": "space", "points": ["a"], "subbasis": "a"},
+                            "subbasis must be a list of point lists"),
+    "leq-pairs-not-a-list": ({"kind": "proset", "elements": ["a"], "leq_pairs": {"a": "a"}},
+                             "leq_pairs must be a list of element pairs"),
+    "leq-pair-of-three": (
+        {"kind": "proset", "elements": ["a", "b"], "leq_pairs": [["a", "b", "a"]]},
+        "leq_pairs entries must be pairs, got ['a', 'b', 'a']"),
+    "close-int": ({"kind": "proset", "elements": ["a"], "close": 1}, "close must be a boolean"),
+}
+
+
 class TestErrors:
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
@@ -203,58 +259,18 @@ class TestErrors:
         payload[key] = getattr(catalog, key)
         assert load(json.dumps(payload)).value is catalog
 
-    @pytest.mark.parametrize(
-        "payload, message",
-        [
-            ({"kind": "space", "points": "ab", "min_open": {}},
-             "points must be a list of strings, got 'ab'"),
-            ({"kind": "space", "points": ["a"], "min_open": {"a": {"a": 1}}},
-             "min_open entry for 'a' must be a list of strings, got {'a': 1}"),
-            ({"kind": "space", "points": ["a"], "subbasis": [7]},
-             "subbasis entry must be a list of strings, got 7"),
-            ({"kind": "poset", "elements": [None]},
-             "elements must be a list of strings, got [None]"),
-            ({"kind": "space", "points": ["a"], "min_open": {"a": ["a", True]}},
-             "min_open entry for 'a' must be a list of strings, got ['a', True]"),
-            ({"kind": "decomposition", "space": {"points": ["a"], "min_open": {"a": ["a"]}},
-              "strata": {"S": [3]}},
-             "stratum 'S' must be a list of strings, got [3]"),
-            ({"kind": "space", "points": ["a"], "subbasis": [[["a"]]]},
-             "subbasis entry must be a list of strings, got [['a']]"),
-            ({"kind": "space", "points": ["a", 3.5], "min_open": {}},
-             "points must be a list of strings, got ['a', 3.5]"),
-            ({"kind": "space", "points": ["a"], "min_open": {"a": ["a", ["a"]]}},
-             "min_open entry for 'a' must be a list of strings, got ['a', ['a']]"),
-        ],
-        ids=["bare-string", "object", "number", "null", "bool", "int", "nested-list", "float",
-             "unhashable"],
-    )
+    @pytest.mark.parametrize("payload, message", STRING_LIST_PAYLOADS.values(),
+                             ids=STRING_LIST_PAYLOADS)
     def test_string_lists_reject_other_values(self, payload, message):
         # the messages are the ones the element-by-element check gave
         with pytest.raises(ValidationError) as exc:
             load(json.dumps(payload))
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize(
-        "min_open, message",
-        [
-            # every entry is type-checked before any name is looked up
-            ({"a": ["a", "q"], "b": ["b", 3]},
-             "min_open entry for 'b' must be a list of strings, got ['b', 3]"),
-            ({"a": ["a"], "b": ["b", "q", "r"], "c": ["a"]},
-             "min_open mentions unknown point: 'q'"),
-            # an unknown name in an earlier point's list, before a missing entry
-            ({"a": ["a"], "b": ["b", "q"]}, "min_open mentions unknown point: 'q'"),
-            ({"a": ["a"], "b": ["b"], "c": ["c"], "z": ["q"]},
-             "min_open mentions unknown point: 'z'"),
-            ({"a": ["a"], "c": ["c"]}, "min_open missing entry for point 'b'"),
-        ],
-        ids=["non-string-after-unknown", "unknown-in-second-list", "unknown-before-missing",
-             "unknown-key", "missing-entry"],
-    )
-    def test_the_first_load_error_wins(self, min_open, message):
+    @pytest.mark.parametrize("payload, message", FIRST_ERROR_PAYLOADS.values(),
+                             ids=FIRST_ERROR_PAYLOADS)
+    def test_the_first_load_error_wins(self, payload, message):
         # the messages and their order are the ones the name-by-name lookup gave
-        payload = {"kind": "space", "points": ["a", "b", "c"], "min_open": min_open}
         with pytest.raises(ValidationError) as exc:
             load(json.dumps(payload))
         assert str(exc.value) == message
@@ -278,19 +294,8 @@ class TestErrors:
         with pytest.raises(ParseError, match="^parse error: "):
             load(text)
 
-    @pytest.mark.parametrize(
-        "payload, message",
-        [
-            ({"kind": "space", "points": ["a"], "subbasis": "a"},
-             "subbasis must be a list of point lists"),
-            ({"kind": "proset", "elements": ["a"], "leq_pairs": {"a": "a"}},
-             "leq_pairs must be a list of element pairs"),
-            ({"kind": "proset", "elements": ["a", "b"], "leq_pairs": [["a", "b", "a"]]},
-             "leq_pairs entries must be pairs, got ['a', 'b', 'a']"),
-            ({"kind": "proset", "elements": ["a"], "close": 1}, "close must be a boolean"),
-        ],
-        ids=["subbasis-not-a-list", "leq-pairs-not-a-list", "leq-pair-of-three", "close-int"],
-    )
+    @pytest.mark.parametrize("payload, message", RELATION_VALUE_PAYLOADS.values(),
+                             ids=RELATION_VALUE_PAYLOADS)
     def test_malformed_subbasis_and_relation_values(self, payload, message):
         with pytest.raises(ValidationError) as exc:
             load(json.dumps(payload))

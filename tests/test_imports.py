@@ -1,4 +1,5 @@
-"""Import contract: each CLI command imports only the modules it runs, and
+"""Import contract: each CLI command imports only the modules it runs, the
+classification core only for a document that passes its shape checks, and
 the package's lazy exports (PEP 562) behave as eager ones did.
 
 Every check runs in a fresh interpreter, since this process has imported
@@ -17,7 +18,10 @@ from pathlib import Path
 import pytest
 
 import stratkit
-from stratkit import fixture, save
+from stratkit import ValidationError, fixture, load, save
+from test_documents import (
+    FIRST_ERROR_PAYLOADS, MALFORMED_TEXTS, RELATION_VALUE_PAYLOADS, STRING_LIST_PAYLOADS,
+)
 
 SRC = str(Path(stratkit.__file__).resolve().parents[1])
 # the modules that no command of the check family runs
@@ -53,12 +57,13 @@ print(json.dumps([code, sorted(m for m in added if m in {OPTIONAL!r}), "dataclas
 """
 
 
-def fresh_python(code: str, *args: str):
-    """Run ``code`` in a new interpreter; the JSON value it prints last."""
+def fresh_python(code: str, *args: str, stdin: str | None = None):
+    """Run ``code`` in a new interpreter, ``stdin`` on its standard input;
+    the JSON value it prints last."""
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
-        env=env, capture_output=True, text=True, timeout=120, check=False,
+        env=env, input=stdin, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -109,6 +114,93 @@ RUN_CLI_STRATKIT = RUN_CLI.replace(f"m in {OPTIONAL!r}", "m.partition('.')[0] ==
 def test_check_family_loads_the_kernel_and_nothing_more(quadrant_doc, argv):
     args = [a.format(doc=quadrant_doc) for a in argv]
     assert fresh_python(RUN_CLI_STRATKIT, *args) == [0, CHECK_FAMILY, False]
+
+
+# the stratkit modules a command loads before it reads its document
+CLI_ONLY = ["stratkit", "stratkit.cli", "stratkit.documents", "stratkit.errors"]
+# the malformed documents of the cli-check benchmark -> the stratkit modules
+# ``check`` loads on them before it exits 2: the core only for a document
+# whose fixture reference needs the catalog, which is built from the core
+MALFORMED_DOCUMENTS = {
+    "truncated-json": ('{"kind": "space", "points": ["a"]', CLI_ONLY),
+    "unknown-kind": ('{"kind": "manifold"}', CLI_ONLY),
+    "subbasis-non-string": ('{"kind":"space","points":["a"],"subbasis":["a",3]}', CLI_ONLY),
+    "symbolic-tag-list": ('{"kind":"symbolic-family","tag":[]}', CLI_ONLY),
+    "strata-not-covering": (
+        '{"kind": "decomposition", "space": {"fixture": "line_3"},'
+        ' "strata": {"S0": ["m"], "S1": ["p"]}}',
+        sorted([*CHECK_FAMILY, "stratkit.fixtures"]),
+    ),
+    "unknown-fixture": (
+        '{"kind": "decomposition", "space": {"fixture": "torus"}, "strata": {}}',
+        sorted([*CHECK_FAMILY, "stratkit.fixtures"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize("text, loaded", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS)
+def test_a_malformed_document_loads_the_core_only_to_build_a_value(tmp_path, via, text, loaded):
+    if via == "file":
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        argv, stdin = ["check", str(path), "--format", "json"], None
+    else:
+        argv, stdin = ["check", "-", "--format", "json"], text
+    assert fresh_python(RUN_CLI_STRATKIT, *argv, stdin=stdin) == [2, loaded, False]
+
+
+def test_load_of_a_truncated_text_loads_no_core_module():
+    code = """
+import json, sys
+import stratkit
+try:
+    stratkit.load('{"kind": "space", "points": ["a"]')
+except stratkit.ParseError:
+    pass
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "stratkit")))
+"""
+    assert fresh_python(code) == ["stratkit", "stratkit.documents", "stratkit.errors"]
+
+
+# ``load`` of the text on stdin (a JSON object: the text, and whether to pass
+# it as bytes) in a fresh interpreter; prints the stratkit modules loaded
+# before the call and the error it raised
+LOAD_FRESH = """
+import json, sys
+from stratkit.documents import load
+spec = json.loads(sys.stdin.read())
+text = spec["text"].encode("utf-8") if spec["bytes"] else spec["text"]
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "stratkit")
+try:
+    load(text)
+    error = None
+except Exception as exc:
+    error = [type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None)]
+print(json.dumps([loaded, error]))
+"""
+PARITY_TEXTS = {
+    **{f"text-{key}": text for key, text in MALFORMED_TEXTS.items()},
+    **{f"payload-{key}": json.dumps(payload)
+       for table in (STRING_LIST_PAYLOADS, FIRST_ERROR_PAYLOADS, RELATION_VALUE_PAYLOADS)
+       for key, (payload, _) in table.items()},
+}
+
+
+@pytest.mark.parametrize("text", PARITY_TEXTS.values(), ids=PARITY_TEXTS)
+def test_load_errors_do_not_depend_on_the_modules_loaded(text):
+    """Each malformed text gives the same error, message, line and column
+    when loaded before the core is imported as when loaded here, where
+    the whole package is."""
+    with pytest.raises(ValidationError) as exc:
+        load(text)
+    here = [type(exc.value).__name__, str(exc.value), getattr(exc.value, "line", None),
+            getattr(exc.value, "column", None)]
+    is_bytes = isinstance(text, bytes)
+    spec = json.dumps({"text": text.decode("utf-8") if is_bytes else text, "bytes": is_bytes})
+    assert fresh_python(LOAD_FRESH, stdin=spec) == [
+        ["stratkit", "stratkit.documents", "stratkit.errors"], here,
+    ]
 
 
 def test_kernel_imports_no_other_stratkit_module():

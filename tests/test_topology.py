@@ -12,9 +12,10 @@ import helpers
 from helpers import WIDE_SHAPES, bit, masks_around_the_rule, wide_preorder
 from stratkit import (
     Decomposition, FiniteSpace, MonotoneMap, Poset, PosetStratification, Proset, SpaceMap,
-    ValidationError, Verdict, alexandrov_space, as_poset_stratified, compatible_orders,
-    face_poset_model, final_topology, fixture, fixture_names, load, save,
-    specialization_preorder, strict_refinements_never_open, stratification_from_open_map,
+    ValidationError, Verdict, adjunction_roundtrips, alexandrov_space, as_poset_stratified,
+    compatible_orders, face_poset_model, final_topology, fixture, fixture_names, load, save,
+    singleton_local_closure_check, specialization_preorder, strict_refinements_never_open,
+    stratification_from_open_map, symbolic_local_finiteness,
 )
 from stratkit.fixtures import fixture_space
 from stratkit.kernel import reflexive_transitive_closure
@@ -325,12 +326,27 @@ class TestEntryChecks:
              "family mapping must be a Mapping, got list"),
             (lambda: Proset.from_pairs("ab", [("a", "b")], close="yes"), "close must be a boolean"),
             (lambda: Poset.from_pairs("ab", [], close=1), "close must be a boolean"),
+            (lambda: FiniteSpace.discrete("ab").point_index(["c"]), "unknown point: ['c']"),
+            (lambda: FiniteSpace.discrete("ab").is_open([["c"]]), "unknown point: ['c']"),
+            (lambda: Proset.from_pairs("ab", [("a", "b")]).leq(["a"], "b"),
+             "unknown element: ['a']"),
+            (lambda: fixture("line_3").document.value.pi(["m"]), "unknown point: ['m']"),
+            (lambda: FiniteSpace.discrete("ab").names_of("ab"),
+             "point mask 'ab' out of range for 2 points"),
+            (lambda: fixture(["line_3"]), "unknown fixture: ['line_3']"),
+            (lambda: symbolic_local_finiteness(["NatUsual"]),
+             "unknown symbolic family tag: ['NatUsual']"),
+            (lambda: adjunction_roundtrips("ab", "ab"), "preorder must be a Proset, got str"),
+            (lambda: singleton_local_closure_check("ab"), "preorder must be a Proset, got str"),
         ],
         ids=["save", "alexandrov-space", "specialization-preorder", "pointwise",
              "poset-stratification", "as-poset-stratified", "stratification-from-open-map",
              "compatible-orders", "strict-refinements-never-open", "face-poset-model",
              "final-topology-entry", "final-topology-family", "final-topology-space",
-             "final-topology-mapping", "from-pairs-close-str", "from-pairs-close-int"],
+             "final-topology-mapping", "from-pairs-close-str", "from-pairs-close-int",
+             "point-index-unhashable", "is-open-unhashable", "leq-unhashable", "pi-unhashable",
+             "names-of-str", "fixture-unhashable", "symbolic-unhashable", "adjunction-roundtrips",
+             "singleton-local-closure-check"],
     )
     def test_refused(self, call, message):
         with pytest.raises(ValidationError) as exc:
