@@ -32,6 +32,10 @@ reference, compared with these verdicts under ``semicontinuity_pairings``.
 
 What runs in ``classify``:
 
+* tables: each stratum's open hull (the union of its points' minimal
+  opens, which ``_reach`` reads) and its closure (the union of its points'
+  closures) come from one pass over its bits (``kernel.preimages_of``);
+  local closedness is their intersection against the stratum.
 * Alexandrov: the fixpoint rows have open preimages; the preorder's
   up-sets equal the quotient's minimal opens; continuity into the
   preorder topology.
@@ -76,7 +80,8 @@ from typing import Iterable, NamedTuple
 from . import topology
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .kernel import (
-    iter_bits, names_at, preimage_of, reflexive_transitive_closure, rows_meeting, rows_within,
+    iter_bits, names_at, preimage_of, preimages_of, reflexive_transitive_closure, rows_meeting,
+    rows_within,
 )
 from .order import Poset, Proset, specialization_preorder
 from .topology import FiniteSpace, Value, Verdict, check_type
@@ -275,13 +280,21 @@ class Decomposition(Value):
 
     @cached_property
     def _hulls(self) -> tuple[int, ...]:
-        """Open hull of each stratum, as a point mask."""
-        return tuple([self.space.open_hull_mask(mask) for mask in self.masks])
+        """Open hull of each stratum, as a point mask: the union of its points' minimal opens."""
+        return self._hulls_and_closures()[0]
 
     @cached_property
     def _closures(self) -> tuple[int, ...]:
         """Closure of each stratum, as a point mask: the union of its points' closures."""
-        return tuple([preimage_of(self.space.point_closures, mask) for mask in self.masks])
+        return self._hulls_and_closures()[1]
+
+    def _hulls_and_closures(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Both tables from one pass over the strata, stored where the two
+        cached properties keep them: the first read of either sets both."""
+        space = self.space
+        pair = preimages_of(space.min_open, space.point_closures, self.masks)
+        self.__dict__["_hulls"], self.__dict__["_closures"] = pair
+        return pair
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:

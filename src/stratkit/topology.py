@@ -40,7 +40,9 @@ from operator import attrgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .kernel import first_intransitive, iter_bits, min_open_rows, names_at, preimage_of, transpose
+from .kernel import (
+    first_intransitive, iter_bits, min_open_rows, names_at, preimage_of, preimages_of, transpose,
+)
 
 #: Ceiling for operations that enumerate all 2**n candidate subsets.
 MAX_POINTS = 20
@@ -391,8 +393,8 @@ class FiniteSpace(_Relation):
         to S. The witness on success is that hull.
         """
         mask = self.mask_of(names)
-        hull = self.open_hull_mask(mask)
-        holds = (hull & self.closure_mask(mask)) == mask
+        (hull,), (closure,) = preimages_of(self.min_open, self.point_closures, (mask,))
+        holds = (hull & closure) == mask
         return Verdict(holds, witness=self.names_of(hull) if holds else None)
 
     # -- derived spaces ----------------------------------------------------

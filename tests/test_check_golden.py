@@ -7,7 +7,14 @@ the default text format (``text_stdout_sha256``) were captured later, from
 the text renderer that walked the report's fields; the renderer that
 reads the JSON dict must reproduce them. The documents are every fixture,
 a few face-poset models and a fixed list of seeded generated
-decompositions with at most 20 strata.
+decompositions, the first twenty with at most 20 strata.
+
+The wide documents, each past 64 points, were captured later, from the
+implementation that built each stratum's open hull and closure by two
+separate walks, before one kernel pass built both: seeded generated
+decompositions of 65, 130 and 300 points into 3 strata (whose masks take
+``preimage_of``'s C pass) and into 64 strata, and both
+decompositions of the boundary of the 6-simplex (126 faces).
 
 This module needs only the standard library (pytest parametrizes the
 per-document test through ``pytest_generate_tests``), so the digests can be
@@ -25,10 +32,11 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from helpers import FACE_DECOMPOSITIONS, face_decomposition, run_main
-from stratkit import fixture, fixture_names, generate, save
+from stratkit import Decomposition, face_poset_model, fixture, fixture_names, generate, save
 from stratkit.documents import Document
 from stratkit.order import alexandrov_space
 
@@ -42,7 +50,12 @@ GENERATED = (
     (12, 0.08, 10, 9), (14, 0.1, 8, 10), (16, 0.05, 11, 11), (20, 0.06, 12, 12),
     (24, 0.04, 13, 13), (30, 0.03, 14, 14), (40, 0.025, 15, 15), (40, 0.05, 16, 16),
     (60, 0.02, 17, 17), (50, 0.01, 18, 18), (80, 0.0125, 19, 19), (60, 0.015, 20, 20),
+    # past 64 points: a few large strata, then 64 small ones
+    (65, 0.005, 3, 21), (65, 0.005, 64, 24), (130, 0.0025, 3, 21), (130, 0.005, 64, 21),
+    (300, 0.0005, 3, 22), (300, 0.002, 64, 21),
 )
+# the boundary of the 6-simplex: 126 faces, so 126 strata pointwise
+BOUNDARY = tuple(combinations("abcdefg", 6))
 
 
 def document_text(doc_id: str) -> str:
@@ -51,6 +64,10 @@ def document_text(doc_id: str) -> str:
         return save(fixture(name).document)
     if kind == "face":
         return save(Document("decomposition", face_decomposition(name)))
+    if kind == "boundary":
+        model = face_poset_model(BOUNDARY)
+        dec = Decomposition.pointwise(model.space) if name == "pointwise" else model.skeleton()
+        return save(Document("decomposition", dec))
     n, density, blocks, seed = GENERATED[int(name)]
     space = alexandrov_space(generate("preorder", n, {"density": density}, seed).value)
     return save(generate("partition", n, {"space": space, "blocks": blocks}, seed + 1000))
@@ -60,6 +77,7 @@ def doc_ids() -> list[str]:
     ids = [f"fixture:{name}" for name in fixture_names()]
     ids += [f"face:{name}" for name in FACE_DECOMPOSITIONS]
     ids += [f"generated:{i}" for i in range(len(GENERATED))]
+    ids += ["boundary:pointwise", "boundary:skeleton"]
     return ids
 
 

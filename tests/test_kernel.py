@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import WIDE_SHAPES, masks_around_the_rule, run_main, wide_preorder
-from stratkit import kernel, oracle
+from stratkit import Decomposition, generate, kernel, oracle
+from stratkit.order import alexandrov_space
 from test_check_golden import doc_ids, document_text
 
 # switch -> (the constants that force it off, those that force it on)
@@ -223,6 +224,122 @@ def test_out_of_range_masks_raise_index_error_alike(n, container):
             kernel.preimage_of(rows, mask)
         assert type(wide.value) is IndexError
         assert str(wide.value) == str(narrow.value)
+
+
+# -- preimages_of: preimage_of in two tables at once, by the same switch with
+# twice the bits
+
+
+def two_table_bits(n: int) -> int:
+    """The fewest bits with which a mask above 0xFFF takes ``preimages_of``'s
+    C pass on n rows, by the rule its docstring states: twice those of
+    ``preimage_of``, at least 22 and more than (n + 128) / 8."""
+    return max(22, (n + 128) // 8 + 1)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_preimages_match_preimage_of_on_each_table(data):
+    n = data.draw(st.integers(0, 300), label="rows")
+    width = data.draw(st.integers(1, 300), label="columns")
+    rows = data.draw(bit_rows(n, n, width), label="row values")
+    others = data.draw(bit_rows(n, n, width), label="other row values")
+    fewest = two_table_bits(n)
+    weights = st.integers(min(n, max(0, fewest - 3)), min(n, fewest + 2)) | st.integers(0, n)
+    masks = [
+        sum(1 << i for i in data.draw(st.permutations(range(n)))[:data.draw(weights)])
+        for _ in range(data.draw(st.integers(0, 4), label="masks"))
+    ]
+    container = data.draw(st.sampled_from((tuple, list, iter)))
+    with forced("c_pass", data.draw(states, label="switch")):
+        ones, twos = kernel.preimages_of(rows, others, container(masks))
+        assert ones == tuple(kernel.preimage_of(rows, mask) for mask in masks)
+        assert twos == tuple(kernel.preimage_of(others, mask) for mask in masks)
+
+
+def test_the_two_table_c_pass_takes_twice_the_bits(monkeypatch):
+    passes = []
+    flags = kernel._bit_flags
+    monkeypatch.setattr(kernel, "_bit_flags", lambda mask: passes.append(mask) or flags(mask))
+    rows = tuple(1 << (i + 1) % 300 for i in range(300))
+    others = tuple(1 << (i + 7) % 300 for i in range(300))
+    for n, mask, c_pass in [
+        (24, (1 << 21) - 1 << 3, False),  # 21 bits, under the floor
+        (24, (1 << 22) - 1 << 2, True),  # 22 bits: the floor, more than 152 / 8
+        (64, (1 << 22) - 1 << 40, False),  # 22 bits
+        (64, (1 << 24) - 1 << 40, False),  # 24 bits: not more than 192 / 8
+        (64, (1 << 25) - 1 << 39, True),  # 25 bits
+        (300, (1 << 53) - 1 << 200, False),  # 53 bits: not more than 428 / 8
+        (300, (1 << 54) - 1 << 200, True),  # 54 bits
+    ]:
+        passes.clear()
+        ones, twos = kernel.preimages_of(rows[:n], others[:n], [mask])
+        assert (ones, twos) == ((helpers.preimage_by_bits(rows[:n], mask),),
+                                (helpers.preimage_by_bits(others[:n], mask),)), (n, hex(mask))
+        assert passes == ([mask] if c_pass else []), (n, hex(mask))
+
+
+@pytest.mark.parametrize("n", [3, 64, 65, 300])
+@pytest.mark.parametrize("container", [tuple, list])
+def test_out_of_range_masks_raise_index_error_alike_in_two_tables(n, container):
+    rows = container(wide_preorder(n, "classes", seed=1))
+    others = container(helpers.columns_by_bits(rows))
+    full = (1 << n) - 1
+    with pytest.raises(IndexError) as narrow:
+        kernel.preimage_of(rows, 1 << n)
+    for mask in (1 << n, full | 1 << n, full << 1, -1, -full, full | 1 << 2 * n):
+        for state in STATES:
+            with forced("c_pass", state), pytest.raises(IndexError) as wide:
+                kernel.preimages_of(rows, others, [full, mask])
+            assert type(wide.value) is IndexError
+            assert str(wide.value) == str(narrow.value)
+
+
+def hulls_and_closures_by_points(space) -> tuple[list[int], list[int]]:
+    """Per point, its minimal open and its closure {y : x in U_y}, read off
+    ``min_open`` one pair at a time; on at most 8 points the closure is also
+    checked against the intersection of every closed superset."""
+    n = len(space.points)
+    closures = [
+        sum(1 << y for y in range(n) if helpers.bit(space.min_open[y], x)) for x in range(n)
+    ]
+    if n <= 8:
+        assert closures == [helpers.brute_closure_mask(space, 1 << x) for x in range(n)]
+    return list(space.min_open), closures
+
+
+def wide_decompositions():
+    """Generated decompositions of 65 to 300 points into 2, 3, 17 or 64
+    strata, and the pointwise ones of two small spaces."""
+    decs = []
+    for n, density, blocks, seed in [
+        (65, 0.005, 3, 1), (65, 0.02, 64, 2), (100, 0.01, 17, 3), (130, 0.0025, 2, 4),
+        (130, 0.005, 64, 5), (300, 0.0005, 3, 6), (300, 0.002, 64, 7), (300, 0.01, 3, 8),
+    ]:
+        space = alexandrov_space(generate("preorder", n, {"density": density}, seed).value)
+        decs.append(generate("partition", n, {"space": space, "blocks": blocks}, seed).value)
+    for n in (5, 8):
+        space = alexandrov_space(generate("preorder", n, {"density": 0.3}, n).value)
+        decs.append(Decomposition.pointwise(space))
+    return decs
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_strata_hulls_and_closures_are_unions_of_their_points(state):
+    for dec in wide_decompositions():
+        space = dec.space
+        hull_of, closure_of = hulls_and_closures_by_points(space)
+        hulls = [helpers.preimage_by_bits(hull_of, mask) for mask in dec.masks]
+        closures = [helpers.preimage_by_bits(closure_of, mask) for mask in dec.masks]
+        with forced("c_pass", state):
+            fresh = Decomposition(space, dec.strata)
+            assert list(fresh._closures) == closures  # closures first: one pass sets both
+            assert list(fresh._hulls) == hulls
+            assert list(Decomposition(space, dec.strata)._hulls) == hulls
+            for mask, hull, closure in zip(dec.masks, hulls, closures):
+                holds = hull & closure == mask
+                verdict = space.is_locally_closed(space.names_of(mask))
+                assert verdict == (holds, space.names_of(hull) if holds else None, "")
 
 
 # -- transpose: the digit string, on both sides of 64 rows and the density rule
