@@ -73,7 +73,6 @@ one decomposition.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 from itertools import compress, tee
 from typing import Iterable, NamedTuple
 
@@ -84,7 +83,7 @@ from .kernel import (
     rows_within,
 )
 from .order import Poset, Proset, specialization_preorder
-from .topology import FiniteSpace, Value, Verdict, check_type
+from .topology import FiniteSpace, Value, Verdict, cached_property, check_type
 
 class AgreementReport(NamedTuple):
     """Independently computed values of one equivalence group.
@@ -325,9 +324,9 @@ class Decomposition(Value):
         The minimal open around stratum i is the least id-set J containing
         i whose preimage is open: the reflexive-transitive closure of
         ``_reach`` at i. The least such J exists because sets with open
-        preimage are closed under intersection.
+        preimage are closed under intersection. Closed rows need no check.
         """
-        return FiniteSpace(self.ids, reflexive_transitive_closure(self._reach))
+        return FiniteSpace._from_valid(self.ids, reflexive_transitive_closure(self._reach))
 
     def quotient_open_family(self) -> tuple[int, ...]:
         """All id-sets with open preimage, by brute 2**k filtering.
@@ -342,7 +341,7 @@ class Decomposition(Value):
                 f"quotient family needs 2**{self.k} candidates; guard is {limit} strata"
             )
         return tuple(
-            j for j in range(1 << self.k) if self.space.is_open_mask(preimage_of(self.masks, j))
+            j for j in range(1 << self.k) if self.space._is_open(preimage_of(self.masks, j))
         )
 
     # -- decomposition preorder ---------------------------------------------
@@ -367,9 +366,9 @@ class Decomposition(Value):
         locally closed stratum is its hull, as point names. The verdicts
         are built on each call from ``_locally_closed``, the booleans alone,
         which is all ``is_stratification`` and ``classify`` read."""
-        names_of = self.space.names_of
+        points = self.space.points
         return tuple([
-            (sid, Verdict(holds, witness=names_of(hull) if holds else None))
+            (sid, Verdict(holds, witness=frozenset(names_at(points, hull)) if holds else None))
             for sid, hull, holds in zip(self.ids, self._hulls, self._locally_closed)
         ])
 

@@ -2,19 +2,23 @@
 
 The catalog fixes the small worked examples the test-suite and CLI lean
 on. Names are part of the public interface; each entry records what the
-finite model stands for.
+finite model stands for. ``_CATALOG`` is the one table of names, read
+before any value is built: an unknown name is refused without compiling
+the core, and a known one builds its own entry alone, on each lookup.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .decomposition import Decomposition
 from .documents import Document
 from .errors import ValidationError
-from .order import SYMBOLIC_FAMILIES, Poset, alexandrov_space
-from .topology import FiniteSpace, check_collection
+
+if TYPE_CHECKING:
+    from .decomposition import Decomposition
+    from .order import Poset
+    from .topology import FiniteSpace
 
 
 class Fixture(NamedTuple):
@@ -24,116 +28,104 @@ class Fixture(NamedTuple):
 
 
 def _space(points, min_open) -> FiniteSpace:
+    from .topology import FiniteSpace
+
     return FiniteSpace.from_min_open(points, min_open)
 
 
-def _dec(space, strata) -> Document:
+def _dec(space: FiniteSpace, strata=None) -> Document:
+    """A decomposition of the space, the pointwise one without ``strata``."""
+    from .decomposition import Decomposition
+
+    strata = {p: (p,) for p in space.points} if strata is None else strata
     return Document("decomposition", Decomposition.from_strata(space, strata))
 
 
-_SIERPINSKI = _space(("c", "o"), {"c": ("c", "o"), "o": ("o",)})
+def _symbolic(tag: str) -> Document:
+    from .order import SYMBOLIC_FAMILIES
 
-_CHAIN_3 = _space(
-    ("c0", "c1", "c2"),
-    {"c0": ("c0", "c1", "c2"), "c1": ("c1", "c2"), "c2": ("c2",)},
-)
-
-_PSEUDO_CIRCLE_4 = _space(
-    ("a", "b", "x", "y"),
-    {"a": ("a",), "b": ("b",), "x": ("a", "b", "x"), "y": ("a", "b", "y")},
-)
-
-_LINE_3 = _space(("m", "z", "p"), {"m": ("m",), "z": ("m", "z", "p"), "p": ("p",)})
-
-_QUADRANT_4 = _space(
-    ("0", "1", "2", "3"),
-    {"0": ("0", "1", "2", "3"), "1": ("1", "3"), "2": ("2", "3"), "3": ("3",)},
-)
-
-_TWO_POINT_DISCRETE = FiniteSpace.discrete(("0", "1"))
+    return Document("symbolic-family", SYMBOLIC_FAMILIES[tag])
 
 
-def _build_catalog() -> dict[str, Fixture]:
-    entries = [
-        Fixture(
-            "sierpinski",
-            Document("space", _SIERPINSKI),
-            "Two points, one of them open and dense; the smallest non-discrete space.",
-        ),
-        Fixture(
-            "chain_3",
-            _dec(_CHAIN_3, {p: (p,) for p in _CHAIN_3.points}),
-            "Order topology of a three-element chain with the pointwise decomposition; "
-            "a stratification over a total order.",
-        ),
-        Fixture(
-            "pseudo_circle_4",
-            _dec(_PSEUDO_CIRCLE_4, {"S1": ("a", "x"), "S2": ("b", "y")}),
-            "Four-point model of a circle split into two half-open arcs: strata are "
-            "locally closed but the quotient is the two-point indiscrete space, so no "
-            "partial order fits.",
-        ),
-        Fixture(
-            "line_3",
-            _dec(_LINE_3, {"S0": ("m", "z"), "S1": ("p",)}),
-            "Three-point model of the real line split at 0 into a closed left ray and "
-            "an open right ray; poset-stratified, but the quotient map is not open.",
-        ),
-        Fixture(
-            "quadrant_4",
-            _dec(_QUADRANT_4, {p: (p,) for p in _QUADRANT_4.points}),
-            "Closed quadrant decomposed into origin, two boundary rays, and open "
-            "interior, modeled pointwise over the diamond order 0 <= 1,2 <= 3.",
-        ),
-        Fixture(
-            "two_point_discrete",
-            _dec(_TWO_POINT_DISCRETE, {p: (p,) for p in _TWO_POINT_DISCRETE.points}),
-            "Two isolated points; poset-stratified over any of the three partial "
-            "orders on two labels.",
-        ),
-        Fixture(
-            "nat_usual",
-            Document("symbolic-family", SYMBOLIC_FAMILIES["NatUsual"]),
-            "Naturals with the usual order: locally finite as a poset, not locally "
-            "finite as a space.",
-        ),
-        Fixture(
-            "nat_opposite",
-            Document("symbolic-family", SYMBOLIC_FAMILIES["NatOpposite"]),
-            "Naturals with the reversed order: locally finite in both senses.",
-        ),
-        Fixture(
-            "nat_discrete",
-            Document("symbolic-family", SYMBOLIC_FAMILIES["NatDiscrete"]),
-            "Naturals with the discrete order: locally finite in both senses.",
-        ),
-    ]
-    return {f.name: f for f in entries}
-
-
-FIXTURES: dict[str, Fixture] = _build_catalog()
+# name -> (builder of its document, notes)
+_CATALOG = {
+    "sierpinski": (
+        lambda: Document("space", _space(("c", "o"), {"c": ("c", "o"), "o": ("o",)})),
+        "Two points, one of them open and dense; the smallest non-discrete space.",
+    ),
+    "chain_3": (
+        lambda: _dec(_space(
+            ("c0", "c1", "c2"),
+            {"c0": ("c0", "c1", "c2"), "c1": ("c1", "c2"), "c2": ("c2",)},
+        )),
+        "Order topology of a three-element chain with the pointwise decomposition; "
+        "a stratification over a total order.",
+    ),
+    "pseudo_circle_4": (
+        lambda: _dec(_space(
+            ("a", "b", "x", "y"),
+            {"a": ("a",), "b": ("b",), "x": ("a", "b", "x"), "y": ("a", "b", "y")},
+        ), {"S1": ("a", "x"), "S2": ("b", "y")}),
+        "Four-point model of a circle split into two half-open arcs: strata are "
+        "locally closed but the quotient is the two-point indiscrete space, so no "
+        "partial order fits.",
+    ),
+    "line_3": (
+        lambda: _dec(_space(("m", "z", "p"), {"m": ("m",), "z": ("m", "z", "p"), "p": ("p",)}),
+                     {"S0": ("m", "z"), "S1": ("p",)}),
+        "Three-point model of the real line split at 0 into a closed left ray and "
+        "an open right ray; poset-stratified, but the quotient map is not open.",
+    ),
+    "quadrant_4": (
+        lambda: _dec(_space(
+            ("0", "1", "2", "3"),
+            {"0": ("0", "1", "2", "3"), "1": ("1", "3"), "2": ("2", "3"), "3": ("3",)},
+        )),
+        "Closed quadrant decomposed into origin, two boundary rays, and open "
+        "interior, modeled pointwise over the diamond order 0 <= 1,2 <= 3.",
+    ),
+    "two_point_discrete": (
+        lambda: _dec(_space(("0", "1"), {"0": ("0",), "1": ("1",)})),
+        "Two isolated points; poset-stratified over any of the three partial "
+        "orders on two labels.",
+    ),
+    "nat_usual": (
+        lambda: _symbolic("NatUsual"),
+        "Naturals with the usual order: locally finite as a poset, not locally "
+        "finite as a space.",
+    ),
+    "nat_opposite": (
+        lambda: _symbolic("NatOpposite"),
+        "Naturals with the reversed order: locally finite in both senses.",
+    ),
+    "nat_discrete": (
+        lambda: _symbolic("NatDiscrete"),
+        "Naturals with the discrete order: locally finite in both senses.",
+    ),
+}
 
 
 def fixture(name: str) -> Fixture:
     try:
-        return FIXTURES[name]
+        build, notes = _CATALOG[name]
     except (KeyError, TypeError):  # an unhashable name is an unknown one
         raise ValidationError(f"unknown fixture: {name!r}") from None
+    return Fixture(name, build(), notes)
 
 
 def fixture_space(name: str) -> FiniteSpace:
     """The space a fixture carries: itself, or its decomposition's space.
     Documents and ``generate`` resolve a fixture name through this."""
-    value = fixture(name).document.value
-    if isinstance(value, Decomposition):
-        return value.space
-    if isinstance(value, FiniteSpace):
-        return value
+    document = fixture(name).document
+    if document.kind == "decomposition":
+        return document.value.space
+    if document.kind == "space":
+        return document.value
     raise ValidationError(f"fixture {name!r} does not carry a space")
 
 
 def fixture_names() -> tuple[str, ...]:
-    return tuple(sorted(FIXTURES))
+    return tuple(sorted(_CATALOG))
 
 
 # -- simplicial input ---------------------------------------------------------
@@ -151,6 +143,8 @@ class FaceModel(NamedTuple):
 
     def skeleton(self) -> Decomposition:
         """Strata of faces grouped by dimension, named d0, d1, ..."""
+        from .decomposition import Decomposition
+
         by_dim: dict[str, list[str]] = {}
         for name in self.space.points:
             dim = name.count(",")
@@ -163,6 +157,9 @@ def face_poset_model(facets) -> FaceModel:
     names are nonempty strings without ",", which joins them into face
     names; a facet that is itself a string is refused, not read as the
     sequence of its characters."""
+    from .order import Poset, alexandrov_space
+    from .topology import check_collection
+
     if not hasattr(facets, "__iter__"):
         raise ValidationError(f"facets must be a collection of facets, got {facets!r}")
     faces: set[tuple[str, ...]] = set()

@@ -26,7 +26,7 @@ reference). ``first_counterexample`` is a canonical orbit representative.
 At n = 5 the 360,984 labeled instances are 4,323 orbits. Through the
 CLI that sweep took a median of 3.24 s in one set of six runs and 1.98 s
 in a later set of ten; at n = 6, 42,533,981 labeled instances, one run
-took 274 s at a 63 MB peak (Python 3.11, one core of a shared 2-vCPU host).
+took 202 s at a 63 MB peak (Python 3.11, one core of a shared 2-vCPU host).
 
 Each check is a law in one ordered table, ``LAWS``: a name, a scope (a
 space, an instance, or an order that the search over labeled partial
@@ -53,7 +53,7 @@ raise, so a call at n = 6 leaves no 21 MB of rows behind.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from itertools import compress, permutations, repeat
 from math import factorial
 from operator import not_
@@ -69,7 +69,7 @@ from .kernel import (
 from .order import (
     Poset, Proset, adjunction_roundtrips, alexandrov_space, singleton_local_closure_check,
 )
-from .topology import FiniteSpace, SpaceMap, Value, check_type, final_topology
+from .topology import FiniteSpace, SpaceMap, Value, cached_property, check_type, final_topology
 
 #: Known totals (OEIS A000798, A001035, A000110), checked by the tests.
 PREORDER_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}

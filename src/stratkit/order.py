@@ -13,13 +13,13 @@ Relation closure and the other bit-row routines are ``kernel.py``.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
 from .kernel import iter_bits, names_at, preimage_of, reflexive_transitive_closure, transpose
 from .topology import (
-    FiniteMap, FiniteSpace, Verdict, _Relation, check_collection, check_type, checked_names,
+    FiniteMap, FiniteSpace, Verdict, _Relation, cached_property, check_collection, check_type,
+    checked_names,
 )
 
 

@@ -8,8 +8,9 @@ Keeping only that map makes every point-set predicate polynomial; only
 
 Point subsets cross the public API as frozensets of point names and are
 held as bit masks over the point list in insertion order; no result
-depends on that order. The public ``*_mask`` methods refuse a non-int,
-bool or negative mask and one with bits beyond the points. A relation is
+depends on that order. The public ``*_mask`` methods and ``names_of`` refuse a
+non-int, bool or negative mask and one with bits beyond the points; internal
+loops call the unchecked ``_is_open`` and ``_is_closed``. A relation is
 held as bit rows, and the set algebra on masks and rows is ``kernel.py``.
 
 ``FiniteSpace`` here and ``order.Proset`` hold the same data, names and
@@ -28,14 +29,15 @@ The validated types here and in ``order`` and ``decomposition`` subclass
 validates and normalizes them; ``_from_valid`` skips that for fields that
 already meet the invariants. Values compare and hash by class and fields
 (a space never equals a preorder on the same rows) and refuse assignment
-and deletion; ``cached_property`` still memoises.
+and deletion; this module's ``cached_property``, which takes no lock, memoises.
+Values built from rows the kernel has just closed enter through ``_from_valid``.
 Report and record types are ``typing.NamedTuple``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property, reduce
+import functools
 from operator import attrgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -83,6 +85,17 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class cached_property(functools.cached_property):
+    """``functools.cached_property`` without the lock it takes on a first read
+    before Python 3.12. A getter that raises stores nothing."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 class Verdict(NamedTuple):
@@ -257,7 +270,7 @@ class FiniteSpace(_Relation):
             try:  # an unhashable name raises TypeError
                 mask = masks.get(names)
                 if mask is None:
-                    mask = masks[names] = reduce(or_, map(bit.__getitem__, names), 0)
+                    mask = masks[names] = functools.reduce(or_, map(bit.__getitem__, names), 0)
             except (KeyError, TypeError):
                 q = next(q for q in names if not isinstance(q, str) or q not in bit)
                 raise ValidationError(f"min_open mentions unknown point: {q!r}") from None
@@ -334,17 +347,23 @@ class FiniteSpace(_Relation):
 
     # -- open and closed sets --------------------------------------------
 
+    def _is_open(self, mask: int) -> bool:
+        return not preimage_of(self.min_open, mask) & ~mask
+
+    def _is_closed(self, mask: int) -> bool:
+        return self._is_open(self.full_mask & ~mask)
+
     def is_open_mask(self, mask: int) -> bool:
-        return not preimage_of(self.min_open, self._checked(mask)) & ~mask
+        return self._is_open(self._checked(mask))
 
     def is_open(self, names: Iterable[str]) -> bool:
-        return self.is_open_mask(self.mask_of(names))
+        return self._is_open(self.mask_of(names))
 
     def is_closed_mask(self, mask: int) -> bool:
-        return self.is_open_mask(self.full_mask & ~self._checked(mask))
+        return self._is_closed(self._checked(mask))
 
     def is_closed(self, names: Iterable[str]) -> bool:
-        return self.is_closed_mask(self.mask_of(names))
+        return self._is_closed(self.mask_of(names))
 
     def minimal_open(self, name: str) -> frozenset[str]:
         """The smallest open set containing the point."""
@@ -395,7 +414,7 @@ class FiniteSpace(_Relation):
         mask = self.mask_of(names)
         (hull,), (closure,) = preimages_of(self.min_open, self.point_closures, (mask,))
         holds = (hull & closure) == mask
-        return Verdict(holds, witness=self.names_of(hull) if holds else None)
+        return Verdict(holds, witness=frozenset(names_at(self.points, hull)) if holds else None)
 
     # -- derived spaces ----------------------------------------------------
 
@@ -498,7 +517,7 @@ def _first_failure(space, basis, send, test, note: str) -> Verdict:
     verdict with ``note``; a holding verdict when every set passes."""
     for basic in basis:
         if not test(send(basic)):
-            return Verdict(False, witness=space.names_of(basic), note=note)
+            return Verdict(False, witness=frozenset(names_at(space.points, basic)), note=note)
     return Verdict(True)
 
 
@@ -519,12 +538,12 @@ class SpaceMap(FiniteMap):
         failure is an open target set whose preimage is not open.
         """
         return _first_failure(self.target, self.target._open_basis, self.preimage_mask,
-                              self.source.is_open_mask, "open set whose preimage is not open")
+                              self.source._is_open, "open set whose preimage is not open")
 
     def is_open(self) -> Verdict:
         """Image of every open set is open (checked on the minimal opens)."""
         return _first_failure(self.source, self.source._open_basis, self.image_mask,
-                              self.target.is_open_mask, "open set whose image is not open")
+                              self.target._is_open, "open set whose image is not open")
 
     def is_closed(self) -> Verdict:
         """Image of every closed set is closed.
@@ -534,7 +553,7 @@ class SpaceMap(FiniteMap):
         suffice.
         """
         return _first_failure(self.source, self.source._closed_basis, self.image_mask,
-                              self.target.is_closed_mask, "closed set whose image is not closed")
+                              self.target._is_closed, "closed set whose image is not closed")
 
 
 def final_topology(
@@ -573,5 +592,5 @@ def final_topology(
         prepared.append((source, fibers))
 
     opens = (mask for mask in range(1 << n)
-             if all(src.is_open_mask(preimage_of(fibers, mask)) for src, fibers in prepared))
+             if all(src._is_open(preimage_of(fibers, mask)) for src, fibers in prepared))
     return FiniteSpace._on_names(pts, min_open_rows(n, opens))

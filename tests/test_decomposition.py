@@ -237,6 +237,41 @@ class TestQuotient:
             assert dec.quotient_space == quotient_space_by_subset_filter(dec)[0]
 
 
+def assert_quotient_rows_valid(dec: Decomposition) -> None:
+    """``quotient_space`` takes its closed rows through ``_from_valid``;
+    the validating constructor must accept them and build the same space."""
+    q = dec.quotient_space
+    assert FiniteSpace(dec.ids, q.min_open) == q
+
+
+class TestQuotientRowsValidate:
+    """Production no longer validates the quotient's rows, so these tests
+    do, through both closure routines: Warshall below
+    ``kernel.COMPONENTS_ROWS`` (64) rows, strongly connected components
+    from there on."""
+
+    @pytest.mark.parametrize("name", [
+        *(f"fixture:{name}" for name in fixture_names()
+          if fixture(name).document.kind == "decomposition"),
+        *(f"face:{name}" for name in helpers.FACE_DECOMPOSITIONS),
+    ])
+    def test_fixtures_and_face_posets(self, name):
+        assert_quotient_rows_valid(fresh_decomposition(name))
+
+    @pytest.mark.parametrize("n, k", [(65, 8), (130, 8), (300, 8), (65, 64), (130, 64),
+                                      (300, 64), (300, 120)])
+    def test_random_partitions_of_generated_spaces(self, n, k):
+        closed_by_the_routine = 0
+        for density in (0.002, 0.005, 0.01):
+            for seed in range(4):
+                dec = generated_decomposition(n, density, k, 1000 * seed + n + k)
+                assert dec.k == k
+                assert_quotient_rows_valid(dec)
+                closed_by_the_routine += dec.quotient_space.min_open != dec._reach
+        # some instance's reach rows are not yet transitive
+        assert closed_by_the_routine
+
+
 class TestPreorder:
     def test_line_3(self, line_3):
         p = line_3.preorder
@@ -320,12 +355,14 @@ class TestLocallyClosedWitnesses:
     @pytest.mark.parametrize("name", STRATIFICATIONS)
     def test_classify_names_no_points(self, name, monkeypatch):
         # classify reads only whether each stratum is locally closed; the
-        # hull witnesses are named only by locally_closed_strata
+        # hull witnesses are named only by locally_closed_strata, through
+        # the kernel's unchecked names_at (a stratification has no other
+        # witness to name)
         dec = fresh_decomposition(name)
         calls = []
-        names_of = FiniteSpace.names_of
+        names_at = decomposition.names_at
         monkeypatch.setattr(
-            FiniteSpace, "names_of", lambda space, mask: calls.append(mask) or names_of(space, mask)
+            decomposition, "names_at", lambda names, mask: calls.append(mask) or names_at(names, mask)
         )
         assert classify(dec).verdict() == "stratification"
         assert calls == []

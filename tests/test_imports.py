@@ -120,7 +120,8 @@ def test_check_family_loads_the_kernel_and_nothing_more(quadrant_doc, argv):
 CLI_ONLY = ["stratkit", "stratkit.cli", "stratkit.documents", "stratkit.errors"]
 # the malformed documents of the cli-check benchmark -> the stratkit modules
 # ``check`` loads on them before it exits 2: the core only for a document
-# whose fixture reference needs the catalog, which is built from the core
+# that names a known fixture, whose entry is built from the core; an
+# unknown fixture name is refused by the catalog's name table alone
 MALFORMED_DOCUMENTS = {
     "truncated-json": ('{"kind": "space", "points": ["a"]', CLI_ONLY),
     "unknown-kind": ('{"kind": "manifold"}', CLI_ONLY),
@@ -133,7 +134,7 @@ MALFORMED_DOCUMENTS = {
     ),
     "unknown-fixture": (
         '{"kind": "decomposition", "space": {"fixture": "torus"}, "strata": {}}',
-        sorted([*CHECK_FAMILY, "stratkit.fixtures"]),
+        sorted([*CLI_ONLY, "stratkit.fixtures"]),
     ),
 }
 
@@ -343,3 +344,38 @@ def test_every_module_level_import_is_used():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def stdlib_memo_uses(source: str) -> list[int]:
+    """The lines of ``source`` that name ``functools.cached_property``: an
+    import of it from ``functools``, or the attribute on that module."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and any(alias.name == "cached_property" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+        and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    )
+
+
+def test_stdlib_memo_guard_sees_both_spellings():
+    source = "import functools\nfrom functools import cached_property\nfunctools.cached_property\n"
+    assert stdlib_memo_uses(source) == [2, 3]
+
+
+def test_the_stdlib_memo_is_named_only_by_the_one_descriptor():
+    # every memoised field uses ``topology.cached_property``, which takes no
+    # lock; the stdlib descriptor appears once, as the base it subclasses
+    package = Path(stratkit.__file__).parent
+    uses = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := stdlib_memo_uses(path.read_text(encoding="utf-8")))
+    }
+    assert list(uses) == ["topology.py"] and len(uses["topology.py"]) == 1
+    definition = next(
+        node for node in ast.parse((package / "topology.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name == "cached_property"
+    )
+    assert uses["topology.py"] == [definition.bases[0].lineno]

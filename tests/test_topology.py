@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
 from itertools import combinations
@@ -17,6 +18,7 @@ from stratkit import (
     singleton_local_closure_check, specialization_preorder, strict_refinements_never_open,
     stratification_from_open_map, symbolic_local_finiteness,
 )
+from stratkit import topology
 from stratkit.fixtures import fixture_space
 from stratkit.kernel import reflexive_transitive_closure
 
@@ -118,6 +120,79 @@ class TestConstruction:
         s = FiniteSpace.empty()
         assert s.is_open(()) and s.is_closed(())
         assert s.closure(()) == frozenset()
+
+
+class TestMemoDescriptor:
+    """``topology.cached_property``, the memo of every memoised field: a
+    ``functools.cached_property`` whose first read takes no lock."""
+
+    @staticmethod
+    def counting_class():
+        class Counted:
+            def __init__(self, fail=False):
+                self.calls, self.fail = [], fail
+
+            @topology.cached_property
+            def value(self):
+                self.calls.append(1)
+                if self.fail:
+                    raise ValidationError("no value")
+                return object()
+
+        return Counted
+
+    def test_getter_runs_once_per_instance(self):
+        counted = self.counting_class()
+        first, second = counted(), counted()
+        assert first.value is first.value and second.value is not first.value
+        assert first.calls == [1] and second.calls == [1]
+        assert first.__dict__["value"] is first.value
+
+    def test_a_getter_that_raises_stores_nothing(self):
+        counted = self.counting_class()
+        case = counted(fail=True)
+        for tries in (1, 2):
+            with pytest.raises(ValidationError, match="^no value$"):
+                case.value
+            assert "value" not in case.__dict__ and len(case.calls) == tries
+
+    def test_class_access_and_the_stdlib_base(self):
+        counted = self.counting_class()
+        assert isinstance(counted.value, functools.cached_property)
+        assert isinstance(FiniteSpace.__dict__["point_closures"], topology.cached_property)
+        assert counted.value.attrname == "value"
+
+
+class TestMaskChecks:
+    """The public mask entries check their mask; the library's own loops
+    call the unchecked ``_is_open`` and ``_is_closed``."""
+
+    @pytest.mark.parametrize("method", ["is_open_mask", "is_closed_mask", "names_of",
+                                        "closure_mask", "interior_mask", "open_hull_mask"])
+    @pytest.mark.parametrize("mask", [True, False, -1, 0b1000, "1", None])
+    def test_public_entries_refuse(self, method, mask):
+        space = line_3_space()
+        with pytest.raises(ValidationError) as exc:
+            getattr(space, method)(mask)
+        assert str(exc.value) == f"point mask {mask!r} out of range for 3 points"
+
+    def test_unchecked_routines_agree_with_the_checked_ones(self):
+        for space in helpers.all_spaces(3):
+            for mask in range(1 << len(space.points)):
+                assert space._is_open(mask) == space.is_open_mask(mask)
+                assert space._is_closed(mask) == space.is_closed_mask(mask)
+
+    def test_map_checks_and_final_topology_skip_the_mask_check(self, monkeypatch):
+        space = line_3_space()
+        calls = []
+        checked = FiniteSpace._checked
+        monkeypatch.setattr(FiniteSpace, "_checked",
+                            lambda self, mask: calls.append(mask) or checked(self, mask))
+        to_line = SpaceMap.from_names(space, space, {"m": "m", "z": "z", "p": "z"})
+        verdicts = (to_line.is_continuous(), to_line.is_open(), to_line.is_closed())
+        assert final_topology(space.points, [(space, {p: p for p in space.points})]) == space
+        assert calls == []
+        assert [bool(v) for v in verdicts] == list(helpers.brute_map_checks(to_line))
 
 
 class TestValueSemantics:

@@ -14,7 +14,7 @@ import importlib.util
 from pathlib import Path
 
 import stratkit
-from stratkit import FiniteSpace, SpaceMap, alexandrov_space
+from stratkit import Decomposition, FiniteSpace, SpaceMap, alexandrov_space, fixture
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -58,3 +58,19 @@ def test_document_path_records_its_spans():
     assert {"generate.preorder", "generate.partition", "documents.save", "documents.load",
             "topology.space_build"} <= recorded
     assert {name: getattr(stratkit, name) for name in originals} == originals
+
+
+def test_memoised_fields_are_wrapped_and_restored():
+    # the tracer finds ``topology.cached_property`` fields through its
+    # ``functools.cached_property`` isinstance test, and puts them back
+    spans = load_spans()
+    original = Decomposition.__dict__["quotient_space"]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        dec = fixture("line_3").document.value
+        assert Decomposition(dec.space, dec.strata).quotient_space.points == ("S0", "S1")
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["decomposition.quotient_space"]["calls"] == 1
+    assert Decomposition.__dict__["quotient_space"] is original
