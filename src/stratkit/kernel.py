@@ -3,7 +3,7 @@ per member (bit j of row i: i relates to j). This module, importing no
 other stratkit module, is the one home of the per-bit loops over them
 that spaces, orders, decompositions and the oracle run.
 
-Four routines pick an algorithm by size, each by one rule written here
+Three routines pick an algorithm by size, each by one rule written here
 from module constants read at each call; the result is the same either
 way. Only tests assign them, forcing a path off (``math.inf`` as the
 bound) or on at every size (``-math.inf`` as the bias too). Measured on
@@ -23,24 +23,6 @@ Python 3.11:
   24          0.83  0.89  0.94  1.03  1.02
   32          0.98  1.03  1.17  1.19  1.23
   64          0.92  0.98  1.07  1.11  1.14
-
-* ``preimages_of`` runs ``preimage_of`` over two tables of one length,
-  reading each mask's bits once, by the same constants with twice the bits:
-  at least 2 * ``C_PASS_BITS`` (22) and more than (n + ``C_PASS_BIAS``) / 8.
-  One ``_bit_flags`` then feeds both C passes. It breaks even at about 20
-  bits on 24 rows, 22 on 64, 30 on 100, 44 on 200, 60 on 300 and 110 on
-  1000; below 24 rows the walk won at every count up to 16 bits. Walk/C
-  time, medians of three runs as above (bits: ratio):
-
-  rows   bits: walk/C
-  16     12: 0.83  14: 0.90  16: 0.96
-  24     16: 0.88  18: 0.96  20: 1.03  22: 1.06  24: 1.18
-  32     16: 0.99  18: 1.06  20: 1.15  22: 1.24  24: 1.28
-  64     20: 0.97  22: 1.00  24: 1.03  26: 1.08  28: 1.12
-  100    24: 0.93  28: 0.98  32: 1.09  36: 1.10
-  200    32: 0.83  40: 0.97  48: 1.05  56: 1.10
-  300    48: 0.92  56: 0.96  64: 1.03  72: 1.07
-  1000   80: 0.85  100: 0.97  120: 1.06  140: 1.09  160: 1.20
 
 * ``transpose`` reads columns off one digit string on more than
   ``DIGITS_ROWS`` (64) rows whose distinct values hold more than
@@ -110,17 +92,9 @@ def preimages_of(rows: Sequence[int], others: Sequence[int],
                  masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``preimage_of`` of each mask in two tables of one length at once:
     the two tuples of the unions of the rows each mask selects, its bits
-    read once. The C pass takes twice the bits it takes in one table. A bit
-    beyond the rows raises IndexError on either path."""
-    n = len(rows)
+    walked once. A bit beyond the rows raises IndexError."""
     ones, twos = [], []
     for mask in masks:
-        if (mask > C_PASS_MASK and (bits := mask.bit_count()) >= 2 * C_PASS_BITS
-                and bits * 8 > n + C_PASS_BIAS and not mask >> n):
-            flags = _bit_flags(mask)
-            ones.append(reduce(or_, compress(rows, flags), 0))
-            twos.append(reduce(or_, compress(others, flags), 0))
-            continue
         one = two = 0
         while mask:
             low = mask & -mask

@@ -24,9 +24,9 @@ so they count labeled instances, and the report is byte-identical to one
 that checks every labeled pair (``tests/helpers.labeled_sweep`` is that
 reference). ``first_counterexample`` is a canonical orbit representative.
 At n = 5 the 360,984 labeled instances are 4,323 orbits. Through the
-CLI that sweep took a median of 3.24 s in one set of six runs and 1.98 s
-in a later set of ten; at n = 6, 42,533,981 labeled instances, one run
-took 202 s at a 63 MB peak (Python 3.11, one core of a shared 2-vCPU host).
+CLI that sweep took 1.8 s at a 17 MB peak in each of three runs; at
+n = 6, 42,533,981 labeled instances, one run took 207 s at a 62 MB peak
+(Python 3.11, one core of a shared 2-vCPU host).
 
 Each check is a law in one ordered table, ``LAWS``: a name, a scope (a
 space, an instance, or an order that the search over labeled partial
@@ -45,15 +45,15 @@ This module is also the one place the quotient map is built point by
 point, as a ``SpaceMap`` (``classify``, ``check`` and ``theorem-b`` build
 none), in ``semicontinuity_matches_point_map``: the sweep's reference
 for the stratum-level verdicts.
-``exhaustive_verify``, ``compatible_orders`` and
-``strict_refinements_never_open`` clear the caches of
-``labeled_preorder_rows`` and ``labeled_poset_rows`` when they return or
-raise, so a call at n = 6 leaves no 21 MB of rows behind.
+The labeled partial orders the search reads are built once per entry
+call, by the call that reads them (a ``Sweep`` for each stratum count up
+to its size, ``compatible_orders`` and ``strict_refinements_never_open``
+for theirs), and dropped with it: no enumeration is cached between calls,
+so a call at n = 6 leaves no 21 MB of rows behind.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
 from itertools import compress, permutations, repeat
 from math import factorial
 from operator import not_
@@ -109,7 +109,6 @@ def _check_size(n: int, what: str, unit: str) -> None:
         raise ValidationError(f"{what} bound is {MAX_ELEMENTS} {unit}")
 
 
-@lru_cache(maxsize=None)
 def labeled_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Every reflexive transitive relation on n labeled elements.
 
@@ -126,32 +125,11 @@ def labeled_preorder_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(level, key=lambda rows: rows[::-1]))
 
 
-@lru_cache(maxsize=None)
 def labeled_poset_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """The antisymmetric members of ``labeled_preorder_rows``: those whose
     rows are all distinct, as mutually comparable elements share one up-set
     (``Proset.is_poset``)."""
     return tuple(rows for rows in labeled_preorder_rows(n) if len(set(rows)) == len(rows))
-
-
-# the cached functions themselves, which a tracing wrapper put in their
-# place in this module's namespace would hide
-_ENUMERATIONS = (labeled_preorder_rows, labeled_poset_rows)
-
-
-def _frees_enumerations(entry: Callable) -> Callable:
-    """``entry``, clearing the caches of both labeled enumerations when it
-    returns or raises: after n = 6 they hold 21.1 MB (tracemalloc)."""
-
-    @wraps(entry)
-    def run(*args, **kwargs):
-        try:
-            return entry(*args, **kwargs)
-        finally:
-            for enumeration in _ENUMERATIONS:
-                enumeration.cache_clear()
-
-    return run
 
 
 def _relabelings(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -271,12 +249,11 @@ def enumerate_partitions(n: int) -> Iterator[tuple[tuple[str, ...], ...]]:
 
 
 def _orders_by_continuity(
-    dec: Decomposition,
+    dec: Decomposition, orders: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[tuple[int, ...], ...], list[bool]]:
-    """Every labeled partial order on the stratum indices, as up-set rows,
-    and for each whether the quotient map is continuous into its order
-    topology."""
-    orders = labeled_poset_rows(dec.k)
+    """``orders``, every labeled partial order on the stratum indices as
+    up-set rows, and for each whether the quotient map is continuous into
+    its order topology."""
     return orders, list(map(dec._pi_continuous_rows, orders))
 
 
@@ -362,15 +339,16 @@ class _Space(NamedTuple):
 
 
 class _Instance:
-    """The case of an instance law: a decomposition and the values its laws
-    share, each computed on first use and then kept. A value whose
-    computation raises is not kept, so each law that reads it fails."""
+    """The case of an instance law: a decomposition, every labeled partial
+    order on its strata, and the values its laws share, each computed on
+    first use and then kept. A value whose computation raises is not kept,
+    so each law that reads it fails."""
 
-    def __init__(self, dec: Decomposition):
-        self.dec = dec
+    def __init__(self, dec: Decomposition, orders: tuple[tuple[int, ...], ...]):
+        self.dec, self.orders = dec, orders
 
     subset_filter = cached_property(lambda self: quotient_space_by_subset_filter(self.dec))
-    search = cached_property(lambda self: _orders_by_continuity(self.dec))
+    search = cached_property(lambda self: _orders_by_continuity(self.dec, self.orders))
     frontier = cached_property(lambda self: self.dec.frontier_equivalences().value)
     poset_stratified = cached_property(lambda self: self.dec.poset_stratified_equivalences().value)
     stratification = cached_property(lambda self: self.dec.is_stratification().holds)
@@ -452,7 +430,7 @@ def _checked_search(d: Decomposition) -> list[tuple[int, ...]]:
     into, asserting that every order containing the decomposition preorder
     is among them and that each order law holds on each."""
     _check_size(d.k, "order enumeration", "strata")
-    case = _Instance(d)
+    case = _Instance(d, labeled_poset_rows(d.k))
     if not _refinements_continuous(d, *case.search):
         raise InternalInvariantError("refinement broke continuity of the quotient map")
     found = [_Order(case, rows) for rows in compress(*case.search)]
@@ -463,7 +441,6 @@ def _checked_search(d: Decomposition) -> list[tuple[int, ...]]:
     return [order.rows for order in found]
 
 
-@_frees_enumerations
 def compatible_orders(d: Decomposition) -> tuple[Poset, ...]:
     """Every partial order on the stratum ids that makes the quotient map
     of a poset-stratified decomposition continuous, asserting the
@@ -474,7 +451,6 @@ def compatible_orders(d: Decomposition) -> tuple[Poset, ...]:
     return tuple(Poset(d.ids, rows) for rows in _checked_search(d))
 
 
-@_frees_enumerations
 def strict_refinements_never_open(d: Decomposition) -> int:
     """The number of strict refinements of the frontier order of a
     stratification, asserting the quotient map is continuous but never
@@ -552,11 +528,14 @@ class Sweep:
     Each space or instance is checked once and adds ``weight`` to every
     count it touches: the number of labeled spaces or instances it
     stands for. ``exhaustive_verify`` passes one representative per
-    relabeling orbit, weighted by the orbit size.
+    relabeling orbit, weighted by the orbit size. The labeled partial
+    orders on k strata, for each k up to n, are built here once and read
+    by every instance.
     """
 
     def __init__(self, n: int):
         self.n = n
+        self._orders = [labeled_poset_rows(k) for k in range(n + 1)]
         self.spaces = 0
         self.instances = 0
         self.order_pairs = 0
@@ -595,7 +574,7 @@ class Sweep:
         dec = Decomposition.from_strata(
             space, {str(b): block for b, block in enumerate(partition)}
         )
-        case = _Instance(dec)
+        case = _Instance(dec, self._orders[dec.k])
         self._run("instance", case, weight, space, dec)
         self.order_pairs += weight * len(case.search[0])
         for rows in compress(*case.search):
@@ -616,7 +595,6 @@ class Sweep:
         )
 
 
-@_frees_enumerations
 def exhaustive_verify(n: int) -> SweepReport:
     """Recheck every order-and-decomposition statement on all instances of
     size n, one per relabeling orbit, each weighted by its orbit size.

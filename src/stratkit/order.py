@@ -179,7 +179,7 @@ class MonotoneMap(FiniteMap):
         f(a)."""
         src, target_up, asg = self.source, self.target.up, self.assignment
         for i in src._lex_indices:
-            if bad := src.up[i] & ~self.preimage_mask(target_up[asg[i]]):
+            if bad := src.up[i] & ~self._preimage(target_up[asg[i]]):
                 return Verdict(
                     False,
                     witness=(src.elements[i], src.elements[(bad & -bad).bit_length() - 1]),

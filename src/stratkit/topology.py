@@ -9,8 +9,11 @@ Keeping only that map makes every point-set predicate polynomial; only
 Point subsets cross the public API as frozensets of point names and are
 held as bit masks over the point list in insertion order; no result
 depends on that order. The public ``*_mask`` methods and ``names_of`` refuse a
-non-int, bool or negative mask and one with bits beyond the points; internal
-loops call the unchecked ``_is_open`` and ``_is_closed``. A relation is
+non-int, bool or negative mask and one with bits beyond the points, and a
+map's ``image_mask`` and ``preimage_mask`` refuse one through its source or
+target; internal loops, the map checks and the name-taking entries (whose
+mask ``mask_of`` has built) call the unchecked ``_is_open``, ``_is_closed``,
+``_closure``, ``_interior``, ``_image`` and ``_preimage``. A relation is
 held as bit rows, and the set algebra on masks and rows is ``kernel.py``.
 
 ``FiniteSpace`` here and ``order.Proset`` hold the same data, names and
@@ -378,26 +381,32 @@ class FiniteSpace(_Relation):
         """
         return transpose(self.min_open)
 
-    def closure_mask(self, mask: int) -> int:
+    def _closure(self, mask: int) -> int:
         # a closure is the union of the closures of its points
-        return preimage_of(self.point_closures, self._checked(mask))
+        return preimage_of(self.point_closures, mask)
+
+    def _interior(self, mask: int) -> int:
+        full = self.full_mask
+        return full & ~self._closure(full & ~mask)
+
+    def closure_mask(self, mask: int) -> int:
+        return self._closure(self._checked(mask))
 
     def closure(self, names: Iterable[str]) -> frozenset[str]:
         """Smallest closed set containing the given points."""
-        return self.names_of(self.closure_mask(self.mask_of(names)))
+        return frozenset(names_at(self.points, self._closure(self.mask_of(names))))
 
     def interior_mask(self, mask: int) -> int:
-        full = self.full_mask
-        return full & ~self.closure_mask(full & ~self._checked(mask))
+        return self._interior(self._checked(mask))
 
     def interior(self, names: Iterable[str]) -> frozenset[str]:
         """Largest open set contained in the given points."""
-        return self.names_of(self.interior_mask(self.mask_of(names)))
+        return frozenset(names_at(self.points, self._interior(self.mask_of(names))))
 
     def frontier(self, names: Iterable[str]) -> frozenset[str]:
         """Closure minus the set itself."""
         mask = self.mask_of(names)
-        return self.names_of(self.closure_mask(mask) & ~mask)
+        return frozenset(names_at(self.points, self._closure(mask) & ~mask))
 
     def open_hull_mask(self, mask: int) -> int:
         """Smallest open set containing the mask (union of the U_x, x in S)."""
@@ -493,11 +502,14 @@ class FiniteMap(Value):
     def apply(self, name: str) -> str:
         return self.target._names[self.assignment[self.source._index_of(name)]]
 
-    def image_mask(self, source_mask: int) -> int:
+    def _image(self, source_mask: int) -> int:
         out = 0
         for i in iter_bits(source_mask):
             out |= 1 << self.assignment[i]
         return out
+
+    def image_mask(self, source_mask: int) -> int:
+        return self._image(self.source._checked(source_mask))
 
     @cached_property
     def _fibers(self) -> tuple[int, ...]:
@@ -507,8 +519,11 @@ class FiniteMap(Value):
             fibers[t] |= 1 << i
         return tuple(fibers)
 
-    def preimage_mask(self, target_mask: int) -> int:
+    def _preimage(self, target_mask: int) -> int:
         return preimage_of(self._fibers, target_mask)
+
+    def preimage_mask(self, target_mask: int) -> int:
+        return self._preimage(self.target._checked(target_mask))
 
 
 def _first_failure(space, basis, send, test, note: str) -> Verdict:
@@ -528,6 +543,7 @@ class SpaceMap(FiniteMap):
 
     @classmethod
     def identity(cls, space: FiniteSpace) -> "SpaceMap":
+        cls._check_ends(space, space)
         return cls(space, space, tuple(range(len(space.points))))
 
     def is_continuous(self) -> Verdict:
@@ -537,12 +553,12 @@ class SpaceMap(FiniteMap):
         a union of them and preimages commute with unions. The witness on
         failure is an open target set whose preimage is not open.
         """
-        return _first_failure(self.target, self.target._open_basis, self.preimage_mask,
+        return _first_failure(self.target, self.target._open_basis, self._preimage,
                               self.source._is_open, "open set whose preimage is not open")
 
     def is_open(self) -> Verdict:
         """Image of every open set is open (checked on the minimal opens)."""
-        return _first_failure(self.source, self.source._open_basis, self.image_mask,
+        return _first_failure(self.source, self.source._open_basis, self._image,
                               self.target._is_open, "open set whose image is not open")
 
     def is_closed(self) -> Verdict:
@@ -552,7 +568,7 @@ class SpaceMap(FiniteMap):
         union of closed sets stays closed here, so the point closures
         suffice.
         """
-        return _first_failure(self.source, self.source._closed_basis, self.image_mask,
+        return _first_failure(self.source, self.source._closed_basis, self._image,
                               self.target._is_closed, "closed set whose image is not closed")
 
 

@@ -633,7 +633,7 @@ class TestCompatibleOrders:
         # not contain the decomposition preorder
         orders = labeled_poset_rows(quadrant_4.k)
         monkeypatch.setattr(
-            oracle, "_orders_by_continuity", lambda dec: (orders, [True] * len(orders))
+            oracle, "_orders_by_continuity", lambda dec, orders: (orders, [True] * len(orders))
         )
         with pytest.raises(InternalInvariantError):
             compatible_orders(quadrant_4)
@@ -657,8 +657,8 @@ class TestRefinements:
         # the continuity of every refinement is asserted on its own
         search = oracle._orders_by_continuity
 
-        def refinements_discontinuous(dec):
-            orders, continuous = search(dec)
+        def refinements_discontinuous(dec, orders):
+            orders, continuous = search(dec, orders)
             base = dec.preorder.up
             return orders, [
                 ok and (rows == base or not rows_within(base, rows))

@@ -379,3 +379,54 @@ def test_the_stdlib_memo_is_named_only_by_the_one_descriptor():
         if isinstance(node, ast.ClassDef) and node.name == "cached_property"
     )
     assert uses["topology.py"] == [definition.bases[0].lineno]
+
+
+def unbounded_memos(source: str) -> list[int]:
+    """The lines of ``source`` that name ``functools.cache`` (imported from
+    ``functools`` or read on it) or an ``lru_cache`` that is not called with
+    an integer ``maxsize``: a memo that keeps every result it is given."""
+    tree = ast.parse(source)
+    bounded = set()  # the lru_cache nodes called with an integer maxsize
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int):
+                bounded.add(node.func)
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and any(alias.name == "cache" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "cache"
+        and isinstance(node.value, ast.Name) and node.value.id == "functools"
+        or (isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+        and node not in bounded
+    )
+
+
+def test_unbounded_memo_guard_sees_each_spelling():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(): pass\n"
+        "@lru_cache\ndef c(): pass\n"
+        "@functools.lru_cache(maxsize=4)\ndef d(): pass\n"
+        "@lru_cache(8)\ndef e(): pass\n"
+        "@lru_cache(maxsize=True)\ndef f(): pass\n"
+    )
+    assert unbounded_memos(source) == [2, 3, 5, 7, 13]
+
+
+def test_the_library_holds_no_unbounded_memo():
+    # a process-wide memo with no bound keeps what one call computed for the
+    # life of the process: the oracle's labeled enumerations are built by
+    # the call that reads them instead
+    package = Path(stratkit.__file__).parent
+    unbounded = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := unbounded_memos(path.read_text(encoding="utf-8")))
+    }
+    assert unbounded == {}

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import WIDE_SHAPES, masks_around_the_rule, run_main, wide_preorder
-from stratkit import Decomposition, generate, kernel, oracle
+from stratkit import Decomposition, generate, kernel
 from stratkit.order import alexandrov_space
 from test_check_golden import doc_ids, document_text
 
@@ -226,15 +226,7 @@ def test_out_of_range_masks_raise_index_error_alike(n, container):
         assert str(wide.value) == str(narrow.value)
 
 
-# -- preimages_of: preimage_of in two tables at once, by the same switch with
-# twice the bits
-
-
-def two_table_bits(n: int) -> int:
-    """The fewest bits with which a mask above 0xFFF takes ``preimages_of``'s
-    C pass on n rows, by the rule its docstring states: twice those of
-    ``preimage_of``, at least 22 and more than (n + 128) / 8."""
-    return max(22, (n + 128) // 8 + 1)
+# -- preimages_of: preimage_of in two tables at once, by walking each mask
 
 
 @given(st.data())
@@ -244,10 +236,8 @@ def test_preimages_match_preimage_of_on_each_table(data):
     width = data.draw(st.integers(1, 300), label="columns")
     rows = data.draw(bit_rows(n, n, width), label="row values")
     others = data.draw(bit_rows(n, n, width), label="other row values")
-    fewest = two_table_bits(n)
-    weights = st.integers(min(n, max(0, fewest - 3)), min(n, fewest + 2)) | st.integers(0, n)
     masks = [
-        sum(1 << i for i in data.draw(st.permutations(range(n)))[:data.draw(weights)])
+        sum(1 << i for i in data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))])
         for _ in range(data.draw(st.integers(0, 4), label="masks"))
     ]
     container = data.draw(st.sampled_from((tuple, list, iter)))
@@ -255,28 +245,6 @@ def test_preimages_match_preimage_of_on_each_table(data):
         ones, twos = kernel.preimages_of(rows, others, container(masks))
         assert ones == tuple(kernel.preimage_of(rows, mask) for mask in masks)
         assert twos == tuple(kernel.preimage_of(others, mask) for mask in masks)
-
-
-def test_the_two_table_c_pass_takes_twice_the_bits(monkeypatch):
-    passes = []
-    flags = kernel._bit_flags
-    monkeypatch.setattr(kernel, "_bit_flags", lambda mask: passes.append(mask) or flags(mask))
-    rows = tuple(1 << (i + 1) % 300 for i in range(300))
-    others = tuple(1 << (i + 7) % 300 for i in range(300))
-    for n, mask, c_pass in [
-        (24, (1 << 21) - 1 << 3, False),  # 21 bits, under the floor
-        (24, (1 << 22) - 1 << 2, True),  # 22 bits: the floor, more than 152 / 8
-        (64, (1 << 22) - 1 << 40, False),  # 22 bits
-        (64, (1 << 24) - 1 << 40, False),  # 24 bits: not more than 192 / 8
-        (64, (1 << 25) - 1 << 39, True),  # 25 bits
-        (300, (1 << 53) - 1 << 200, False),  # 53 bits: not more than 428 / 8
-        (300, (1 << 54) - 1 << 200, True),  # 54 bits
-    ]:
-        passes.clear()
-        ones, twos = kernel.preimages_of(rows[:n], others[:n], [mask])
-        assert (ones, twos) == ((helpers.preimage_by_bits(rows[:n], mask),),
-                                (helpers.preimage_by_bits(others[:n], mask),)), (n, hex(mask))
-        assert passes == ([mask] if c_pass else []), (n, hex(mask))
 
 
 @pytest.mark.parametrize("n", [3, 64, 65, 300])
@@ -288,11 +256,10 @@ def test_out_of_range_masks_raise_index_error_alike_in_two_tables(n, container):
     with pytest.raises(IndexError) as narrow:
         kernel.preimage_of(rows, 1 << n)
     for mask in (1 << n, full | 1 << n, full << 1, -1, -full, full | 1 << 2 * n):
-        for state in STATES:
-            with forced("c_pass", state), pytest.raises(IndexError) as wide:
-                kernel.preimages_of(rows, others, [full, mask])
-            assert type(wide.value) is IndexError
-            assert str(wide.value) == str(narrow.value)
+        with pytest.raises(IndexError) as wide:
+            kernel.preimages_of(rows, others, [full, mask])
+        assert type(wide.value) is IndexError
+        assert str(wide.value) == str(narrow.value)
 
 
 def hulls_and_closures_by_points(space) -> tuple[list[int], list[int]]:
@@ -445,10 +412,7 @@ def test_components_close_from_64_rows(monkeypatch, n, components):
 
 def reports() -> tuple[list, tuple]:
     """``check --format json`` on every fixture, face decomposition and
-    generated document of the check golden, and the n = 4 sweep's JSON;
-    the enumeration caches are cleared first, so the sweep recomputes them."""
-    oracle.labeled_preorder_rows.cache_clear()
-    oracle.labeled_poset_rows.cache_clear()
+    generated document of the check golden, and the n = 4 sweep's JSON."""
     checks = []
     for doc_id in doc_ids():
         code, out, err = run_main(["check", "-", "--format", "json"], document_text(doc_id))

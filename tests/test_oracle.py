@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -19,7 +21,6 @@ from stratkit import (
     Verdict,
     compatible_orders,
     exhaustive_verify,
-    fixture,
     strict_refinements_never_open,
 )
 from stratkit.oracle import (
@@ -40,6 +41,7 @@ from stratkit.oracle import (
 )
 from stratkit import oracle
 from stratkit.kernel import preimage_of, rows_meeting, rows_within
+from stratkit.order import alexandrov_space
 from stratkit.topology import FiniteSpace
 
 SWEEP5_SHA256 = Path(__file__).parent / "data" / "sweep5_json.sha256"
@@ -205,43 +207,50 @@ class TestOrbits:
         assert exhaustive_verify(n).to_json() == helpers.labeled_sweep(n).to_json()
 
 
-class TestEnumerationCaches:
-    """The entries that enumerate labeled relations leave no rows cached:
-    after n = 6 the two caches would keep 21 MB for the life of the
-    process."""
-
-    ENTRIES = {
-        "exhaustive-verify": (lambda: exhaustive_verify(3), "Sweep.report"),
-        "compatible-orders": (lambda: compatible_orders(fixture("quadrant_4").document.value),
-                              "_refinements_continuous"),
-        "strict-refinements": (
-            lambda: strict_refinements_never_open(fixture("quadrant_4").document.value),
-            "_refinements_continuous"),
-    }
+class TestNothingLeftBehind:
+    """The labeled enumerations live only inside the call that reads them:
+    after each entry, on return or on an exception, traced memory is back
+    at its baseline. A cache of the n = 5 labeled posets alone would keep
+    0.6 MB (20 MB at n = 6); tracing multiplies the time of each call by
+    about five, so the checks run at n = 5."""
 
     @staticmethod
-    def sizes() -> list[int]:
-        return [fn.cache_info().currsize for fn in (labeled_preorder_rows, labeled_poset_rows)]
-
-    @pytest.mark.parametrize("entry", ENTRIES)
-    def test_cleared_on_return(self, entry):
-        labeled_poset_rows(2)
-        assert self.sizes() != [0, 0]
-        self.ENTRIES[entry][0]()
-        assert self.sizes() == [0, 0]
-
-    @pytest.mark.parametrize("entry", ENTRIES)
-    def test_cleared_on_an_exception(self, monkeypatch, entry):
-        call, step = self.ENTRIES[entry]
-
-        def broken(*args):  # runs once the enumerations are cached
-            assert self.sizes() != [0, 0]
-            raise RuntimeError(step)
-
-        monkeypatch.setattr(f"stratkit.oracle.{step}", broken)
-        with pytest.raises(RuntimeError, match=step):
+    def retained_mb(call) -> float:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
             call()
-        assert self.sizes() == [0, 0]
+            gc.collect()
+            return (tracemalloc.get_traced_memory()[0] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def five_strata() -> Decomposition:
+        # a stratification with one stratum per point: a chain of five
+        chain = Proset.from_pairs("abcde", zip("abcd", "bcde"))
+        return Decomposition.pointwise(alexandrov_space(chain))
+
+    def test_nothing_is_left_on_return(self):
+        dec = self.five_strata()
+        for call in (lambda: list(enumerate_posets(5)), lambda: list(enumerate_prosets(5)),
+                     lambda: compatible_orders(dec)):
+            assert self.retained_mb(call) < 0.1
+
+    def test_nothing_is_left_on_an_exception(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("refinement check")
+
+        monkeypatch.setattr(oracle, "_refinements_continuous", broken)
+        dec = self.five_strata()
+        for call in (lambda: exhaustive_verify(5), lambda: compatible_orders(dec),
+                     lambda: strict_refinements_never_open(dec)):
+            def raising():
+                with pytest.raises(RuntimeError, match="refinement check"):
+                    call()
+
+            assert self.retained_mb(raising) < 0.1
 
 
 class TestSweep:
@@ -405,8 +414,8 @@ class TestSweep:
         # labeled order above a partial-order preorder is continuous sees it
         search = oracle._orders_by_continuity
 
-        def without_refinements(dec):
-            orders, continuous = search(dec)
+        def without_refinements(dec, orders):
+            orders, continuous = search(dec, orders)
             base = dec.preorder.up
             return orders, [
                 ok and not (rows != base and rows_within(base, rows))

@@ -29,12 +29,17 @@ def diamond() -> Poset:
     return Poset.from_pairs("0123", [("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")])
 
 
+# the labeled partial orders on up to five elements, enumerated once for
+# every draw (the oracle keeps no enumeration between calls)
+POSET_ROWS = tuple(labeled_poset_rows(k) for k in range(6))
+
+
 @st.composite
 def labeled_posets(draw, max_elements: int = 5) -> Poset:
     """A labeled partial order on at most ``max_elements`` elements, named
     by a drawn permutation of its index order."""
     k = draw(st.integers(0, max_elements))
-    rows = draw(st.sampled_from(labeled_poset_rows(k)))
+    rows = draw(st.sampled_from(POSET_ROWS[k]))
     return Poset(tuple(draw(st.permutations([f"e{i}" for i in range(k)]))), rows)
 
 

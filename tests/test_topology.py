@@ -176,6 +176,42 @@ class TestMaskChecks:
             getattr(space, method)(mask)
         assert str(exc.value) == f"point mask {mask!r} out of range for 3 points"
 
+    @pytest.mark.parametrize("method", ["image_mask", "preimage_mask"])
+    @pytest.mark.parametrize("mask", [True, False, -1, 0b1000, 1.5, "1", None])
+    def test_map_mask_entries_refuse(self, method, mask):
+        # each end refuses a mask of its own members: the source an image's,
+        # the target a preimage's
+        space = line_3_space()
+        chain = Proset.from_pairs("abc", [("a", "b"), ("b", "c")])
+        for f, message in (
+            (SpaceMap.identity(space), f"point mask {mask!r} out of range for 3 points"),
+            (MonotoneMap(chain, chain, (0, 1, 2)), f"element mask {mask!r} out of range for 3 elements"),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                getattr(f, method)(mask)
+            assert str(exc.value) == message
+
+    def test_map_mask_entries_check_their_own_end(self):
+        to_two = SpaceMap.from_names(line_3_space(), FiniteSpace.discrete("ab"),
+                                     {"m": "a", "z": "a", "p": "b"})
+        assert to_two.image_mask(0b110) == 0b11 and to_two.preimage_mask(0b10) == 0b100
+        with pytest.raises(ValidationError, match="^point mask 4 out of range for 2 points$"):
+            to_two.preimage_mask(0b100)
+
+    def test_name_entries_skip_the_mask_check(self, monkeypatch):
+        # ``mask_of`` has already refused a bad name
+        space = line_3_space()
+        calls = []
+        checked = topology._Relation._checked
+        monkeypatch.setattr(topology._Relation, "_checked",
+                            lambda self, mask: calls.append(mask) or checked(self, mask))
+        got = (space.closure(["p"]), space.interior(["m", "p"]), space.frontier(["p"]))
+        assert calls == []
+        assert got == ({"z", "p"}, {"m", "p"}, {"z"})
+        assert got == tuple(space.names_of(mask) for mask in (
+            space.closure_mask(0b100), space.interior_mask(0b101),
+            space.closure_mask(0b100) & ~0b100))
+
     def test_unchecked_routines_agree_with_the_checked_ones(self):
         for space in helpers.all_spaces(3):
             for mask in range(1 << len(space.points)):
@@ -185,12 +221,14 @@ class TestMaskChecks:
     def test_map_checks_and_final_topology_skip_the_mask_check(self, monkeypatch):
         space = line_3_space()
         calls = []
-        checked = FiniteSpace._checked
-        monkeypatch.setattr(FiniteSpace, "_checked",
+        checked = topology._Relation._checked
+        monkeypatch.setattr(topology._Relation, "_checked",
                             lambda self, mask: calls.append(mask) or checked(self, mask))
         to_line = SpaceMap.from_names(space, space, {"m": "m", "z": "z", "p": "z"})
         verdicts = (to_line.is_continuous(), to_line.is_open(), to_line.is_closed())
         assert final_topology(space.points, [(space, {p: p for p in space.points})]) == space
+        chain = Proset.from_pairs("mzp", [("m", "z")])
+        assert MonotoneMap(chain, chain, (0, 1, 2)).is_monotone()
         assert calls == []
         assert [bool(v) for v in verdicts] == list(helpers.brute_map_checks(to_line))
 
@@ -413,6 +451,7 @@ class TestEntryChecks:
              "unknown symbolic family tag: ['NatUsual']"),
             (lambda: adjunction_roundtrips("ab", "ab"), "preorder must be a Proset, got str"),
             (lambda: singleton_local_closure_check("ab"), "preorder must be a Proset, got str"),
+            (lambda: SpaceMap.identity(None), "SpaceMap source must be a FiniteSpace, got NoneType"),
         ],
         ids=["save", "alexandrov-space", "specialization-preorder", "pointwise",
              "poset-stratification", "as-poset-stratified", "stratification-from-open-map",
@@ -421,7 +460,7 @@ class TestEntryChecks:
              "final-topology-mapping", "from-pairs-close-str", "from-pairs-close-int",
              "point-index-unhashable", "is-open-unhashable", "leq-unhashable", "pi-unhashable",
              "names-of-str", "fixture-unhashable", "symbolic-unhashable", "adjunction-roundtrips",
-             "singleton-local-closure-check"],
+             "singleton-local-closure-check", "space-map-identity"],
     )
     def test_refused(self, call, message):
         with pytest.raises(ValidationError) as exc:
