@@ -35,7 +35,9 @@ What runs in ``classify``:
 * tables: each stratum's open hull (the union of its points' minimal
   opens, which ``_reach`` reads) and its closure (the union of its points'
   closures) come from one pass over its bits (``kernel.preimages_of``);
-  local closedness is their intersection against the stratum.
+  local closedness is their intersection against the stratum. A caller
+  that reads only ``_reach`` (``coarsen``, the quotient, the preorder)
+  walks the minimal opens alone and builds no point closures.
 * Alexandrov: the fixpoint rows have open preimages; the preorder's
   up-sets equal the quotient's minimal opens; continuity into the
   preorder topology.
@@ -83,7 +85,7 @@ from .kernel import (
     rows_within,
 )
 from .order import Poset, Proset, specialization_preorder
-from .topology import FiniteSpace, Value, Verdict, cached_property, check_type
+from .topology import FiniteSpace, Value, Verdict, cached_property, check_collection, check_type
 
 class AgreementReport(NamedTuple):
     """Independently computed values of one equivalence group.
@@ -227,8 +229,7 @@ class Decomposition(Value):
         check_type(strata, Mapping, "Decomposition strata")
         items = []
         for sid in sorted(_checked_ids(strata)):
-            if isinstance(strata[sid], str):
-                raise ValidationError(f"stratum {sid!r} must list its points, got {strata[sid]!r}")
+            check_collection(strata[sid], f"stratum {sid!r}", must="list its points")
             items.append((sid, space.mask_of(strata[sid])))
         return cls(space, tuple(items))
 
@@ -279,21 +280,25 @@ class Decomposition(Value):
 
     @cached_property
     def _hulls(self) -> tuple[int, ...]:
-        """Open hull of each stratum, as a point mask: the union of its points' minimal opens."""
-        return self._hulls_and_closures()[0]
+        """Open hull of each stratum, as a point mask: the union of its
+        points' minimal opens. Read alone (``_reach``), it needs no point
+        closures; a reader of both tables reads ``_closures`` first."""
+        min_open = self.space.min_open
+        return tuple([preimage_of(min_open, mask) for mask in self.masks])
 
     @cached_property
     def _closures(self) -> tuple[int, ...]:
-        """Closure of each stratum, as a point mask: the union of its points' closures."""
-        return self._hulls_and_closures()[1]
-
-    def _hulls_and_closures(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Both tables from one pass over the strata, stored where the two
-        cached properties keep them: the first read of either sets both."""
+        """Closure of each stratum, as a point mask: the union of its points'
+        closures. One pass over the strata builds it and ``_hulls`` too,
+        unless the hulls are built already (the sweep reads ``_reach``
+        first): then it walks the point closures alone."""
         space = self.space
-        pair = preimages_of(space.min_open, space.point_closures, self.masks)
-        self.__dict__["_hulls"], self.__dict__["_closures"] = pair
-        return pair
+        if "_hulls" in self.__dict__:
+            closures = space.point_closures
+            return tuple([preimage_of(closures, mask) for mask in self.masks])
+        hulls, closures = preimages_of(space.min_open, space.point_closures, self.masks)
+        self.__dict__["_hulls"] = hulls
+        return closures
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
@@ -366,18 +371,19 @@ class Decomposition(Value):
         locally closed stratum is its hull, as point names. The verdicts
         are built on each call from ``_locally_closed``, the booleans alone,
         which is all ``is_stratification`` and ``classify`` read."""
-        points = self.space.points
+        points, locally_closed = self.space.points, self._locally_closed
         return tuple([
             (sid, Verdict(holds, witness=frozenset(names_at(points, hull)) if holds else None))
-            for sid, hull, holds in zip(self.ids, self._hulls, self._locally_closed)
+            for sid, hull, holds in zip(self.ids, self._hulls, locally_closed)
         ])
 
     @cached_property
     def _locally_closed(self) -> tuple[bool, ...]:
         """Per stratum, whether its open hull meets its closure in the stratum alone."""
+        closures = self._closures  # first: its pass builds the hulls too
         return tuple([
             hull & closure == mask
-            for hull, closure, mask in zip(self._hulls, self._closures, self.masks)
+            for hull, closure, mask in zip(self._hulls, closures, self.masks)
         ])
 
     def alexandrov_equivalences(self) -> AgreementReport:
@@ -779,9 +785,11 @@ def classify(d: Decomposition) -> ClassificationReport:
     """
     if not isinstance(d, Decomposition):
         raise ValidationError(f"classify needs a Decomposition, got {type(d).__name__}")
+    # before ``_reach``, which reads the hulls alone: one pass builds both tables
+    locally_closed = tuple(list(zip(d.ids, d._locally_closed)))
     return ClassificationReport(
         alexandrov=d.alexandrov_equivalences(),
-        locally_closed=tuple(list(zip(d.ids, d._locally_closed))),
+        locally_closed=locally_closed,
         frontier=d.frontier_equivalences(),
         poset_stratified=d.poset_stratified_equivalences(),
         stratification=d.is_stratification(),

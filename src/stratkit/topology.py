@@ -118,11 +118,13 @@ def check_type(value, kind: type, what: str) -> None:
         raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
-def check_collection(value, what: str, of: str = "names") -> None:
+def check_collection(value, what: str, of: str = "names", must: str = "") -> None:
     """Refuse ``value``, named ``what`` in the message, unless it is iterable
-    and not a ``str``, whose characters would read as one-character names."""
+    and not a ``str``, whose characters would read as one-character names.
+    The message reads "``what`` must be a collection of ``of``", or
+    "``what`` must ``must``" when ``must`` is given."""
     if isinstance(value, str) or not hasattr(value, "__iter__"):
-        raise ValidationError(f"{what} must be a collection of {of}, got {value!r}")
+        raise ValidationError(f"{what} must {must or f'be a collection of {of}'}, got {value!r}")
 
 
 def checked_names(names: Iterable[str], what: str = "point") -> tuple[str, ...]:

@@ -99,6 +99,10 @@ class TestConstruction:
         # a string is iterable, but it is not read as the points its characters name
         with pytest.raises(ValidationError, match=r"^stratum 'A' must list its points, got 'co'$"):
             Decomposition.from_strata(sierpinski, {"A": "co"})
+        # the one rule, ``topology.check_collection``, refuses a value that
+        # is not iterable with the same message
+        with pytest.raises(ValidationError, match=r"^stratum 'A' must list its points, got 5$"):
+            Decomposition.from_strata(sierpinski, {"A": 5})
 
     def test_non_space_rejected(self):
         with pytest.raises(ValidationError) as exc:

@@ -33,6 +33,7 @@ from stratkit import (
 )
 from stratkit import documents, topology
 from stratkit.documents import Document, canonical_json, from_payload
+from stratkit.generate import _block_masks
 
 
 class TestRoundTrips:
@@ -645,7 +646,9 @@ class TestGenerate:
     @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025])
     @pytest.mark.parametrize("density", [0, 1, 0.5, 0.3, 2 / 1024, 1e-300, 5e-324])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 3**41])
-    @pytest.mark.parametrize("rows", [0, 1, 3])
+    # the kernel works on blocks of eight rows: beside 0, 1 and 3 rows, a
+    # block less a row, one block, a block and a row, two, two and a row
+    @pytest.mark.parametrize("rows", [0, 1, 3, 7, 8, 9, 16, 17])
     def test_batched_flags_match_scalar_draws(self, rows, count, density, seed):
         batched, scalar = SplitMix64(seed), SplitMix64(seed)
         numerals = batched.next_flag_rows(rows, count, density)
@@ -654,7 +657,44 @@ class TestGenerate:
             # digit j from the right is draw j of the row
             digits = bytes(b"01"[scalar.next_float() < density] for _ in range(count))
             assert numeral == digits[::-1]
+        assert batched._state == scalar._state
         assert batched.next_u64() == scalar.next_u64()
+
+    # one lane pass draws up to _CHUNK = 128 values
+    @pytest.mark.parametrize("count", [0, 1, 2, 127, 128, 129, 256, 300])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 3**41])
+    def test_batched_u64s_match_scalar_draws(self, count, seed):
+        batched, scalar = SplitMix64(seed), SplitMix64(seed)
+        assert batched.next_u64s(count) == [scalar.next_u64() for _ in range(count)]
+        assert batched._state == scalar._state
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 129, 300])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 3**41])
+    def test_batched_block_draws_match_shuffle_and_next_below(self, n, seed):
+        for blocks in sorted({1, (n + 1) // 2, n}):
+            batched, scalar = SplitMix64(seed), SplitMix64(seed)
+            order = list(range(n))
+            scalar.shuffle(order)
+            masks = [1 << i for i in order[:blocks]]
+            for i in order[blocks:]:
+                masks[scalar.next_below(blocks)] |= 1 << i
+            assert _block_masks(batched, n, blocks) == masks
+            assert batched._state == scalar._state
+            assert batched.next_u64() == scalar.next_u64()
+
+    def test_partition_strata_are_built_as_masks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated strata were looked up by name")
+
+        # the masks the draws give are the strata: no point is named and
+        # looked up again
+        monkeypatch.setattr(FiniteSpace, "mask_of", refuse)
+        monkeypatch.setattr(Decomposition, "from_strata", refuse)
+        dec = generate("partition", 300, {"blocks": 7}, 5).value
+        monkeypatch.undo()
+        assert dec == Decomposition.from_strata(
+            dec.space, {sid: dec.space.names_of(mask) for sid, mask in dec.strata}
+        )
 
     def test_generation_does_not_validate_again(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -666,10 +706,13 @@ class TestGenerate:
             monkeypatch.setattr(f"{module}.checked_names", refuse)
         # the names "0".."n-1" and the closed rows already meet the invariants
         p = generate("preorder", 50, {"density": 0.05}, 11).value
+        # and so do the default space of a partition and its names
+        space = generate("partition", 50, {}, 11).value.space
         monkeypatch.undo()
         assert type(p) is Proset and p.up != tuple(1 << i for i in range(50))
         validated = Proset(p.elements, p.up)
         assert p == validated and hash(p) == hash(validated)
+        assert space == FiniteSpace.discrete(map(str, range(50)))
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 5))
     @settings(max_examples=50, deadline=None)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import WIDE_SHAPES, masks_around_the_rule, run_main, wide_preorder
-from stratkit import Decomposition, generate, kernel
+from stratkit import Decomposition, FiniteSpace, classify, decomposition, generate, kernel
 from stratkit.order import alexandrov_space
 from test_check_golden import doc_ids, document_text
 
@@ -302,11 +302,51 @@ def test_strata_hulls_and_closures_are_unions_of_their_points(state):
             fresh = Decomposition(space, dec.strata)
             assert list(fresh._closures) == closures  # closures first: one pass sets both
             assert list(fresh._hulls) == hulls
-            assert list(Decomposition(space, dec.strata)._hulls) == hulls
+            hulls_first = Decomposition(space, dec.strata)
+            assert list(hulls_first._hulls) == hulls
+            assert list(hulls_first._closures) == closures  # the point closures walked alone
             for mask, hull, closure in zip(dec.masks, hulls, closures):
                 holds = hull & closure == mask
                 verdict = space.is_locally_closed(space.names_of(mask))
                 assert verdict == (holds, space.names_of(hull) if holds else None, "")
+
+
+def test_hulls_alone_walk_the_minimal_opens_and_classify_walks_once(monkeypatch):
+    space = alexandrov_space(generate("preorder", 300, {"density": 2 / 300}, 1).value)
+    strata = generate("partition", 300, {"space": space, "blocks": 8}, 2).value.strata
+    passes, hull_walks = [], []
+    pair_pass, walk = decomposition.preimages_of, decomposition.preimage_of
+
+    def spy_pass(rows, others, masks):
+        passes.append(rows)
+        return pair_pass(rows, others, masks)
+
+    def spy_walk(rows, mask):
+        if rows is space.min_open:
+            hull_walks.append(mask)
+        return walk(rows, mask)
+
+    monkeypatch.setattr(decomposition, "preimages_of", spy_pass)
+    monkeypatch.setattr(decomposition, "preimage_of", spy_walk)
+
+    def fresh() -> Decomposition:
+        # a space with no point closures built yet, on the same rows
+        return Decomposition(FiniteSpace._from_valid(space.points, space.min_open), strata)
+
+    # ``coarsen`` reads only ``_reach``, of this decomposition and of the
+    # merged one: walks of the minimal opens, no two-table pass and no
+    # point closures
+    dec = fresh()
+    dec.coarsen()
+    assert passes == [] and set(dec.masks) <= set(hull_walks)
+    assert "point_closures" not in dec.space.__dict__
+    hull_walks.clear()
+    # with the hulls built, the closures are walked alone: no hull twice
+    report = classify(dec)
+    assert passes == [] and hull_walks == []
+    # on a fresh decomposition ``classify`` reads both tables from one pass
+    assert classify(fresh()) == report
+    assert len(passes) == 1 and hull_walks == []
 
 
 # -- transpose: the digit string, on both sides of 64 rows and the density rule
