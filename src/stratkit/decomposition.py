@@ -38,9 +38,11 @@ What runs in ``classify``:
   local closedness is their intersection against the stratum. A caller
   that reads only ``_reach`` (``coarsen``, the quotient, the preorder)
   walks the minimal opens alone and builds no point closures.
-* Alexandrov: the fixpoint rows have open preimages; the preorder's
-  up-sets equal the quotient's minimal opens; continuity into the
-  preorder topology.
+* quotient: the closure of ``_reach``, returned as it is when already
+  transitive (``kernel.reflexive_transitive_closure``).
+* Alexandrov: the fixpoint rows have open preimages, tested once per
+  distinct row; the preorder's up-sets equal the quotient's minimal
+  opens; continuity into the preorder topology.
 * frontier: per stratum, the strata whose closures it meets (its
   ``_reach`` row) against those whose closures contain it, closures
   against the minimal closed saturations (the preimages of the
@@ -53,7 +55,8 @@ What runs in ``classify``:
   in the preimages of their down-sets.
 * semicontinuity: saturations of minimal opens and of point closures by
   the ``_reach`` test, against the quotient map's openness and closedness
-  in the quotient space, image by image in one pass per basis.
+  in the quotient space, image by image in one pass per basis; an image
+  that repeats an earlier one is not tested again.
 
 Production asserts only agreements between values it reports: the labels
 of each of the three groups above, and each saturation formula against
@@ -399,8 +402,9 @@ class Decomposition(Value):
         2**k subset filter.
         """
         rows = self.quotient_space.min_open
-        has_min_open = all(
-            (row >> i) & 1 and self._preimage_is_open(row) for i, row in enumerate(rows)
+        # strata sharing a minimal open share its preimage: one test per distinct row
+        has_min_open = all((row >> i) & 1 for i, row in enumerate(rows)) and all(
+            map(self._preimage_is_open, dict.fromkeys(rows))
         )
         p = self.preorder
         same_topology = p.up == rows
@@ -510,14 +514,19 @@ class Decomposition(Value):
         """Openness (closedness) of the quotient map onto the quotient space,
         in one pass over the minimal opens (point closures). Each image must
         be closed under the up-sets (down-sets) exactly when its saturation
-        formula holds: the union of its strata (of the others) is open. The
-        first failure is the witness; the verdict comes with the formula's."""
+        formula holds: the union of its strata (of the others) is open. Each
+        distinct image is tested once, where it first occurs. The first
+        failure is the witness; the verdict comes with the formula's."""
         if closed:
             basics, rows, others = self.space._closed_basis, self.preorder.down, (1 << self.k) - 1
         else:
             basics, rows, others = self.space._open_basis, self.quotient_space.min_open, 0
+        seen = set()  # images already tested: each passed, or the pass ended there
         for basic in basics:
             image = rows_meeting(self.masks, basic)
+            if image in seen:
+                continue
+            seen.add(image)
             mapped = not preimage_of(rows, image) & ~image
             formula = self._preimage_is_open(others ^ image)
             if mapped != formula:

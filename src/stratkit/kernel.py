@@ -3,6 +3,14 @@ per member (bit j of row i: i relates to j). This module, importing no
 other stratkit module, is the one home of the per-bit loops over them
 that spaces, orders, decompositions and the oracle run.
 
+Walks whose result is a union or an intersection, where bit order cannot
+reach it (``preimage_of``, ``preimages_of``, ``transpose``,
+``min_open_rows``, Warshall's steps), take the top bit each step
+(``i = mask.bit_length() - 1``, then ``mask ^= 1 << i``): one wide-int
+operation a bit fewer than isolating the lowest through a negation.
+``iter_bits`` stays lowest first, and every walk whose order reaches a
+witness, a name list or output reads it.
+
 Three routines pick an algorithm by size, each by one rule written here
 from module constants read at each call; the result is the same either
 way. Only tests assign them, forcing a path off (``math.inf`` as the
@@ -10,19 +18,28 @@ bound) or on at every size (``-math.inf`` as the bias too). Measured on
 Python 3.11:
 
 * ``preimage_of`` ORs the rows of a mask above ``C_PASS_MASK`` (0xFFF)
-  with at least ``C_PASS_BITS`` (11) bits and more than
-  (n + ``C_PASS_BIAS``) / 16 on n rows (bias 128) in one C pass
-  (``compress``, ``reduce``); other masks walk their bits. It breaks even
-  at about 11 bits on 65 rows, 25 on 300 and 55 on 1000, and flat below
-  65 rows, where the slope alone took it from 9 bits on 13 rows. Walk/C
-  time, median of 4 ``timeit`` runs of 200 masks above 0xFFF:
+  with at least ``C_PASS_BITS`` (14) bits and more than
+  (n + ``C_PASS_BIAS``) / 16 on n rows (bias 192) in one C pass
+  (``compress``, ``reduce``); other masks walk their bits, and the first
+  test keeps small masks from counting theirs. Against the top-bit walk
+  it breaks even at about 12 bits on 13 rows, 14 on 16, 15 on 24 and 32,
+  19 on 64, 24 on 100, 32 on 200, 44 on 300 and 110 on 1000. Above 100
+  rows that climbs by about one bit per 11 rows, more than the rule's one
+  per 16, so there the C pass starts early: from 75 bits on 1000 rows,
+  where the walk is up to 8% faster. Walk/C time, the median of three
+  runs of the median of 4 ``timeit`` runs of 200 random masks above 0xFFF
+  on rows of n random bits:
 
-  rows/bits   9     10    11    12    13
-  13          0.96  1.06  1.16  1.23  1.19
-  16          0.95  0.99  1.04  1.18  1.25
-  24          0.83  0.89  0.94  1.03  1.02
-  32          0.98  1.03  1.17  1.19  1.23
-  64          0.92  0.98  1.07  1.11  1.14
+  rows  bits: walk/C
+  13    11: 0.94   12: 1.03   13: 1.09
+  16    12: 0.97   13: 0.99   14: 1.09   15: 1.07
+  24    14: 0.94   15: 0.98   16: 1.05   17: 1.04
+  32    14: 0.91   15: 1.01   16: 1.04   17: 1.03
+  64    16: 0.92   18: 1.00   20: 1.01   22: 1.08
+  100   20: 0.91   23: 0.96   26: 1.09   29: 1.19
+  200   28: 0.90   32: 1.00   36: 1.06   40: 1.08
+  300   38: 0.95   44: 1.02   50: 1.09   56: 1.04
+  1000  80: 0.92   92: 0.96  104: 0.97  116: 1.06
 
 * ``transpose`` reads columns off one digit string on more than
   ``DIGITS_ROWS`` (64) rows whose distinct values hold more than
@@ -42,8 +59,8 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 C_PASS_MASK = 0xFFF
-C_PASS_BITS = 11
-C_PASS_BIAS = 128
+C_PASS_BITS = 14
+C_PASS_BIAS = 192
 DIGITS_ROWS = 64
 DIGITS_BIAS = 256
 COMPONENTS_ROWS = 64
@@ -82,9 +99,9 @@ def preimage_of(rows: Sequence[int], mask: int) -> int:
         return reduce(or_, compress(rows, _bit_flags(mask)), 0)
     out = 0
     while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
+        i = mask.bit_length() - 1
+        out |= rows[i]
+        mask ^= 1 << i
     return out
 
 
@@ -97,11 +114,10 @@ def preimages_of(rows: Sequence[int], others: Sequence[int],
     for mask in masks:
         one = two = 0
         while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
+            i = mask.bit_length() - 1
             one |= rows[i]
             two |= others[i]
-            mask ^= low
+            mask ^= 1 << i
         ones.append(one)
         twos.append(two)
     return tuple(ones), tuple(twos)
@@ -132,8 +148,10 @@ def transpose(rows: Sequence[int]) -> tuple[int, ...]:
         members[row] = members.get(row, 0) | 1 << i
     cols = [0] * n
     for row, indices in members.items():
-        for j in iter_bits(row):
+        while row:
+            j = row.bit_length() - 1
             cols[j] |= indices
+            row ^= 1 << j
     return tuple(cols)
 
 
@@ -159,8 +177,11 @@ def min_open_rows(n: int, opens: Iterable[int]) -> tuple[int, ...]:
     full = (1 << n) - 1
     rows = [full] * n
     for mask in opens:
-        for i in iter_bits(mask):
+        bits = mask
+        while bits:
+            i = bits.bit_length() - 1
             rows[i] &= mask
+            bits ^= 1 << i
     return tuple(rows)
 
 
@@ -174,17 +195,33 @@ def reflexive_transitive_closure(rows: Iterable[int]) -> tuple[int, ...]:
     1.6 on the 64-row relations of 14 to 16 bits a row of classifying 1000
     points into 64 strata; Warshall is 1.0 to 1.4 times faster at density
     0.5, 2.5 to 3.3 on closed relations with most bits set. No benchmark
-    workload closes a dense relation of 64 rows or more."""
+    workload closes a dense relation of 64 rows or more.
+
+    Below ``COMPONENTS_ROWS`` a relation that is transitive once its
+    reflexive bits are added is returned as it is, after one
+    ``first_intransitive`` test (one ``preimage_of`` per distinct row):
+    the quotient of every stratification, of every pointwise poset and
+    every indiscrete quotient has a transitive ``_reach``. A closure of a
+    preorder on 3 or 4 points fell from 3.7 to 2.1 us; one of a random
+    relation on 2 to 4 points, which rarely passes the test, rose by 0.1
+    us, and one of an intransitive relation of 8 to 15 rows by about 1.5
+    us (10%). The components side takes no such test: generation closes
+    random wide relations, which the test would cost 3% at 300 rows and
+    5% at 1000."""
     rows = [row | 1 << i for i, row in enumerate(rows)]
     if len(rows) >= COMPONENTS_ROWS:
         return _closure_by_components(rows)
+    if first_intransitive(rows) is None:
+        return tuple(rows)
     reached = 0
     for i, row in enumerate(rows):
         reached |= row & ~(1 << i)
-    for k in iter_bits(reached):
+    while reached:
+        k = reached.bit_length() - 1
         via, bit = rows[k], 1 << k
         if via != bit:
             rows = [row | via if row & bit else row for row in rows]
+        reached ^= bit
     return tuple(rows)
 
 

@@ -190,8 +190,10 @@ class _Relation(Value):
     def _names(self) -> tuple[str, ...]:
         return self.__dict__[self._fields[0]]
 
+    # here and in ``_checked`` the count reads the names field, not the
+    # ``_names`` property: one call fewer per ``len()`` and per mask check
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self.__dict__[self._fields[0]])
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -210,7 +212,7 @@ class _Relation(Value):
 
     def _checked(self, mask: int) -> int:
         """The mask, refused unless an int (not a bool) with no bit beyond the members."""
-        n = len(self._names)
+        n = len(self.__dict__[self._fields[0]])
         if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> n:
             raise ValidationError(f"{self._member} mask {mask!r} out of range for {n} {self._member}s")
         return mask

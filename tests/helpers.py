@@ -581,9 +581,9 @@ def wide_preorder(n: int, shape: str, seed: int) -> tuple[int, ...]:
 
 def c_pass_bits(n: int) -> int:
     """The fewest bits with which a mask above 0xFFF takes ``preimage_of``'s
-    C pass on n rows, by the rule its docstring states: at least 11, and
-    more than (n + 128) / 16."""
-    return max(11, (n + 128) // 16 + 1)
+    C pass on n rows, by the rule its docstring states: at least 14, and
+    more than (n + 192) / 16."""
+    return max(14, (n + 192) // 16 + 1)
 
 
 def masks_around_the_rule(n: int, seed: int) -> list[int]:

@@ -241,6 +241,13 @@ class TestQuotient:
             assert dec.quotient_space == quotient_space_by_subset_filter(dec)[0]
 
 
+FIXTURES_AND_FACES = (
+    *(f"fixture:{name}" for name in fixture_names()
+      if fixture(name).document.kind == "decomposition"),
+    *(f"face:{name}" for name in helpers.FACE_DECOMPOSITIONS),
+)
+
+
 def assert_quotient_rows_valid(dec: Decomposition) -> None:
     """``quotient_space`` takes its closed rows through ``_from_valid``;
     the validating constructor must accept them and build the same space."""
@@ -254,11 +261,7 @@ class TestQuotientRowsValidate:
     ``kernel.COMPONENTS_ROWS`` (64) rows, strongly connected components
     from there on."""
 
-    @pytest.mark.parametrize("name", [
-        *(f"fixture:{name}" for name in fixture_names()
-          if fixture(name).document.kind == "decomposition"),
-        *(f"face:{name}" for name in helpers.FACE_DECOMPOSITIONS),
-    ])
+    @pytest.mark.parametrize("name", FIXTURES_AND_FACES)
     def test_fixtures_and_face_posets(self, name):
         assert_quotient_rows_valid(fresh_decomposition(name))
 
@@ -526,6 +529,134 @@ class TestQuotientMapAtStratumLevel:
                     assert (mine.holds, mine.witness) == (reference.holds, reference.witness)
                     failures[kind] += not mine.holds
         assert all(count > 100 for count in failures.values()), failures
+
+
+def padded(dec: Decomposition) -> Decomposition:
+    """``dec`` with two isolated points, named to come first, in one new
+    stratum: their minimal opens (and closures) are two basics with one
+    image, which passes both quotient-map passes, ahead of every other."""
+    space = dec.space
+    points = ("+0", "+1", *space.points)
+    rows = (1, 2, *(row << 2 for row in space.min_open))
+    strata = {"+": ("+0", "+1"), **{sid: space.names_of(mask) for sid, mask in dec.strata}}
+    return Decomposition.from_strata(FiniteSpace(points, rows), strata)
+
+
+def has_minimal_opens_by_rows(dec: Decomposition) -> bool:
+    """The first Alexandrov value by a scan of every quotient row, repeated
+    ones included: each holds its stratum and has an open preimage."""
+    return all(
+        helpers.bit(row, i) and dec.space._is_open(helpers.preimage_by_bits(dec.masks, row))
+        for i, row in enumerate(dec.quotient_space.min_open)
+    )
+
+
+def onto_quotient_by_basics(dec: Decomposition, closed: bool):
+    """The open (closed) pass by a scan that tests the image of every
+    basic, repeated ones included, with the formula read off the point
+    topology: the pass's result, every basic's image and the index of the
+    first failing basic (None when the map is open, or closed)."""
+    space = dec.space
+    if closed:
+        basics, rows, others = space._closed_basis, dec.preorder.down, (1 << dec.k) - 1
+    else:
+        basics, rows, others = space._open_basis, dec.quotient_space.min_open, 0
+    images = [helpers.strata_meeting(dec, basic) for basic in basics]
+    for i, (basic, image) in enumerate(zip(basics, images)):
+        mapped = not helpers.preimage_by_bits(rows, image) & ~image
+        formula = space._is_open(helpers.preimage_by_bits(dec.masks, others ^ image))
+        assert mapped == formula
+        if not mapped:
+            return (topology.Verdict(False, space.names_of(basic)), formula), images, i
+    return (topology.Verdict(True), True), images, None
+
+
+def assert_distinct_passes_match_the_scans(dec: Decomposition, monkeypatch) -> list:
+    """The Alexandrov values and both quotient-map passes equal the scans
+    above, each testing one row, or one image, once. Returns the scans'
+    (images, first failure) of the open and the closed pass."""
+    calls = []
+    is_open = Decomposition._preimage_is_open
+    monkeypatch.setattr(Decomposition, "_preimage_is_open",
+                        lambda self, mask: calls.append(mask) or is_open(self, mask))
+    dec = Decomposition(dec.space, dec.strata)
+    report = dec.alexandrov_equivalences()
+    assert report.values == (has_minimal_opens_by_rows(dec),) * 3
+    assert sorted(calls) == sorted(set(dec.quotient_space.min_open))
+    scans = []
+    for closed in (False, True):
+        calls.clear()
+        reference, images, first = onto_quotient_by_basics(dec, closed)
+        assert dec._onto_quotient(closed) == reference
+        tested = images if first is None else images[:first + 1]
+        assert len(calls) == len(set(tested))
+        scans.append((images, first))
+    return scans
+
+
+def repeats_before_the_first_failure(images, first) -> list[int]:
+    """The indices of the images that repeat an earlier one, up to the
+    first failing basic."""
+    tested = images if first is None else images[:first + 1]
+    return [i for i, image in enumerate(tested) if image in tested[:i]]
+
+
+class TestDistinctRowsAndImages:
+    """The Alexandrov group tests each distinct quotient row once and the
+    quotient-map passes each distinct image once; the values, verdicts and
+    witnesses are those of scans that test every row and every basic."""
+
+    @pytest.mark.parametrize("name", FIXTURES_AND_FACES)
+    @pytest.mark.parametrize("pad", [False, True], ids=["as is", "padded"])
+    def test_fixtures_and_face_posets(self, name, pad, monkeypatch):
+        dec = fresh_decomposition(name)
+        scans = assert_distinct_passes_match_the_scans(padded(dec) if pad else dec, monkeypatch)
+        if pad:
+            for images, first in scans:
+                assert repeats_before_the_first_failure(images, first)
+
+    @given(st.integers(1, 7), st.sampled_from((0.1, 0.3, 0.6)), st.integers(1, 7),
+           st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_decompositions(self, n, density, blocks, seed, pad):
+        dec = generated_decomposition(n, density, min(blocks, n), seed)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            scans = assert_distinct_passes_match_the_scans(padded(dec) if pad else dec,
+                                                           monkeypatch)
+        if pad:
+            for images, first in scans:
+                assert repeats_before_the_first_failure(images, first)
+
+    def test_a_disagreeing_formula_still_raises_at_the_first_occurrence(self, monkeypatch):
+        # the formula flipped on one repeated image: the pass raises where
+        # that image is first computed, not at a repeat it skips
+        is_open = Decomposition._preimage_is_open
+        computed = []
+        meeting = decomposition.rows_meeting
+        later = 0
+        for name in FIXTURES_AND_FACES:
+            dec = padded(fresh_decomposition(name))
+            for closed, kind in ((False, "open"), (True, "closed")):
+                _, images, first = onto_quotient_by_basics(dec, closed)
+                # the repeated image first computed last before the failure
+                image = images[max(repeats_before_the_first_failure(images, first))]
+                at = images.index(image)
+                later += at > 0
+                flipped = ((1 << dec.k) - 1 if closed else 0) ^ image
+                with monkeypatch.context() as patch:
+                    patch.setattr(Decomposition, "_preimage_is_open", lambda self, mask: (
+                        not is_open(self, mask) if mask == flipped else is_open(self, mask)
+                    ))
+                    fresh = Decomposition(dec.space, dec.strata)
+                    fresh.quotient_space, fresh.preorder  # their images are not counted
+                    patch.setattr(decomposition, "rows_meeting",
+                                  lambda rows, mask: computed.append(mask) or meeting(rows, mask))
+                    computed.clear()
+                    with pytest.raises(InternalInvariantError,
+                                       match=f"{kind} saturation disagrees"):
+                        fresh._onto_quotient(closed)
+                    assert len(computed) == at + 1
+        assert later
 
 
 class TestCoarsen:

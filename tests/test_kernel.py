@@ -151,8 +151,8 @@ def test_min_open_rows_matches_a_per_bit_scan(data):
     assert kernel.min_open_rows(n, iter(opens)) == helpers.min_open_rows_by_bits(n, opens)
 
 
-# -- preimage_of: the C pass, on both sides of 13 and 64 rows, 0xFFF and the
-# bit-count rule
+# -- preimage_of: the C pass, on both sides of the 14-bit floor, 0xFFF and
+# the bit-count rule
 
 
 @given(st.data())
@@ -193,19 +193,17 @@ def test_the_c_pass_takes_only_wide_masks_above_0xfff(monkeypatch):
     monkeypatch.setattr(kernel, "_bit_flags", lambda mask: passes.append(mask) or flags(mask))
     rows = tuple(1 << (i + 1) % 100 for i in range(100))
     for n, mask, c_pass in [
-        (13, 0x1FFF, True),  # 13 bits on 13 rows
-        (13, 0x1F3F, True),  # 11 bits: the floor
-        (13, 0x1F1F, False),  # 10 bits
-        (13, 0x1F0F, False),  # 9 bits, more than (13 + 128) / 16 but under the floor
-        (47, 1 << 46 | 0x3FF, True),  # 11 bits: more than 175 / 16
-        (48, 1 << 47 | 0x3FF, False),  # 11 bits: not more than 176 / 16
-        (48, 1 << 47 | 0x7FF, True),  # 12 bits
-        (64, 0xFFF, False),  # 12 bits, but no larger than 0xFFF
-        (64, 0x1FFF, True),  # 13 bits: more than 192 / 16
-        (64, 0x1FFE, False),  # 12 bits
-        (64, 1 << 63 | 0xFFF, True),
-        (100, 1 << 99 | 0x1FFF, False),  # 14 bits: not more than 228 / 16
-        (100, 1 << 99 | 0x3FFF, True),  # 15 bits
+        (13, 0x1FFF, False),  # 13 bits, more than (13 + 192) / 16 but under the floor
+        (14, 0x3FFF, True),  # 14 bits: the floor, more than 206 / 16
+        (14, 0x3FFE, False),  # 13 bits
+        (31, 1 << 30 | 0x1FFF, True),  # 14 bits: more than 223 / 16
+        (32, 1 << 31 | 0x1FFF, False),  # 14 bits: not more than 224 / 16
+        (32, 1 << 31 | 0x3FFF, True),  # 15 bits
+        (64, 0xFFF, False),  # 12 bits, no larger than 0xFFF
+        (64, 1 << 63 | 0x7FFF, False),  # 16 bits: not more than 256 / 16
+        (64, 1 << 63 | 0xFFFF, True),  # 17 bits
+        (100, 1 << 99 | 0x1FFFF, False),  # 18 bits: not more than 292 / 16
+        (100, 1 << 99 | 0x3FFFF, True),  # 19 bits
     ]:
         passes.clear()
         assert kernel.preimage_of(rows[:n], mask) == helpers.preimage_by_bits(rows[:n], mask)
@@ -434,6 +432,131 @@ def test_wide_relations_equal_fixpoint(n, shape):
     assert closed == helpers.closure_by_fixpoint(rows)
     assert kernel.reflexive_transitive_closure(closed) == closed
     assert kernel.reflexive_transitive_closure(iter(rows)) == closed
+
+
+def random_poset_rows(n: int, rng: random.Random) -> tuple[int, ...]:
+    """The up-sets of a random partial order on n points: a random acyclic
+    relation (edges from earlier to later points of a shuffled order),
+    closed by the fixpoint."""
+    order = rng.sample(range(n), n)
+    rows = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 3 / n:
+                rows[order[a]] |= 1 << order[b]
+    return helpers.closure_by_fixpoint(rows)
+
+
+def closure_cases() -> dict[str, list[tuple[int, ...]]]:
+    """Relations of 0 to 70 rows on which Warshall's side of
+    ``reflexive_transitive_closure`` returns a transitive input as it is:
+    closures of random relations and up-sets of random posets (the
+    shortcut taken), strict orders (transitive, but no row holds its own
+    bit) and relations transitive except at their last distinct row (a new
+    last point reaching one that reaches beyond it)."""
+    rng = random.Random(34)
+    sizes = (0, 1, 2, 3, 5, 8, 13, 24, 40, 63, 64, 70)
+    closed = [
+        helpers.closure_by_fixpoint(
+            [sum({1 << rng.randrange(n) for _ in range(rng.randrange(3))}) for _ in range(n)]
+        ) for n in sizes
+    ]
+    posets = [random_poset_rows(n, rng) for n in sizes]
+    cases = {
+        "closed": closed,
+        "poset": posets,
+        "strict": [tuple(row & ~(1 << i) for i, row in enumerate(rows)) for rows in posets],
+        "last row": [],
+    }
+    for rows in closed + posets:
+        n = len(rows)
+        # a point j whose row holds another point k: the new point n reaches
+        # j but not k, and no other row holds n
+        for j in range(n):
+            if rows[j] & ~(1 << j):
+                cases["last row"].append((*rows, 1 << n | 1 << j))
+                break
+    return cases
+
+
+def closure_mismatches(closure) -> dict[str, int]:
+    """Per family of ``closure_cases``, how many relations ``closure`` does
+    not close as the fixpoint reference does."""
+    return {
+        family: sum(closure(rows) != helpers.closure_by_fixpoint(rows) for rows in relations)
+        for family, relations in closure_cases().items()
+    }
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_the_transitive_shortcut_matches_the_fixpoint(state):
+    cases = closure_cases()
+    assert all(len(relations) >= 10 for relations in cases.values())
+    for rows in cases["last row"]:
+        # the input is transitive except at its last distinct row
+        assert list(dict.fromkeys(rows))[-1] == rows[-1]
+        assert helpers.first_intransitive_by_bits(rows[:-1]) is None
+        assert helpers.first_intransitive_by_bits(rows)[0] == len(rows) - 1
+    with forced("components", state):
+        assert closure_mismatches(kernel.reflexive_transitive_closure) == dict.fromkeys(cases, 0)
+        for rows in cases["closed"] + cases["poset"]:
+            assert kernel.reflexive_transitive_closure(rows) == rows
+
+
+def test_a_broken_shortcut_fails_the_closure_cases(monkeypatch):
+    # a shortcut tested before the reflexive bits are added returns the
+    # strict orders without them
+    def before_the_reflexive_bits(rows):
+        rows = list(rows)
+        if kernel.first_intransitive(rows) is None:
+            return tuple(rows)
+        return kernel.reflexive_transitive_closure(rows)
+
+    with forced("components", "off"):
+        assert closure_mismatches(before_the_reflexive_bits)["strict"] > 0
+
+    # a transitivity test that skips the last distinct row returns the
+    # relations intransitive only there as they are
+    def skips_the_last_row(rows):
+        for row in list(dict.fromkeys(rows))[:-1]:
+            if kernel.preimage_of(rows, row) & ~row:
+                return rows.index(row), 0
+        return None
+
+    monkeypatch.setattr(kernel, "first_intransitive", skips_the_last_row)
+    with forced("components", "off"):
+        mismatches = closure_mismatches(kernel.reflexive_transitive_closure)
+    assert mismatches["last row"] == len(closure_cases()["last row"])
+    assert mismatches["closed"] == mismatches["poset"] == mismatches["strict"] == 0
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 300])
+@pytest.mark.parametrize("top", [False, True], ids=["bit 0", "bit n - 1"])
+def test_walks_reach_the_lowest_and_the_highest_bit(n, top):
+    # the order-free walks go from the top bit: a mask whose one bit is
+    # bit 0 or bit n - 1, in each routine and on both sides of its switch
+    b = n - 1 if top else 0
+    mask = 1 << b
+    rng = random.Random(n)
+    rows = tuple(rng.getrandbits(n) | 1 << i for i in range(n))
+    others = helpers.columns_by_bits(rows)
+    for state in STATES:
+        with forced("c_pass", state):
+            assert kernel.preimage_of(rows, mask) == rows[b]
+            assert kernel.preimages_of(rows, others, [mask, 0]) == ((rows[b], 0), (others[b], 0))
+        with forced("digits", state):
+            assert kernel.transpose((mask,) * n) == tuple(
+                (1 << n) - 1 if j == b else 0 for j in range(n)
+            )
+        # one edge from the other end: point n - 1 - b reaches b, which
+        # reaches nothing else
+        edge = [0] * n
+        edge[n - 1 - b] = mask
+        with forced("components", state):
+            assert kernel.reflexive_transitive_closure(edge) == helpers.closure_by_fixpoint(edge)
+    full = (1 << n) - 1
+    assert kernel.min_open_rows(n, [mask]) == tuple(mask if i == b else full for i in range(n))
+    assert kernel.min_open_rows(n, [full, mask]) == helpers.min_open_rows_by_bits(n, [full, mask])
 
 
 @pytest.mark.parametrize("n, components", [(0, False), (63, False), (64, True), (150, True)])
