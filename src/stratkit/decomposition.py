@@ -25,10 +25,12 @@ of a preorder on the strata given by its rows: the quotient's own, a
 supplied ``Poset`` reindexed to the sorted ids, or an order the sweep
 searches. It is continuous iff ``_reach`` lies inside the up-sets, open
 iff the strata each minimal open meets form an up-set, and closed iff
-those each point closure meets form a down-set. Scanned in point-name
-order, these give the witness a point-level map check gives. ``classify``,
-``check`` and ``theorem-b`` build no point-level map: it is the sweep's
-reference, compared with these verdicts under ``semicontinuity_pairings``.
+those each point closure meets form a down-set. One pass over a basis
+(``_image_pass``) decides openness and closedness for every target alike,
+testing each distinct image once; scanned in point-name order, it gives
+the witness a point-level map check gives. ``classify``, ``check`` and
+``theorem-b`` build no point-level map: it is the sweep's reference,
+compared with these verdicts under ``semicontinuity_pairings``.
 
 What runs in ``classify``:
 
@@ -53,10 +55,10 @@ What runs in ``classify``:
   makes the quotient map continuous exactly when the preorder, the least
   candidate, is one), antisymmetric with a continuous map, and strata open
   in the preimages of their down-sets.
-* semicontinuity: saturations of minimal opens and of point closures by
-  the ``_reach`` test, against the quotient map's openness and closedness
-  in the quotient space, image by image in one pass per basis; an image
-  that repeats an earlier one is not tested again.
+* semicontinuity: the quotient map's openness and closedness onto the
+  quotient space, each by the one pass over its basis, which asserts on
+  every image it tests that the saturation formula (the ``_reach`` test of
+  the image's strata, or of the others) agrees.
 
 Production asserts only agreements between values it reports: the labels
 of each of the three groups above, and each saturation formula against
@@ -159,16 +161,6 @@ def _agree(labels, values, witnesses=()) -> AgreementReport:
     return AgreementReport(tuple(labels), tuple(values), tuple(witnesses))
 
 
-def _closed_under(pairs, rows, names) -> Verdict:
-    """Whether the mask of each (key, mask) pair is closed under the relation
-    ``rows`` (no member relates to a non-member); the witness is the first
-    failing key, as a set of ``names``."""
-    for key, mask in pairs:
-        if preimage_of(rows, mask) & ~mask:
-            return Verdict(False, frozenset(names_at(names, key)))
-    return Verdict(True)
-
-
 def _first_difference(rows, others) -> tuple[int, int] | None:
     """The first index i, in order, at which the two row sequences differ,
     with the lowest bit j on which they differ there; None if none does."""
@@ -204,7 +196,11 @@ class Decomposition(Value):
 
     def __post_init__(self):
         check_type(self.space, FiniteSpace, "Decomposition space")
+        check_collection(self.strata, "Decomposition strata", "(id, mask) pairs")
         items = tuple(self.strata)
+        for entry in items:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ValidationError(f"stratum entries must be (id, mask) pairs, got {entry!r}")
         object.__setattr__(self, "strata", items)
         ids = _checked_ids([sid for sid, _ in items])
         if ids != sorted(ids) or len(set(ids)) != len(ids):
@@ -502,25 +498,23 @@ class Decomposition(Value):
         preimage is not open."""
         if self._pi_continuous_rows(up_rows):
             return Verdict(True)
-        return _closed_under(zip(up_rows, up_rows), self._reach, self.ids)
+        bad = next(up for up in up_rows if not self._preimage_is_open(up))
+        return Verdict(False, frozenset(names_at(self.ids, bad)))
 
-    def _open_into(self, up_rows: tuple[int, ...]) -> Verdict:
-        """Openness: each minimal open has an up-closed image, the strata it
-        meets, computed when reached; the witness is the first that has not."""
-        images = ((basic, rows_meeting(self.masks, basic)) for basic in self.space._open_basis)
-        return _closed_under(images, up_rows, self.space.points)
+    def _image_pass(self, basics, rows: tuple[int, ...], kind: str | None = None) -> Verdict:
+        """Whether the quotient map sends each set of ``basics`` (the
+        minimal opens, or the point closures) to a set of strata closed
+        under ``rows`` (the up-sets, or the down-sets, of the target): its
+        openness (closedness) into that order topology. Each image is
+        computed when reached and each distinct one tested once, where it
+        first occurs; the witness is the first failing basic, as point names.
 
-    def _onto_quotient(self, closed: bool) -> tuple[Verdict, bool]:
-        """Openness (closedness) of the quotient map onto the quotient space,
-        in one pass over the minimal opens (point closures). Each image must
-        be closed under the up-sets (down-sets) exactly when its saturation
-        formula holds: the union of its strata (of the others) is open. Each
-        distinct image is tested once, where it first occurs. The first
-        failure is the witness; the verdict comes with the formula's."""
-        if closed:
-            basics, rows, others = self.space._closed_basis, self.preorder.down, (1 << self.k) - 1
-        else:
-            basics, rows, others = self.space._open_basis, self.quotient_space.min_open, 0
+        ``kind`` ("open" or "closed") is given for the quotient's own rows
+        alone, which the saturation formula describes: an image is closed
+        under them exactly when the union of its strata (of the others) is
+        open. The formula is evaluated on every tested image, and a
+        disagreement raises InternalInvariantError where it first occurs."""
+        others = (1 << self.k) - 1 if kind == "closed" else 0
         seen = set()  # images already tested: each passed, or the pass ended there
         for basic in basics:
             image = rows_meeting(self.masks, basic)
@@ -528,20 +522,22 @@ class Decomposition(Value):
                 continue
             seen.add(image)
             mapped = not preimage_of(rows, image) & ~image
-            formula = self._preimage_is_open(others ^ image)
-            if mapped != formula:
-                kind = "closed" if closed else "open"
+            if kind and mapped != self._preimage_is_open(others ^ image):
                 raise InternalInvariantError(
                     f"{kind} saturation disagrees with quotient map {kind}ness"
                 )
             if not mapped:
-                return Verdict(False, frozenset(names_at(self.space.points, basic))), formula
-        return Verdict(True), True
+                return Verdict(False, frozenset(names_at(self.space.points, basic)))
+        return Verdict(True)
 
-    # openness is reported by the frontier group and ``semicontinuity`` both
-    _open_pass = cached_property(lambda self: self._onto_quotient(False))
-    _closed_pass = cached_property(lambda self: self._onto_quotient(True))
-    _quotient_open = property(lambda self: self._open_pass[0])
+    # reported by the frontier group and ``semicontinuity`` both
+    @cached_property
+    def _quotient_open(self) -> Verdict:
+        return self._image_pass(self.space._open_basis, self.quotient_space.min_open, "open")
+
+    @cached_property
+    def _quotient_closed(self) -> Verdict:
+        return self._image_pass(self.space._closed_basis, self.preorder.down, "closed")
 
     def poset_stratified_equivalences(self) -> AgreementReport:
         """Three characterizations of being poset-stratified.
@@ -606,7 +602,8 @@ class Decomposition(Value):
         on exactly the stratum ids.
         """
         up_rows = _order_rows(self, order)
-        cont, opn = self._continuous_into(up_rows), self._open_into(up_rows)
+        cont = self._continuous_into(up_rows)
+        opn = self._image_pass(self.space._open_basis, up_rows)
         return OrderCheck(cont.holds, opn.holds, cont.witness, opn.witness)
 
     def coarsen(self) -> tuple["Decomposition", "PosetStratification"]:
@@ -628,12 +625,13 @@ class Decomposition(Value):
         Saturation (preimage of image) commutes with unions, so it is
         enough to saturate the minimal opens and the point closures. A
         saturation is open iff the image is closed under ``_reach``, and
-        closed iff the other strata are. Each formula must agree with its
-        map-side counterpart, which tests the same image in the quotient, on
-        every image of the one pass deciding that property of the map.
+        closed iff the other strata are. The pass deciding each property of
+        the map evaluates its formula on every image it tests and raises
+        unless the two agree there; it stops at the first image failing
+        both. So each ``sat_*`` field equals its ``pi_*`` field.
         """
-        (pi_open, sat_open), (pi_closed, sat_closed) = self._open_pass, self._closed_pass
-        return SemicontinuityReport(sat_open, sat_closed, pi_open.holds, pi_closed.holds)
+        pi_open, pi_closed = self._quotient_open.holds, self._quotient_closed.holds
+        return SemicontinuityReport(pi_open, pi_closed, pi_open, pi_closed)
 
 
 def _order_rows(d: Decomposition, order: Poset) -> tuple[int, ...]:
@@ -716,7 +714,7 @@ def stratification_from_open_map(ps: PosetStratification) -> None:
     """
     check_type(ps, PosetStratification, "poset stratification")
     d = ps.dec
-    open_verdict = d._open_into(ps._up)
+    open_verdict = d._image_pass(d.space._open_basis, ps._up)
     if not open_verdict:
         raise PreconditionError(
             "decomposition map is not an open map for the supplied order",

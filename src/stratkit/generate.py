@@ -67,6 +67,8 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
+        if not _plain_int(seed):
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -176,6 +178,8 @@ class SplitMix64:
 
     def next_below(self, bound: int) -> int:
         """Uniform-ish in [0, bound) by modulo; bias is irrelevant here."""
+        if not _plain_int(bound):
+            raise ValidationError(f"bound must be an integer, got {bound!r}")
         if bound <= 0:
             raise ValidationError("bound must be positive")
         return self.next_u64() % bound

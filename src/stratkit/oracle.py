@@ -199,15 +199,17 @@ def _default_elements(n: int) -> tuple[str, ...]:
 
 def enumerate_prosets(n: int) -> Iterator[Proset]:
     """All labeled preorders on elements "0".."n-1", deterministic order."""
+    every = labeled_preorder_rows(n)  # refuses a bad size before it is read
     elements = _default_elements(n)
-    for rows in labeled_preorder_rows(n):
+    for rows in every:
         yield Proset(elements, rows)
 
 
 def enumerate_posets(n: int) -> Iterator[Poset]:
     """All labeled partial orders on elements "0".."n-1"."""
+    every = labeled_poset_rows(n)  # refuses a bad size before it is read
     elements = _default_elements(n)
-    for rows in labeled_poset_rows(n):
+    for rows in every:
         yield Poset(elements, rows)
 
 
@@ -365,7 +367,10 @@ class _Order:
         self.refines = rows_within(base, rows)
         self.strict = self.refines and rows != base
 
-    opens = cached_property(lambda self: self.instance.dec._open_into(self.rows).holds)
+    @cached_property
+    def opens(self) -> bool:
+        dec = self.instance.dec
+        return dec._image_pass(dec.space._open_basis, self.rows).holds
 
 
 def _open_cover_recovers_space(case: _Space) -> bool:

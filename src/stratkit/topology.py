@@ -471,6 +471,9 @@ class FiniteMap(Value):
 
     def __post_init__(self):
         self._check_ends(self.source, self.target)
+        # a value that is no collection covers no source member (``_check_rows``)
+        if not hasattr(self.assignment, "__iter__"):
+            raise ValidationError(f"assignment must cover every source {self.source._member}")
         asg = tuple(self.assignment)
         object.__setattr__(self, "assignment", asg)
         names = self.source._names

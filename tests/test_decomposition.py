@@ -502,9 +502,9 @@ class TestQuotientMapAtStratumLevel:
         failures = {"open onto the quotient": 0, "closed": 0, "continuous": 0, "open": 0}
         for dec in all_instances(4):
             f = helpers.point_map(dec)
-            for kind, (mine, _), reference in (
-                ("open onto the quotient", dec._open_pass, f.is_open()),
-                ("closed", dec._closed_pass, f.is_closed()),
+            for kind, mine, reference in (
+                ("open onto the quotient", dec._quotient_open, f.is_open()),
+                ("closed", dec._quotient_closed, f.is_closed()),
             ):
                 assert (mine.holds, mine.witness) == (reference.holds, reference.witness)
                 failures[kind] += not mine.holds
@@ -524,7 +524,7 @@ class TestQuotientMapAtStratumLevel:
             for up, f in targets:
                 for kind, mine, reference in (
                     ("continuous", dec._continuous_into(up), f.is_continuous()),
-                    ("open", dec._open_into(up), f.is_open()),
+                    ("open", dec._image_pass(dec.space._open_basis, up), f.is_open()),
                 ):
                     assert (mine.holds, mine.witness) == (reference.holds, reference.witness)
                     failures[kind] += not mine.holds
@@ -553,9 +553,9 @@ def has_minimal_opens_by_rows(dec: Decomposition) -> bool:
 
 def onto_quotient_by_basics(dec: Decomposition, closed: bool):
     """The open (closed) pass by a scan that tests the image of every
-    basic, repeated ones included, with the formula read off the point
-    topology: the pass's result, every basic's image and the index of the
-    first failing basic (None when the map is open, or closed)."""
+    basic, repeated ones included, asserting the formula read off the point
+    topology on each: the pass's verdict, every basic's image and the index
+    of the first failing basic (None when the map is open, or closed)."""
     space = dec.space
     if closed:
         basics, rows, others = space._closed_basis, dec.preorder.down, (1 << dec.k) - 1
@@ -567,8 +567,8 @@ def onto_quotient_by_basics(dec: Decomposition, closed: bool):
         formula = space._is_open(helpers.preimage_by_bits(dec.masks, others ^ image))
         assert mapped == formula
         if not mapped:
-            return (topology.Verdict(False, space.names_of(basic)), formula), images, i
-    return (topology.Verdict(True), True), images, None
+            return topology.Verdict(False, space.names_of(basic)), images, i
+    return topology.Verdict(True), images, None
 
 
 def assert_distinct_passes_match_the_scans(dec: Decomposition, monkeypatch) -> list:
@@ -587,9 +587,64 @@ def assert_distinct_passes_match_the_scans(dec: Decomposition, monkeypatch) -> l
     for closed in (False, True):
         calls.clear()
         reference, images, first = onto_quotient_by_basics(dec, closed)
-        assert dec._onto_quotient(closed) == reference
+        assert (dec._quotient_closed if closed else dec._quotient_open) == reference
         tested = images if first is None else images[:first + 1]
         assert len(calls) == len(set(tested))
+        scans.append((images, first))
+    return scans
+
+
+def open_into_by_basics(dec: Decomposition, up_rows):
+    """Openness into the order topology of ``up_rows`` by a scan that tests
+    the image of every basic, repeated ones included: the verdict, every
+    basic's image and the index of the first failing basic (None when the
+    map is open)."""
+    basics = dec.space._open_basis
+    images = [helpers.strata_meeting(dec, basic) for basic in basics]
+    for i, (basic, image) in enumerate(zip(basics, images)):
+        if helpers.preimage_by_bits(up_rows, image) & ~image:
+            return topology.Verdict(False, dec.space.names_of(basic)), images, i
+    return topology.Verdict(True), images, None
+
+
+def continuity_by_up_sets(dec: Decomposition, up_rows) -> topology.Verdict:
+    """Continuity by a scan of every up-set, in id order, for an open
+    preimage; the witness is the first that has none, as stratum ids."""
+    for up in up_rows:
+        if not dec.space._is_open(helpers.preimage_by_bits(dec.masks, up)):
+            return topology.Verdict(False, frozenset(dec.ids[j] for j in helpers.bits_by_scan(up)))
+    return topology.Verdict(True)
+
+
+def order_targets(dec: Decomposition) -> tuple[tuple[int, ...], ...]:
+    """Every labeled partial order on the strata as up-set rows, up to 4
+    strata; beyond, the decomposition preorder when it is a partial order."""
+    if dec.k <= 4:
+        return labeled_poset_rows(dec.k)
+    return (dec.preorder.up,) if dec.preorder.is_poset() else ()
+
+
+def assert_supplied_orders_match_the_scans(dec: Decomposition, monkeypatch) -> list:
+    """``check_against_order`` and the openness pass into each order of
+    ``order_targets`` equal the scans above, the pass closure-testing each
+    distinct image once, where it first occurs, up to the first failure.
+    Returns the openness scans' (images, first failure)."""
+    tested = []
+    preimage = decomposition.preimage_of
+    dec = Decomposition(dec.space, dec.strata)
+    scans = []
+    for up_rows in order_targets(dec):
+        reference, images, first = open_into_by_basics(dec, up_rows)
+        cont = continuity_by_up_sets(dec, up_rows)
+        assert dec.check_against_order(Poset(dec.ids, up_rows)) == OrderCheck(
+            cont.holds, reference.holds, cont.witness, reference.witness
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(decomposition, "preimage_of",
+                          lambda rows, mask: tested.append(mask) or preimage(rows, mask))
+            tested.clear()
+            assert dec._image_pass(dec.space._open_basis, up_rows) == reference
+        assert tested == list(dict.fromkeys(images if first is None else images[:first + 1]))
         scans.append((images, first))
     return scans
 
@@ -603,29 +658,51 @@ def repeats_before_the_first_failure(images, first) -> list[int]:
 
 class TestDistinctRowsAndImages:
     """The Alexandrov group tests each distinct quotient row once and the
-    quotient-map passes each distinct image once; the values, verdicts and
-    witnesses are those of scans that test every row and every basic."""
+    quotient-map pass each distinct image once, into the quotient and into
+    supplied orders alike; the values, verdicts and witnesses are those of
+    scans that test every row and every basic."""
 
     @pytest.mark.parametrize("name", FIXTURES_AND_FACES)
     @pytest.mark.parametrize("pad", [False, True], ids=["as is", "padded"])
     def test_fixtures_and_face_posets(self, name, pad, monkeypatch):
-        dec = fresh_decomposition(name)
-        scans = assert_distinct_passes_match_the_scans(padded(dec) if pad else dec, monkeypatch)
+        dec = padded(fresh_decomposition(name)) if pad else fresh_decomposition(name)
+        scans = assert_distinct_passes_match_the_scans(dec, monkeypatch)
         if pad:
             for images, first in scans:
                 assert repeats_before_the_first_failure(images, first)
+        scans = assert_supplied_orders_match_the_scans(dec, monkeypatch)
+        if pad and scans:
+            assert any(repeats_before_the_first_failure(*scan) for scan in scans)
+
+    @pytest.mark.parametrize("name, basics, tested", [
+        ("octahedron/skeleton", 26, 3), ("tetrahedron/skeleton", 15, 4),
+    ])
+    def test_skeletons_test_each_distinct_image_once(self, name, basics, tested, monkeypatch):
+        # openness into the frontier order: every image passes, and the
+        # repeats among them are not closure-tested again
+        dec = helpers.face_decomposition(name)
+        up_rows = decomposition._order_rows(dec, Poset(dec.ids, dec.preorder.up))
+        calls = []
+        preimage = decomposition.preimage_of
+        monkeypatch.setattr(decomposition, "preimage_of",
+                            lambda rows, mask: calls.append(mask) or preimage(rows, mask))
+        assert dec._image_pass(dec.space._open_basis, up_rows)
+        assert (len(dec.space._open_basis), len(calls)) == (basics, tested)
 
     @given(st.integers(1, 7), st.sampled_from((0.1, 0.3, 0.6)), st.integers(1, 7),
            st.integers(0, 2**32), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_generated_decompositions(self, n, density, blocks, seed, pad):
         dec = generated_decomposition(n, density, min(blocks, n), seed)
+        dec = padded(dec) if pad else dec
         with pytest.MonkeyPatch.context() as monkeypatch:
-            scans = assert_distinct_passes_match_the_scans(padded(dec) if pad else dec,
-                                                           monkeypatch)
-        if pad:
-            for images, first in scans:
-                assert repeats_before_the_first_failure(images, first)
+            scans = assert_distinct_passes_match_the_scans(dec, monkeypatch)
+            if pad:
+                for images, first in scans:
+                    assert repeats_before_the_first_failure(images, first)
+            scans = assert_supplied_orders_match_the_scans(dec, monkeypatch)
+        if pad and scans:
+            assert any(repeats_before_the_first_failure(*scan) for scan in scans)
 
     def test_a_disagreeing_formula_still_raises_at_the_first_occurrence(self, monkeypatch):
         # the formula flipped on one repeated image: the pass raises where
@@ -654,7 +731,7 @@ class TestDistinctRowsAndImages:
                     computed.clear()
                     with pytest.raises(InternalInvariantError,
                                        match=f"{kind} saturation disagrees"):
-                        fresh._onto_quotient(closed)
+                        fresh._quotient_closed if closed else fresh._quotient_open
                     assert len(computed) == at + 1
         assert later
 

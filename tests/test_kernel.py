@@ -73,7 +73,7 @@ def wide_relation(n: int, shape: str, seed: int) -> list[int]:
     every cycle, so strongly connected classes of about n/4 points."""
     rng = random.Random(seed)
     if shape == "sparse":
-        return [sum(1 << rng.randrange(n) for _ in range(rng.randrange(3))) for _ in range(n)]
+        return [sum({1 << rng.randrange(n) for _ in range(rng.randrange(3))}) for _ in range(n)]
     if shape in ("eight", "nine"):
         others = 7 if shape == "eight" else 8
         return [
@@ -118,7 +118,7 @@ def test_rows_meeting_matches_a_per_row_scan(data):
     width = data.draw(st.integers(1, 300), label="columns")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     bits = data.draw(st.sampled_from((1, 3, width)), label="bits a row")
-    rows = [sum(1 << rng.randrange(width) for _ in range(bits)) for _ in range(n)]
+    rows = [sum({1 << rng.randrange(width) for _ in range(bits)}) for _ in range(n)]
     mask = data.draw(st.just(0) | st.integers(0, (1 << width) - 1), label="mask")
     assert kernel.rows_meeting(rows, mask) == helpers.rows_meeting_by_scan(rows, mask)
 

@@ -361,18 +361,16 @@ class TestSweep:
         # under semicontinuity_pairings can see it. No map onto a quotient
         # of a space with at most 3 points has two failing minimal opens,
         # so the sweep runs at n = 4.
-        one_pass = Decomposition._onto_quotient
+        one_pass = Decomposition._image_pass
 
-        def last_failure(self, closed):
-            if closed:
-                return one_pass(self, closed)
-            up_rows = self.quotient_space.min_open
-            images = [(b, rows_meeting(self.masks, b)) for b in self.space._open_basis]
-            failing = [b for b, image in images if preimage_of(up_rows, image) & ~image]
-            verdict = Verdict(not failing, self.space.names_of(failing[-1]) if failing else None)
-            return verdict, verdict.holds
+        def last_failure(self, basics, rows, kind=None):
+            if kind != "open":
+                return one_pass(self, basics, rows, kind)
+            images = [(b, rows_meeting(self.masks, b)) for b in basics]
+            failing = [b for b, image in images if preimage_of(rows, image) & ~image]
+            return Verdict(not failing, self.space.names_of(failing[-1]) if failing else None)
 
-        monkeypatch.setattr(Decomposition, "_onto_quotient", last_failure)
+        monkeypatch.setattr(Decomposition, "_image_pass", last_failure)
         report = exhaustive_verify(4)
         tallies = dict(report.tallies)
         assert tallies["semicontinuity_pairings"].failed > 0

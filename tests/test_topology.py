@@ -14,12 +14,13 @@ from helpers import WIDE_SHAPES, bit, masks_around_the_rule, wide_preorder
 from stratkit import (
     Decomposition, FiniteSpace, MonotoneMap, Poset, PosetStratification, Proset, SpaceMap,
     ValidationError, Verdict, adjunction_roundtrips, alexandrov_space, as_poset_stratified,
-    compatible_orders, face_poset_model, final_topology, fixture, fixture_names, load, save,
-    singleton_local_closure_check, specialization_preorder, strict_refinements_never_open,
-    stratification_from_open_map, symbolic_local_finiteness,
+    compatible_orders, enumerate_posets, enumerate_prosets, face_poset_model, final_topology,
+    fixture, fixture_names, load, save, singleton_local_closure_check, specialization_preorder,
+    strict_refinements_never_open, stratification_from_open_map, symbolic_local_finiteness,
 )
 from stratkit import topology
 from stratkit.fixtures import fixture_space
+from stratkit.generate import SplitMix64
 from stratkit.kernel import reflexive_transitive_closure
 
 # the fixtures that carry a finite space: a space, or a decomposition's
@@ -353,9 +354,27 @@ class TestMistypedInput:
              "point mask '1' out of range for 1 points"),
             (lambda: FiniteSpace.discrete("a").closure_mask(True),
              "point mask True out of range for 1 points"),
+            (lambda: Decomposition(FiniteSpace.discrete("a"), None),
+             "Decomposition strata must be a collection of (id, mask) pairs, got None"),
+            (lambda: Decomposition(FiniteSpace.discrete("a"), 5),
+             "Decomposition strata must be a collection of (id, mask) pairs, got 5"),
+            (lambda: Decomposition(FiniteSpace.discrete("ab"), "ab"),
+             "Decomposition strata must be a collection of (id, mask) pairs, got 'ab'"),
+            (lambda: Decomposition(FiniteSpace.discrete("a"), [("a", 1, 2)]),
+             "stratum entries must be (id, mask) pairs, got ('a', 1, 2)"),
+            (lambda: Decomposition(FiniteSpace.discrete("a"), ["A1"]),
+             "stratum entries must be (id, mask) pairs, got 'A1'"),
+            (lambda: SpaceMap(FiniteSpace.discrete("a"), FiniteSpace.discrete("a"), None),
+             "assignment must cover every source point"),
+            (lambda: SpaceMap(FiniteSpace.discrete("a"), FiniteSpace.discrete("a"), 3),
+             "assignment must cover every source point"),
+            (lambda: MonotoneMap(Poset(("a",), (1,)), Poset(("a",), (1,)), None),
+             "assignment must cover every source element"),
         ],
         ids=["names-int", "space-rows-none", "proset-rows-none", "min-open-list", "pairs-int",
-             "pair-triple", "pair-int", "mask-str", "mask-bool"],
+             "pair-triple", "pair-int", "mask-str", "mask-bool", "strata-none", "strata-int",
+             "strata-str", "stratum-triple", "stratum-str", "space-map-none", "space-map-int",
+             "monotone-map-none"],
     )
     def test_refused(self, call, message):
         with pytest.raises(ValidationError) as exc:
@@ -452,6 +471,17 @@ class TestEntryChecks:
             (lambda: adjunction_roundtrips("ab", "ab"), "preorder must be a Proset, got str"),
             (lambda: singleton_local_closure_check("ab"), "preorder must be a Proset, got str"),
             (lambda: SpaceMap.identity(None), "SpaceMap source must be a FiniteSpace, got NoneType"),
+            (lambda: list(enumerate_prosets(None)),
+             "relation enumeration size must be a nonnegative integer, got None"),
+            (lambda: list(enumerate_posets(None)),
+             "relation enumeration size must be a nonnegative integer, got None"),
+            (lambda: SplitMix64(1.5), "seed must be an integer, got 1.5"),
+            (lambda: SplitMix64(None), "seed must be an integer, got None"),
+            (lambda: SplitMix64(True), "seed must be an integer, got True"),
+            (lambda: SplitMix64(1).next_below(2.5), "bound must be an integer, got 2.5"),
+            (lambda: SplitMix64(1).next_below(None), "bound must be an integer, got None"),
+            (lambda: SplitMix64(1).next_below(True), "bound must be an integer, got True"),
+            (lambda: SplitMix64(1).next_below(0), "bound must be positive"),
         ],
         ids=["save", "alexandrov-space", "specialization-preorder", "pointwise",
              "poset-stratification", "as-poset-stratified", "stratification-from-open-map",
@@ -460,7 +490,10 @@ class TestEntryChecks:
              "final-topology-mapping", "from-pairs-close-str", "from-pairs-close-int",
              "point-index-unhashable", "is-open-unhashable", "leq-unhashable", "pi-unhashable",
              "names-of-str", "fixture-unhashable", "symbolic-unhashable", "adjunction-roundtrips",
-             "singleton-local-closure-check", "space-map-identity"],
+             "singleton-local-closure-check", "space-map-identity", "enumerate-prosets-none",
+             "enumerate-posets-none", "splitmix-seed-float", "splitmix-seed-none",
+             "splitmix-seed-bool", "next-below-float", "next-below-none", "next-below-bool",
+             "next-below-zero"],
     )
     def test_refused(self, call, message):
         with pytest.raises(ValidationError) as exc:
