@@ -197,11 +197,12 @@ class Decomposition(Value):
     def __post_init__(self):
         check_type(self.space, FiniteSpace, "Decomposition space")
         check_collection(self.strata, "Decomposition strata", "(id, mask) pairs")
-        items = tuple(self.strata)
-        for entry in items:
+        items = []
+        for entry in self.strata:
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise ValidationError(f"stratum entries must be (id, mask) pairs, got {entry!r}")
-        object.__setattr__(self, "strata", items)
+            items.append(tuple(entry))
+        object.__setattr__(self, "strata", tuple(items))
         ids = _checked_ids([sid for sid, _ in items])
         if ids != sorted(ids) or len(set(ids)) != len(ids):
             raise ValidationError("stratum ids must be unique and sorted")

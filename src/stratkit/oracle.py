@@ -24,9 +24,11 @@ so they count labeled instances, and the report is byte-identical to one
 that checks every labeled pair (``tests/helpers.labeled_sweep`` is that
 reference). ``first_counterexample`` is a canonical orbit representative.
 At n = 5 the 360,984 labeled instances are 4,323 orbits. Through the
-CLI that sweep took 1.8 s at a 17 MB peak in each of three runs; at
-n = 6, 42,533,981 labeled instances, one run took 207 s at a 62 MB peak
-(Python 3.11, one core of a shared 2-vCPU host).
+CLI that sweep took a median of 1.05 s (0.88 to 1.30) at a 17.4 MB peak
+in ten runs, against 2.2 s (1.9 to 2.9) before the order search was
+indexed; at n = 6, 42,533,981 labeled instances, it took 20 to 21 s at
+a 62.3 MB peak in three runs, against 207 to 217 s (Python 3.11, one
+core of a shared 2-vCPU host).
 
 Each check is a law in one ordered table, ``LAWS``: a name, a scope (a
 space, an instance, or an order that the search over labeled partial
@@ -41,30 +43,40 @@ sweep, that every order containing the preorder is among those found
 (``_refinements_continuous``), which the order laws alone cannot see.
 Adding a law changes ``tests/data/sweep5_json.sha256`` and the sweep
 digests in ``perfbench/golden.json``.
+The search tests no order one by one. The map is continuous into an
+order exactly when the order contains ``_reach`` row by row, and an index
+of the labeled partial orders on k strata (``_Orders``) holds, for each
+pair of strata, the set of orders relating them as a mask over their
+positions; the continuous orders are the intersection of the sets of the
+pairs of ``_reach``, and the orders containing the decomposition preorder
+those of its pairs. A sweep runs each search once per distinct ``_reach``
+(395 of them among the 4,323 instances at n = 5), and each instance
+computes the distinct images of its minimal opens once, which every order
+it finds reads for openness.
 This module is also the one place the quotient map is built point by
 point, as a ``SpaceMap`` (``classify``, ``check`` and ``theorem-b`` build
 none), in ``semicontinuity_matches_point_map``: the sweep's reference
 for the stratum-level verdicts.
-The labeled partial orders the search reads are built once per entry
-call, by the call that reads them (a ``Sweep`` for each stratum count up
-to its size, ``compatible_orders`` and ``strict_refinements_never_open``
-for theirs), and dropped with it: no enumeration is cached between calls,
-so a call at n = 6 leaves no 21 MB of rows behind.
+The labeled partial orders the search reads, with their index and the
+search results, are built once per entry call, by the call that reads
+them (a ``Sweep`` for each stratum count up to its size,
+``compatible_orders`` and ``strict_refinements_never_open`` for theirs),
+and dropped with it: nothing is cached between calls, so a call at n = 6
+leaves no 21 MB of rows behind.
 """
 
 from __future__ import annotations
 
-from itertools import compress, permutations, repeat
+from itertools import compress, permutations
 from math import factorial
-from operator import not_
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .decomposition import Decomposition, as_poset_stratified
 from .documents import canonical_json, payload_of
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .kernel import (
-    iter_bits, min_open_rows, preimage_of, reflexive_transitive_closure, rows_meeting, rows_within,
-    transpose,
+    _bit_flags, iter_bits, min_open_rows, preimage_of, reflexive_transitive_closure, rows_meeting,
+    rows_within, transpose,
 )
 from .order import (
     Poset, Proset, adjunction_roundtrips, alexandrov_space, singleton_local_closure_check,
@@ -179,22 +191,26 @@ def preorder_orbits(n: int) -> list[tuple[tuple[int, ...], tuple[list[int], ...]
 
 
 def partition_orbits(
-    partitions: Sequence[tuple[tuple[str, ...], ...]], automorphisms: Sequence[list[int]]
-) -> Iterator[tuple[tuple[tuple[str, ...], ...], int]]:
-    """The first of ``partitions`` (of the points "0".."n-1") in each orbit
-    under the automorphisms, given as mask tables, with the orbit's size."""
+    partitions: Sequence[tuple[int, ...]], automorphisms: Sequence[list[int]]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The first of ``partitions`` (each a tuple of block masks) in each
+    orbit under the automorphisms, given as mask tables, with the orbit's
+    size."""
     seen: set[frozenset[int]] = set()
-    for partition in partitions:
-        blocks = frozenset([sum(1 << int(p) for p in block) for block in partition])
-        if blocks in seen:
+    for blocks in partitions:
+        if frozenset(blocks) in seen:
             continue
         images = {frozenset([table[b] for b in blocks]) for table in automorphisms}
         seen |= images
-        yield partition, len(images)
+        yield blocks, len(images)
 
 
 def _default_elements(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
+
+
+# the sweep's stratum ids: block b of a partition is the stratum str(b)
+_STRATUM_IDS = _default_elements(MAX_ELEMENTS)
 
 
 def enumerate_prosets(n: int) -> Iterator[Proset]:
@@ -249,23 +265,95 @@ def enumerate_partitions(n: int) -> Iterator[tuple[tuple[str, ...], ...]]:
 
 # -- the labeled-order search -------------------------------------------------
 
+# _DIGITS[j] maps a byte to the ASCII digit of its bit j, which int(..., 2) reads
+_DIGITS = tuple(bytes([b"01"[v >> j & 1] for v in range(256)]) for j in range(MAX_ELEMENTS))
 
-def _orders_by_continuity(
-    dec: Decomposition, orders: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[tuple[int, ...], ...], list[bool]]:
-    """``orders``, every labeled partial order on the stratum indices as
-    up-set rows, and for each whether the quotient map is continuous into
-    its order topology."""
-    return orders, list(map(dec._pi_continuous_rows, orders))
+
+def _column_mask(column: bytes, j: int = 0) -> int:
+    """The mask of the positions of ``column`` whose byte has bit j set."""
+    return int(column[::-1].translate(_DIGITS[j]), 2)
+
+
+def _flags_mask(flags: Iterable[int]) -> int:
+    """The mask of the positions of the true flags, each a bool or 0/1."""
+    return _column_mask(bytes(flags))
+
+
+class _Orders:
+    """Every labeled partial order on k strata as up-set rows (the sequence
+    ``labeled_poset_rows(k)``), indexed for the search, and what the search
+    found for each stratum relation it was asked about.
+
+    The index holds, for each pair (i, j) of strata, the set of orders in
+    which i <= j as a mask over their positions. The orders containing a
+    relation are the intersection of the sets of its pairs: at most k * k
+    wide-int ANDs, however many orders there are. A row on at most
+    ``MAX_ELEMENTS`` (6) strata fits in a byte, so row i of every order is
+    one bytes column, and each set of the pairs (i, j) is read off it by
+    one translation."""
+
+    def __init__(self, k: int):
+        self.rows = labeled_poset_rows(k)
+        self._all = (1 << len(self.rows)) - 1
+        self._pairs = tuple(
+            tuple([_column_mask(column, j) for j in range(k)])
+            for column in map(bytes, zip(*self.rows))
+        )
+        self._found: dict[tuple[int, ...], int] = {}
+        self._refined: dict[tuple[int, ...], bool] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.rows)
+
+    def flags(self, found: int) -> bytes:
+        """One 0/1 byte per order: whether ``found`` holds its position."""
+        return _bit_flags(found).ljust(len(self.rows), b"\0")
+
+    def containing(self, relation: Sequence[int]) -> int:
+        """The orders whose row i contains ``relation[i]`` for every i, as a
+        mask over their positions."""
+        found = self._all
+        for pairs, row in zip(self._pairs, relation):
+            for j in iter_bits(row):
+                found &= pairs[j]
+        return found
+
+    def search(self, dec: Decomposition) -> int:
+        """The orders the quotient map of ``dec`` is continuous into, as a
+        mask: ``_orders_by_continuity`` runs once per distinct ``_reach``,
+        the one relation continuity reads."""
+        found = self._found.get(dec._reach)
+        if found is None:
+            found = self._found[dec._reach] = _flags_mask(_orders_by_continuity(dec, self)[1])
+        return found
+
+    def refinements_continuous(self, dec: Decomposition) -> bool:
+        """``_refinements_continuous`` on the result of ``search``, once per
+        distinct ``_reach`` (the decomposition preorder is its closure)."""
+        refined = self._refined.get(dec._reach)
+        if refined is None:
+            flags = self.flags(self.search(dec))
+            refined = self._refined[dec._reach] = _refinements_continuous(dec, self, flags)
+        return refined
+
+
+def _orders_by_continuity(dec: Decomposition, orders: _Orders) -> tuple[_Orders, bytes]:
+    """``orders``, every labeled partial order on the stratum indices, and
+    for each whether the quotient map is continuous into its order
+    topology: whether it contains ``_reach``, row by row."""
+    return orders, orders.flags(orders.containing(dec._reach))
 
 
 def _refinements_continuous(
-    dec: Decomposition, orders: Sequence[tuple[int, ...]], continuous: Sequence[bool]
+    dec: Decomposition, orders: _Orders, continuous: Sequence[bool]
 ) -> bool:
     """Whether the search found every order containing the decomposition
     preorder continuous: none of the others contains it."""
-    missed = compress(orders, map(not_, continuous))
-    return not any(map(rows_within, repeat(dec.preorder.up), missed))
+    missed = orders._all & ~_flags_mask(continuous)
+    return not orders.containing(dec.preorder.up) & missed
 
 
 # -- the law table ------------------------------------------------------------
@@ -346,11 +434,18 @@ class _Instance:
     first use and then kept. A value whose computation raises is not kept,
     so each law that reads it fails."""
 
-    def __init__(self, dec: Decomposition, orders: tuple[tuple[int, ...], ...]):
+    def __init__(self, dec: Decomposition, orders: _Orders):
         self.dec, self.orders = dec, orders
 
     subset_filter = cached_property(lambda self: quotient_space_by_subset_filter(self.dec))
-    search = cached_property(lambda self: _orders_by_continuity(self.dec, self.orders))
+    found = cached_property(lambda self: self.orders.search(self.dec))
+    refinements_continuous = cached_property(
+        lambda self: self.orders.refinements_continuous(self.dec)
+    )
+    # the distinct images of the minimal opens, which every order's openness reads
+    images = cached_property(lambda self: tuple(dict.fromkeys([
+        rows_meeting(self.dec.masks, basic) for basic in self.dec.space._open_basis
+    ])))
     frontier = cached_property(lambda self: self.dec.frontier_equivalences().value)
     poset_stratified = cached_property(lambda self: self.dec.poset_stratified_equivalences().value)
     stratification = cached_property(lambda self: self.dec.is_stratification().holds)
@@ -369,8 +464,10 @@ class _Order:
 
     @cached_property
     def opens(self) -> bool:
-        dec = self.instance.dec
-        return dec._image_pass(dec.space._open_basis, self.rows).holds
+        """Whether the quotient map is open into the order topology: each
+        image of a minimal open is an up-set."""
+        rows = self.rows
+        return not any(preimage_of(rows, image) & ~image for image in self.instance.images)
 
 
 def _open_cover_recovers_space(case: _Space) -> bool:
@@ -407,8 +504,8 @@ LAWS = (
         == alexandrov_by_subset_filter(case.dec, *case.subset_filter)),
     Law("frontier_quadruple_agreement", "instance", lambda case: case.frontier is not None),
     Law("poset_stratified_triple_agreement", "instance",
-        lambda case: any(case.search[1]) == case.poset_stratified
-        and (not case.poset_stratified or _refinements_continuous(case.dec, *case.search))),
+        lambda case: bool(case.found) == case.poset_stratified
+        and (not case.poset_stratified or case.refinements_continuous)),
     Law("semicontinuity_pairings", "instance",
         lambda case: semicontinuity_matches_point_map(case.dec)),
     Law("locally_closed_and_frontier_iff_poset_stratified_and_open", "instance",
@@ -435,10 +532,11 @@ def _checked_search(d: Decomposition) -> list[tuple[int, ...]]:
     into, asserting that every order containing the decomposition preorder
     is among them and that each order law holds on each."""
     _check_size(d.k, "order enumeration", "strata")
-    case = _Instance(d, labeled_poset_rows(d.k))
-    if not _refinements_continuous(d, *case.search):
+    orders, continuous = _orders_by_continuity(d, _Orders(d.k))
+    if not _refinements_continuous(d, orders, continuous):
         raise InternalInvariantError("refinement broke continuity of the quotient map")
-    found = [_Order(case, rows) for rows in compress(*case.search)]
+    case = _Instance(d, orders)
+    found = [_Order(case, rows) for rows in compress(orders, continuous)]
     for order in found:
         for law in _SCOPES["order"]:
             if law.check(order) is False:
@@ -534,13 +632,13 @@ class Sweep:
     count it touches: the number of labeled spaces or instances it
     stands for. ``exhaustive_verify`` passes one representative per
     relabeling orbit, weighted by the orbit size. The labeled partial
-    orders on k strata, for each k up to n, are built here once and read
-    by every instance.
+    orders on k strata, for each k up to n, are indexed here once, and the
+    search over them runs once per distinct stratum relation (``_Orders``).
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._orders = [labeled_poset_rows(k) for k in range(n + 1)]
+        self._orders = [_Orders(k) for k in range(n + 1)]
         self.spaces = 0
         self.instances = 0
         self.order_pairs = 0
@@ -570,19 +668,16 @@ class Sweep:
         self._run("space", _Space(proset, space), weight, space)
         return space
 
-    def check_instance(
-        self, space: FiniteSpace, partition: tuple[tuple[str, ...], ...], weight: int
-    ) -> None:
+    def check_instance(self, space: FiniteSpace, blocks: tuple[int, ...], weight: int) -> None:
         """Run the instance laws and the order laws on the decomposition of
-        ``space`` into the blocks of ``partition``."""
+        ``space`` into ``blocks``, point masks, the stratum of block b
+        named str(b)."""
         self.instances += weight
-        dec = Decomposition.from_strata(
-            space, {str(b): block for b, block in enumerate(partition)}
-        )
+        dec = Decomposition(space, tuple(zip(_STRATUM_IDS, blocks)))
         case = _Instance(dec, self._orders[dec.k])
         self._run("instance", case, weight, space, dec)
-        self.order_pairs += weight * len(case.search[0])
-        for rows in compress(*case.search):
+        self.order_pairs += weight * len(case.orders)
+        for rows in compress(case.orders.rows, _bit_flags(case.found)):
             self._run("order", _Order(case, rows), weight, space, dec)
 
     def report(self) -> SweepReport:
@@ -606,7 +701,10 @@ def exhaustive_verify(n: int) -> SweepReport:
     See the module docstring for what one instance contributes."""
     _check_size(n, "exhaustive sweep", "points")
     points = _default_elements(n)
-    partitions = tuple(set_partitions(points))
+    partitions = [
+        tuple([sum(1 << int(p) for p in block) for block in partition])
+        for partition in set_partitions(points)
+    ]
     labelings = factorial(n)
     sweep = Sweep(n)
     for rows, automorphisms in preorder_orbits(n):

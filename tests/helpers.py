@@ -136,13 +136,26 @@ def labeled_sweep(n: int) -> SweepReport:
     (preorder, partition) pair, each with weight 1: the reference the
     orbit-weighted ``exhaustive_verify`` must reproduce."""
     points = tuple(str(i) for i in range(n))
-    partitions = tuple(set_partitions(points))
+    partitions = [partition_masks(partition) for partition in set_partitions(points)]
     sweep = Sweep(n)
     for rows in labeled_preorder_rows(n):
         space = sweep.check_space(Proset(points, rows), 1)
-        for partition in partitions:
-            sweep.check_instance(space, partition, 1)
+        for blocks in partitions:
+            sweep.check_instance(space, blocks, 1)
     return sweep.report()
+
+
+def partition_masks(partition) -> tuple[int, ...]:
+    """The blocks of a partition of the points "0".."n-1" as point masks,
+    the form the sweep takes them in."""
+    return tuple(sum(1 << int(p) for p in block) for block in partition)
+
+
+def orders_containing_by_scan(orders, relation) -> int:
+    """The positions of the orders (up-set rows) whose row i contains
+    ``relation[i]`` for every i, by testing every order bit by bit: the
+    unpruned reference for the sweep's order index."""
+    return sum(1 << t for t, rows in enumerate(orders) if rows_within_by_bits(relation, rows))
 
 
 def open_masks(space: FiniteSpace) -> list[int]:

@@ -72,6 +72,14 @@ class TestConstruction:
         with pytest.raises(ValidationError, match=r"^stratum mask for 'A' must be an int, got "):
             Decomposition(sierpinski, (("A", mask), ("B", 0b10)))
 
+    def test_list_entries_are_kept_as_pairs(self, sierpinski):
+        # a checked entry is stored as a tuple, so the value equals and
+        # hashes like the same strata given as tuples
+        listed = Decomposition(sierpinski, [["A", 0b01], ["B", 0b10]])
+        given = Decomposition(sierpinski, (("A", 0b01), ("B", 0b10)))
+        assert listed.strata == (("A", 0b01), ("B", 0b10))
+        assert listed == given and hash(listed) == hash(given)
+
     @pytest.mark.parametrize("mask", [7, 4, -1, -2])
     def test_out_of_range_mask_rejected(self, sierpinski, mask):
         # 2 points: a mask beyond 0b11, or a negative one, is no stratum

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import random
 import tracemalloc
 from itertools import permutations
 from math import factorial
@@ -156,10 +157,37 @@ class TestEnumerations:
             assert sorted(flat) == sorted(points)
 
 
+class TestOrderIndex:
+    def test_index_matches_a_scan_of_every_order(self):
+        # relations on up to four strata, closed or not (every labeled
+        # preorder, and each with its diagonal dropped), and sparse random
+        # ones on five, about one pair in eight
+        rng = random.Random(5)
+        cases = [(k, rows) for k in range(5) for rows in labeled_preorder_rows(k)]
+        cases += [(k, tuple(row & ~(1 << i) for i, row in enumerate(rows))) for k, rows in cases]
+        cases += [
+            (5, tuple(rng.getrandbits(5) & rng.getrandbits(5) & rng.getrandbits(5)
+                      for _ in range(5)))
+            for _ in range(8)
+        ]
+        index = {k: oracle._Orders(k) for k in range(6)}
+        for k, relation in cases:
+            orders = index[k]
+            want = helpers.orders_containing_by_scan(orders.rows, relation)
+            assert orders.containing(relation) == want, (k, relation)
+
+    def test_flags_round_trip(self):
+        orders = oracle._Orders(3)
+        for found in (0, 1, 0b1010, (1 << len(orders)) - 1):
+            flags = orders.flags(found)
+            assert len(flags) == len(orders)
+            assert oracle._flags_mask(list(map(bool, flags))) == found
+
+
 class TestOrbits:
     def test_orbit_counts(self):
         # OEIS A001930: preorders on n unlabeled elements
-        assert [len(preorder_orbits(n)) for n in range(6)] == [1, 1, 3, 9, 33, 139]
+        assert [len(preorder_orbits(n)) for n in range(7)] == [1, 1, 3, 9, 33, 139, 718]
 
     def test_orbit_sizes_sum_to_the_labeled_count(self):
         for n, count in PREORDER_COUNTS.items():
@@ -193,7 +221,10 @@ class TestOrbits:
 
     def test_pair_orbit_counts(self):
         for n, expected in ((3, 36), (4, 337), (5, 4323)):
-            partitions = tuple(set_partitions([str(i) for i in range(n)]))
+            partitions = [
+                helpers.partition_masks(partition)
+                for partition in set_partitions([str(i) for i in range(n)])
+            ]
             count = labeled = 0
             for _, aut in preorder_orbits(n):
                 for _, size in partition_orbits(partitions, aut):
@@ -208,11 +239,12 @@ class TestOrbits:
 
 
 class TestNothingLeftBehind:
-    """The labeled enumerations live only inside the call that reads them:
-    after each entry, on return or on an exception, traced memory is back
-    at its baseline. A cache of the n = 5 labeled posets alone would keep
-    0.6 MB (20 MB at n = 6); tracing multiplies the time of each call by
-    about five, so the checks run at n = 5."""
+    """The labeled enumerations, and the sweep's order index and search
+    results, live only inside the call that reads them: after each entry,
+    on return or on an exception, traced memory is back at its baseline. A
+    cache of the n = 5 labeled posets alone would keep 0.6 MB (20 MB at
+    n = 6); tracing multiplies the time of each call by about five, so the
+    checks run at n = 5, and the sweep's on return at n = 4."""
 
     @staticmethod
     def retained_mb(call) -> float:
@@ -237,6 +269,8 @@ class TestNothingLeftBehind:
         for call in (lambda: list(enumerate_posets(5)), lambda: list(enumerate_prosets(5)),
                      lambda: compatible_orders(dec)):
             assert self.retained_mb(call) < 0.1
+        # a Sweep(4) kept alive, its order index and search results, holds 0.035 MB
+        assert self.retained_mb(lambda: exhaustive_verify(4)) < 0.01
 
     def test_nothing_is_left_on_an_exception(self, monkeypatch):
         def broken(*args):
